@@ -1,10 +1,10 @@
 """Exact event-driven simulation and empirical checks of the conditioned CLT.
 
 Reproducibility contract: replica i of a run with master seed s draws from
-the counter-based Philox4x64 stream keyed by (s, i) — first one uniform for
-the initial state, then one (holding, jump) pair per step.  Batch size,
-thread count, and rerun length never change the values a replica sees, so
-sample lists are bit-identical however the work is scheduled.
+the counter-based Philox4x64 stream keyed by (s, i) — draw 0 for the initial
+state, draws 1 + 2j and 2 + 2j for the holding time and jump of step j.
+Batch size, thread count and draw-window size never change the values a
+replica sees, so sample lists are bit-identical however work is scheduled.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from . import variance_clt
 
 DEFAULT_BATCH = 4096
 REJECTION_BUDGET = 1e9
-_STRAGGLER_CAP = 64
+_WINDOW_CAP = 512   # steps per draw window
+_STEP_CEILING = 64  # times the Poisson step bound
 
 
 def philox_stream(seed: int, replica: int) -> np.random.Generator:
@@ -55,8 +56,7 @@ class Trajectory:
         Accumulated segment by segment in path order — the same floating-point
         sequence as the batch kernel, so the two agree bit for bit."""
         f = np.asarray(f, dtype=float)
-        end = min(self.absorption_time, self.t_max)
-        edges = np.concatenate([[0.0], self.jump_times, [end]])
+        edges = np.concatenate([[0.0], self.jump_times, [min(self.absorption_time, self.t_max)]])
         total = np.float64(0.0)
         for state, seg in zip(self.visited_states, np.diff(edges)):
             total += f[state] * seg
@@ -75,22 +75,22 @@ def _jump_tables(generator: np.ndarray, killing: Optional[np.ndarray]):
     cum = np.cumsum(probs, axis=1)
     # pin the cumulative row to exactly 1 from its last positive-probability
     # column on, so a uniform draw can never fall off the end by roundoff
-    for x in range(cum.shape[0]):
-        nz = np.flatnonzero(probs[x] > 0)
-        if nz.size:
-            cum[x, nz[-1]:] = 1.0
+    pos, ncol = probs > 0, probs.shape[1]
+    last = np.where(pos.any(axis=1), ncol - 1 - np.argmax(pos[:, ::-1], axis=1), ncol)
+    cum[np.arange(ncol) >= last[:, None]] = 1.0
     return rates, cum
 
 
-def _simulate_one(rates, cumJ, cum0, n, t_max, gen):
-    u0 = gen.random()
-    state = min(int(np.searchsorted(cum0, u0, side="right")), n - 1)
-    t = 0.0
-    times, states = [], [state]
-    absorption = np.inf
+def _simulate_one(generator, killing, initial, t_max, rng_stream) -> Trajectory:
+    """The one-path reference simulator, which the batch kernel matches bit for bit."""
+    gen = rng_stream if isinstance(rng_stream, np.random.Generator) \
+        else philox_stream(*rng_stream)
+    rates, cumJ = _jump_tables(generator, killing)
+    cum0, n = np.cumsum(np.asarray(initial, dtype=float)), generator.shape[0]
+    state = min(int(np.searchsorted(cum0, gen.random(), side="right")), n - 1)
+    t, times, states, absorption = 0.0, [], [state], np.inf
     while True:
-        u_h = gen.random()
-        u_j = gen.random()
+        u_h, u_j = gen.random(), gen.random()
         rate = rates[state]
         if rate <= 0:
             break  # single absorbing-free state: sits forever
@@ -101,126 +101,141 @@ def _simulate_one(rates, cumJ, cum0, n, t_max, gen):
         if nxt >= n:
             absorption = t_next
             break
-        t = t_next
-        state = nxt
+        t, state = t_next, nxt
         times.append(t)
         states.append(state)
-    return Trajectory(
-        jump_times=np.array(times),
-        visited_states=np.array(states, dtype=int),
-        absorption_time=absorption,
-        t_max=float(t_max),
-    )
+    return Trajectory(jump_times=np.array(times), visited_states=np.array(states, dtype=int),
+                      absorption_time=absorption, t_max=float(t_max))
 
 
 def simulate_absorbed(chain: AbsorbedChain, mu, t_max: float, rng_stream) -> Trajectory:
     """One exact path of the killed chain.  rng_stream is either a Generator
     or a (seed, replica) pair."""
-    gen = rng_stream if isinstance(rng_stream, np.random.Generator) \
-        else philox_stream(*rng_stream)
-    mu = np.asarray(mu, dtype=float)
-    rates, cumJ = _jump_tables(chain.sub_generator, chain.killing)
-    return _simulate_one(rates, cumJ, np.cumsum(mu), chain.n, t_max, gen)
+    return _simulate_one(chain.sub_generator, chain.killing, mu, t_max, rng_stream)
 
 
 def simulate_qprocess(qproc: QProcessChain, initial, t_max: float, rng_stream) -> Trajectory:
-    gen = rng_stream if isinstance(rng_stream, np.random.Generator) \
-        else philox_stream(*rng_stream)
-    initial = np.asarray(initial, dtype=float)
-    rates, cumJ = _jump_tables(qproc.q_generator, None)
-    return _simulate_one(rates, cumJ, np.cumsum(initial), qproc.n, t_max, gen)
+    return _simulate_one(qproc.q_generator, None, initial, t_max, rng_stream)
 
 
 # ---------------------------------------------------------------------------
 # vectorized batch kernel (same draw discipline as _simulate_one)
 
-def _draw_block(seed, replicas, m):
-    U = np.empty((len(replicas), 2 * m + 1))
-    for i, r in enumerate(replicas):
-        U[i] = philox_stream(seed, r).random(2 * m + 1)
-    return U
+def _draw_window(gen, replicas, offset, width):
+    """Draws [offset, offset + width) of stream (seed, r), one row per r, with
+    gen = philox_stream(seed, ·) serving the whole batch.
+
+    Philox is counter-based: re-keyed to (seed, r) with block counter c and
+    an empty 4-draw buffer, gen resumes that stream at draw 4c.  Rows start
+    at c = offset // 4; the view skips the offset % 4 before."""
+    bg, skip = gen.bit_generator, offset % 4
+    key0 = int(bg.state["state"]["key"][0])  # the key word Philox makes of seed (mod 2^64)
+    template = {"bit_generator": "Philox", "state": {"counter": (offset // 4, 0, 0, 0)},
+                "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    U = np.empty((len(replicas), skip + width))
+    for i, r in enumerate(replicas.tolist()):
+        template["state"]["key"] = (key0, r)
+        bg.state = template
+        gen.random(out=U[i])
+    return U[:, skip:]
 
 
-def _run_batch(rates, cumJ, cum0, n, f, t_max, replicas, seed, m, m0=None,
-               count_jumps=None):
-    B = len(replicas)
-    U = _draw_block(seed, replicas, m)
-    state = np.minimum(np.searchsorted(cum0, U[:, 0], side="right"), n - 1)
-    tcur = np.zeros(B)
-    S = np.zeros(B)
-    absorbed = np.zeros(B, dtype=bool)
-    active = np.ones(B, dtype=bool)
-    local_counts = None if count_jumps is None else np.zeros_like(count_jumps)
-    for j in range(m):
-        if not active.any():
-            break
-        idx = np.flatnonzero(active)
-        st = state[idx]
-        r = rates[st]
-        with np.errstate(divide="ignore"):
-            hold = np.where(r > 0, -np.log1p(-U[idx, 1 + 2 * j]) / np.where(r > 0, r, 1.0), np.inf)
-        t_next = tcur[idx] + hold
-        seg = np.minimum(t_next, t_max) - tcur[idx]
-        S[idx] += f[st] * seg
-        done = t_next >= t_max
-        nxt = (U[idx, 2 + 2 * j][:, None] > cumJ[st]).sum(axis=1)
-        jumping = ~done
-        if local_counts is not None and jumping.any():
-            np.add.at(local_counts, (st[jumping], nxt[jumping]), 1)
-        died = jumping & (nxt >= n)  # absorbed strictly before the horizon
-        absorbed[idx[died]] = True
-        move = jumping & (nxt < n)
-        state[idx[move]] = nxt[move]
-        tcur[idx] = t_next
-        active[idx[done | died]] = False
-    if active.any():
-        # some replica needs more than m steps: replay the whole batch from
-        # scratch with a longer draw block (streams are prefix-stable, so
-        # every finished replica reproduces its result bit for bit)
-        if m0 is None:
-            m0 = m
-        if m > _STRAGGLER_CAP * m0:
-            raise BudgetExceeded("replica exceeded the straggler rerun cap")
-        return _run_batch(rates, cumJ, cum0, n, f, t_max, replicas, seed,
-                          4 * m, m0, count_jumps)
-    if count_jumps is not None:
-        count_jumps += local_counts
-    return S, state, absorbed
+class _Kernel:
+    """Lock-step simulator of replica batches for one chain, initial law,
+    observable and horizon.  Step j of every live replica reads draws 1 + 2j
+    and 2 + 2j of its stream, from windows of `window` steps; replicas still
+    running at a window's end draw their next window."""
 
+    def __init__(self, generator, killing, initial, f, t_max):
+        rates, cumJ = _jump_tables(generator, killing)
+        self.n, ncol = cumJ.shape
+        self.cum0 = np.cumsum(np.asarray(initial, dtype=float))
+        self.f, self.t_max = np.asarray(f, dtype=float), float(t_max)
+        zero = rates <= 0  # zero-rate states hold forever
+        self.zero, self.neg_rates = (zero if zero.any() else None), -np.where(zero, 1.0, rates)
+        # jump rows padded with +inf, and a guide table into them (see _next_states)
+        self.width, self.K = ncol + 1, 1 << max(ncol - 1, 1).bit_length()
+        self.cum = np.hstack([cumJ, np.full((self.n, 1), np.inf)]).ravel()
+        grid = np.arange(self.K) / self.K
+        self.guide = np.concatenate([np.searchsorted(row, grid) for row in cumJ])
+        # a window covers the mean step count from the initial law plus two
+        # Poisson sd, so few replicas need a second; steps are dominated by
+        # Poisson(max rate * t), which the ceiling exceeds only on broken input
+        lam = max(float(np.diff(self.cum0, prepend=0.0) @ rates) * self.t_max, 1.0)
+        lam_max = max(float(rates.max()) * self.t_max, 1.0)
+        if not np.isfinite(lam_max):
+            raise BudgetExceeded(f"no step budget for horizon t = {t_max}")
+        self.window = min(int(np.ceil(lam + 2.0 * np.sqrt(lam))), _WINDOW_CAP)
+        self.max_steps = _STEP_CEILING * (lam_max + 16.0)
 
-def _plan_steps(rates, t_max):
-    rmax = float(np.max(rates))
-    lam = max(rmax * t_max, 1.0)
-    return int(np.ceil(lam + 8.0 * np.sqrt(lam) + 16))
+    def _next_states(self, st, u):
+        """(u > cumJ[st]).sum(axis=1) via a guide table (Chen & Asau).  Rows
+        of cumJ sum nonnegative terms and are pinned to 1 from their last
+        positive term on, and u < 1: the columns with cumJ < u form a prefix,
+        so the count is the first column with cumJ >= u.  K u is exact for K
+        a power of two, and guide[st, floor(K u)] bounds it from below."""
+        g = self.guide[st * self.K + (u * self.K).astype(np.intp)]
+        base = st * self.width
+        idx = np.flatnonzero(u > self.cum[base + g])
+        while idx.size:
+            g[idx] += 1
+            idx = idx[u[idx] > self.cum[base[idx] + g[idx]]]
+        return g
+
+    def run(self, replicas, seed, count_jumps=None):
+        B, n, t_max, gen = len(replicas), self.n, self.t_max, philox_stream(seed, 0)
+        U = _draw_window(gen, replicas, 0, 1 + 2 * self.window)
+        state = np.minimum(np.searchsorted(self.cum0, U[:, 0], side="right"), n - 1)
+        S, absorbed = np.empty(B), np.zeros(B, dtype=bool)
+        # live replicas, compacted: batch position, window row, state, clock, integral
+        pos = row = np.arange(B)
+        st, tc, acc, j, col = state.copy(), np.zeros(B), np.zeros(B), 0, 1
+        while pos.size:
+            if col == U.shape[1]:
+                if j >= self.max_steps:
+                    raise BudgetExceeded(f"a replica exceeded {self.max_steps:.0f} steps")
+                U = _draw_window(gen, replicas[pos], 1 + 2 * j, 2 * self.window)
+                row, col = np.arange(pos.size), 0
+            # -log1p(-u)/rate bit for bit, as in _simulate_one
+            hold = np.log1p(-U[row, col]) / self.neg_rates[st]
+            if self.zero is not None:
+                hold[self.zero[st]] = np.inf
+            t_next = tc + hold
+            acc += self.f[st] * (np.minimum(t_next, t_max) - tc)
+            nxt = self._next_states(st, U[row, col + 1])
+            jumping = t_next < t_max
+            if count_jumps is not None:
+                np.add.at(count_jumps, (st[jumping], nxt[jumping]), 1)
+            live = jumping & (nxt < n)
+            if not live.all():
+                end = ~live
+                S[pos[end]], state[pos[end]] = acc[end], st[end]
+                absorbed[pos[end & jumping]] = True  # killed strictly before the horizon
+                pos, row, acc = pos[live], row[live], acc[live]
+                nxt, t_next = nxt[live], t_next[live]
+            st, tc = nxt, t_next
+            j, col = j + 1, col + 2
+        return S, state, absorbed
 
 
 def _batch_statistics(generator, killing, initial, f, t_max, n_replicas, seed,
                       threads=1, batch=DEFAULT_BATCH, count_jumps=False):
     """(S_i, terminal state_i, absorbed_i) for replicas 0..n-1, plus optional
     pooled jump counts; identical output for any batch size or thread count."""
-    n = generator.shape[0]
-    rates, cumJ = _jump_tables(generator, killing)
-    cum0 = np.cumsum(np.asarray(initial, dtype=float))
-    m = _plan_steps(rates, t_max)
+    kernel = _Kernel(generator, killing, initial, f, t_max)
     S = np.empty(n_replicas)
     term = np.empty(n_replicas, dtype=int)
     absorbed = np.empty(n_replicas, dtype=bool)
     spans = [(lo, min(lo + batch, n_replicas)) for lo in range(0, n_replicas, batch)]
-    counts = [np.zeros((n, cumJ.shape[1] + 1), dtype=np.int64) if count_jumps else None
+    counts = [np.zeros((kernel.n, kernel.width), dtype=np.int64) if count_jumps else None
               for _ in spans]
 
     def work(i):
         lo, hi = spans[i]
-        res = _run_batch(rates, cumJ, cum0, n, f, t_max,
-                         np.arange(lo, hi), seed, m, count_jumps=counts[i])
-        S[lo:hi], term[lo:hi], absorbed[lo:hi] = res
+        S[lo:hi], term[lo:hi], absorbed[lo:hi] = kernel.run(np.arange(lo, hi), seed, counts[i])
 
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, range(len(spans))))
-    else:
-        for i in range(len(spans)):
-            work(i)
+    with ThreadPoolExecutor(max_workers=max(threads or 1, 1)) as pool:
+        list(pool.map(work, range(len(spans))))
     pooled = sum(counts) if count_jumps else None
     return S, term, absorbed, pooled
 
@@ -263,18 +278,15 @@ def conditional_clt_sample(chain: AbsorbedChain, triple: SpectralTriple, mu, f,
     under conditioning on survival to T.
     """
     mu = np.asarray(mu, dtype=float)
-    if psi1 is None:
-        psi1 = np.ones(chain.n)
+    psi1 = np.ones(chain.n) if psi1 is None else psi1
     qproc = h_transform(chain, triple, psi1)
     obs = variance_clt.make_observable(qproc, f)
-    if method is None:
-        method = default_method(triple.lambda0, t)
+    method = default_method(triple.lambda0, t) if method is None else method
     if method not in ("rejection", "qprocess"):
         raise ValidationError(f"unknown conditioning method {method!r}")
     if np.max(np.abs(obs.f_centered)) <= 1e-14:
         # constant observable: the statistic collapses to exactly zero
-        samples = np.zeros(n_replicas)
-        return EmpiricalDistribution(samples=samples, n_effective=n_replicas,
+        return EmpiricalDistribution(samples=np.zeros(n_replicas), n_effective=n_replicas,
                                      n_requested=n_replicas, seed=seed, t=float(t),
                                      method=method, sigma2=0.0, beta_f=obs.beta_f,
                                      gap_bound_factor=float("nan"))
@@ -286,24 +298,19 @@ def conditional_clt_sample(chain: AbsorbedChain, triple: SpectralTriple, mu, f,
     if mu_eta <= 0:
         raise ValidationError("mu(eta) must be positive")
     if method == "rejection":
-        if n_replicas * np.exp(triple.lambda0 * t) > budget:
-            raise BudgetExceeded(
-                f"rejection cost n e^(lambda0 t) = {n_replicas * np.exp(triple.lambda0 * t):.3g} "
-                f"exceeds budget {budget:.3g}")
-        S, _, absorbed, _ = _batch_statistics(
-            chain.sub_generator, chain.killing, mu, obs.f_centered, t,
-            n_replicas, seed, threads, batch)
-        kept = S[~absorbed]
-        gap_factor = float("nan")
+        cost = n_replicas * np.exp(triple.lambda0 * t)
+        if cost > budget:
+            raise BudgetExceeded(f"rejection cost n e^(lambda0 t) = {cost:.3g} "
+                                 f"exceeds budget {budget:.3g}")
+        dynamics, gap_factor = (chain.sub_generator, chain.killing, mu), float("nan")
     else:
-        h_mu = mu * triple.eta / mu_eta
-        S, _, _, _ = _batch_statistics(
-            qproc.q_generator, None, h_mu, obs.f_centered, t,
-            n_replicas, seed, threads, batch)
-        kept = S
+        # the Q-process from the eta-reweighted law; no replica is absorbed
+        dynamics = (qproc.q_generator, None, mu * triple.eta / mu_eta)
         cert = certify_ergodicity(chain, triple, psi1, default_time_grid(triple.gamma))
         gap_factor = float(cert.C * (mu @ psi1) / mu_eta)
-    samples = np.sort(np.sqrt(t) * kept / t)
+    S, _, absorbed, _ = _batch_statistics(*dynamics, obs.f_centered, t, n_replicas,
+                                          seed, threads, batch)
+    samples = np.sort(np.sqrt(t) * S[~absorbed] / t)
     return EmpiricalDistribution(samples=samples, n_effective=len(samples),
                                  n_requested=n_replicas, seed=seed, t=float(t),
                                  method=method, sigma2=float(sigma2),
@@ -318,11 +325,10 @@ def kolmogorov_distance(empirical: EmpiricalDistribution, sigma2: float) -> floa
     contract)."""
     if sigma2 <= 0:
         raise DegenerateVariance("kolmogorov_distance needs sigma^2 > 0")
-    s = empirical.samples
-    nn = len(s)
+    nn = len(empirical.samples)
     if nn == 0:
         raise ValidationError("empty sample")
-    F = ndtr(s / np.sqrt(sigma2))
+    F = ndtr(empirical.samples / np.sqrt(sigma2))
     i = np.arange(nn)
     return float(max((F - i / nn).max(), ((i + 1) / nn - F).max()))
 
@@ -343,12 +349,10 @@ def quasi_ergodic_check(chain: AbsorbedChain, triple: SpectralTriple, mu, f,
     on a time grid, with the exact augmented-oracle value alongside when the
     state space is small (n <= 50)."""
     mu = np.asarray(mu, dtype=float)
-    if psi1 is None:
-        psi1 = np.ones(chain.n)
+    psi1 = np.ones(chain.n) if psi1 is None else psi1
     qproc = h_transform(chain, triple, psi1)
     obs = variance_clt.make_observable(qproc, f)
-    rows = []
-    used = None
+    rows, used = [], None
     for t in np.asarray(t_grid, dtype=float):
         mth = method or default_method(triple.lambda0, t)
         used = mth if used in (None, mth) else "mixed"
@@ -362,11 +366,7 @@ def quasi_ergodic_check(chain: AbsorbedChain, triple: SpectralTriple, mu, f,
             mv = variance_clt.exact_conditional_moments(chain, mu, obs.f_centered, 2, t)
             exact = float(mv.conditional[2] / t ** 2)
         rows.append((float(t), mc, stderr, exact))
-    ts = np.array([r[0] for r in rows])
-    vals = np.array([r[1] for r in rows])
-    pos = vals > 0
-    rate = float(np.polyfit(np.log(ts[pos]), np.log(vals[pos]), 1)[0]) if pos.sum() >= 2 \
-        else float("nan")
+    rate = variance_clt._fit_rate(np.array([r[0] for r in rows]), np.array([r[1] for r in rows]))
     return QuasiErgodicReport(rows=rows, fitted_rate=rate, method=used or "auto")
 
 

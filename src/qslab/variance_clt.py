@@ -356,10 +356,15 @@ def exact_conditional_charfun(gen: GeneratorLike, mu, f,
                               omega_over_sqrt_t: float, t: float) -> complex:
     """E_mu[e^{i w' int_0^t f(X_s) ds} | survival] with w' = omega/sqrt(t)
     held fixed, via one complex matrix exponential.  For a conservative
-    generator the conditioning divisor is 1."""
+    generator the conditioning divisor is 1.
+
+    The ratio is invariant under L -> L + lambda0 I, so both exponentials use
+    the generator shifted by its principal eigenvalue: the survival mass then
+    stays of order one however large lambda0 t is."""
     if t <= 0:
         raise ValidationError("charfun needs t > 0")
     L = _generator_of(gen)
+    L = L - np.max(np.linalg.eigvals(L).real) * np.eye(L.shape[0])
     mu = np.asarray(mu, dtype=float)
     f = np.asarray(f, dtype=float)
     M = L.T + 1j * omega_over_sqrt_t * np.diag(f)

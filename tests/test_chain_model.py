@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+import yaml
 from scipy.linalg import expm
 
 import qslab
+from qslab import chain_model
 from qslab.chain_model import BUILTIN_MODELS
 from qslab.errors import ValidationError
+
+from conftest import make_random_chain
 
 
 def test_validate_accepts_and_extracts_killing():
@@ -196,6 +200,50 @@ def test_yaml_rejects_malformed(tmp_path):
         with pytest.raises(ValidationError) as exc:
             qslab.load_model_config(path)
         assert exc.value.exit_code == 3, fname
+
+
+def _assert_same_bundle(a, b):
+    for x, y in ((a.chain.sub_generator, b.chain.sub_generator),
+                 (a.chain.killing, b.chain.killing), (a.psi1, b.psi1),
+                 (a.mu, b.mu), (a.f, b.f)):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+    assert (a.chain.states, a.name) == (b.chain.states, b.name)
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+def test_c_and_python_yaml_loaders_give_equal_bundles(tmp_path, monkeypatch):
+    chain = make_random_chain(np.random.default_rng(7), n=40)
+    rng = np.random.default_rng(8)
+    mu = rng.uniform(0.5, 1.5, 40)
+    dense = chain_model.ModelBundle(chain=chain, psi1=np.ones(40), mu=mu / mu.sum(),
+                                    f=rng.uniform(-1.0, 1.0, 40), name="dense40")
+    qslab.emit_model_config(dense, tmp_path / "dense.yaml")
+    (tmp_path / "bd.yaml").write_text(
+        "name: ladder\n"
+        "birth_death:\n"
+        "  n: 4\n"
+        "  birth: [2.5, 1.0e-3, 0.125, 0.0]\n"
+        "  death: [1.0, 1.0, 3.0, 0.75]\n"
+        "mu: [0.25, 0.25, 0.25, 0.25]\n")
+    for name in ("dense.yaml", "bd.yaml"):
+        monkeypatch.setattr(chain_model, "_YAML_LOADER", yaml.CSafeLoader)
+        fast = qslab.load_model_config(tmp_path / name)
+        monkeypatch.setattr(chain_model, "_YAML_LOADER", yaml.SafeLoader)
+        _assert_same_bundle(fast, qslab.load_model_config(tmp_path / name))
+    _assert_same_bundle(fast, qslab.load_model_config(tmp_path / "bd.yaml"))
+
+
+@pytest.mark.parametrize("loader", ["SafeLoader", "CSafeLoader"])
+def test_malformed_yaml_is_a_parse_error_under_either_loader(tmp_path, monkeypatch, loader):
+    if not hasattr(yaml, loader):
+        pytest.skip("PyYAML built without libyaml")
+    monkeypatch.setattr(chain_model, "_YAML_LOADER", getattr(yaml, loader))
+    for i, text in enumerate(("generator: [[-1.0]\n", "generator: {a: [1\n", "\tgenerator: 1\n")):
+        path = tmp_path / f"bad{i}.yaml"
+        path.write_text(text)
+        with pytest.raises(ValidationError) as exc:
+            qslab.load_model_config(path)
+        assert exc.value.code == "parse-error"
 
 
 def test_yaml_rejects_bad_sections(tmp_path):

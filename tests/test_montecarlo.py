@@ -1,9 +1,13 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 from scipy.stats import chi2, ks_2samp, kstest
 
 import qslab
+from qslab import montecarlo
 from qslab.errors import NumericalError, ValidationError
 from qslab.montecarlo import EmpiricalDistribution, _batch_statistics, default_method
 
@@ -16,6 +20,20 @@ def test_philox_streams_are_prefix_stable_and_distinct():
     d = qslab.philox_stream(8, 3).random(5)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+def test_window_draws_are_stream_slices():
+    """A window read by re-keying one generator is the same slice of the
+    replica's stream, for offsets on and off the 4-draw block boundary."""
+    replicas = np.array([0, 1, 5, 2 ** 40 + 3])
+    offsets = (0, 1, 2, 3, 4, 5, 7, 8, 4 * 37 + 1, 4 * 37 + 2, 4 * 37 + 3, 1001)
+    for seed, offset in itertools.product((99, -1, 2 ** 63 + 5), offsets):
+        for width in (1, 6, 33):
+            U = montecarlo._draw_window(qslab.philox_stream(seed, 0), replicas, offset, width)
+            assert U.shape == (len(replicas), width)
+            for row, r in zip(U, replicas):
+                ref = qslab.philox_stream(seed, r).random(offset + width)[offset:]
+                np.testing.assert_array_equal(row, ref)
 
 
 def test_trajectory_integral_by_hand():
@@ -77,6 +95,101 @@ def test_batch_kernel_matches_single_paths_bitwise(bd5_bundle, bd5_qproc):
         assert Sq[i] == tr.additive_integral(f)
         assert termq[i] == tr.visited_states[-1]
         assert np.all(np.diff(np.concatenate([[0.0], tr.jump_times])) > 0)
+
+
+@pytest.fixture(scope="module")
+def stiff_chain():
+    """Slow states 1-2 (killed at 1), fast pair 3-4: total rates 1 to 100."""
+    return qslab.validate_chain([
+        [-1.0, 0.9, 0.0, 0.0],
+        [0.2, -1.0, 0.8, 0.0],
+        [0.0, 1.0, -50.0, 49.0],
+        [0.0, 0.0, 100.0, -100.0],
+    ])
+
+
+def _count_windows(monkeypatch):
+    """Record the replicas handed to each window after the first."""
+    later = []
+    draw = montecarlo._draw_window
+
+    def spy(gen, replicas, offset, width):
+        if offset:
+            later.append(replicas.copy())
+        return draw(gen, replicas, offset, width)
+
+    monkeypatch.setattr(montecarlo, "_draw_window", spy)
+    return later
+
+
+def test_multi_window_replicas_match_single_paths(stiff_chain, monkeypatch):
+    """Rates spanning 100x: the window planned from the initial law's mean
+    rate is far too short for replicas that reach the fast pair, so they
+    draw window after window; every sample still equals the one-path
+    simulator's bit for bit."""
+    chain = stiff_chain
+    mu = np.array([1.0, 0.0, 0.0, 0.0])
+    f = np.array([1.0, -0.5, 0.25, -1.0])
+    t_max, seed, n = 10.0, 3, 96
+    qproc = qslab.h_transform(chain, qslab.solve_spectral(chain))
+    for gen_matrix, killing, simulate, model in (
+            (chain.sub_generator, chain.killing, qslab.simulate_absorbed, chain),
+            (qproc.q_generator, None, qslab.simulate_qprocess, qproc)):
+        later = _count_windows(monkeypatch)
+        S, term, absorbed, _ = _batch_statistics(
+            gen_matrix, killing, mu, f, t_max, n, seed, batch=40)
+        monkeypatch.undo()
+        windows = np.bincount(np.concatenate(later), minlength=n) + 1
+        assert (windows > 1).sum() >= n // 2
+        assert windows.max() >= 4
+        for i in range(n):
+            tr = simulate(model, mu, t_max, (seed, i))
+            assert S[i] == tr.additive_integral(f)
+            assert absorbed[i] == (not tr.survived)
+            if tr.survived:
+                assert term[i] == tr.visited_states[-1]
+        if killing is not None:
+            assert 0 < absorbed.sum() < n
+
+
+def test_jump_counts_do_not_depend_on_batch_size(stiff_chain):
+    """Pooled counts from batches of 13 and of 4096 equal the transitions of
+    the one-path simulator, cemetery jumps included."""
+    chain = stiff_chain
+    mu = np.full(4, 0.25)
+    t_max, seed, n = 3.0, 17, 300
+    want = np.zeros((4, 6), dtype=np.int64)
+    for i in range(n):
+        tr = qslab.simulate_absorbed(chain, mu, t_max, (seed, i))
+        np.add.at(want, (tr.visited_states[:-1], tr.visited_states[1:]), 1)
+        if not tr.survived:
+            want[tr.visited_states[-1], 4] += 1
+    counts = qslab.jump_frequency_counts(chain, mu, t_max, n, seed=seed)
+    np.testing.assert_array_equal(counts, want[:, :5])
+    _, _, _, small = _batch_statistics(chain.sub_generator, chain.killing, mu,
+                                       np.zeros(4), t_max, n, seed, batch=13,
+                                       count_jumps=True)
+    np.testing.assert_array_equal(small, want)
+
+
+@pytest.mark.parametrize("model, method, t, n, seed, kept, digest", [
+    ("m2sym", "qprocess", 50.0, 5000, 123, 5000,
+     "c82c547b39667b397f2bda7c9cfe4299b7fbe5205f601d1dfe97f3ae0863905f"),
+    ("m2sym", "qprocess", 200.0, 20000, 1, 20000,
+     "44f174f437ed85bd16a0782fbcc05f3d28e865170ca96ee7b51ba27d0fc9dc14"),
+    ("bd5", "rejection", 20.0, 20000, 1, 3538,
+     "ced0506616e3b0efc89bc1294f72b0e07aede247fc3dd2d3a314096b4413767f"),
+], ids=["m2sym-qprocess-t50", "m2sym-qprocess-t200", "bd5-rejection-t20"])
+def test_clt_samples_are_pinned(model, method, t, n, seed, kept, digest):
+    """sha256 of the sorted sample bytes, recorded before the draw windows
+    replaced one block per replica.  The digests depend on numpy's Philox
+    stream and on the platform libm's log1p, so a new numpy or libm may
+    legitimately move them; a kernel change must not."""
+    bundle = qslab.resolve_model(model)
+    emp = qslab.conditional_clt_sample(bundle.chain, qslab.solve_spectral(bundle.chain),
+                                       bundle.mu, bundle.f, t, n, method=method, seed=seed)
+    assert emp.n_effective == kept
+    assert hashlib.sha256(emp.samples.tobytes()).hexdigest() == digest
 
 
 def test_batch_and_thread_count_do_not_change_results(m2sym_bundle):

@@ -225,6 +225,20 @@ def test_charfun_basics(m2sym_bundle, m2sym_qproc):
         qslab.exact_conditional_charfun(m2sym_bundle.chain, mu, F1, 1.0, 0.0)
 
 
+def test_charfun_survives_fast_uniform_killing():
+    """Killing 20 at both states makes the survival mass e^{-20 t}, far below
+    the smallest double at t = 50, yet uniform killing leaves the conditioned
+    law that of the unkilled swap chain."""
+    killed = qslab.validate_chain([[-21.0, 1.0], [1.0, -21.0]])
+    swap = np.array([[-1.0, 1.0], [1.0, -1.0]])
+    mu, t = np.array([0.7, 0.3]), 50.0
+    for omega in (0.5, 1.0, 2.0):
+        w = omega / np.sqrt(t)
+        got = qslab.exact_conditional_charfun(killed, mu, F1, w, t)
+        want = (expm(t * (swap.T + 1j * w * np.diag(F1))) @ mu).sum()
+        assert abs(got - want) < 1e-12
+
+
 def test_charfun_approaches_gaussian(m2sym_qproc):
     t = 50.0
     cf = qslab.exact_conditional_charfun(
