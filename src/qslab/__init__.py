@@ -51,6 +51,7 @@ from .variance_clt import (
     check_uniform_charfun_bound,
     constants_table,
     exact_conditional_charfun,
+    exact_conditional_charfuns,
     exact_conditional_moments,
     make_observable,
     sigma2_poisson,

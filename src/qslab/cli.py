@@ -15,18 +15,14 @@ import json
 import os
 import sys
 import time
+from functools import cached_property
 
 import numpy as np
 
 from . import __version__, montecarlo, qprocess, variance_clt
 from .chain_model import BUILTIN_MODELS, ModelBundle, resolve_model
 from .errors import QslabError
-from .spectral import (
-    certification_profile,
-    certify_ergodicity,
-    default_time_grid,
-    solve_spectral,
-)
+from .spectral import certify_ergodicity, default_time_grid, solve_spectral
 
 
 def _fmt(v):
@@ -72,54 +68,68 @@ def _floats(text):
     return [float(v) for v in text.split(",") if v.strip()]
 
 
-def _prepare(bundle: ModelBundle):
-    triple = solve_spectral(bundle.chain)
-    qp = qprocess.h_transform(bundle.chain, triple, bundle.psi1)
-    return triple, qp
+class _Analysis:
+    """One run's spectral triple, Q-process and certificate, each computed
+    on first use and then shared by every stage of the run.  The certificate
+    grid has tpoints geometric times after 0, out to tmax if given and to the
+    default 6/gamma otherwise."""
+
+    def __init__(self, bundle: ModelBundle, tpoints: int, tmax):
+        self.bundle = bundle
+        self._tpoints, self._tmax = tpoints, tmax
+
+    @cached_property
+    def triple(self):
+        return solve_spectral(self.bundle.chain)
+
+    @cached_property
+    def qp(self):
+        return qprocess.h_transform(self.bundle.chain, self.triple, self.bundle.psi1)
+
+    @cached_property
+    def cert(self):
+        gamma = self.triple.gamma
+        grid = default_time_grid(gamma, self._tpoints)
+        if self._tmax is not None:
+            grid = np.concatenate([[0.0], np.geomspace(0.1 / gamma, self._tmax, self._tpoints)])
+        return certify_ergodicity(self.bundle.chain, self.triple, self.bundle.psi1, grid)
 
 
 # ---------------------------------------------------------------------------
 # subcommand implementations; each returns {filename: (meta, columns, rows)}
 
-def _run_spectral(bundle, args):
-    triple = solve_spectral(bundle.chain)
-    L = bundle.chain.sub_generator
+def _run_spectral(an):
+    triple, chain = an.triple, an.bundle.chain
+    L = chain.sub_generator
     res_a = np.abs(triple.alpha @ L + triple.lambda0 * triple.alpha)
     res_e = np.abs(L @ triple.eta + triple.lambda0 * triple.eta)
     rows = [("lambda0", "", triple.lambda0, float(res_a.max())),
             ("gamma", "", triple.gamma, "")]
-    rows += [("alpha", i, triple.alpha[i], float(res_a[i])) for i in range(bundle.chain.n)]
-    rows += [("eta", i, triple.eta[i], float(res_e[i])) for i in range(bundle.chain.n)]
+    rows += [("alpha", i, triple.alpha[i], float(res_a[i])) for i in range(chain.n)]
+    rows += [("eta", i, triple.eta[i], float(res_e[i])) for i in range(chain.n)]
     return {"spectral.csv": ({}, ("object", "index", "value", "residual"), rows)}
 
 
-def _run_certify(bundle, args):
-    triple = solve_spectral(bundle.chain)
-    grid = default_time_grid(triple.gamma, args.tpoints)
-    if args.tmax is not None:
-        grid = np.concatenate([[0.0], np.geomspace(0.1 / triple.gamma, args.tmax, args.tpoints)])
-    cert = certify_ergodicity(bundle.chain, triple, bundle.psi1, grid)
-    rows = certification_profile(bundle.chain, triple, bundle.psi1, grid)
+def _run_certify(an):
+    cert = an.cert
     meta = {"C": cert.C, "gamma": cert.gamma, "worst_ratio": cert.worst_ratio,
             "slack_factor": cert.slack_factor, "argmax_t": cert.argmax_t,
             "note": "grid certificate; not a proof between grid points"}
-    return {"certify.csv": (meta, ("t", "ratio"), rows)}
+    return {"certify.csv": (meta, ("t", "ratio"), cert.profile)}
 
 
-def _run_qprocess(bundle, args):
-    triple, _ = _prepare(bundle)
-    rep = qprocess.conditional_vs_q_gap(bundle.chain, triple, bundle.mu,
-                                        args.t, args.T, bundle.psi1)
+def _run_qprocess(an, t, T):
+    b = an.bundle
+    rep = qprocess.conditional_vs_q_gap(b.chain, an.triple, b.mu, t, T, b.psi1, an.cert)
     rows = [(rep.t, rep.T, rep.tv_gap, rep.tv_gap_sum, rep.bound,
              rep.threshold_T, rep.threshold_ok)]
-    return {"qprocess.csv": ({"gamma": triple.gamma},
+    return {"qprocess.csv": ({"gamma": an.triple.gamma},
                              ("t", "T", "tv_gap", "tv_gap_sum", "bound",
                               "threshold_T", "threshold_ok"), rows)}
 
 
-def _run_variance(bundle, args):
-    _, qp = _prepare(bundle)
-    res = variance_clt.sigma2_poisson(qp, bundle.f)
+def _run_variance(an):
+    res = variance_clt.sigma2_poisson(an.qp, an.bundle.f)
     meta = {"tolerance_cross_oracle": 1e-8}
     rows = [(res.sigma2, res.quadrature_value,
              abs(res.sigma2 - res.quadrature_value), res.error_bound,
@@ -128,31 +138,31 @@ def _run_variance(bundle, args):
                                     "error_bound", "horizon", "step"), rows)}
 
 
-def _run_moments(bundle, args):
-    _, qp = _prepare(bundle)
-    obs = variance_clt.make_observable(qp, bundle.f)
-    times = _floats(args.times) if args.times else [5.0 / qp.gamma, 10.0 / qp.gamma]
+def _run_moments(an, kmax, times):
+    qp = an.qp
+    obs = variance_clt.make_observable(qp, an.bundle.f)
+    times = _floats(times) if times else [5.0 / qp.gamma, 10.0 / qp.gamma]
     rows = []
     for t in times:
-        mv = variance_clt.exact_conditional_moments(qp, bundle.mu, obs.f_centered,
-                                                    args.kmax, t)
-        for k in range(args.kmax + 1):
+        mv = variance_clt.exact_conditional_moments(qp, an.bundle.mu, obs.f_centered,
+                                                    kmax, t)
+        for k in range(kmax + 1):
             rows.append((k, t, mv.m[k], mv.conditional[k], mv.survival))
-    meta = {"kmax": args.kmax, "observable_centered": True}
+    meta = {"kmax": kmax, "observable_centered": True}
     return {"moments.csv": (meta, ("k", "t", "m_k", "conditional_m_k", "survival"), rows)}
 
 
-def _run_charfun(bundle, args):
-    _, qp = _prepare(bundle)
-    obs = variance_clt.make_observable(qp, bundle.f)
+def _run_charfun(an, omegas, times):
+    qp, b = an.qp, an.bundle
+    obs = variance_clt.make_observable(qp, b.f)
     s2 = variance_clt.sigma2_poisson(qp, obs, with_quadrature=False).sigma2
-    omegas = _floats(args.omegas) if args.omegas else [0.5, 1.0, 2.0]
-    times = _floats(args.times) if args.times else [100.0 / qp.gamma]
+    omegas = _floats(omegas) if omegas else [0.5, 1.0, 2.0]
+    times = _floats(times) if times else [100.0 / qp.gamma]
     rows = []
     for t in times:
-        for w in omegas:
-            cf = variance_clt.exact_conditional_charfun(
-                bundle.chain, bundle.mu, obs.f_centered, w / np.sqrt(t), t)
+        cfs = variance_clt.exact_conditional_charfuns(
+            b.chain, b.mu, obs.f_centered, [w / np.sqrt(t) for w in omegas], t)
+        for w, cf in zip(omegas, cfs):
             lim = float(np.exp(-s2 * w * w / 2.0))
             rows.append((w, t, cf.real, cf.imag, lim, abs(cf - lim)))
     meta = {"sigma2": s2, "tolerance_gauss_limit": 0.05}
@@ -160,64 +170,59 @@ def _run_charfun(bundle, args):
                                    "abs_gap"), rows)}
 
 
-def _run_clt(bundle, args):
-    triple, _ = _prepare(bundle)
+def _run_clt(an, t, n, method, seed, threads, dump):
+    b, triple = an.bundle, an.triple
+    method = method or montecarlo.default_method(triple.lambda0, t)
     emp = montecarlo.conditional_clt_sample(
-        bundle.chain, triple, bundle.mu, bundle.f, args.t, args.n,
-        method=args.method, seed=args.seed, psi1=bundle.psi1,
-        threads=args.threads or (os.cpu_count() or 1))
+        b.chain, triple, b.mu, b.f, t, n, method=method, seed=seed, psi1=b.psi1,
+        threads=threads or (os.cpu_count() or 1),
+        cert=an.cert if method == "qprocess" else None)
     d = montecarlo.kolmogorov_distance(emp, emp.sigma2) if emp.sigma2 > 0 else float("nan")
     rows = [(emp.t, emp.n_effective, d, emp.sigma2, emp.method, emp.gap_bound_factor)]
     out = {"clt.csv": ({"n_requested": emp.n_requested},
                        ("t", "n_eff", "d_kolm", "sigma2", "method", "gap_bound"), rows)}
-    if args.dump:
+    if dump:
         out["clt_samples.txt"] = (None, None, [(v,) for v in emp.samples])
     return out
 
 
-def _run_qed(bundle, args):
-    triple, _ = _prepare(bundle)
-    times = _floats(args.times) if args.times else [10.0 / triple.gamma, 20.0 / triple.gamma,
-                                                    40.0 / triple.gamma]
+def _run_qed(an, times, n, method, seed, threads):
+    b, triple = an.bundle, an.triple
+    times = _floats(times) if times else [10.0 / triple.gamma, 20.0 / triple.gamma,
+                                          40.0 / triple.gamma]
+    uses_q = any((method or montecarlo.default_method(triple.lambda0, t)) == "qprocess"
+                 for t in times)
     rep = montecarlo.quasi_ergodic_check(
-        bundle.chain, triple, bundle.mu, bundle.f, times, args.n,
-        seed=args.seed, method=args.method, psi1=bundle.psi1,
-        threads=args.threads or (os.cpu_count() or 1))
+        b.chain, triple, b.mu, b.f, times, n, seed=seed, method=method, psi1=b.psi1,
+        threads=threads or (os.cpu_count() or 1), cert=an.cert if uses_q else None)
     meta = {"fitted_rate": rep.fitted_rate, "method": rep.method}
     return {"qed.csv": (meta, ("t", "mean_square", "stderr", "exact"), rep.rows)}
 
 
-def _run_all(bundle, args):
+def _run_all(an, n, seed, threads):
+    gamma = an.triple.gamma
     out = {}
-    out.update(_run_spectral(bundle, args))
-    triple = solve_spectral(bundle.chain)
-    args_t = argparse.Namespace(**vars(args))
-    args_t.tpoints, args_t.tmax = 12, None
-    out.update(_run_certify(bundle, args_t))
-    args_t.t, args_t.T = 1.0, 1.0 + 4.0 / triple.gamma
-    out.update(_run_qprocess(bundle, args_t))
-    out.update(_run_variance(bundle, args_t))
-    args_t.kmax, args_t.times = 4, None
-    out.update(_run_moments(bundle, args_t))
-    args_t.omegas = None
-    out.update(_run_charfun(bundle, args_t))
-    args_t.t, args_t.n, args_t.method, args_t.dump = 50.0 / triple.gamma, args.n, None, False
-    out.update(_run_clt(bundle, args_t))
-    args_t.times = None
-    out.update(_run_qed(bundle, args_t))
+    out.update(_run_spectral(an))
+    out.update(_run_certify(an))
+    out.update(_run_qprocess(an, 1.0, 1.0 + 4.0 / gamma))
+    out.update(_run_variance(an))
+    out.update(_run_moments(an, 4, None))
+    out.update(_run_charfun(an, None, None))
+    out.update(_run_clt(an, 50.0 / gamma, n, None, seed, threads, False))
+    out.update(_run_qed(an, None, n, None, seed, threads))
     return out
 
 
 _RUNNERS = {
-    "spectral": _run_spectral,
-    "certify": _run_certify,
-    "qprocess": _run_qprocess,
-    "variance": _run_variance,
-    "moments": _run_moments,
-    "charfun": _run_charfun,
-    "clt": _run_clt,
-    "qed": _run_qed,
-    "all": _run_all,
+    "spectral": lambda an, a: _run_spectral(an),
+    "certify": lambda an, a: _run_certify(an),
+    "qprocess": lambda an, a: _run_qprocess(an, a.t, a.T),
+    "variance": lambda an, a: _run_variance(an),
+    "moments": lambda an, a: _run_moments(an, a.kmax, a.times),
+    "charfun": lambda an, a: _run_charfun(an, a.omegas, a.times),
+    "clt": lambda an, a: _run_clt(an, a.t, a.n, a.method, a.seed, a.threads, a.dump),
+    "qed": lambda an, a: _run_qed(an, a.times, a.n, a.method, a.seed, a.threads),
+    "all": lambda an, a: _run_all(an, a.n, a.seed, a.threads),
 }
 
 
@@ -278,7 +283,8 @@ def main(argv=None) -> int:
         params = {k: v for k, v in sorted(vars(args).items())
                   if k not in ("cmd", "model", "out", "seed", "threads")}
         determ, digest = _manifest(args, params)
-        outputs = _RUNNERS[args.cmd](bundle, args)
+        analysis = _Analysis(bundle, getattr(args, "tpoints", 12), getattr(args, "tmax", None))
+        outputs = _RUNNERS[args.cmd](analysis, args)
         os.makedirs(args.out, exist_ok=True)
         written = []
         for fname, (meta, columns, rows) in outputs.items():

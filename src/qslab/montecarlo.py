@@ -19,7 +19,13 @@ from scipy.special import ndtr
 from .chain_model import AbsorbedChain
 from .errors import BudgetExceeded, DegenerateVariance, ValidationError
 from .qprocess import QProcessChain, h_transform
-from .spectral import SpectralTriple, certify_ergodicity, default_time_grid
+from .spectral import (
+    ErgodicityCertificate,
+    SpectralTriple,
+    certify_ergodicity,
+    default_time_grid,
+    log_slope,
+)
 from . import variance_clt
 
 DEFAULT_BATCH = 4096
@@ -268,14 +274,16 @@ def conditional_clt_sample(chain: AbsorbedChain, triple: SpectralTriple, mu, f,
                            t: float, n_replicas: int, method: Optional[str] = None,
                            seed: int = 0, psi1: Optional[np.ndarray] = None,
                            threads: int = 1, batch: int = DEFAULT_BATCH,
-                           budget: float = REJECTION_BUDGET) -> EmpiricalDistribution:
+                           budget: float = REJECTION_BUDGET,
+                           cert: Optional[ErgodicityCertificate] = None) -> EmpiricalDistribution:
     """Sample the statistic sqrt(t)(S_t/t - beta(f)) under conditioning.
 
     'rejection' keeps absorbed-chain paths that survive past t (unbiased);
     'qprocess' simulates the surrogate conservative dynamics from the
     eta-reweighted initial law, with the exponential coupling gap bounded by
     gap_bound_factor * e^{-gamma (T - t)} for events observed up to time t
-    under conditioning on survival to T.
+    under conditioning on survival to T.  The 'qprocess' gap factor uses
+    cert, or a certificate on the default grid when none is supplied.
     """
     mu = np.asarray(mu, dtype=float)
     psi1 = np.ones(chain.n) if psi1 is None else psi1
@@ -306,7 +314,8 @@ def conditional_clt_sample(chain: AbsorbedChain, triple: SpectralTriple, mu, f,
     else:
         # the Q-process from the eta-reweighted law; no replica is absorbed
         dynamics = (qproc.q_generator, None, mu * triple.eta / mu_eta)
-        cert = certify_ergodicity(chain, triple, psi1, default_time_grid(triple.gamma))
+        if cert is None:
+            cert = certify_ergodicity(chain, triple, psi1, default_time_grid(triple.gamma))
         gap_factor = float(cert.C * (mu @ psi1) / mu_eta)
     S, _, absorbed, _ = _batch_statistics(*dynamics, obs.f_centered, t, n_replicas,
                                           seed, threads, batch)
@@ -344,20 +353,25 @@ def quasi_ergodic_check(chain: AbsorbedChain, triple: SpectralTriple, mu, f,
                         t_grid, n_replicas: int, seed: int = 0,
                         method: Optional[str] = None,
                         psi1: Optional[np.ndarray] = None,
-                        threads: int = 1) -> QuasiErgodicReport:
+                        threads: int = 1,
+                        cert: Optional[ErgodicityCertificate] = None) -> QuasiErgodicReport:
     """Monte Carlo conditional mean-square deviation of S_t/t from beta(f)
     on a time grid, with the exact augmented-oracle value alongside when the
-    state space is small (n <= 50)."""
+    state space is small (n <= 50).  Times sampled by the 'qprocess' method
+    share cert, or one certificate on the default grid when none is supplied."""
     mu = np.asarray(mu, dtype=float)
     psi1 = np.ones(chain.n) if psi1 is None else psi1
     qproc = h_transform(chain, triple, psi1)
     obs = variance_clt.make_observable(qproc, f)
+    times = np.asarray(t_grid, dtype=float)
+    methods = [method or default_method(triple.lambda0, t) for t in times]
+    if cert is None and "qprocess" in methods:
+        cert = certify_ergodicity(chain, triple, psi1, default_time_grid(triple.gamma))
     rows, used = [], None
-    for t in np.asarray(t_grid, dtype=float):
-        mth = method or default_method(triple.lambda0, t)
+    for t, mth in zip(times, methods):
         used = mth if used in (None, mth) else "mixed"
-        emp = conditional_clt_sample(chain, triple, mu, f, t, n_replicas,
-                                     method=mth, seed=seed, psi1=psi1, threads=threads)
+        emp = conditional_clt_sample(chain, triple, mu, f, t, n_replicas, method=mth,
+                                     seed=seed, psi1=psi1, threads=threads, cert=cert)
         dev2 = (emp.samples / np.sqrt(t)) ** 2
         mc = float(dev2.mean())
         stderr = float(dev2.std(ddof=1) / np.sqrt(len(dev2))) if len(dev2) > 1 else float("nan")
@@ -366,7 +380,7 @@ def quasi_ergodic_check(chain: AbsorbedChain, triple: SpectralTriple, mu, f,
             mv = variance_clt.exact_conditional_moments(chain, mu, obs.f_centered, 2, t)
             exact = float(mv.conditional[2] / t ** 2)
         rows.append((float(t), mc, stderr, exact))
-    rate = variance_clt._fit_rate(np.array([r[0] for r in rows]), np.array([r[1] for r in rows]))
+    rate = log_slope(np.log([r[0] for r in rows]), [r[1] for r in rows])
     return QuasiErgodicReport(rows=rows, fitted_rate=rate, method=used or "auto")
 
 

@@ -26,6 +26,7 @@ from .spectral import (
     SpectralTriple,
     certify_ergodicity,
     default_time_grid,
+    log_slope,
     weighted_norm,
 )
 
@@ -113,13 +114,7 @@ def check_q_ergodicity(qproc: QProcessChain, t_grid) -> QErgodicityReport:
             tvs[x] = np.abs(d).sum() / qproc.psi[x]
         rows.append((float(t), float(devs.max()), float(devs.max() * np.exp(qproc.gamma * t))))
         tv_rows.append((float(t), float(tvs.max()), float(tvs.max() * np.exp(qproc.gamma * t))))
-    ts = np.array([r[0] for r in rows])
-    ds = np.array([r[1] for r in rows])
-    pos = ds > 0
-    if pos.sum() >= 2:
-        rate = float(np.polyfit(ts[pos], np.log(ds[pos]), 1)[0])
-    else:
-        rate = float("nan")
+    rate = log_slope([r[0] for r in rows], [r[1] for r in rows])
     return QErgodicityReport(rows=rows, tv_rows=tv_rows, fitted_rate=rate)
 
 
@@ -197,11 +192,4 @@ def fit_gap_rate(chain: AbsorbedChain, triple: SpectralTriple, mu, t: float,
         cert = certify_ergodicity(chain, triple, psi1, default_time_grid(triple.gamma))
     reports = [conditional_vs_q_gap(chain, triple, mu, t, t + dT, psi1, cert)
                for dT in dT_list]
-    gaps = np.array([r.tv_gap for r in reports])
-    dts = np.asarray(dT_list, dtype=float)
-    pos = gaps > 0
-    if pos.sum() >= 2:
-        slope = float(np.polyfit(dts[pos], np.log(gaps[pos]), 1)[0])
-    else:
-        slope = float("nan")
-    return slope, reports
+    return log_slope(dT_list, [r.tv_gap for r in reports]), reports

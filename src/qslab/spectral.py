@@ -22,7 +22,6 @@ from scipy.linalg import eig, expm
 from .chain_model import AbsorbedChain
 from .errors import DegenerateGap, NoKilling, ValidationError
 
-_DENSE_LIMIT = 2000
 _SLACK_FACTOR = 2.0
 
 
@@ -51,9 +50,13 @@ class ErgodicityCertificate:
     worst_ratio: float
     slack_factor: float = _SLACK_FACTOR
     argmax_t: float = float("nan")
+    profile: tuple = ()  # (t, ratio) at each grid time, as certification_profile
 
 
-def _dense_triple(L):
+def solve_spectral(chain: AbsorbedChain) -> SpectralTriple:
+    """Leading eigen-triple of the killed generator with the normalizations
+    sum(alpha) = 1 and alpha(eta) = 1; gamma from the full dense spectrum."""
+    L = chain.sub_generator
     w, vl, vr = eig(L, left=True, right=True)
     order = np.argsort(-w.real)
     lead = order[0]
@@ -61,50 +64,6 @@ def _dense_triple(L):
     gamma = -w[order[1]].real - lambda0
     alpha = vl[:, lead].real
     eta = vr[:, lead].real
-    return lambda0, gamma, alpha, eta
-
-
-def _power_triple(L, tol=1e-13, max_iter=200000):
-    # Perron pair of exp(dt L) by power iteration on both sides, then the
-    # subleading rate from the deflated iteration.  Used past the dense cutoff.
-    n = L.shape[0]
-    dt = 0.1 / max(1.0, np.abs(np.diag(L)).max())
-    P = expm(dt * L)
-    rng = np.random.default_rng(0)
-
-    def lead_pair(M):
-        v = rng.random(n) + 0.5
-        rho_old = 0.0
-        for _ in range(max_iter):
-            v = M @ v
-            rho = np.linalg.norm(v)
-            v /= rho
-            if abs(rho - rho_old) < tol * rho:
-                break
-            rho_old = rho
-        return rho, v
-
-    rho, eta = lead_pair(P)
-    rho_l, alpha = lead_pair(P.T)
-    lambda0 = -np.log(0.5 * (rho + rho_l)) / dt
-    # deflate the leading pair and take the subleading modulus
-    alpha_n = alpha / (alpha @ eta)
-    D = P - rho * np.outer(eta, alpha_n)
-    rho2, _ = lead_pair(D)
-    gamma = (-np.log(rho2) / dt) - lambda0
-    return lambda0, gamma, alpha, eta
-
-
-def solve_spectral(chain: AbsorbedChain) -> SpectralTriple:
-    """Leading eigen-triple of the killed generator with the normalizations
-    sum(alpha) = 1 and alpha(eta) = 1; gamma from the full spectrum (dense)
-    or from deflated power iteration for very large chains."""
-    L = chain.sub_generator
-    n = chain.n
-    if n <= _DENSE_LIMIT:
-        lambda0, gamma, alpha, eta = _dense_triple(L)
-    else:
-        lambda0, gamma, alpha, eta = _power_triple(L)
     scale = max(1.0, np.abs(L).max())
     if lambda0 <= 1e-12 * scale:
         raise NoKilling(f"leading eigenvalue {-lambda0} is not strictly negative")
@@ -132,6 +91,17 @@ def weighted_norm(signed_measure, psi) -> float:
     m = np.asarray(signed_measure, dtype=float)
     psi = np.asarray(psi, dtype=float)
     return float(np.abs(m) @ psi)
+
+
+def log_slope(x, y) -> float:
+    """Least-squares slope of log y against x over the points with y > 0;
+    nan when fewer than two such points.  Pass log x for a power-law rate."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    pos = y > 0
+    if pos.sum() >= 2:
+        return float(np.polyfit(x[pos], np.log(y[pos]), 1)[0])
+    return float("nan")
 
 
 def default_time_grid(gamma: float, n_points: int = 12) -> np.ndarray:
@@ -178,4 +148,5 @@ def certify_ergodicity(chain: AbsorbedChain, triple: SpectralTriple, psi1,
         t_grid=t_grid,
         worst_ratio=worst,
         argmax_t=worst_t,
+        profile=tuple(profile),
     )

@@ -24,7 +24,7 @@ from scipy.linalg import expm
 from .chain_model import AbsorbedChain
 from .errors import OverflowGuard, SingularSolve, ValidationError
 from .qprocess import QProcessChain
-from .spectral import ErgodicityCertificate
+from .spectral import ErgodicityCertificate, log_slope
 
 K_MAX = 8
 _SUP_ENUM_LIMIT = 12  # exact vertex enumeration of the |g| <= psi polytope
@@ -296,13 +296,6 @@ class MomentReport:
     prefactor_hat: float = float("nan")
 
 
-def _fit_rate(ts, errs):
-    pos = errs > 0
-    if pos.sum() >= 2:
-        return float(np.polyfit(np.log(ts[pos]), np.log(errs[pos]), 1)[0])
-    return float("nan")
-
-
 def check_even_moment_limit(gen: GeneratorLike, mu, f, k: int, t_grid,
                             sigma2: float,
                             constants: Optional[ConstantsTable] = None,
@@ -330,7 +323,7 @@ def check_even_moment_limit(gen: GeneratorLike, mu, f, k: int, t_grid,
         bounds = np.array([constants.even_moment_bound(k, mu_psi, t) for t in t_grid])
         ok = bool(np.all(errs <= bounds))
     return MomentReport(k=k, t_grid=t_grid, values=vals, limit=float(limit),
-                        errors=errs, fitted_rate=_fit_rate(t_grid, errs),
+                        errors=errs, fitted_rate=log_slope(np.log(t_grid), errs),
                         bounds=bounds, bounds_ok=ok)
 
 
@@ -349,7 +342,13 @@ def check_odd_moment_decay(qproc: QProcessChain, mu, f, k: int, t_grid) -> Momen
     mu_psi = float(mu @ qproc.psi)
     pref = float(np.max(errs * np.sqrt(t_grid)) / mu_psi) if mu_psi > 0 else float("nan")
     return MomentReport(k=k, t_grid=t_grid, values=vals, limit=0.0, errors=errs,
-                        fitted_rate=_fit_rate(t_grid, errs), prefactor_hat=pref)
+                        fitted_rate=log_slope(np.log(t_grid), errs), prefactor_hat=pref)
+
+
+def _tilted_law(L, mu, f, z, t) -> np.ndarray:
+    """expm(t (L^T + i z diag f)) mu: the law at t of the chain started from
+    mu, weighted by e^{i z int_0^t f(X_s) ds} (complex z allowed)."""
+    return expm(t * (L.T + 1j * z * np.diag(f))) @ mu.astype(complex)
 
 
 def exact_conditional_charfun(gen: GeneratorLike, mu, f,
@@ -361,18 +360,23 @@ def exact_conditional_charfun(gen: GeneratorLike, mu, f,
     The ratio is invariant under L -> L + lambda0 I, so both exponentials use
     the generator shifted by its principal eigenvalue: the survival mass then
     stays of order one however large lambda0 t is."""
+    return exact_conditional_charfuns(gen, mu, f, [omega_over_sqrt_t], t)[0]
+
+
+def exact_conditional_charfuns(gen: GeneratorLike, mu, f, omegas_over_sqrt_t,
+                               t: float) -> list:
+    """exact_conditional_charfun at each w' of a list, for one t: the shift
+    and the survival mass are computed once, then one exponential per w'."""
     if t <= 0:
         raise ValidationError("charfun needs t > 0")
     L = _generator_of(gen)
     L = L - np.max(np.linalg.eigvals(L).real) * np.eye(L.shape[0])
     mu = np.asarray(mu, dtype=float)
     f = np.asarray(f, dtype=float)
-    M = L.T + 1j * omega_over_sqrt_t * np.diag(f)
-    u = expm(t * M) @ mu.astype(complex)
     p = float((mu @ expm(t * L)).sum())
     if p <= 0:
         raise OverflowGuard(f"survival mass underflowed at t={t}")
-    return complex(u.sum() / p)
+    return [complex(_tilted_law(L, mu, f, w, t).sum() / p) for w in omegas_over_sqrt_t]
 
 
 def charfun_taylor_moments(gen: GeneratorLike, mu, f, t: float, k_max: int = 4,
@@ -387,8 +391,7 @@ def charfun_taylor_moments(gen: GeneratorLike, mu, f, t: float, k_max: int = 4,
     zs = radius * np.exp(2j * np.pi * np.arange(n_points) / n_points)
     vals = np.empty(n_points, dtype=complex)
     for i, z in enumerate(zs):
-        u = expm(t * (L.T + 1j * z * np.diag(f))) @ mu.astype(complex)
-        vals[i] = u.sum()
+        vals[i] = _tilted_law(L, mu, f, z, t).sum()
     coef = np.fft.fft(vals) / n_points / radius ** np.arange(n_points)
     ks = np.arange(k_max + 1)
     return np.real(coef[: k_max + 1] * np.array([factorial(k) for k in ks]) / 1j ** ks)
@@ -449,12 +452,11 @@ def check_uniform_charfun_bound(qproc: QProcessChain, cert: ErgodicityCertificat
     psi = qproc.psi
     mu_psi = float(mu @ psi)
     beta_psi = float(qproc.beta @ psi)
-    LQ = qproc.q_generator
     rows = []
     ok = True
     for t in np.asarray(t_grid, dtype=float):
         wp = omega / np.sqrt(t)
-        m = expm(t * (LQ.T + 1j * wp * np.diag(ft))) @ mu.astype(complex)
+        m = _tilted_law(qproc.q_generator, mu, ft, wp, t)
         z = m.sum()
         sup_gap = sup_over_weight_ball(m - qproc.beta * z, psi, g_ball)
         bound = C * mu_psi * np.exp(-gamma * t) \
