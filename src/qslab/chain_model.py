@@ -10,6 +10,7 @@ and a strongly connected transition graph on E.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -54,6 +55,11 @@ class AbsorbedChain:
     def __post_init__(self):
         self.sub_generator.setflags(write=False)
         self.killing.setflags(write=False)
+
+    @cached_property
+    def principal_eigenvalue(self) -> float:
+        """max Re of the spectrum of L, which is -lambda0; computed on first use."""
+        return float(np.max(np.linalg.eigvals(self.sub_generator).real))
 
 
 @dataclass(frozen=True)

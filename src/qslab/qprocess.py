@@ -27,6 +27,7 @@ from .spectral import (
     certify_ergodicity,
     default_time_grid,
     log_slope,
+    shifted_generator,
     weighted_norm,
 )
 
@@ -119,11 +120,11 @@ def check_q_ergodicity(qproc: QProcessChain, t_grid) -> QErgodicityReport:
 
 
 def conditional_marginal(chain: AbsorbedChain, mu, t: float, T: float) -> np.ndarray:
-    """Law of X_t given survival past T >= t, by two matrix exponentials."""
+    """Law of X_t given survival past T >= t, by two shifted exponentials."""
     if T < t:
         raise ValidationError("need T >= t")
     mu = np.asarray(mu, dtype=float)
-    L = chain.sub_generator
+    L, _ = shifted_generator(chain)
     at_t = mu @ expm(t * L)
     surv = expm((T - t) * L) @ np.ones(chain.n)
     num = at_t * surv

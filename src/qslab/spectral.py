@@ -109,15 +109,27 @@ def default_time_grid(gamma: float, n_points: int = 12) -> np.ndarray:
     return np.concatenate([[0.0], np.geomspace(0.1 / gamma, 6.0 / gamma, n_points)])
 
 
+def shifted_generator(gen):
+    """(L - s I, s) for a chain's sub-generator or a generator matrix L with
+    principal eigenvalue s (kept on a chain): conditioned ratios do not see
+    the shift, and e^{t(L - s I)} stays of order one where e^{tL} underflows."""
+    if isinstance(gen, AbsorbedChain):
+        L, s = gen.sub_generator, gen.principal_eigenvalue
+    else:
+        L = np.asarray(gen, dtype=float)
+        s = float(np.max(np.linalg.eigvals(L).real))
+    return L - s * np.eye(L.shape[0]), s
+
+
 def certification_profile(chain: AbsorbedChain, triple: SpectralTriple, psi1,
                           t_grid):
     """Per-time worst deviation ratios e^{gamma t} max_x ||...||_psi1/psi1(x)."""
     psi1 = np.asarray(psi1, dtype=float)
-    L = chain.sub_generator
+    G = chain.sub_generator + triple.lambda0 * np.eye(chain.n)
     target = np.outer(triple.eta, triple.alpha)
     out = []
     for t in np.asarray(t_grid, dtype=float):
-        dev = np.exp(triple.lambda0 * t) * expm(t * L) - target
+        dev = expm(t * G) - target
         ratios = (np.abs(dev) @ psi1) / psi1 * np.exp(triple.gamma * t)
         out.append((float(t), float(ratios.max())))
     return out

@@ -3,11 +3,12 @@ moment / characteristic-function oracles for additive functionals.
 
 sigma2_poisson solves L_Q g = -f_centered with beta(g) = 0 (one bordered
 linear solve) and returns sigma^2 = 2 beta(f_centered * g); the independent
-cross-check integrates the stationary autocovariance by composite Simpson
-with a spectral tail bound.  exact_conditional_moments reads the moments
+cross-check integrates the stationary autocovariance over [0, 40/gamma] with
+one block exponential (Van Loan) and bounds its error by the spectral tail
+plus a rounding term.  exact_conditional_moments reads the moments
 m_k(t) = E_mu[(int_0^t f)^k 1_{survival}] off a single matrix exponential of
-a block upper-bidiagonal augmented generator, and the characteristic-function
-oracles do the same with a complex diagonal perturbation.
+a block upper-bidiagonal augmented generator of the shifted generator, and
+the characteristic-function oracles do the same with a complex perturbation.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from scipy.linalg import expm
 from .chain_model import AbsorbedChain
 from .errors import OverflowGuard, SingularSolve, ValidationError
 from .qprocess import QProcessChain
-from .spectral import ErgodicityCertificate, log_slope
+from .spectral import ErgodicityCertificate, log_slope, shifted_generator
 
 K_MAX = 8
 _SUP_ENUM_LIMIT = 12  # exact vertex enumeration of the |g| <= psi polytope
@@ -62,12 +63,11 @@ class VarianceResult:
     g: np.ndarray                # Poisson solution, beta(g) = 0
     quadrature_value: float
     horizon: float
-    step: float
-    error_bound: float           # spectral tail + a-priori Simpson term
+    step: float                  # = horizon: one exponential spans it
+    error_bound: float           # spectral tail + expm rounding term
 
 
-def sigma2_poisson(qproc: QProcessChain, f, horizon: Optional[float] = None,
-                   step: Optional[float] = None,
+def sigma2_poisson(qproc: QProcessChain, f,
                    with_quadrature: bool = True) -> VarianceResult:
     """Green-function route: solve the Poisson equation and fold with beta."""
     obs = f if isinstance(f, AdditiveObservable) else make_observable(qproc, f)
@@ -91,71 +91,49 @@ def sigma2_poisson(qproc: QProcessChain, f, horizon: Optional[float] = None,
         raise SingularSolve(f"negative variance {sigma2} from Poisson solve")
     sigma2 = max(sigma2, 0.0)
     if with_quadrature:
-        quad, h, H, bound = _quadrature(qproc, ft, horizon, step)
+        quad, H, bound = _quadrature(qproc, ft)
     else:
-        quad, h, H, bound = float("nan"), float("nan"), float("nan"), float("nan")
+        quad, H, bound = float("nan"), float("nan"), float("nan")
     return VarianceResult(sigma2=sigma2, g=g, quadrature_value=quad,
-                          horizon=H, step=h, error_bound=bound)
+                          horizon=H, step=H, error_bound=bound)
 
 
-def sigma2_quadrature(qproc: QProcessChain, f, horizon: Optional[float] = None,
-                      step: Optional[float] = None):
-    """Composite-Simpson value of 2 * int_0^H Cov_beta(f(X_0), f(X_s)) ds
-    plus its recorded error bound (truncated tail + quadrature-rule term)."""
+def sigma2_quadrature(qproc: QProcessChain, f):
+    """2 * int_0^H Cov_beta(f(X_0), f(X_s)) ds with H = 40/gamma, by one
+    block exponential, plus its recorded error bound (truncated tail +
+    rounding term)."""
     obs = f if isinstance(f, AdditiveObservable) else make_observable(qproc, f)
-    value, _, _, bound = _quadrature(qproc, obs.f_centered, horizon, step)
+    value, _, bound = _quadrature(qproc, obs.f_centered)
     return value, bound
 
 
-def _quadrature(qproc, ft, horizon, step):
+def _quadrature(qproc, ft):
+    """Van Loan: the last column of expm(H [[L_Q, ft], [0, 0]]) is
+    int_0^H e^{s L_Q} ft ds, so one exponential integrates the
+    autocovariance beta(ft e^{s L_Q} ft) over [0, H]."""
     gamma = qproc.gamma
-    H = 20.0 / gamma if horizon is None else float(horizon)
-    if H < 10.0 / gamma:
-        raise ValidationError(f"horizon must be at least 10/gamma = {10.0 / gamma:.3g}")
-    h_user = 0.005 / gamma if step is None else float(step)
-    if h_user > 0.01 / gamma:
-        raise ValidationError(f"step must be at most 0.01/gamma = {0.01 / gamma:.3g}")
+    H = 40.0 / gamma
     LQ = qproc.q_generator
+    n = qproc.n
     bft = qproc.beta * ft
+    B = np.zeros((n + 1, n + 1))
+    B[:n, :n] = LQ
+    B[:n, n] = ft
+    value = 2.0 * float(bft @ expm(H * B)[:n, n])
     # spectral amplitudes of the autocovariance: Cov(s) = sum_j c_j e^{w_j s}
     w, V = np.linalg.eig(LQ)
-    amps = []
     try:
         Vi = np.linalg.inv(V)
-        for j in range(len(w)):
-            if abs(w[j].real) < 1e-12:
-                continue  # zero mode carries beta(ft)^2 = 0
-            c = (bft @ V[:, j]) * (Vi[j] @ ft)
-            amps.append((abs(c), w[j]))
+        amps = [(abs((bft @ V[:, j]) * (Vi[j] @ ft)), w[j].real) for j in range(n)
+                if abs(w[j].real) >= 1e-12]  # zero mode carries beta(ft)^2 = 0
+        tail = 2.0 * sum(c * np.exp(wr * H) / abs(wr) for c, wr in amps)
     except np.linalg.LinAlgError:
-        amps = []
-    if amps:
-        tail = 2.0 * sum(c * np.exp(wj.real * H) / abs(wj.real) for c, wj in amps)
-        s4 = sum(c * abs(wj) ** 4 / abs(wj.real) for c, wj in amps)
-        # refine the step until the a-priori Simpson error sits well under the tail
-        h = min(h_user, (180.0 * 0.1 * max(tail, 1e-14) / max(s4, 1e-14)) ** 0.25)
-    else:
         # non-diagonalizable corner: fall back to the coarse geometric bound
-        cov0 = abs(float(bft @ ft))
-        tail = 2.0 * cov0 * np.exp(-gamma * H) / gamma
-        h = h_user
-    M = int(np.ceil(H / h / 2.0) * 2)
-    h = H / M
-    Eh = expm(h * LQ)
-    weights = np.ones(M + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    v = ft.copy()
-    acc = 0.0
-    for j in range(M + 1):
-        acc += weights[j] * float(bft @ v)
-        if j < M:
-            v = Eh @ v
-    value = 2.0 * acc * h / 3.0
-    bound = float(tail)
-    if amps:
-        bound += (h ** 4 / 180.0) * float(s4)  # worst-case phase alignment
-    return float(value), float(h), float(H), bound
+        tail = 2.0 * abs(float(bft @ ft)) * np.exp(-gamma * H) / gamma
+    # expm's squaring phase amplifies roundoff by about ||H L_Q||
+    rounding = (n * np.finfo(float).eps * H * np.abs(LQ).sum(axis=1).max()
+                * np.abs(bft).sum() * np.abs(ft).max())
+    return value, float(H), float(tail + rounding)
 
 
 # ---------------------------------------------------------------------------
@@ -232,20 +210,19 @@ def constants_table(cert: ErgodicityCertificate, qproc: QProcessChain,
 GeneratorLike = Union[AbsorbedChain, QProcessChain, np.ndarray]
 
 
-def _generator_of(obj: GeneratorLike) -> np.ndarray:
-    if isinstance(obj, AbsorbedChain):
-        return obj.sub_generator
+def _generator_of(obj: GeneratorLike):
+    """(L - s I, s) for the generator L of obj and its principal eigenvalue s."""
     if isinstance(obj, QProcessChain):
-        return obj.q_generator
-    return np.asarray(obj, dtype=float)
+        return obj.q_generator, 0.0  # conservative: s = 0
+    return shifted_generator(obj)
 
 
 @dataclass(frozen=True)
 class MomentValues:
     t: float
-    m: np.ndarray           # m[k] = E_mu[(int_0^t f)^k 1_{survival}]
+    m: np.ndarray           # m[k] = E_mu[(int_0^t f)^k 1_{survival}], may underflow
     survival: float
-    conditional: np.ndarray  # m[k] / survival
+    conditional: np.ndarray  # m[k] / survival, from the shifted generator
 
 
 def exact_conditional_moments(gen: GeneratorLike, mu, f, k_max: int,
@@ -255,8 +232,12 @@ def exact_conditional_moments(gen: GeneratorLike, mu, f, k_max: int,
 
     Passing the absorbed chain gives conditioned-chain moments (divide by
     the survival mass m_0); passing the Q-process gives its plain moments.
+    With the generator shifted by its principal eigenvalue s, conditional
+    stays exact however large -s t is, while m and survival (the shifted
+    values times e^{s t}) may underflow to 0; with k_max = 0 the survival
+    mass is the only result, so its underflow raises.
     """
-    L = _generator_of(gen)
+    L, s = _generator_of(gen)
     n = L.shape[0]
     mu = np.asarray(mu, dtype=float)
     f = np.asarray(f, dtype=float)
@@ -276,11 +257,12 @@ def exact_conditional_moments(gen: GeneratorLike, mu, f, k_max: int,
     w0 = np.zeros((K + 1) * n)
     w0[K * n:] = 1.0
     w = expm(t * A) @ w0
-    m = np.array([mu @ w[(K - k) * n:(K - k + 1) * n] for k in range(K + 1)])
+    shifted = np.array([mu @ w[(K - k) * n:(K - k + 1) * n] for k in range(K + 1)])
+    m = shifted * np.exp(s * t)
     p = float(m[0])
-    if p <= 0:
+    if K == 0 and p <= 0:
         raise OverflowGuard(f"survival mass underflowed at t={t}")
-    return MomentValues(t=float(t), m=m, survival=p, conditional=m / p)
+    return MomentValues(t=float(t), m=m, survival=p, conditional=shifted / shifted[0])
 
 
 @dataclass(frozen=True)
@@ -354,12 +336,8 @@ def _tilted_law(L, mu, f, z, t) -> np.ndarray:
 def exact_conditional_charfun(gen: GeneratorLike, mu, f,
                               omega_over_sqrt_t: float, t: float) -> complex:
     """E_mu[e^{i w' int_0^t f(X_s) ds} | survival] with w' = omega/sqrt(t)
-    held fixed, via one complex matrix exponential.  For a conservative
-    generator the conditioning divisor is 1.
-
-    The ratio is invariant under L -> L + lambda0 I, so both exponentials use
-    the generator shifted by its principal eigenvalue: the survival mass then
-    stays of order one however large lambda0 t is."""
+    held fixed, via one complex matrix exponential of the shifted generator.
+    For a conservative generator the conditioning divisor is 1."""
     return exact_conditional_charfuns(gen, mu, f, [omega_over_sqrt_t], t)[0]
 
 
@@ -369,13 +347,10 @@ def exact_conditional_charfuns(gen: GeneratorLike, mu, f, omegas_over_sqrt_t,
     and the survival mass are computed once, then one exponential per w'."""
     if t <= 0:
         raise ValidationError("charfun needs t > 0")
-    L = _generator_of(gen)
-    L = L - np.max(np.linalg.eigvals(L).real) * np.eye(L.shape[0])
+    L, _ = _generator_of(gen)
     mu = np.asarray(mu, dtype=float)
     f = np.asarray(f, dtype=float)
     p = float((mu @ expm(t * L)).sum())
-    if p <= 0:
-        raise OverflowGuard(f"survival mass underflowed at t={t}")
     return [complex(_tilted_law(L, mu, f, w, t).sum() / p) for w in omegas_over_sqrt_t]
 
 
@@ -385,14 +360,14 @@ def charfun_taylor_moments(gen: GeneratorLike, mu, f, t: float, k_max: int = 4,
     characteristic function in w' at 0 (trapezoidal rule on a complex
     circle; exact for entire functions up to roundoff).  Cross-check for
     exact_conditional_moments."""
-    L = _generator_of(gen)
+    L, s = _generator_of(gen)
     mu = np.asarray(mu, dtype=float)
     f = np.asarray(f, dtype=float)
     zs = radius * np.exp(2j * np.pi * np.arange(n_points) / n_points)
     vals = np.empty(n_points, dtype=complex)
     for i, z in enumerate(zs):
         vals[i] = _tilted_law(L, mu, f, z, t).sum()
-    coef = np.fft.fft(vals) / n_points / radius ** np.arange(n_points)
+    coef = np.fft.fft(vals) * np.exp(s * t) / n_points / radius ** np.arange(n_points)
     ks = np.arange(k_max + 1)
     return np.real(coef[: k_max + 1] * np.array([factorial(k) for k in ks]) / 1j ** ks)
 

@@ -91,7 +91,7 @@ def test_criterion_04_sigma2_cross_oracle(random_chain_set, m2sym_qproc):
         qp = qslab.h_transform(chain, tr)
         f = np.zeros(chain.n)
         f[0], f[-1] = 1.0, -1.0
-        res = qslab.sigma2_poisson(qp, f)  # default horizon 20/gamma
+        res = qslab.sigma2_poisson(qp, f)  # horizon 40/gamma
         assert abs(res.sigma2 - res.quadrature_value) <= res.error_bound
         assert res.error_bound <= 1e-8
         worst_bound = max(worst_bound, res.error_bound)

@@ -135,6 +135,16 @@ def test_conditional_marginal_at_equal_horizons(bd5_bundle):
         qslab.conditional_marginal(bd5_bundle.chain, mu, 2.0, 1.0)
 
 
+def test_conditional_marginal_survives_fast_uniform_killing():
+    """Killing 20 at both states: survival to T = 60 is e^{-1200}, yet the
+    conditioned law at t = 1 is the unkilled swap chain's."""
+    killed = qslab.validate_chain([[-21.0, 1.0], [1.0, -21.0]])
+    swap = np.array([[-1.0, 1.0], [1.0, -1.0]])
+    mu = np.array([0.7, 0.3])
+    got = qslab.conditional_marginal(killed, mu, 1.0, 60.0)
+    np.testing.assert_allclose(got, mu @ expm(swap), rtol=0, atol=1e-12)
+
+
 def test_conditional_equals_q_marginal_when_eta_flat(m2sym_bundle, m2sym_triple):
     """Flat eta: conditioning deeper than t changes nothing."""
     mu = np.array([1.0, 0.0])

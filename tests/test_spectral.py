@@ -149,6 +149,19 @@ def test_m2sym_profile_ratio_is_identically_one(m2sym_bundle, m2sym_triple):
         assert abs(ratio - 1.0) < 1e-10
 
 
+@pytest.mark.parametrize("kill", [20.0, 300.0])
+def test_profile_survives_fast_uniform_killing(kill):
+    """Uniform killing: e^{lambda0 t} P_t is the unkilled swap chain's
+    semigroup and gamma = 2, so the ratio is 1 at every grid time however
+    large lambda0 t is."""
+    chain = qslab.validate_chain([[-1.0 - kill, 1.0], [1.0, -1.0 - kill]])
+    tr = qslab.solve_spectral(chain)
+    assert abs(tr.gamma - 2.0) < 1e-9
+    prof = certification_profile(chain, tr, np.ones(2), qslab.default_time_grid(tr.gamma))
+    for _, ratio in prof:
+        assert abs(ratio - 1.0) < 1e-12
+
+
 def test_certificate_m2sym(m2sym_bundle, m2sym_triple):
     cert = qslab.certify_ergodicity(
         m2sym_bundle.chain, m2sym_triple, np.ones(2), qslab.default_time_grid(2.0)

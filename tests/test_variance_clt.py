@@ -53,11 +53,29 @@ def test_quadrature_cross_oracle_on_random_chains(random_chain_set):
         assert res.error_bound <= 1e-8  # unit-gap chains keep the tail tiny
 
 
-def test_quadrature_parameter_validation(m2sym_qproc):
-    with pytest.raises(ValidationError):
-        qslab.sigma2_poisson(m2sym_qproc, F1, horizon=2.0)  # < 10/gamma
-    with pytest.raises(ValidationError):
-        qslab.sigma2_poisson(m2sym_qproc, F1, step=1.0)  # > 0.01/gamma
+def _unit_ladder_qproc(n):
+    chain = qslab.build_birth_death(n, [1.0] * (n - 1) + [0.0], [1.0] * n)
+    return qslab.h_transform(chain, qslab.solve_spectral(chain))
+
+
+def test_quadrature_bound_meets_tolerance_on_seeded_ladder():
+    """A 50-state unit ladder (gamma ~ 7.7e-3) with a seeded observable: the
+    recorded bound stays inside the 1e-8 cross-oracle tolerance."""
+    rng = np.random.default_rng([101, 2])
+    # draws made before f: a 200-state ladder's mu and f, this ladder's mu
+    rng.uniform(0.5, 1.5, 200), rng.uniform(-1, 1, 200), rng.uniform(0.5, 1.5, 50)
+    f = rng.uniform(-1, 1, 50)
+    res = qslab.sigma2_poisson(_unit_ladder_qproc(50), f)
+    assert abs(res.sigma2 - res.quadrature_value) <= res.error_bound <= 1e-8
+
+
+@pytest.mark.parametrize("n", [35, 50, 100, 200])
+def test_quadrature_cross_oracle_on_unit_ladders(n):
+    """Small-gap ladders (gamma ~ 20/n^2): one exponential spans 40/gamma."""
+    f = np.random.default_rng([n, 7]).uniform(-1, 1, n)
+    res = qslab.sigma2_poisson(_unit_ladder_qproc(n), f)
+    assert abs(res.sigma2 - res.quadrature_value) <= res.error_bound
+    assert res.step == res.horizon
 
 
 def test_constants_unit_inputs_power_of_two():
@@ -145,6 +163,19 @@ def test_moments_guardrails(m2sym_bundle):
     with pytest.raises(NumericalError):
         # survival mass underflows long before t = 800
         qslab.exact_conditional_moments(m2sym_bundle.chain, mu, F1, 0, 800.0)
+
+
+def test_moments_survive_fast_uniform_killing():
+    """Killing 20 at both states: the survival mass e^{-800} underflows at
+    t = 40, yet the conditional moments are those of the unkilled swap chain."""
+    killed = qslab.validate_chain([[-21.0, 1.0], [1.0, -21.0]])
+    swap = np.array([[-1.0, 1.0], [1.0, -1.0]])
+    mu, t = np.array([0.7, 0.3]), 40.0
+    got = qslab.exact_conditional_moments(killed, mu, F1, 4, t)
+    want = qslab.exact_conditional_moments(swap, mu, F1, 4, t)
+    assert abs(want.survival - 1.0) < 1e-12
+    assert got.survival == 0.0
+    np.testing.assert_allclose(got.conditional, want.m, rtol=1e-12, atol=1e-12)
 
 
 def test_taylor_moments_cross_check(m2sym_qproc, random_chain_set):
