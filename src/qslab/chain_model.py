@@ -215,10 +215,10 @@ def load_model_config(path) -> ModelBundle:
     """Read a YAML model file and return a fully validated bundle.
 
     Schema (all numbers decimal): exactly one of ``generator`` (row-major
-    matrix) or ``birth_death: {n, birth, death}``; optional ``states``,
-    ``psi1``, ``mu``, ``observable``.  Missing psi1 defaults to the constant
-    1, missing mu to uniform, missing observable to the indicator of the
-    first state.
+    matrix) or ``birth_death: {n, birth, death}`` with an integer n >= 1;
+    optional ``states`` (a list), ``psi1``, ``mu``, ``observable``.  Missing
+    psi1 defaults to the constant 1, missing mu to uniform, missing
+    observable to the indicator of the first state.
     """
     try:
         with open(path) as fh:
@@ -233,6 +233,8 @@ def load_model_config(path) -> ModelBundle:
     unknown = set(raw) - known
     if unknown:
         raise ParseError(f"unknown keys in model file: {sorted(unknown)}")
+    if not isinstance(raw.get("states", []), list):
+        raise ParseError("field 'states' must be a list of labels")
     has_gen = "generator" in raw
     has_bd = "birth_death" in raw
     if has_gen == has_bd:
@@ -244,9 +246,12 @@ def load_model_config(path) -> ModelBundle:
         if not isinstance(bd, dict) or set(bd) - {"n", "birth", "death"}:
             raise ParseError("birth_death block must hold exactly {n, birth, death}")
         try:
-            chain = build_birth_death(int(bd["n"]), bd["birth"], bd["death"])
+            n, birth, death = bd["n"], bd["birth"], bd["death"]
         except KeyError as exc:
             raise ParseError(f"birth_death block missing field {exc}") from exc
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise ParseError(f"birth_death n must be a positive integer, got {n!r}")
+        chain = build_birth_death(n, birth, death)
     n = chain.n
 
     def _vec(key, default):

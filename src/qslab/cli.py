@@ -172,13 +172,16 @@ def _run_charfun(an, omegas, times):
 
 def _run_clt(an, t, n, method, seed, threads, dump):
     b, triple = an.bundle, an.triple
-    method = method or montecarlo.default_method(triple.lambda0, t)
     emp = montecarlo.conditional_clt_sample(
-        b.chain, triple, b.mu, b.f, t, n, method=method, seed=seed, psi1=b.psi1,
-        threads=threads or (os.cpu_count() or 1),
-        cert=an.cert if method == "qprocess" else None)
-    d = montecarlo.kolmogorov_distance(emp, emp.sigma2) if emp.sigma2 > 0 else float("nan")
-    rows = [(emp.t, emp.n_effective, d, emp.sigma2, emp.method, emp.gap_bound_factor)]
+        b.chain, triple, b.mu, b.f, t, n, method=method, seed=seed,
+        threads=threads or (os.cpu_count() or 1))
+    d = gap_bound = float("nan")
+    if emp.sigma2 > 0:
+        d = montecarlo.kolmogorov_distance(emp, emp.sigma2)
+        if emp.method == "qprocess":
+            # prefactor C mu(psi1)/mu(eta) of the coupling gap e^{-gamma (T - t)}
+            gap_bound = float(an.cert.C * (b.mu @ b.psi1) / float(b.mu @ triple.eta))
+    rows = [(emp.t, emp.n_effective, d, emp.sigma2, emp.method, gap_bound)]
     out = {"clt.csv": ({"n_requested": emp.n_requested},
                        ("t", "n_eff", "d_kolm", "sigma2", "method", "gap_bound"), rows)}
     if dump:
@@ -190,11 +193,9 @@ def _run_qed(an, times, n, method, seed, threads):
     b, triple = an.bundle, an.triple
     times = _floats(times) if times else [10.0 / triple.gamma, 20.0 / triple.gamma,
                                           40.0 / triple.gamma]
-    uses_q = any((method or montecarlo.default_method(triple.lambda0, t)) == "qprocess"
-                 for t in times)
     rep = montecarlo.quasi_ergodic_check(
-        b.chain, triple, b.mu, b.f, times, n, seed=seed, method=method, psi1=b.psi1,
-        threads=threads or (os.cpu_count() or 1), cert=an.cert if uses_q else None)
+        b.chain, triple, b.mu, b.f, times, n, seed=seed, method=method,
+        threads=threads or (os.cpu_count() or 1))
     meta = {"fitted_rate": rep.fitted_rate, "method": rep.method}
     return {"qed.csv": (meta, ("t", "mean_square", "stderr", "exact"), rep.rows)}
 

@@ -19,13 +19,7 @@ from scipy.special import ndtr
 from .chain_model import AbsorbedChain
 from .errors import BudgetExceeded, DegenerateVariance, ValidationError
 from .qprocess import QProcessChain, h_transform
-from .spectral import (
-    ErgodicityCertificate,
-    SpectralTriple,
-    certify_ergodicity,
-    default_time_grid,
-    log_slope,
-)
+from .spectral import SpectralTriple, log_slope
 from . import variance_clt
 
 DEFAULT_BATCH = 4096
@@ -259,7 +253,6 @@ class EmpiricalDistribution:
     method: str
     sigma2: float
     beta_f: float
-    gap_bound_factor: float   # C mu(psi1)/mu(eta); nan for rejection sampling
 
     def __post_init__(self):
         self.samples.setflags(write=False)
@@ -272,22 +265,19 @@ def default_method(lambda0: float, t: float) -> str:
 
 def conditional_clt_sample(chain: AbsorbedChain, triple: SpectralTriple, mu, f,
                            t: float, n_replicas: int, method: Optional[str] = None,
-                           seed: int = 0, psi1: Optional[np.ndarray] = None,
-                           threads: int = 1, batch: int = DEFAULT_BATCH,
-                           budget: float = REJECTION_BUDGET,
-                           cert: Optional[ErgodicityCertificate] = None) -> EmpiricalDistribution:
+                           seed: int = 0, threads: int = 1, batch: int = DEFAULT_BATCH,
+                           budget: float = REJECTION_BUDGET) -> EmpiricalDistribution:
     """Sample the statistic sqrt(t)(S_t/t - beta(f)) under conditioning.
 
     'rejection' keeps absorbed-chain paths that survive past t (unbiased);
     'qprocess' simulates the surrogate conservative dynamics from the
-    eta-reweighted initial law, with the exponential coupling gap bounded by
-    gap_bound_factor * e^{-gamma (T - t)} for events observed up to time t
-    under conditioning on survival to T.  The 'qprocess' gap factor uses
-    cert, or a certificate on the default grid when none is supplied.
+    eta-reweighted initial law, whose law differs from exact conditioning by
+    the coupling gap that qprocess.conditional_vs_q_gap bounds.
     """
+    if not t > 0:
+        raise ValidationError(f"time horizon t must be positive, got {t}")
     mu = np.asarray(mu, dtype=float)
-    psi1 = np.ones(chain.n) if psi1 is None else psi1
-    qproc = h_transform(chain, triple, psi1)
+    qproc = h_transform(chain, triple)
     obs = variance_clt.make_observable(qproc, f)
     method = default_method(triple.lambda0, t) if method is None else method
     if method not in ("rejection", "qprocess"):
@@ -296,8 +286,7 @@ def conditional_clt_sample(chain: AbsorbedChain, triple: SpectralTriple, mu, f,
         # constant observable: the statistic collapses to exactly zero
         return EmpiricalDistribution(samples=np.zeros(n_replicas), n_effective=n_replicas,
                                      n_requested=n_replicas, seed=seed, t=float(t),
-                                     method=method, sigma2=0.0, beta_f=obs.beta_f,
-                                     gap_bound_factor=float("nan"))
+                                     method=method, sigma2=0.0, beta_f=obs.beta_f)
     sigma2 = variance_clt.sigma2_poisson(qproc, obs, with_quadrature=False).sigma2
     if sigma2 <= 1e-12:
         raise DegenerateVariance(
@@ -310,20 +299,16 @@ def conditional_clt_sample(chain: AbsorbedChain, triple: SpectralTriple, mu, f,
         if cost > budget:
             raise BudgetExceeded(f"rejection cost n e^(lambda0 t) = {cost:.3g} "
                                  f"exceeds budget {budget:.3g}")
-        dynamics, gap_factor = (chain.sub_generator, chain.killing, mu), float("nan")
+        dynamics = (chain.sub_generator, chain.killing, mu)
     else:
         # the Q-process from the eta-reweighted law; no replica is absorbed
         dynamics = (qproc.q_generator, None, mu * triple.eta / mu_eta)
-        if cert is None:
-            cert = certify_ergodicity(chain, triple, psi1, default_time_grid(triple.gamma))
-        gap_factor = float(cert.C * (mu @ psi1) / mu_eta)
     S, _, absorbed, _ = _batch_statistics(*dynamics, obs.f_centered, t, n_replicas,
                                           seed, threads, batch)
     samples = np.sort(np.sqrt(t) * S[~absorbed] / t)
     return EmpiricalDistribution(samples=samples, n_effective=len(samples),
                                  n_requested=n_replicas, seed=seed, t=float(t),
-                                 method=method, sigma2=float(sigma2),
-                                 beta_f=obs.beta_f, gap_bound_factor=gap_factor)
+                                 method=method, sigma2=float(sigma2), beta_f=obs.beta_f)
 
 
 def kolmogorov_distance(empirical: EmpiricalDistribution, sigma2: float) -> float:
@@ -352,32 +337,23 @@ class QuasiErgodicReport:
 def quasi_ergodic_check(chain: AbsorbedChain, triple: SpectralTriple, mu, f,
                         t_grid, n_replicas: int, seed: int = 0,
                         method: Optional[str] = None,
-                        psi1: Optional[np.ndarray] = None,
-                        threads: int = 1,
-                        cert: Optional[ErgodicityCertificate] = None) -> QuasiErgodicReport:
+                        threads: int = 1) -> QuasiErgodicReport:
     """Monte Carlo conditional mean-square deviation of S_t/t from beta(f)
     on a time grid, with the exact augmented-oracle value alongside when the
-    state space is small (n <= 50).  Times sampled by the 'qprocess' method
-    share cert, or one certificate on the default grid when none is supplied."""
-    mu = np.asarray(mu, dtype=float)
-    psi1 = np.ones(chain.n) if psi1 is None else psi1
-    qproc = h_transform(chain, triple, psi1)
-    obs = variance_clt.make_observable(qproc, f)
-    times = np.asarray(t_grid, dtype=float)
-    methods = [method or default_method(triple.lambda0, t) for t in times]
-    if cert is None and "qprocess" in methods:
-        cert = certify_ergodicity(chain, triple, psi1, default_time_grid(triple.gamma))
+    state space is small (n <= 50)."""
     rows, used = [], None
-    for t, mth in zip(times, methods):
+    for t in np.asarray(t_grid, dtype=float):
+        mth = method or default_method(triple.lambda0, t)
         used = mth if used in (None, mth) else "mixed"
         emp = conditional_clt_sample(chain, triple, mu, f, t, n_replicas, method=mth,
-                                     seed=seed, psi1=psi1, threads=threads, cert=cert)
+                                     seed=seed, threads=threads)
         dev2 = (emp.samples / np.sqrt(t)) ** 2
         mc = float(dev2.mean())
         stderr = float(dev2.std(ddof=1) / np.sqrt(len(dev2))) if len(dev2) > 1 else float("nan")
         exact = float("nan")
-        if chain.n <= 50 and np.max(np.abs(obs.f_centered)) > 1e-14:
-            mv = variance_clt.exact_conditional_moments(chain, mu, obs.f_centered, 2, t)
+        if chain.n <= 50 and emp.sigma2 > 0:
+            f_centered = np.asarray(f, dtype=float) - emp.beta_f
+            mv = variance_clt.exact_conditional_moments(chain, mu, f_centered, 2, t)
             exact = float(mv.conditional[2] / t ** 2)
         rows.append((float(t), mc, stderr, exact))
     rate = log_slope(np.log([r[0] for r in rows]), [r[1] for r in rows])

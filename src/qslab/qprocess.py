@@ -28,7 +28,6 @@ from .spectral import (
     default_time_grid,
     log_slope,
     shifted_generator,
-    weighted_norm,
 )
 
 
@@ -106,13 +105,9 @@ def check_q_ergodicity(qproc: QProcessChain, t_grid) -> QErgodicityReport:
     """
     rows, tv_rows = [], []
     for t in np.asarray(t_grid, dtype=float):
-        Pq = expm(t * qproc.q_generator)
-        devs = np.empty(qproc.n)
-        tvs = np.empty(qproc.n)
-        for x in range(qproc.n):
-            d = Pq[x] - qproc.beta
-            devs[x] = weighted_norm(d, qproc.psi) / qproc.psi[x]
-            tvs[x] = np.abs(d).sum() / qproc.psi[x]
+        D = np.abs(expm(t * qproc.q_generator) - qproc.beta)
+        devs = D @ qproc.psi / qproc.psi
+        tvs = D.sum(axis=1) / qproc.psi
         rows.append((float(t), float(devs.max()), float(devs.max() * np.exp(qproc.gamma * t))))
         tv_rows.append((float(t), float(tvs.max()), float(tvs.max() * np.exp(qproc.gamma * t))))
     rate = log_slope([r[0] for r in rows], [r[1] for r in rows])

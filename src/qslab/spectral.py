@@ -56,6 +56,8 @@ class ErgodicityCertificate:
 def solve_spectral(chain: AbsorbedChain) -> SpectralTriple:
     """Leading eigen-triple of the killed generator with the normalizations
     sum(alpha) = 1 and alpha(eta) = 1; gamma from the full dense spectrum."""
+    if chain.n < 2:
+        raise DegenerateGap("a one-state chain has no spectral gap")
     L = chain.sub_generator
     w, vl, vr = eig(L, left=True, right=True)
     order = np.argsort(-w.real)

@@ -1,8 +1,17 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import qslab
 from qslab.chain_model import AbsorbedChain
+
+# pytest's own pythonpath setting does not reach the `python -m qslab.cli`
+# subprocesses, which find the package through PYTHONPATH
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                  os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")

@@ -69,9 +69,9 @@ def counted_main(monkeypatch, tmp_path):
     (("clt", "--model", "m2sym", "--n", "300", "--t", "25"), {"profile": 1}),
     (("clt", "--model", "m2sym", "--n", "300", "--t", "1", "--method", "rejection"),
      {"profile": 0}),
-    (("qed", "--model", "m2sym", "--n", "300"), {"profile": 1}),
+    (("qed", "--model", "m2sym", "--n", "300"), {"profile": 0, "h_transform": 3}),
     (("all", "--model", "m2sym", "--n", "300"),
-     {"profile": 1, "spectral.expm": 13, "eigvals": 1}),
+     {"profile": 1, "h_transform": 6, "spectral.expm": 13, "eigvals": 1}),
 ], ids=["spectral", "certify", "qprocess", "variance", "moments", "charfun", "clt-qprocess",
         "clt-rejection", "qed", "all"])
 def test_each_run_solves_and_certifies_once(counted_main, argv, expected):

@@ -2,6 +2,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from qslab import cli
+
 
 def run_cli(*args, cwd=None):
     return subprocess.run(
@@ -68,6 +72,31 @@ def test_validation_errors_exit_3(tmp_path):
     assert "error: no-killing" in r.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("clt", "--t", "0"), ("clt", "--t=-1"), ("qed", "--times", "0"),
+], ids=["clt-t0", "clt-t-neg", "qed-t0"])
+def test_nonpositive_time_is_a_validation_error(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    rc = cli.main([*argv, "--model", "m2sym", "--n", "100", "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("error: validation: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, code, exit_code", [
+    ("generator: [[-1.0]]\n", "degenerate-gap", 4),
+    ("birth_death: {n: abc, birth: [1.0, 0.0], death: [1.0, 1.0]}\n", "parse-error", 3),
+    ("birth_death: {n: 2.7, birth: [1.0, 0.0], death: [1.0, 1.0]}\n", "parse-error", 3),
+    ("states: 5\ngenerator: [[-2.0, 1.0], [1.0, -2.0]]\n", "parse-error", 3),
+], ids=["one-state", "n-not-numeric", "n-not-integer", "states-not-list"])
+def test_bad_model_files_end_in_coded_errors(tmp_path, capsys, text, code, exit_code):
+    model = tmp_path / "model.yaml"
+    model.write_text(text)
+    rc = cli.main(["spectral", "--model", str(model), "--out", str(tmp_path / "o")])
+    assert rc == exit_code
+    assert capsys.readouterr().err.startswith(f"error: {code}: ")
+
+
 def test_numerical_errors_exit_4(tmp_path):
     r = run_cli("moments", "--model", "m2sym", "--kmax", "8", "--times", "1e40",
                 "--out", str(tmp_path / "o"))
@@ -124,6 +153,13 @@ def test_clt_reruns_are_byte_identical_across_threads(tmp_path):
     m1 = json.loads((o1 / "manifest.json").read_text())
     m3 = json.loads((o3 / "manifest.json").read_text())
     assert m1["manifest_hash"] == m3["manifest_hash"]
+    # the Q-process coupling-gap prefactor C mu(psi1)/mu(eta) = C = 2 on m2sym;
+    # rejection sampling is exact conditioning and has none
+    assert abs(float(csv_rows(o1 / "clt.csv")[0]["gap_bound"]) - 2.0) < 1e-10
+    o4 = tmp_path / "d"
+    assert run_cli("clt", "--model", "m2sym", "--t", "1", "--n", "300",
+                   "--method", "rejection", "--out", str(o4)).returncode == 0
+    assert csv_rows(o4 / "clt.csv")[0]["gap_bound"] == "nan"
 
 
 def test_different_seed_changes_samples(tmp_path):

@@ -278,7 +278,6 @@ def test_clt_sample_reproducible_across_schedules(m2sym_bundle, m2sym_triple):
                                      method="qprocess", seed=13)
     assert not np.array_equal(a.samples, c.samples)
     assert a.n_effective == a.n_requested == 3000
-    assert abs(a.gap_bound_factor - 2.0) < 1e-10  # C mu(psi1)/mu(eta) = C = 2
 
 
 def test_clt_sample_rejection_keeps_survivors_only(m2sym_bundle, m2sym_triple):
@@ -288,7 +287,6 @@ def test_clt_sample_rejection_keeps_survivors_only(m2sym_bundle, m2sym_triple):
                                        method="rejection", seed=8)
     p = float((mu @ expm(t * chain.sub_generator)).sum())
     assert emp.method == "rejection"
-    assert np.isnan(emp.gap_bound_factor)
     assert abs(emp.n_effective / n - p) < 3.0 * np.sqrt(p * (1 - p) / n)
     assert np.all(np.diff(emp.samples) >= 0)
 
@@ -328,8 +326,7 @@ def test_kolmogorov_distance_hand_values():
         return EmpiricalDistribution(
             samples=np.sort(np.asarray(samples, dtype=float)),
             n_effective=len(samples), n_requested=len(samples), seed=0,
-            t=1.0, method="direct", sigma2=1.0, beta_f=0.0,
-            gap_bound_factor=float("nan"))
+            t=1.0, method="direct", sigma2=1.0, beta_f=0.0)
 
     assert abs(qslab.kolmogorov_distance(emp([0.0, 0.0]), 1.0) - 0.5) < 1e-15
     # two points at +-1: distance is Phi(1) - 1/2
@@ -346,7 +343,7 @@ def test_kolmogorov_distance_on_true_gaussian_draw():
     z = rng.standard_normal(100000)
     emp = EmpiricalDistribution(
         samples=np.sort(2.0 * z), n_effective=len(z), n_requested=len(z), seed=99,
-        t=1.0, method="direct", sigma2=4.0, beta_f=0.0, gap_bound_factor=float("nan"))
+        t=1.0, method="direct", sigma2=4.0, beta_f=0.0)
     d = qslab.kolmogorov_distance(emp, 4.0)
     assert d < 1.63 / np.sqrt(len(z))  # 1% critical value
 

@@ -4,6 +4,7 @@ from scipy.linalg import expm
 
 import qslab
 from qslab.errors import NumericalError, ValidationError
+from qslab.spectral import certification_profile
 
 
 def test_m2sym_transform_is_exact(m2sym_qproc):
@@ -123,6 +124,22 @@ def test_q_ergodicity_bd5_rate_near_gamma(bd5_qproc):
     grid = np.array([5.0, 10.0, 15.0]) / bd5_qproc.gamma
     rep = qslab.check_q_ergodicity(bd5_qproc, grid)
     assert abs(rep.fitted_rate + bd5_qproc.gamma) < 0.05 * bd5_qproc.gamma
+
+
+def test_q_ergodicity_implied_c_is_the_certificate_profile(
+        m2sym_bundle, m2asym_bundle, bd5_bundle, random_chain_set):
+    """By the intertwining, the Q-side deviation ratio times e^{gamma t} is
+    the certificate's ratio at t, whatever the weight psi1."""
+    chains = [b.chain for b in (m2sym_bundle, m2asym_bundle, bd5_bundle)] + random_chain_set
+    for chain in chains:
+        triple = qslab.solve_spectral(chain)
+        psi1 = 1.0 + np.arange(chain.n) / chain.n
+        grid = qslab.default_time_grid(triple.gamma)
+        rep = qslab.check_q_ergodicity(qslab.h_transform(chain, triple, psi1), grid)
+        profile = certification_profile(chain, triple, psi1, grid)
+        for (t, _, implied), (t_cert, ratio) in zip(rep.rows, profile):
+            assert t == t_cert
+            assert abs(implied - ratio) <= 1e-10 * ratio
 
 
 def test_conditional_marginal_at_equal_horizons(bd5_bundle):
