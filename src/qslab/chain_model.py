@@ -143,8 +143,8 @@ def build_birth_death(n: int, birth, death) -> AbsorbedChain:
         death = np.asarray(death, dtype=float)
     except (ValueError, TypeError) as exc:
         raise InvalidRates(f"rates are not numeric: {exc}") from exc
-    if birth.shape != (n,) or death.shape != (n,):
-        raise InvalidRates(f"expected {n} birth and death rates")
+    if n < 1 or birth.shape != (n,) or death.shape != (n,):
+        raise InvalidRates(f"need n >= 1 and n birth and death rates each (n = {n})")
     if np.any(birth < 0) or np.any(death < 0):
         raise InvalidRates("rates must be nonnegative")
     if death[0] <= 0:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, montecarlo, qprocess, variance_clt
 from .chain_model import BUILTIN_MODELS, ModelBundle, resolve_model
-from .errors import QslabError
+from .errors import DegenerateVariance, QslabError, ValidationError
 from .spectral import certify_ergodicity, default_time_grid, solve_spectral
 
 
@@ -69,10 +69,10 @@ def _floats(text):
 
 
 class _Analysis:
-    """One run's spectral triple, Q-process and certificate, each computed
-    on first use and then shared by every stage of the run.  The certificate
-    grid has tpoints geometric times after 0, out to tmax if given and to the
-    default 6/gamma otherwise."""
+    """One run's spectral triple, Q-process, Poisson-only sigma^2 and
+    certificate, each computed on first use and then shared by every stage
+    of the run.  The certificate grid has tpoints geometric times after 0,
+    out to tmax if given and to the default 6/gamma otherwise."""
 
     def __init__(self, bundle: ModelBundle, tpoints: int, tmax):
         self.bundle = bundle
@@ -85,6 +85,10 @@ class _Analysis:
     @cached_property
     def qp(self):
         return qprocess.h_transform(self.bundle.chain, self.triple, self.bundle.psi1)
+
+    @cached_property
+    def sigma2(self):
+        return variance_clt.sigma2_poisson(self.qp, self.bundle.f, with_quadrature=False).sigma2
 
     @cached_property
     def cert(self):
@@ -153,9 +157,8 @@ def _run_moments(an, kmax, times):
 
 
 def _run_charfun(an, omegas, times):
-    qp, b = an.qp, an.bundle
+    qp, b, s2 = an.qp, an.bundle, an.sigma2
     obs = variance_clt.make_observable(qp, b.f)
-    s2 = variance_clt.sigma2_poisson(qp, obs, with_quadrature=False).sigma2
     omegas = _floats(omegas) if omegas else [0.5, 1.0, 2.0]
     times = _floats(times) if times else [100.0 / qp.gamma]
     rows = []
@@ -170,18 +173,21 @@ def _run_charfun(an, omegas, times):
                                    "abs_gap"), rows)}
 
 
-def _run_clt(an, t, n, method, seed, threads, dump):
+def _run_clt(an, t, n, method, seed, dump):
     b, triple = an.bundle, an.triple
-    emp = montecarlo.conditional_clt_sample(
-        b.chain, triple, b.mu, b.f, t, n, method=method, seed=seed,
-        threads=threads or (os.cpu_count() or 1))
-    d = gap_bound = float("nan")
-    if emp.sigma2 > 0:
-        d = montecarlo.kolmogorov_distance(emp, emp.sigma2)
+    emp = montecarlo.conditional_clt_sample(b.chain, triple, b.mu, b.f, t, n,
+                                            method=method, seed=seed)
+    s2, d, gap_bound = 0.0, float("nan"), float("nan")
+    if not variance_clt.is_constant(b.f - emp.beta_f):
+        s2 = an.sigma2
+        if s2 <= 1e-12:
+            raise DegenerateVariance(
+                f"sigma^2 = {s2} for a nonconstant observable; no CLT asserted")
+        d = montecarlo.kolmogorov_distance(emp, s2)
         if emp.method == "qprocess":
             # prefactor C mu(psi1)/mu(eta) of the coupling gap e^{-gamma (T - t)}
             gap_bound = float(an.cert.C * (b.mu @ b.psi1) / float(b.mu @ triple.eta))
-    rows = [(emp.t, emp.n_effective, d, emp.sigma2, emp.method, gap_bound)]
+    rows = [(emp.t, emp.n_effective, d, s2, emp.method, gap_bound)]
     out = {"clt.csv": ({"n_requested": emp.n_requested},
                        ("t", "n_eff", "d_kolm", "sigma2", "method", "gap_bound"), rows)}
     if dump:
@@ -189,18 +195,17 @@ def _run_clt(an, t, n, method, seed, threads, dump):
     return out
 
 
-def _run_qed(an, times, n, method, seed, threads):
+def _run_qed(an, times, n, method, seed):
     b, triple = an.bundle, an.triple
     times = _floats(times) if times else [10.0 / triple.gamma, 20.0 / triple.gamma,
                                           40.0 / triple.gamma]
-    rep = montecarlo.quasi_ergodic_check(
-        b.chain, triple, b.mu, b.f, times, n, seed=seed, method=method,
-        threads=threads or (os.cpu_count() or 1))
+    rep = montecarlo.quasi_ergodic_check(b.chain, triple, b.mu, b.f, times, n,
+                                         seed=seed, method=method)
     meta = {"fitted_rate": rep.fitted_rate, "method": rep.method}
     return {"qed.csv": (meta, ("t", "mean_square", "stderr", "exact"), rep.rows)}
 
 
-def _run_all(an, n, seed, threads):
+def _run_all(an, n, seed):
     gamma = an.triple.gamma
     out = {}
     out.update(_run_spectral(an))
@@ -209,8 +214,8 @@ def _run_all(an, n, seed, threads):
     out.update(_run_variance(an))
     out.update(_run_moments(an, 4, None))
     out.update(_run_charfun(an, None, None))
-    out.update(_run_clt(an, 50.0 / gamma, n, None, seed, threads, False))
-    out.update(_run_qed(an, None, n, None, seed, threads))
+    out.update(_run_clt(an, 50.0 / gamma, n, None, seed, False))
+    out.update(_run_qed(an, None, n, None, seed))
     return out
 
 
@@ -221,9 +226,9 @@ _RUNNERS = {
     "variance": lambda an, a: _run_variance(an),
     "moments": lambda an, a: _run_moments(an, a.kmax, a.times),
     "charfun": lambda an, a: _run_charfun(an, a.omegas, a.times),
-    "clt": lambda an, a: _run_clt(an, a.t, a.n, a.method, a.seed, a.threads, a.dump),
-    "qed": lambda an, a: _run_qed(an, a.times, a.n, a.method, a.seed, a.threads),
-    "all": lambda an, a: _run_all(an, a.n, a.seed, a.threads),
+    "clt": lambda an, a: _run_clt(an, a.t, a.n, a.method, a.seed, a.dump),
+    "qed": lambda an, a: _run_qed(an, a.times, a.n, a.method, a.seed),
+    "all": lambda an, a: _run_all(an, a.n, a.seed),
 }
 
 
@@ -238,7 +243,7 @@ def build_parser():
         sp.add_argument("--out", default="qslab_out", help="output directory")
         sp.add_argument("--seed", type=int, default=0, help="master seed (u64)")
         sp.add_argument("--threads", type=int, default=1,
-                        help="worker threads for Monte Carlo batches (0 = auto)")
+                        help="accepted and ignored: Monte Carlo runs in one thread")
 
     common(sub.add_parser("spectral", help="eigen-triple and gap"))
     sp = sub.add_parser("certify", help="exponential-ergodicity certificate")
@@ -280,6 +285,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.time()
     try:
+        if not 0 <= args.seed < 2 ** 64:
+            raise ValidationError(f"--seed must be a u64, got {args.seed}")
+        if getattr(args, "n", 1) < 1:
+            raise ValidationError(f"--n must be at least 1, got {args.n}")
         bundle = resolve_model(args.model)
         params = {k: v for k, v in sorted(vars(args).items())
                   if k not in ("cmd", "model", "out", "seed", "threads")}

@@ -3,13 +3,12 @@
 Reproducibility contract: replica i of a run with master seed s draws from
 the counter-based Philox4x64 stream keyed by (s, i) — draw 0 for the initial
 state, draws 1 + 2j and 2 + 2j for the holding time and jump of step j.
-Batch size, thread count and draw-window size never change the values a
-replica sees, so sample lists are bit-identical however work is scheduled.
+Batch size and draw-window size never change the values a replica sees, so
+sample lists are bit-identical; batches run in turn, in the calling thread.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,8 +28,9 @@ _STEP_CEILING = 64  # times the Poisson step bound
 
 
 def philox_stream(seed: int, replica: int) -> np.random.Generator:
-    """The per-replica RNG stream; key = (master seed, replica index)."""
-    return np.random.Generator(np.random.Philox(key=[int(seed), int(replica)]))
+    """The per-replica RNG stream; key = (master seed mod 2^64, replica index)."""
+    key = np.array([int(seed) % 2 ** 64, int(replica)], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass(frozen=True)
@@ -219,25 +219,18 @@ class _Kernel:
 
 
 def _batch_statistics(generator, killing, initial, f, t_max, n_replicas, seed,
-                      threads=1, batch=DEFAULT_BATCH, count_jumps=False):
+                      batch=DEFAULT_BATCH, count_jumps=False):
     """(S_i, terminal state_i, absorbed_i) for replicas 0..n-1, plus optional
-    pooled jump counts; identical output for any batch size or thread count."""
+    pooled jump counts; identical output for any batch size."""
     kernel = _Kernel(generator, killing, initial, f, t_max)
     S = np.empty(n_replicas)
     term = np.empty(n_replicas, dtype=int)
     absorbed = np.empty(n_replicas, dtype=bool)
-    spans = [(lo, min(lo + batch, n_replicas)) for lo in range(0, n_replicas, batch)]
-    counts = [np.zeros((kernel.n, kernel.width), dtype=np.int64) if count_jumps else None
-              for _ in spans]
-
-    def work(i):
-        lo, hi = spans[i]
-        S[lo:hi], term[lo:hi], absorbed[lo:hi] = kernel.run(np.arange(lo, hi), seed, counts[i])
-
-    with ThreadPoolExecutor(max_workers=max(threads or 1, 1)) as pool:
-        list(pool.map(work, range(len(spans))))
-    pooled = sum(counts) if count_jumps else None
-    return S, term, absorbed, pooled
+    counts = np.zeros((kernel.n, kernel.width), dtype=np.int64) if count_jumps else None
+    for lo in range(0, n_replicas, batch):
+        hi = min(lo + batch, n_replicas)
+        S[lo:hi], term[lo:hi], absorbed[lo:hi] = kernel.run(np.arange(lo, hi), seed, counts)
+    return S, term, absorbed, counts
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +241,8 @@ class EmpiricalDistribution:
     samples: np.ndarray       # sorted values of sqrt(t) (S_t/t - beta(f))
     n_effective: int
     n_requested: int
-    seed: int
     t: float
     method: str
-    sigma2: float
     beta_f: float
 
     def __post_init__(self):
@@ -272,7 +263,8 @@ def conditional_clt_sample(chain: AbsorbedChain, triple: SpectralTriple, mu, f,
     'rejection' keeps absorbed-chain paths that survive past t (unbiased);
     'qprocess' simulates the surrogate conservative dynamics from the
     eta-reweighted initial law, whose law differs from exact conditioning by
-    the coupling gap that qprocess.conditional_vs_q_gap bounds.
+    the coupling gap that qprocess.conditional_vs_q_gap bounds.  threads is
+    accepted and ignored: batches run in the calling thread.
     """
     if not t > 0:
         raise ValidationError(f"time horizon t must be positive, got {t}")
@@ -282,33 +274,26 @@ def conditional_clt_sample(chain: AbsorbedChain, triple: SpectralTriple, mu, f,
     method = default_method(triple.lambda0, t) if method is None else method
     if method not in ("rejection", "qprocess"):
         raise ValidationError(f"unknown conditioning method {method!r}")
-    if np.max(np.abs(obs.f_centered)) <= 1e-14:
-        # constant observable: the statistic collapses to exactly zero
-        return EmpiricalDistribution(samples=np.zeros(n_replicas), n_effective=n_replicas,
-                                     n_requested=n_replicas, seed=seed, t=float(t),
-                                     method=method, sigma2=0.0, beta_f=obs.beta_f)
-    sigma2 = variance_clt.sigma2_poisson(qproc, obs, with_quadrature=False).sigma2
-    if sigma2 <= 1e-12:
-        raise DegenerateVariance(
-            f"sigma^2 = {sigma2} for a nonconstant observable; no CLT asserted")
-    mu_eta = float(mu @ triple.eta)
-    if mu_eta <= 0:
-        raise ValidationError("mu(eta) must be positive")
-    if method == "rejection":
-        cost = n_replicas * np.exp(triple.lambda0 * t)
-        if cost > budget:
-            raise BudgetExceeded(f"rejection cost n e^(lambda0 t) = {cost:.3g} "
-                                 f"exceeds budget {budget:.3g}")
-        dynamics = (chain.sub_generator, chain.killing, mu)
-    else:
-        # the Q-process from the eta-reweighted law; no replica is absorbed
-        dynamics = (qproc.q_generator, None, mu * triple.eta / mu_eta)
-    S, _, absorbed, _ = _batch_statistics(*dynamics, obs.f_centered, t, n_replicas,
-                                          seed, threads, batch)
-    samples = np.sort(np.sqrt(t) * S[~absorbed] / t)
+    samples = np.zeros(n_replicas)  # a constant observable's statistic is exactly 0
+    if not variance_clt.is_constant(obs.f_centered):
+        mu_eta = float(mu @ triple.eta)
+        if mu_eta <= 0:
+            raise ValidationError("mu(eta) must be positive")
+        if method == "rejection":
+            cost = n_replicas * np.exp(triple.lambda0 * t)
+            if cost > budget:
+                raise BudgetExceeded(f"rejection cost n e^(lambda0 t) = {cost:.3g} "
+                                     f"exceeds budget {budget:.3g}")
+            dynamics = (chain.sub_generator, chain.killing, mu)
+        else:
+            # the Q-process from the eta-reweighted law; no replica is absorbed
+            dynamics = (qproc.q_generator, None, mu * triple.eta / mu_eta)
+        S, _, absorbed, _ = _batch_statistics(*dynamics, obs.f_centered, t, n_replicas,
+                                              seed, batch)
+        samples = np.sort(np.sqrt(t) * S[~absorbed] / t)
     return EmpiricalDistribution(samples=samples, n_effective=len(samples),
-                                 n_requested=n_replicas, seed=seed, t=float(t),
-                                 method=method, sigma2=float(sigma2), beta_f=obs.beta_f)
+                                 n_requested=n_replicas, t=float(t),
+                                 method=method, beta_f=obs.beta_f)
 
 
 def kolmogorov_distance(empirical: EmpiricalDistribution, sigma2: float) -> float:
@@ -336,23 +321,22 @@ class QuasiErgodicReport:
 
 def quasi_ergodic_check(chain: AbsorbedChain, triple: SpectralTriple, mu, f,
                         t_grid, n_replicas: int, seed: int = 0,
-                        method: Optional[str] = None,
-                        threads: int = 1) -> QuasiErgodicReport:
+                        method: Optional[str] = None) -> QuasiErgodicReport:
     """Monte Carlo conditional mean-square deviation of S_t/t from beta(f)
     on a time grid, with the exact augmented-oracle value alongside when the
-    state space is small (n <= 50)."""
+    state space is small (n <= 50) and the centred f is not constant."""
     rows, used = [], None
     for t in np.asarray(t_grid, dtype=float):
         mth = method or default_method(triple.lambda0, t)
         used = mth if used in (None, mth) else "mixed"
         emp = conditional_clt_sample(chain, triple, mu, f, t, n_replicas, method=mth,
-                                     seed=seed, threads=threads)
+                                     seed=seed)
         dev2 = (emp.samples / np.sqrt(t)) ** 2
         mc = float(dev2.mean())
         stderr = float(dev2.std(ddof=1) / np.sqrt(len(dev2))) if len(dev2) > 1 else float("nan")
         exact = float("nan")
-        if chain.n <= 50 and emp.sigma2 > 0:
-            f_centered = np.asarray(f, dtype=float) - emp.beta_f
+        f_centered = np.asarray(f, dtype=float) - emp.beta_f
+        if chain.n <= 50 and not variance_clt.is_constant(f_centered):
             mv = variance_clt.exact_conditional_moments(chain, mu, f_centered, 2, t)
             exact = float(mv.conditional[2] / t ** 2)
         rows.append((float(t), mc, stderr, exact))
@@ -361,10 +345,10 @@ def quasi_ergodic_check(chain: AbsorbedChain, triple: SpectralTriple, mu, f,
 
 
 def jump_frequency_counts(chain: AbsorbedChain, mu, t_max: float, n_replicas: int,
-                          seed: int = 0, threads: int = 1):
+                          seed: int = 0):
     """Pooled one-step transition counts (cemetery in the last column) for
     goodness-of-fit tests against the embedded jump probabilities."""
     _, _, _, counts = _batch_statistics(
         chain.sub_generator, chain.killing, mu, np.zeros(chain.n), t_max,
-        n_replicas, seed, threads, count_jumps=True)
+        n_replicas, seed, count_jumps=True)
     return counts[:, : chain.n + 1]

@@ -138,7 +138,6 @@ class ConditionalGapReport:
     bound: float           # C' (mu(psi1)/mu(eta)) e^{-gamma (T-t)}
     threshold_T: float     # validity horizon (1/gamma) log(2 C mu(psi1)/mu(eta))
     threshold_ok: bool
-    fitted_rate: float = float("nan")
 
 
 def conditional_vs_q_gap(chain: AbsorbedChain, triple: SpectralTriple, mu,

@@ -54,6 +54,11 @@ def make_observable(qproc: QProcessChain, f) -> AdditiveObservable:
     return AdditiveObservable(f=f, f_centered=f - bf, beta_f=bf)
 
 
+def is_constant(f_centered) -> bool:
+    """Whether a centred f counts as constant: its CLT statistic is then 0."""
+    return bool(np.max(np.abs(f_centered)) <= 1e-14)
+
+
 # ---------------------------------------------------------------------------
 # sigma^2
 
@@ -243,6 +248,8 @@ def exact_conditional_moments(gen: GeneratorLike, mu, f, k_max: int,
     f = np.asarray(f, dtype=float)
     if not 0 <= k_max <= K_MAX:
         raise ValidationError(f"k_max must lie in [0, {K_MAX}]")
+    if t < 0:
+        raise ValidationError("time must be nonnegative")
     fmax = max(1.0, float(np.abs(f).max()))
     if t > 0 and k_max * (np.log(t) + np.log(fmax)) > 700.0:
         raise OverflowGuard(

@@ -1,4 +1,4 @@
-"""A run computes its spectral triple, Q-process and certificate once.
+"""A run computes its spectral triple, Q-process, sigma^2 and certificate once.
 
 The counting test wraps the expensive primitives wherever a qslab module
 holds them by name and runs `cli.main` in process.  The equality test shows
@@ -44,6 +44,7 @@ def counted_main(monkeypatch, tmp_path):
         "h_transform": (qprocess, "h_transform"),
         "spectral.expm": (spectral, "expm"),
         "variance_clt.expm": (variance_clt, "expm"),
+        "sigma2_poisson": (variance_clt, "sigma2_poisson"),
         "eigvals": (np.linalg, "eigvals"),
     }
 
@@ -63,15 +64,17 @@ def counted_main(monkeypatch, tmp_path):
     (("spectral", "--model", "m2sym"), {"profile": 0, "h_transform": 0}),
     (("certify", "--model", "m2sym"), {"profile": 1, "h_transform": 0}),
     (("qprocess", "--model", "m2sym"), {"profile": 1}),
-    (("variance", "--model", "m2sym"), {"profile": 0}),
+    (("variance", "--model", "m2sym"), {"profile": 0, "sigma2_poisson": 1}),
     (("moments", "--model", "m2sym"), {"profile": 0}),
-    (("charfun", "--model", "bd5"), {"profile": 0, "variance_clt.expm": 4, "eigvals": 1}),
-    (("clt", "--model", "m2sym", "--n", "300", "--t", "25"), {"profile": 1}),
+    (("charfun", "--model", "bd5"),
+     {"profile": 0, "variance_clt.expm": 4, "eigvals": 1, "sigma2_poisson": 1}),
+    (("clt", "--model", "m2sym", "--n", "300", "--t", "25"), {"profile": 1, "sigma2_poisson": 1}),
     (("clt", "--model", "m2sym", "--n", "300", "--t", "1", "--method", "rejection"),
      {"profile": 0}),
-    (("qed", "--model", "m2sym", "--n", "300"), {"profile": 0, "h_transform": 3}),
+    (("qed", "--model", "m2sym", "--n", "300"),
+     {"profile": 0, "h_transform": 3, "sigma2_poisson": 0}),
     (("all", "--model", "m2sym", "--n", "300"),
-     {"profile": 1, "h_transform": 6, "spectral.expm": 13, "eigvals": 1}),
+     {"profile": 1, "h_transform": 6, "spectral.expm": 13, "eigvals": 1, "sigma2_poisson": 2}),
 ], ids=["spectral", "certify", "qprocess", "variance", "moments", "charfun", "clt-qprocess",
         "clt-rejection", "qed", "all"])
 def test_each_run_solves_and_certifies_once(counted_main, argv, expected):

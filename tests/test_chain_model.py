@@ -110,6 +110,12 @@ def test_birth_death_builder_rejects_bad_rates():
         qslab.build_birth_death(2, [1.0], [1.0, 1.0])
 
 
+def test_birth_death_needs_one_state():
+    with pytest.raises(ValidationError) as exc:
+        qslab.build_birth_death(0, [], [])
+    assert exc.value.code == "invalid-rates"
+
+
 def test_fixture_semigroup_substochastic(m2sym_bundle, m2asym_bundle, bd5_bundle):
     """exp(tL) must stay entrywise nonnegative with row sums in (0, 1]."""
     for bundle in (m2sym_bundle, m2asym_bundle, bd5_bundle):

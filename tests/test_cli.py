@@ -83,6 +83,55 @@ def test_nonpositive_time_is_a_validation_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("clt", "--n", "-5"), ("clt", "--n", "0"), ("qed", "--n", "-5"), ("all", "--n", "-5"),
+    ("clt", "--n", "100", "--seed=-1"), ("clt", "--n", "100", "--seed", str(2 ** 64)),
+    ("moments", "--times=-1"),
+], ids=["clt-n-neg", "clt-n0", "qed-n-neg", "all-n-neg", "seed-neg", "seed-2^64",
+        "moments-t-neg"])
+def test_out_of_range_arguments_are_validation_errors(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    rc = cli.main([*argv, "--model", "m2sym", "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("error: validation: ")
+    assert not out.exists()
+
+
+def test_largest_u64_seed_runs(tmp_path):
+    out = tmp_path / "o"
+    assert cli.main(["clt", "--model", "m2sym", "--n", "100", "--t", "5",
+                     "--seed", str(2 ** 64 - 1), "--out", str(out)]) == 0
+    assert meta_of(out / "clt.csv")["seed"] == str(2 ** 64 - 1)
+
+
+def _model(tmp_path, generator, observable):
+    path = tmp_path / "model.yaml"
+    path.write_text(f"generator: {generator}\nobservable: {observable}\n")
+    return str(path)
+
+
+def test_constant_observable_asserts_no_clt(tmp_path):
+    model = _model(tmp_path, "[[-3.0, 1.0], [2.0, -3.0]]", "[0.3, 0.3]")
+    out = tmp_path / "o"
+    assert cli.main(["clt", "--model", model, "--t", "5", "--n", "500",
+                     "--out", str(out)]) == 0
+    row = csv_rows(out / "clt.csv")[0]
+    assert (row["sigma2"], row["d_kolm"], row["gap_bound"]) == ("0", "nan", "nan")
+
+
+def test_tiny_nonconstant_observable_has_degenerate_variance(tmp_path, capsys):
+    """sigma^2 = 2.5e-15: clt asserts no CLT, while qed, which needs no
+    sigma^2, reports its exact column."""
+    model = _model(tmp_path, "[[-2.0, 1.0], [1.0, -2.0]]", "[1.0e-7, 0.0]")
+    rc = cli.main(["clt", "--model", model, "--t", "5", "--n", "500",
+                   "--out", str(tmp_path / "clt")])
+    assert rc == 4
+    assert capsys.readouterr().err.startswith("error: degenerate-variance: ")
+    out = tmp_path / "qed"
+    assert cli.main(["qed", "--model", model, "--n", "500", "--out", str(out)]) == 0
+    assert all(float(row["exact"]) > 0 for row in csv_rows(out / "qed.csv"))
+
+
 @pytest.mark.parametrize("text, code, exit_code", [
     ("generator: [[-1.0]]\n", "degenerate-gap", 4),
     ("birth_death: {n: abc, birth: [1.0, 0.0], death: [1.0, 1.0]}\n", "parse-error", 3),

@@ -22,6 +22,18 @@ def test_philox_streams_are_prefix_stable_and_distinct():
     assert not np.array_equal(a, d)
 
 
+def test_philox_key_is_the_seed_as_a_u64():
+    """Every seed in [0, 2^64) is its own key word, so seeds past 2^63 no
+    longer share a stream; negative seeds wrap modulo 2^64."""
+    for seed in (0, 5, 2 ** 63 - 1, 2 ** 63, 2 ** 63 + 1, 2 ** 64 - 1):
+        key = qslab.philox_stream(seed, 3).bit_generator.state["state"]["key"]
+        assert [int(k) for k in key] == [seed, 3]
+    a = qslab.philox_stream(2 ** 63, 0).random(4)
+    assert not np.array_equal(a, qslab.philox_stream(2 ** 63 + 1, 0).random(4))
+    np.testing.assert_array_equal(qslab.philox_stream(-1, 2).random(4),
+                                  qslab.philox_stream(2 ** 64 - 1, 2).random(4))
+
+
 def test_window_draws_are_stream_slices():
     """A window read by re-keying one generator is the same slice of the
     replica's stream, for offsets on and off the 4-draw block boundary."""
@@ -196,9 +208,9 @@ def test_batch_and_thread_count_do_not_change_results(m2sym_bundle):
     chain = m2sym_bundle.chain
     args = (chain.sub_generator, chain.killing, m2sym_bundle.mu,
             np.array([1.0, -1.0]), 3.0, 1000, 5)
-    base = _batch_statistics(*args, threads=1, batch=1000)
-    for threads, batch in ((1, 64), (4, 37), (8, 256)):
-        S, term, absorbed, _ = _batch_statistics(*args, threads=threads, batch=batch)
+    base = _batch_statistics(*args, batch=1000)
+    for batch in (64, 37, 256):
+        S, term, absorbed, _ = _batch_statistics(*args, batch=batch)
         np.testing.assert_array_equal(S, base[0])
         np.testing.assert_array_equal(term, base[1])
         np.testing.assert_array_equal(absorbed, base[2])
@@ -305,7 +317,7 @@ def test_clt_sample_constant_observable_collapses(m2sym_bundle, m2sym_triple):
     emp = qslab.conditional_clt_sample(
         m2sym_bundle.chain, m2sym_triple, m2sym_bundle.mu, np.ones(2), 10.0, 500,
         method="qprocess", seed=1)
-    assert emp.sigma2 == 0.0
+    assert emp.beta_f == 1.0
     assert emp.n_effective == 500
     assert np.all(emp.samples == 0.0)
 
@@ -325,8 +337,8 @@ def test_kolmogorov_distance_hand_values():
     def emp(samples):
         return EmpiricalDistribution(
             samples=np.sort(np.asarray(samples, dtype=float)),
-            n_effective=len(samples), n_requested=len(samples), seed=0,
-            t=1.0, method="direct", sigma2=1.0, beta_f=0.0)
+            n_effective=len(samples), n_requested=len(samples),
+            t=1.0, method="direct", beta_f=0.0)
 
     assert abs(qslab.kolmogorov_distance(emp([0.0, 0.0]), 1.0) - 0.5) < 1e-15
     # two points at +-1: distance is Phi(1) - 1/2
@@ -342,8 +354,8 @@ def test_kolmogorov_distance_on_true_gaussian_draw():
     rng = np.random.default_rng(99)
     z = rng.standard_normal(100000)
     emp = EmpiricalDistribution(
-        samples=np.sort(2.0 * z), n_effective=len(z), n_requested=len(z), seed=99,
-        t=1.0, method="direct", sigma2=4.0, beta_f=0.0)
+        samples=np.sort(2.0 * z), n_effective=len(z), n_requested=len(z),
+        t=1.0, method="direct", beta_f=0.0)
     d = qslab.kolmogorov_distance(emp, 4.0)
     assert d < 1.63 / np.sqrt(len(z))  # 1% critical value
 

@@ -178,6 +178,14 @@ def test_moments_survive_fast_uniform_killing():
     np.testing.assert_allclose(got.conditional, want.m, rtol=1e-12, atol=1e-12)
 
 
+def test_moments_reject_negative_time(m2sym_bundle):
+    chain, mu = m2sym_bundle.chain, m2sym_bundle.mu
+    with pytest.raises(ValidationError):
+        qslab.exact_conditional_moments(chain, mu, F1, 2, -1.0)
+    mv = qslab.exact_conditional_moments(chain, mu, F1, 2, 0.0)
+    np.testing.assert_array_equal(mv.conditional, [1.0, 0.0, 0.0])
+
+
 def test_taylor_moments_cross_check(m2sym_qproc, random_chain_set):
     """Numerical differentiation of the characteristic function recovers the
     augmented-generator moments far below the 1e-6 contract."""
