@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .chain_model import (
     AbsorbedChain,
     ModelBundle,
-    WeightFunction,
     bd5,
     build_birth_death,
     emit_model_config,
@@ -21,6 +20,7 @@ from .chain_model import (
     resolve_model,
     validate_chain,
     validate_initial_law,
+    validate_weight,
 )
 from .spectral import (
     ErgodicityCertificate,

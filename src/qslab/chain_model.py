@@ -9,7 +9,7 @@ and a strongly connected transition graph on E.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -62,22 +62,14 @@ class AbsorbedChain:
         return float(np.max(np.linalg.eigvals(self.sub_generator).real))
 
 
-@dataclass(frozen=True)
-class WeightFunction:
-    """Weight psi1 >= 1 entrywise; lower bound c of psi = psi1/eta is
-    filled in by the Q-process construction downstream."""
-
-    psi1: np.ndarray
-    c: Optional[float] = None
-
-    def __post_init__(self):
-        psi1 = np.asarray(self.psi1, dtype=float)
-        if psi1.ndim != 1 or not np.all(np.isfinite(psi1)):
-            raise ValidationError("psi1 must be a finite vector")
-        if np.any(psi1 < 1.0 - 1e-12):
-            raise ValidationError("psi1 must be >= 1 entrywise")
-        object.__setattr__(self, "psi1", psi1)
-        self.psi1.setflags(write=False)
+def validate_weight(psi1) -> np.ndarray:
+    """The weight psi1 as a finite vector, >= 1 entrywise."""
+    psi1 = np.asarray(psi1, dtype=float)
+    if psi1.ndim != 1 or not np.all(np.isfinite(psi1)):
+        raise ValidationError("psi1 must be a finite vector")
+    if np.any(psi1 < 1.0 - 1e-12):
+        raise ValidationError("psi1 must be >= 1 entrywise")
+    return psi1
 
 
 def validate_initial_law(mu, n: int) -> np.ndarray:
@@ -265,7 +257,7 @@ def load_model_config(path) -> ModelBundle:
             raise ParseError(f"field '{key}' must be a length-{n} vector")
         return v
 
-    psi1 = WeightFunction(_vec("psi1", np.ones(n))).psi1
+    psi1 = validate_weight(_vec("psi1", np.ones(n)))
     mu = validate_initial_law(_vec("mu", np.full(n, 1.0 / n)), n)
     f = _vec("observable", np.eye(n)[0])
     if np.max(np.abs(f)) > 1.0 + 1e-12:

@@ -64,8 +64,32 @@ def _manifest(args, params: dict):
     return determ, digest
 
 
-def _floats(text):
-    return [float(v) for v in text.split(",") if v.strip()]
+def _floats(name, text):
+    try:
+        vals = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        vals = []
+    if not vals or not np.all(np.isfinite(vals)):
+        raise ValidationError(f"--{name} needs comma-separated finite numbers, got {text!r}")
+    return vals
+
+
+def _check_args(args):
+    """Reject out-of-range numeric options and parse the comma-separated
+    lists in place, so that the runners see finite values only."""
+    if not 0 <= args.seed < 2 ** 64:
+        raise ValidationError(f"--seed must be a u64, got {args.seed}")
+    for name in ("n", "tpoints"):
+        if getattr(args, name, 1) < 1:
+            raise ValidationError(f"--{name} must be at least 1, got {getattr(args, name)}")
+    lows = {"t": 0.0 if args.cmd == "clt" else -np.inf, "T": -np.inf, "tmax": 0.0}
+    for name, low in lows.items():
+        value = getattr(args, name, None)
+        if value is not None and not low < value < np.inf:
+            raise ValidationError(f"--{name} must lie in ({low}, inf), got {value}")
+    for name in ("times", "omegas"):
+        if getattr(args, name, None) is not None:
+            setattr(args, name, _floats(name, getattr(args, name)))
 
 
 class _Analysis:
@@ -137,7 +161,7 @@ def _run_variance(an):
     meta = {"tolerance_cross_oracle": 1e-8}
     rows = [(res.sigma2, res.quadrature_value,
              abs(res.sigma2 - res.quadrature_value), res.error_bound,
-             res.horizon, res.step)]
+             res.horizon, res.horizon)]
     return {"variance.csv": (meta, ("sigma2", "quadrature", "abs_diff",
                                     "error_bound", "horizon", "step"), rows)}
 
@@ -145,7 +169,7 @@ def _run_variance(an):
 def _run_moments(an, kmax, times):
     qp = an.qp
     obs = variance_clt.make_observable(qp, an.bundle.f)
-    times = _floats(times) if times else [5.0 / qp.gamma, 10.0 / qp.gamma]
+    times = times or [5.0 / qp.gamma, 10.0 / qp.gamma]
     rows = []
     for t in times:
         mv = variance_clt.exact_conditional_moments(qp, an.bundle.mu, obs.f_centered,
@@ -159,8 +183,8 @@ def _run_moments(an, kmax, times):
 def _run_charfun(an, omegas, times):
     qp, b, s2 = an.qp, an.bundle, an.sigma2
     obs = variance_clt.make_observable(qp, b.f)
-    omegas = _floats(omegas) if omegas else [0.5, 1.0, 2.0]
-    times = _floats(times) if times else [100.0 / qp.gamma]
+    omegas = omegas or [0.5, 1.0, 2.0]
+    times = times or [100.0 / qp.gamma]
     rows = []
     for t in times:
         cfs = variance_clt.exact_conditional_charfuns(
@@ -175,14 +199,15 @@ def _run_charfun(an, omegas, times):
 
 def _run_clt(an, t, n, method, seed, dump):
     b, triple = an.bundle, an.triple
+    constant = variance_clt.is_constant(variance_clt.make_observable(an.qp, b.f).f_centered)
+    if not constant and an.sigma2 <= 1e-12:
+        raise DegenerateVariance(
+            f"sigma^2 = {an.sigma2} for a nonconstant observable; no CLT asserted")
     emp = montecarlo.conditional_clt_sample(b.chain, triple, b.mu, b.f, t, n,
                                             method=method, seed=seed)
     s2, d, gap_bound = 0.0, float("nan"), float("nan")
-    if not variance_clt.is_constant(b.f - emp.beta_f):
+    if not constant:
         s2 = an.sigma2
-        if s2 <= 1e-12:
-            raise DegenerateVariance(
-                f"sigma^2 = {s2} for a nonconstant observable; no CLT asserted")
         d = montecarlo.kolmogorov_distance(emp, s2)
         if emp.method == "qprocess":
             # prefactor C mu(psi1)/mu(eta) of the coupling gap e^{-gamma (T - t)}
@@ -197,8 +222,7 @@ def _run_clt(an, t, n, method, seed, dump):
 
 def _run_qed(an, times, n, method, seed):
     b, triple = an.bundle, an.triple
-    times = _floats(times) if times else [10.0 / triple.gamma, 20.0 / triple.gamma,
-                                          40.0 / triple.gamma]
+    times = times or [10.0 / triple.gamma, 20.0 / triple.gamma, 40.0 / triple.gamma]
     rep = montecarlo.quasi_ergodic_check(b.chain, triple, b.mu, b.f, times, n,
                                          seed=seed, method=method)
     meta = {"fitted_rate": rep.fitted_rate, "method": rep.method}
@@ -255,7 +279,7 @@ def build_parser():
     sp.add_argument("--t", type=float, default=1.0)
     sp.add_argument("--T", type=float, default=5.0)
     common(sub.add_parser("variance", help="asymptotic variance, two oracles"))
-    sp = sub.add_parser("moments", help="exact conditional moments")
+    sp = sub.add_parser("moments", help="exact Q-process moments")
     common(sp)
     sp.add_argument("--kmax", type=int, default=4)
     sp.add_argument("--times", default=None, help="comma-separated t grid")
@@ -283,15 +307,15 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if any(isinstance(v, list) for v in vars(args).values()):  # argparse reads "--" as []
+        parser.error("an option's value cannot be '--'")
     started = time.time()
+    # the manifest records the options as given, before _check_args parses them
+    params = {k: v for k, v in sorted(vars(args).items())
+              if k not in ("cmd", "model", "out", "seed", "threads")}
     try:
-        if not 0 <= args.seed < 2 ** 64:
-            raise ValidationError(f"--seed must be a u64, got {args.seed}")
-        if getattr(args, "n", 1) < 1:
-            raise ValidationError(f"--n must be at least 1, got {args.n}")
+        _check_args(args)
         bundle = resolve_model(args.model)
-        params = {k: v for k, v in sorted(vars(args).items())
-                  if k not in ("cmd", "model", "out", "seed", "threads")}
         determ, digest = _manifest(args, params)
         analysis = _Analysis(bundle, getattr(args, "tpoints", 12), getattr(args, "tmax", None))
         outputs = _RUNNERS[args.cmd](analysis, args)

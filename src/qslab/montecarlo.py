@@ -82,9 +82,9 @@ def _jump_tables(generator: np.ndarray, killing: Optional[np.ndarray]):
 
 
 def _simulate_one(generator, killing, initial, t_max, rng_stream) -> Trajectory:
-    """The one-path reference simulator, which the batch kernel matches bit for bit."""
-    gen = rng_stream if isinstance(rng_stream, np.random.Generator) \
-        else philox_stream(*rng_stream)
+    """The one-path reference simulator, which the batch kernel matches bit for
+    bit; rng_stream is the (seed, replica) pair of its Philox stream."""
+    gen = philox_stream(*rng_stream)
     rates, cumJ = _jump_tables(generator, killing)
     cum0, n = np.cumsum(np.asarray(initial, dtype=float)), generator.shape[0]
     state = min(int(np.searchsorted(cum0, gen.random(), side="right")), n - 1)
@@ -109,8 +109,7 @@ def _simulate_one(generator, killing, initial, t_max, rng_stream) -> Trajectory:
 
 
 def simulate_absorbed(chain: AbsorbedChain, mu, t_max: float, rng_stream) -> Trajectory:
-    """One exact path of the killed chain.  rng_stream is either a Generator
-    or a (seed, replica) pair."""
+    """One exact path of the killed chain from stream (seed, replica)."""
     return _simulate_one(chain.sub_generator, chain.killing, mu, t_max, rng_stream)
 
 
@@ -256,8 +255,8 @@ def default_method(lambda0: float, t: float) -> str:
 
 def conditional_clt_sample(chain: AbsorbedChain, triple: SpectralTriple, mu, f,
                            t: float, n_replicas: int, method: Optional[str] = None,
-                           seed: int = 0, threads: int = 1, batch: int = DEFAULT_BATCH,
-                           budget: float = REJECTION_BUDGET) -> EmpiricalDistribution:
+                           seed: int = 0, threads: int = 1,
+                           batch: int = DEFAULT_BATCH) -> EmpiricalDistribution:
     """Sample the statistic sqrt(t)(S_t/t - beta(f)) under conditioning.
 
     'rejection' keeps absorbed-chain paths that survive past t (unbiased);
@@ -281,9 +280,9 @@ def conditional_clt_sample(chain: AbsorbedChain, triple: SpectralTriple, mu, f,
             raise ValidationError("mu(eta) must be positive")
         if method == "rejection":
             cost = n_replicas * np.exp(triple.lambda0 * t)
-            if cost > budget:
+            if cost > REJECTION_BUDGET:
                 raise BudgetExceeded(f"rejection cost n e^(lambda0 t) = {cost:.3g} "
-                                     f"exceeds budget {budget:.3g}")
+                                     f"exceeds budget {REJECTION_BUDGET:.3g}")
             dynamics = (chain.sub_generator, chain.killing, mu)
         else:
             # the Q-process from the eta-reweighted law; no replica is absorbed
@@ -324,7 +323,8 @@ def quasi_ergodic_check(chain: AbsorbedChain, triple: SpectralTriple, mu, f,
                         method: Optional[str] = None) -> QuasiErgodicReport:
     """Monte Carlo conditional mean-square deviation of S_t/t from beta(f)
     on a time grid, with the exact augmented-oracle value alongside when the
-    state space is small (n <= 50) and the centred f is not constant."""
+    state space is small (n <= 50) and the centred f is not constant.  Each
+    time must keep at least 2 replicas."""
     rows, used = [], None
     for t in np.asarray(t_grid, dtype=float):
         mth = method or default_method(triple.lambda0, t)
@@ -332,8 +332,10 @@ def quasi_ergodic_check(chain: AbsorbedChain, triple: SpectralTriple, mu, f,
         emp = conditional_clt_sample(chain, triple, mu, f, t, n_replicas, method=mth,
                                      seed=seed)
         dev2 = (emp.samples / np.sqrt(t)) ** 2
+        if len(dev2) < 2:
+            raise ValidationError(f"{len(dev2)} replicas kept at t={t}; a standard error needs 2")
         mc = float(dev2.mean())
-        stderr = float(dev2.std(ddof=1) / np.sqrt(len(dev2))) if len(dev2) > 1 else float("nan")
+        stderr = float(dev2.std(ddof=1) / np.sqrt(len(dev2)))
         exact = float("nan")
         f_centered = np.asarray(f, dtype=float) - emp.beta_f
         if chain.n <= 50 and not variance_clt.is_constant(f_centered):

@@ -177,14 +177,9 @@ def conditional_vs_q_gap(chain: AbsorbedChain, triple: SpectralTriple, mu,
     )
 
 
-def fit_gap_rate(chain: AbsorbedChain, triple: SpectralTriple, mu, t: float,
-                 dT_list, psi1: Optional[np.ndarray] = None,
-                 cert: Optional[ErgodicityCertificate] = None):
-    """Sweep T - t and regress log gap; returns (slope, reports)."""
-    if psi1 is None:
-        psi1 = np.ones(chain.n)
-    if cert is None:
-        cert = certify_ergodicity(chain, triple, psi1, default_time_grid(triple.gamma))
-    reports = [conditional_vs_q_gap(chain, triple, mu, t, t + dT, psi1, cert)
-               for dT in dT_list]
+def fit_gap_rate(chain: AbsorbedChain, triple: SpectralTriple, mu, t: float, dT_list):
+    """Sweep T - t with psi1 = 1, certified once on the default grid, and
+    regress log gap; returns (slope, reports)."""
+    cert = certify_ergodicity(chain, triple, np.ones(chain.n), default_time_grid(triple.gamma))
+    reports = [conditional_vs_q_gap(chain, triple, mu, t, t + dT, cert=cert) for dT in dT_list]
     return log_slope(dT_list, [r.tv_gap for r in reports]), reports

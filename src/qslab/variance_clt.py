@@ -67,8 +67,7 @@ class VarianceResult:
     sigma2: float
     g: np.ndarray                # Poisson solution, beta(g) = 0
     quadrature_value: float
-    horizon: float
-    step: float                  # = horizon: one exponential spans it
+    horizon: float               # one exponential spans it
     error_bound: float           # spectral tail + expm rounding term
 
 
@@ -100,7 +99,7 @@ def sigma2_poisson(qproc: QProcessChain, f,
     else:
         quad, H, bound = float("nan"), float("nan"), float("nan")
     return VarianceResult(sigma2=sigma2, g=g, quadrature_value=quad,
-                          horizon=H, step=H, error_bound=bound)
+                          horizon=H, error_bound=bound)
 
 
 def sigma2_quadrature(qproc: QProcessChain, f):
@@ -212,7 +211,7 @@ def constants_table(cert: ErgodicityCertificate, qproc: QProcessChain,
 # ---------------------------------------------------------------------------
 # exact conditional moments and characteristic functions
 
-GeneratorLike = Union[AbsorbedChain, QProcessChain, np.ndarray]
+GeneratorLike = Union[AbsorbedChain, QProcessChain]
 
 
 def _generator_of(obj: GeneratorLike):
@@ -361,13 +360,13 @@ def exact_conditional_charfuns(gen: GeneratorLike, mu, f, omegas_over_sqrt_t,
     return [complex(_tilted_law(L, mu, f, w, t).sum() / p) for w in omegas_over_sqrt_t]
 
 
-def charfun_taylor_moments(gen: GeneratorLike, mu, f, t: float, k_max: int = 4,
-                           radius: float = 0.4, n_points: int = 32) -> np.ndarray:
+def charfun_taylor_moments(gen: GeneratorLike, mu, f, t: float, k_max: int = 4) -> np.ndarray:
     """Moments m_k recovered by numerically differentiating the raw
     characteristic function in w' at 0 (trapezoidal rule on a complex
-    circle; exact for entire functions up to roundoff).  Cross-check for
-    exact_conditional_moments."""
+    circle of radius 0.4 with 32 points; exact for entire functions up to
+    roundoff).  Cross-check for exact_conditional_moments."""
     L, s = _generator_of(gen)
+    radius, n_points = 0.4, 32
     mu = np.asarray(mu, dtype=float)
     f = np.asarray(f, dtype=float)
     zs = radius * np.exp(2j * np.pi * np.arange(n_points) / n_points)
@@ -382,29 +381,21 @@ def charfun_taylor_moments(gen: GeneratorLike, mu, f, t: float, k_max: int = 4,
 # ---------------------------------------------------------------------------
 # uniform characteristic-function bound
 
-def sup_over_weight_ball(d: np.ndarray, psi: np.ndarray,
-                         extra_g: Optional[list] = None) -> float:
+def sup_over_weight_ball(d: np.ndarray, psi: np.ndarray) -> float:
     """sup over real |g| <= psi of |sum_x g(x) d(x)| for complex d.
 
     The objective is convex in g, so on a finite space the supremum sits at
     a vertex of the box [-psi, psi]^n: exact enumeration up to n = 12, then
     a fine phase sweep over the optimizers g_theta = psi * sign(Re(e^{-i
-    theta} d)) (exact in the theta-continuum limit), plus any supplied g's.
+    theta} d)) (exact in the theta-continuum limit).
     """
     n = len(psi)
-    best = 0.0
-    if extra_g:
-        for g in extra_g:
-            best = max(best, abs(np.asarray(g) @ d))
     if n <= _SUP_ENUM_LIMIT:
-        for signs in product((1.0, -1.0), repeat=n - 1):
-            g = psi * np.array((1.0,) + signs)
-            best = max(best, abs(g @ d))
-        return float(best)
+        return float(max(abs(psi * np.array((1.0,) + signs) @ d)
+                         for signs in product((1.0, -1.0), repeat=n - 1)))
     thetas = np.linspace(0.0, np.pi, 3600, endpoint=False)
     rot = np.exp(-1j * thetas)[:, None] * d[None, :]
-    best = max(best, float(np.max(np.abs(rot.real) @ psi)))
-    return float(best)
+    return float(np.max(np.abs(rot.real) @ psi))
 
 
 @dataclass(frozen=True)
@@ -416,8 +407,7 @@ class CharfunBoundReport:
 
 
 def check_uniform_charfun_bound(qproc: QProcessChain, cert: ErgodicityCertificate,
-                                mu, f, omega: float, t_grid,
-                                g_ball: Optional[list] = None) -> CharfunBoundReport:
+                                mu, f, omega: float, t_grid) -> CharfunBoundReport:
     """For each t: the exact sup over ||g||_{L^inf(psi)} <= 1 of
 
         | E_mu^Q[e^{i omega S_t/sqrt(t)} g(X_t)] - beta(g) E_mu^Q[e^{i omega S_t/sqrt(t)}] |
@@ -440,11 +430,11 @@ def check_uniform_charfun_bound(qproc: QProcessChain, cert: ErgodicityCertificat
         wp = omega / np.sqrt(t)
         m = _tilted_law(qproc.q_generator, mu, ft, wp, t)
         z = m.sum()
-        sup_gap = sup_over_weight_ball(m - qproc.beta * z, psi, g_ball)
+        sup_gap = sup_over_weight_ball(m - qproc.beta * z, psi)
         bound = C * mu_psi * np.exp(-gamma * t) \
             + (C * abs(omega) / np.sqrt(t)) * (beta_psi + C * mu_psi) / gamma
         conv_gap = sup_over_weight_ball(
-            m - qproc.beta * np.exp(-sigma2 * omega ** 2 / 2.0), psi, g_ball)
+            m - qproc.beta * np.exp(-sigma2 * omega ** 2 / 2.0), psi)
         ok = ok and sup_gap <= bound
         rows.append((float(t), float(sup_gap), float(bound), float(conv_gap)))
     return CharfunBoundReport(omega=float(omega), rows=rows, all_bounded=bool(ok),

@@ -65,11 +65,10 @@ def test_initial_law_validation():
 
 
 def test_weight_function_floor():
-    w = qslab.WeightFunction(np.array([1.0, 4.0]))
-    np.testing.assert_allclose(w.psi1, [1.0, 4.0], rtol=0, atol=0)
-    assert w.c is None
+    psi1 = qslab.validate_weight(np.array([1.0, 4.0]))
+    np.testing.assert_allclose(psi1, [1.0, 4.0], rtol=0, atol=0)
     with pytest.raises(ValidationError):
-        qslab.WeightFunction(np.array([0.5, 4.0]))
+        qslab.validate_weight(np.array([0.5, 4.0]))
 
 
 def test_birth_death_builder_small_cases():

@@ -2,9 +2,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from qslab import cli
+from qslab import cli, montecarlo
 
 
 def run_cli(*args, cwd=None):
@@ -62,6 +63,9 @@ def test_usage_errors_exit_2(tmp_path):
     assert run_cli("no-such-command").returncode == 2
     assert run_cli("spectral", "--bogus", "x").returncode == 2
     assert run_cli("spectral").returncode == 2  # --model is required
+    with pytest.raises(SystemExit) as exc:  # argparse hands a value "--" over as []
+        cli.main(["clt", "--model", "m2sym", "--t=--", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
 
 
 def test_validation_errors_exit_3(tmp_path):
@@ -87,11 +91,19 @@ def test_nonpositive_time_is_a_validation_error(tmp_path, capsys, argv):
     ("clt", "--n", "-5"), ("clt", "--n", "0"), ("qed", "--n", "-5"), ("all", "--n", "-5"),
     ("clt", "--n", "100", "--seed=-1"), ("clt", "--n", "100", "--seed", str(2 ** 64)),
     ("moments", "--times=-1"),
+    ("moments", "--times", "abc"), ("charfun", "--omegas", "x"),
+    ("certify", "--tpoints=-3"), ("certify", "--tmax", "nan"),
+    ("charfun", "--times", "nan"), ("charfun", "--omegas", "inf"), ("qprocess", "--T", "inf"),
+    ("qed", "--times", ",", "--n", "100"), ("qed", "--n", "1"),
+    ("qed", "--model", "bd5", "--method", "rejection", "--n", "3", "--times", "30,40"),
 ], ids=["clt-n-neg", "clt-n0", "qed-n-neg", "all-n-neg", "seed-neg", "seed-2^64",
-        "moments-t-neg"])
+        "moments-t-neg", "moments-t-abc", "charfun-omega-x", "certify-tpoints-neg",
+        "certify-tmax-nan", "charfun-t-nan", "charfun-omega-inf", "qprocess-T-inf",
+        "qed-t-empty", "qed-n1", "qed-none-kept"])
 def test_out_of_range_arguments_are_validation_errors(tmp_path, capsys, argv):
     out = tmp_path / "o"
-    rc = cli.main([*argv, "--model", "m2sym", "--out", str(out)])
+    model = () if "--model" in argv else ("--model", "m2sym")
+    rc = cli.main([*argv, *model, "--out", str(out)])
     assert rc == 3
     assert capsys.readouterr().err.startswith("error: validation: ")
     assert not out.exists()
@@ -132,6 +144,20 @@ def test_tiny_nonconstant_observable_has_degenerate_variance(tmp_path, capsys):
     assert all(float(row["exact"]) > 0 for row in csv_rows(out / "qed.csv"))
 
 
+def test_degenerate_variance_is_found_before_sampling(tmp_path, capsys, monkeypatch):
+    model = _model(tmp_path, "[[-2.0, 1.0], [1.0, -2.0]]", "[1.0e-7, 0.0]")
+    calls = []
+    monkeypatch.setattr(montecarlo, "conditional_clt_sample",
+                        lambda *a, **k: calls.append(a))
+    out = tmp_path / "o"
+    argv = ["clt", "--model", model, "--n", "100000", "--out", str(out)]
+    assert cli.main([*argv, "--t", "200"]) == 4
+    assert capsys.readouterr().err.startswith("error: degenerate-variance: ")
+    assert cli.main([*argv, "--t", "0"]) == 3
+    assert capsys.readouterr().err.startswith("error: validation: ")
+    assert calls == [] and not out.exists()
+
+
 @pytest.mark.parametrize("text, code, exit_code", [
     ("generator: [[-1.0]]\n", "degenerate-gap", 4),
     ("birth_death: {n: abc, birth: [1.0, 0.0], death: [1.0, 1.0]}\n", "parse-error", 3),
@@ -161,6 +187,7 @@ def test_variance_subcommand_cross_oracle(tmp_path):
     assert float(row["sigma2"]) == 1.0
     assert float(row["abs_diff"]) <= float(row["error_bound"])
     assert float(row["error_bound"]) <= 1e-8
+    assert row["step"] == row["horizon"]  # one exponential spans the horizon
 
 
 def test_certify_subcommand(tmp_path):
@@ -172,6 +199,29 @@ def test_certify_subcommand(tmp_path):
     assert float(meta["slack_factor"]) == 2.0
     rows = csv_rows(out / "certify.csv")
     assert abs(max(float(x["ratio"]) for x in rows) - float(meta["worst_ratio"])) < 1e-12
+
+
+def test_certify_tmax_sets_the_grid(tmp_path, capsys):
+    """--tmax replaces 6/gamma as the end of the geometric sweep, which
+    starts at 0.1/gamma = 0.05 on m2sym (gamma = 2) and must reach 5/gamma."""
+    out = tmp_path / "o"
+    assert cli.main(["certify", "--model", "m2sym", "--tmax", "10", "--tpoints", "5",
+                     "--out", str(out)]) == 0
+    times = [float(row["t"]) for row in csv_rows(out / "certify.csv")]
+    assert times == [0.0, *np.geomspace(0.05, 10.0, 5)]
+    short = tmp_path / "short"
+    assert cli.main(["certify", "--model", "m2sym", "--tmax", "1", "--out", str(short)]) == 3
+    assert capsys.readouterr().err.startswith("error: validation: ")
+    assert not short.exists()
+
+
+def test_certificate_ratio_overflow_is_a_numerical_error(tmp_path, capsys):
+    """e^{gamma t} overflows past t = 355 on m2sym (gamma = 2), which makes
+    the grid ratios there inf or nan."""
+    out = tmp_path / "o"
+    assert cli.main(["certify", "--model", "m2sym", "--tmax", "1000", "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("error: overflow-guard: ")
+    assert not out.exists()
 
 
 def test_model_file_is_hashed_into_manifest(tmp_path):

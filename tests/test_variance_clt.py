@@ -75,7 +75,6 @@ def test_quadrature_cross_oracle_on_unit_ladders(n):
     f = np.random.default_rng([n, 7]).uniform(-1, 1, n)
     res = qslab.sigma2_poisson(_unit_ladder_qproc(n), f)
     assert abs(res.sigma2 - res.quadrature_value) <= res.error_bound
-    assert res.step == res.horizon
 
 
 def test_constants_unit_inputs_power_of_two():
@@ -167,9 +166,11 @@ def test_moments_guardrails(m2sym_bundle):
 
 def test_moments_survive_fast_uniform_killing():
     """Killing 20 at both states: the survival mass e^{-800} underflows at
-    t = 40, yet the conditional moments are those of the unkilled swap chain."""
+    t = 40, yet the conditional moments are those of the unkilled swap chain,
+    which is the Q-process of the killed one."""
     killed = qslab.validate_chain([[-21.0, 1.0], [1.0, -21.0]])
-    swap = np.array([[-1.0, 1.0], [1.0, -1.0]])
+    swap = qslab.h_transform(killed, qslab.solve_spectral(killed))
+    np.testing.assert_allclose(swap.q_generator, [[-1.0, 1.0], [1.0, -1.0]], rtol=0, atol=1e-12)
     mu, t = np.array([0.7, 0.3]), 40.0
     got = qslab.exact_conditional_moments(killed, mu, F1, 4, t)
     want = qslab.exact_conditional_moments(swap, mu, F1, 4, t)
