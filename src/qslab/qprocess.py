@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .chain_model import AbsorbedChain
-from .errors import ValidationError, ZeroEta
+from .errors import OverflowGuard, ValidationError, ZeroEta
 from .spectral import (
     ErgodicityCertificate,
     SpectralTriple,
@@ -115,7 +115,8 @@ def check_q_ergodicity(qproc: QProcessChain, t_grid) -> QErgodicityReport:
 
 
 def conditional_marginal(chain: AbsorbedChain, mu, t: float, T: float) -> np.ndarray:
-    """Law of X_t given survival past T >= t, by two shifted exponentials."""
+    """Law of X_t given survival past T >= t, by two shifted exponentials;
+    a law that is not finite raises."""
     if T < t:
         raise ValidationError("need T >= t")
     mu = np.asarray(mu, dtype=float)
@@ -123,6 +124,8 @@ def conditional_marginal(chain: AbsorbedChain, mu, t: float, T: float) -> np.nda
     at_t = mu @ expm(t * L)
     surv = expm((T - t) * L) @ np.ones(chain.n)
     num = at_t * surv
+    if not np.all(np.isfinite(num)):
+        raise OverflowGuard(f"conditional marginal is not finite at t={t}, T={T}")
     total = num.sum()
     if total <= 0:
         raise ValidationError("survival probability vanished; conditioning undefined")

@@ -23,6 +23,7 @@ from .chain_model import AbsorbedChain
 from .errors import DegenerateGap, NoKilling, OverflowGuard, ValidationError
 
 _SLACK_FACTOR = 2.0
+_ROUNDING_FLOOR = 1e-6  # largest rounding floor of a grid ratio a certificate accepts
 
 
 @dataclass(frozen=True)
@@ -137,7 +138,10 @@ def certify_ergodicity(chain: AbsorbedChain, triple: SpectralTriple, psi1,
 
     The grid must be nonempty, increasing, and reach (essentially) 5/gamma;
     including t = 0 is recommended since the ratio there already forces
-    C >= max_x ||delta_x - eta(x) alpha||_psi1 / psi1(x).
+    C >= max_x ||delta_x - eta(x) alpha||_psi1 / psi1(x).  A grid is refused
+    when it ends where the rounding floor n eps e^{gamma t} of the ratio
+    exceeds 1e-6 (about 22/gamma on a few states): the ratio would measure
+    expm's rounding, not the deviation.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     gamma = triple.gamma
@@ -146,9 +150,14 @@ def certify_ergodicity(chain: AbsorbedChain, triple: SpectralTriple, psi1,
     if t_grid[-1] < 0.95 * 5.0 / gamma:
         raise ValidationError(
             f"certification grid must reach 5/gamma = {5.0 / gamma:.3g}, got {t_grid[-1]:.3g}")
+    # the ratio multiplies expm's rounding, about n eps, by e^{gamma t}
+    if np.log(chain.n * np.finfo(float).eps) + gamma * t_grid[-1] > np.log(_ROUNDING_FLOOR):
+        raise OverflowGuard(
+            f"at t = {t_grid[-1]:.3g} the deviation ratio's rounding floor "
+            f"n eps e^(gamma t) exceeds {_ROUNDING_FLOOR:g}")
     profile = certification_profile(chain, triple, psi1, t_grid)
     if not np.all(np.isfinite([r for _, r in profile])):
-        raise OverflowGuard(f"e^(gamma t) overflows the deviation ratio by t = {t_grid[-1]:.3g}")
+        raise OverflowGuard(f"the deviation ratio is not finite by t = {t_grid[-1]:.3g}")
     worst_t, worst = max(profile, key=lambda tr: tr[1])
     return ErgodicityCertificate(
         C=_SLACK_FACTOR * worst,

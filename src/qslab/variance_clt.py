@@ -6,9 +6,15 @@ linear solve) and returns sigma^2 = 2 beta(f_centered * g); the independent
 cross-check integrates the stationary autocovariance over [0, 40/gamma] with
 one block exponential (Van Loan) and bounds its error by the spectral tail
 plus a rounding term.  exact_conditional_moments reads the moments
-m_k(t) = E_mu[(int_0^t f)^k 1_{survival}] off a single matrix exponential of
-a block upper-bidiagonal augmented generator of the shifted generator, and
-the characteristic-function oracles do the same with a complex perturbation.
+m_k(t) = E_mu[(int_0^t f)^k 1_{survival}] off the exponential of the shifted
+generator perturbed by z diag(f), taken in the ring of n x n matrix
+polynomials in z truncated after z^K: e^{t(L + z diag f)} = sum_k E_k z^k
+mod z^{K+1}, and m_k = k! mu E_k 1 (Feynman-Kac).  This is the block
+upper-bidiagonal augmented generator with its k-th block divided by k!,
+exponentiated by Pade-13 scaling and squaring (Higham 2005) so that every
+product is a truncated Cauchy product of n x n blocks.  The
+characteristic-function oracles exponentiate the generator with a complex
+perturbation.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from math import factorial
 from typing import Optional, Union
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, lu_factor, lu_solve
 
 from .chain_model import AbsorbedChain
 from .errors import OverflowGuard, SingularSolve, ValidationError
@@ -231,18 +237,18 @@ class MomentValues:
 
 def exact_conditional_moments(gen: GeneratorLike, mu, f, k_max: int,
                               t: float) -> MomentValues:
-    """All moments up to k_max from one exponential of the augmented
-    generator with diagonal blocks L and superdiagonal blocks k diag(f).
+    """All moments up to k_max from one exponential of L + z diag(f) in the
+    ring of matrix polynomials truncated after z^k_max.
 
     Passing the absorbed chain gives conditioned-chain moments (divide by
     the survival mass m_0); passing the Q-process gives its plain moments.
     With the generator shifted by its principal eigenvalue s, conditional
     stays exact however large -s t is, while m and survival (the shifted
     values times e^{s t}) may underflow to 0; with k_max = 0 the survival
-    mass is the only result, so its underflow raises.
+    mass is the only result, so its underflow raises.  A result that is not
+    finite raises as well.
     """
     L, s = _generator_of(gen)
-    n = L.shape[0]
     mu = np.asarray(mu, dtype=float)
     f = np.asarray(f, dtype=float)
     if not 0 <= k_max <= K_MAX:
@@ -253,22 +259,80 @@ def exact_conditional_moments(gen: GeneratorLike, mu, f, k_max: int,
     if t > 0 and k_max * (np.log(t) + np.log(fmax)) > 700.0:
         raise OverflowGuard(
             f"t^k ||f||^k overflows double precision for k={k_max}, t={t}")
-    K = k_max
-    A = np.zeros(((K + 1) * n, (K + 1) * n))
-    for j in range(K + 1):
-        k = K - j
-        A[j * n:(j + 1) * n, j * n:(j + 1) * n] = L
-        if k >= 1:
-            A[j * n:(j + 1) * n, (j + 1) * n:(j + 2) * n] = k * np.diag(f)
-    w0 = np.zeros((K + 1) * n)
-    w0[K * n:] = 1.0
-    w = expm(t * A) @ w0
-    shifted = np.array([mu @ w[(K - k) * n:(K - k + 1) * n] for k in range(K + 1)])
+    E = _polynomial_expm(L, f, k_max, t)
+    shifted = np.array([factorial(k) for k in range(k_max + 1)]) * (E.sum(axis=2) @ mu)
+    if not (np.all(np.isfinite(shifted)) and shifted[0] > 0):
+        raise OverflowGuard(f"moments at t={t} are not finite or lost the survival mass "
+                            f"(shifted survival {shifted[0]})")
     m = shifted * np.exp(s * t)
     p = float(m[0])
-    if K == 0 and p <= 0:
+    if k_max == 0 and p <= 0:
         raise OverflowGuard(f"survival mass underflowed at t={t}")
     return MomentValues(t=float(t), m=m, survival=p, conditional=shifted / shifted[0])
+
+
+# Pade-13 coefficients and the 1-norm up to which that approximant is
+# accurate to double precision without scaling (Higham 2005, Table 2.3)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def _poly_mul(A, B):
+    """Truncated Cauchy product of two matrix polynomials stored as
+    (K+1, n, n) coefficient arrays: C_k = sum_{j <= k} A_j B_{k-j}."""
+    C = np.empty_like(A)
+    for k in range(len(A)):
+        C[k] = A[0] @ B[k]
+        for j in range(1, k + 1):
+            C[k] += A[j] @ B[k - j]
+    return C
+
+
+def _polynomial_expm(L, f, K: int, t: float) -> np.ndarray:
+    """E_0..E_K with e^{t(L + z diag f)} = sum_k E_k z^k mod z^{K+1}, by
+    Pade-13 scaling and squaring in the truncated polynomial ring.
+
+    The scaling uses the 1-norm of the block matrix I (x) L + N (x) diag f,
+    max_x (sum_y |L_yx| + |f_x|) (exact for K >= 1).  The Pade denominator's
+    degree-0 block is factored once, and block forward substitution
+    inverts the rest of the denominator."""
+    n = L.shape[0]
+    rate = float((np.abs(L).sum(axis=0) + np.abs(f)).max())
+    s = 0
+    if t * rate > _THETA13:  # log2 of each factor, so a huge t cannot overflow
+        s = int(np.ceil(np.log2(t) + np.log2(rate / _THETA13)))
+    h = np.ldexp(t, -s)
+    X = np.zeros((K + 1, n, n))
+    X[0] = h * L
+    if K:
+        X[1] = np.diag(h * f)
+    ident = np.zeros_like(X)
+    ident[0] = np.eye(n)
+    b = _PADE13
+    X2 = _poly_mul(X, X)
+    X4 = _poly_mul(X2, X2)
+    X6 = _poly_mul(X4, X2)
+    U = _poly_mul(X, _poly_mul(X6, b[13] * X6 + b[11] * X4 + b[9] * X2)
+                  + b[7] * X6 + b[5] * X4 + b[3] * X2 + b[1] * ident)
+    V = (_poly_mul(X6, b[12] * X6 + b[10] * X4 + b[8] * X2)
+         + b[6] * X6 + b[4] * X4 + b[2] * X2 + b[0] * ident)
+    P, Q = V + U, V - U
+    lu = lu_factor(Q[0])
+    E = np.empty_like(X)
+    for k in range(K + 1):
+        rhs = P[k].copy()
+        for j in range(1, k + 1):
+            rhs -= Q[j] @ E[k - j]
+        E[k] = lu_solve(lu, rhs)
+    # rounding compounds over the squarings and can overflow for a huge t;
+    # exact_conditional_moments raises on a result that is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(s):
+            E = _poly_mul(E, E)
+    return E
 
 
 @dataclass(frozen=True)
@@ -350,14 +414,18 @@ def exact_conditional_charfun(gen: GeneratorLike, mu, f,
 def exact_conditional_charfuns(gen: GeneratorLike, mu, f, omegas_over_sqrt_t,
                                t: float) -> list:
     """exact_conditional_charfun at each w' of a list, for one t: the shift
-    and the survival mass are computed once, then one exponential per w'."""
+    and the survival mass are computed once, then one exponential per w'.
+    A value that is not finite raises."""
     if t <= 0:
         raise ValidationError("charfun needs t > 0")
     L, _ = _generator_of(gen)
     mu = np.asarray(mu, dtype=float)
     f = np.asarray(f, dtype=float)
     p = float((mu @ expm(t * L)).sum())
-    return [complex(_tilted_law(L, mu, f, w, t).sum() / p) for w in omegas_over_sqrt_t]
+    laws = [_tilted_law(L, mu, f, w, t).sum() for w in omegas_over_sqrt_t]
+    if not (p > 0 and np.all(np.isfinite([p, *laws]))):
+        raise OverflowGuard(f"characteristic function is not finite at t={t}")
+    return [complex(z / p) for z in laws]
 
 
 def charfun_taylor_moments(gen: GeneratorLike, mu, f, t: float, k_max: int = 4) -> np.ndarray:

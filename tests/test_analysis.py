@@ -65,7 +65,7 @@ def counted_main(monkeypatch, tmp_path):
     (("certify", "--model", "m2sym"), {"profile": 1, "h_transform": 0}),
     (("qprocess", "--model", "m2sym"), {"profile": 1}),
     (("variance", "--model", "m2sym"), {"profile": 0, "sigma2_poisson": 1}),
-    (("moments", "--model", "m2sym"), {"profile": 0}),
+    (("moments", "--model", "m2sym"), {"profile": 0, "variance_clt.expm": 0}),
     (("charfun", "--model", "bd5"),
      {"profile": 0, "variance_clt.expm": 4, "eigvals": 1, "sigma2_poisson": 1}),
     (("clt", "--model", "m2sym", "--n", "300", "--t", "25"), {"profile": 1, "sigma2_poisson": 1}),
@@ -74,7 +74,8 @@ def counted_main(monkeypatch, tmp_path):
     (("qed", "--model", "m2sym", "--n", "300"),
      {"profile": 0, "h_transform": 3, "sigma2_poisson": 0}),
     (("all", "--model", "m2sym", "--n", "300"),
-     {"profile": 1, "h_transform": 6, "spectral.expm": 13, "eigvals": 1, "sigma2_poisson": 2}),
+     {"profile": 1, "h_transform": 6, "spectral.expm": 13, "variance_clt.expm": 5, "eigvals": 1,
+      "sigma2_poisson": 2}),
 ], ids=["spectral", "certify", "qprocess", "variance", "moments", "charfun", "clt-qprocess",
         "clt-rejection", "qed", "all"])
 def test_each_run_solves_and_certifies_once(counted_main, argv, expected):

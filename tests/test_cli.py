@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -216,11 +217,34 @@ def test_certify_tmax_sets_the_grid(tmp_path, capsys):
 
 
 def test_certificate_ratio_overflow_is_a_numerical_error(tmp_path, capsys):
-    """e^{gamma t} overflows past t = 355 on m2sym (gamma = 2), which makes
-    the grid ratios there inf or nan."""
+    """On m2sym (n = 2, gamma = 2) the ratio's rounding floor n eps e^{gamma t}
+    reaches 5e10 at t = 30, where the exact C is 2, and e^{gamma t} itself
+    overflows past t = 355: both grids are refused before any exponential."""
+    for tmax in ("30", "1000"):
+        out = tmp_path / tmax
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["certify", "--model", "m2sym", "--tmax", tmax, "--out", str(out)])
+        assert rc == 4
+        assert capsys.readouterr().err.startswith("error: overflow-guard: ")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("moments", "--kmax", "0", "--times", "1e300"),
+    ("charfun", "--times", "1e300"),
+    ("qprocess", "--t", "1", "--T", "1e300"),
+], ids=["moments", "charfun", "qprocess"])
+def test_non_finite_oracles_are_overflow_errors(tmp_path, capsys, argv):
+    """At t = 1e300 the exponentials round to inf or nan: the run exits 4
+    and writes no CSV, so no nan row."""
     out = tmp_path / "o"
-    assert cli.main(["certify", "--model", "m2sym", "--tmax", "1000", "--out", str(out)]) == 4
-    assert capsys.readouterr().err.startswith("error: overflow-guard: ")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main([argv[0], "--model", "m2sym", *argv[1:], "--out", str(out)])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: overflow-guard: ") and "Traceback" not in err
     assert not out.exists()
 
 

@@ -2,12 +2,14 @@ from fractions import Fraction
 from math import factorial
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 import qslab
 from qslab.errors import NumericalError, ValidationError
+from qslab.spectral import shifted_generator
 
 F1 = np.array([1.0, -1.0])
 
@@ -53,8 +55,12 @@ def test_quadrature_cross_oracle_on_random_chains(random_chain_set):
         assert res.error_bound <= 1e-8  # unit-gap chains keep the tail tiny
 
 
+def _unit_ladder(n):
+    return qslab.build_birth_death(n, [1.0] * (n - 1) + [0.0], [1.0] * n)
+
+
 def _unit_ladder_qproc(n):
-    chain = qslab.build_birth_death(n, [1.0] * (n - 1) + [0.0], [1.0] * n)
+    chain = _unit_ladder(n)
     return qslab.h_transform(chain, qslab.solve_spectral(chain))
 
 
@@ -185,6 +191,114 @@ def test_moments_reject_negative_time(m2sym_bundle):
         qslab.exact_conditional_moments(chain, mu, F1, 2, -1.0)
     mv = qslab.exact_conditional_moments(chain, mu, F1, 2, 0.0)
     np.testing.assert_array_equal(mv.conditional, [1.0, 0.0, 0.0])
+
+
+def _augmented_generator(L, f, K):
+    """The dense moment formula's generator, as exact Fractions: diagonal
+    blocks L and superdiagonal blocks k diag(f), k = K, ..., 1.  Block K - k
+    of its exponential's last block column, summed over columns and weighted
+    by mu, is m_k (_block_moments)."""
+    n = len(f)
+    A = np.full(((K + 1) * n, (K + 1) * n), Fraction(0), dtype=object)
+    for j in range(K + 1):
+        for a in range(n):
+            for b in range(n):
+                A[j * n + a, j * n + b] = Fraction(L[a, b])
+            if j < K:
+                A[j * n + a, (j + 1) * n + a] = (K - j) * Fraction(f[a])
+    return A
+
+
+def _block_moments(E, mu, K):
+    """m_k = mu (block K - k of E's last block column) 1."""
+    n = len(mu)
+    w = E[:, K * n:].sum(axis=1)
+    return np.array([mu @ w[(K - k) * n:(K - k + 1) * n] for k in range(K + 1)])
+
+
+_BITS = 200  # fractional bits (60 digits) of the fixed-point reference
+
+
+def _fixed_expm(B):
+    """e^B for a matrix of Python ints holding B * 2^_BITS: Taylor to degree
+    24 of B / 2^j with ||B / 2^j||_inf <= 1/16 (remainder below 1e-55),
+    then j squarings."""
+    n = B.shape[0]
+    j = max(0, max(sum(abs(v) for v in row) for row in B).bit_length() - _BITS + 4)
+    X = B >> j
+    one = np.zeros((n, n), dtype=object)
+    np.fill_diagonal(one, 1 << _BITS)
+    E = one
+    for k in range(24, 0, -1):
+        E = one + ((X @ E) >> _BITS) // k
+    for _ in range(j):
+        E = (E @ E) >> _BITS
+    return E
+
+
+def _reference_moments(L, f, mu, K, t):
+    """m_k from the fixed-point exponential of t times the augmented
+    generator, summed exactly against mu."""
+    B = _augmented_generator(L, f, K) * Fraction(t)
+    E = _fixed_expm(np.array([[round(v * 2 ** _BITS) for v in row] for row in B], dtype=object))
+    exact = _block_moments(E, np.array([Fraction(m) for m in mu], dtype=object), K)
+    return np.array([float(v / 2 ** _BITS) for v in exact])
+
+
+def test_fixed_point_reference_matches_mpmath(m2asym_qproc):
+    """The fixed-point exponential agrees with mpmath's 50-digit expm on
+    m2asym's K = 4 augmented generator."""
+    f = np.array([0.3, -0.9])
+    A = _augmented_generator(m2asym_qproc.q_generator, f, 4) * Fraction(7, 2)
+    got = _fixed_expm(np.array([[round(v * 2 ** _BITS) for v in row] for row in A], dtype=object))
+    with mpmath.workdps(50):
+        want = mpmath.expm(mpmath.matrix([[mpmath.mpf(v.numerator) / v.denominator for v in row]
+                                          for row in A]))
+        for a in range(A.shape[0]):
+            for b in range(A.shape[1]):
+                assert abs(mpmath.mpf(int(got[a, b])) / 2 ** _BITS - want[a, b]) < 1e-45
+
+
+@pytest.mark.parametrize("model, absorbed, K, times", [
+    ("bd5", False, 4, (1, 10, 100)), ("ladder8", False, 4, (1, 10, 100)),
+    ("ladder8", True, 4, (1, 10, 100)), ("bd5", False, 8, (100,)),
+], ids=["bd5-q", "ladder8-q", "ladder8-chain", "bd5-q-k8"])
+def test_moments_match_a_fixed_point_reference(bd5_bundle, model, absorbed, K, times):
+    """Moments at t = 1, 10, 100 / gamma agree with a 60-digit exponential of
+    the dense augmented generator to 1e-13 relative: the Q-process's m_k,
+    and the absorbed chain's conditional moments from its shifted generator."""
+    chain = bd5_bundle.chain if model == "bd5" else _unit_ladder(8)
+    triple = qslab.solve_spectral(chain)
+    gen = chain if absorbed else qslab.h_transform(chain, triple)
+    L = shifted_generator(chain)[0] if absorbed else gen.q_generator
+    rng = np.random.default_rng([chain.n, K, 11])
+    mu = rng.uniform(0.5, 1.5, chain.n)
+    mu /= mu.sum()
+    f = rng.uniform(-1.0, 1.0, chain.n)
+    for c in times:
+        t = c / triple.gamma
+        mv = qslab.exact_conditional_moments(gen, mu, f, K, t)
+        want = _reference_moments(L, f, mu, K, t)
+        got = mv.conditional if absorbed else mv.m
+        if absorbed:
+            want = want / want[0]
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13, (model, absorbed, K, c)
+
+
+def test_moments_match_the_dense_block_formula(random_chain_set):
+    """One dense expm of the (K+1)n augmented generator gives the same
+    conditional moments to 1e-10 relative on the 20 random chains."""
+    for chain in random_chain_set:
+        n = chain.n
+        mu = np.full(n, 1.0 / n)
+        f = np.linspace(-1.0, 1.0, n)
+        L = shifted_generator(chain)[0]
+        for K in (0, 4, 8):
+            A = _augmented_generator(L, f, K).astype(float)
+            for t in (0.5, 5.0):  # gamma = 1
+                want = _block_moments(expm(t * A), mu, K)
+                got = qslab.exact_conditional_moments(chain, mu, f, K, t).conditional
+                np.testing.assert_allclose(got, want / want[0], rtol=1e-10, atol=0)
 
 
 def test_taylor_moments_cross_check(m2sym_qproc, random_chain_set):
