@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 import yaml
+from scipy.linalg import eig
 from scipy.sparse.csgraph import connected_components
 
 from .errors import (
@@ -57,9 +58,12 @@ class AbsorbedChain:
         self.killing.setflags(write=False)
 
     @cached_property
-    def principal_eigenvalue(self) -> float:
-        """max Re of the spectrum of L, which is -lambda0; computed on first use."""
-        return float(np.max(np.linalg.eigvals(self.sub_generator).real))
+    def eigen(self):
+        """(w, vl, vr) = scipy.linalg.eig(L, left=True, right=True), read-only."""
+        w, vl, vr = eig(self.sub_generator, left=True, right=True)
+        for arr in (w, vl, vr):
+            arr.setflags(write=False)
+        return w, vl, vr
 
 
 def validate_weight(psi1) -> np.ndarray:

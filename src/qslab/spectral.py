@@ -17,13 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig, expm
+from scipy.linalg import expm
 
 from .chain_model import AbsorbedChain
 from .errors import DegenerateGap, NoKilling, OverflowGuard, ValidationError
 
 _SLACK_FACTOR = 2.0
-_ROUNDING_FLOOR = 1e-6  # largest rounding floor of a grid ratio a certificate accepts
+ROUNDING_FLOOR = 1e-6  # largest rounding floor of an oracle's result that a run accepts
 
 
 @dataclass(frozen=True)
@@ -54,11 +54,11 @@ class ErgodicityCertificate:
 
 def solve_spectral(chain: AbsorbedChain) -> SpectralTriple:
     """Leading eigen-triple of the killed generator with the normalizations
-    sum(alpha) = 1 and alpha(eta) = 1; gamma from the full dense spectrum."""
+    sum(alpha) = 1 and alpha(eta) = 1; gamma from the chain's dense spectrum."""
     if chain.n < 2:
         raise DegenerateGap("a one-state chain has no spectral gap")
     L = chain.sub_generator
-    w, vl, vr = eig(L, left=True, right=True)
+    w, vl, vr = chain.eigen
     order = np.argsort(-w.real)
     lead = order[0]
     lambda0 = -w[lead].real
@@ -111,10 +111,10 @@ def default_time_grid(gamma: float, n_points: int = 12) -> np.ndarray:
 
 
 def shifted_generator(chain: AbsorbedChain):
-    """(L - s I, s) for a chain's sub-generator L and its principal eigenvalue
-    s (kept on the chain): conditioned ratios do not see the shift, and
+    """(L - s I, s) for a chain's sub-generator L and s = -lambda0 (bit for bit
+    as solve_spectral): conditioned ratios do not see the shift, and
     e^{t(L - s I)} stays of order one where e^{tL} underflows."""
-    s = chain.principal_eigenvalue
+    s = float(chain.eigen[0].real.max())
     return chain.sub_generator - s * np.eye(chain.n), s
 
 
@@ -151,10 +151,10 @@ def certify_ergodicity(chain: AbsorbedChain, triple: SpectralTriple, psi1,
         raise ValidationError(
             f"certification grid must reach 5/gamma = {5.0 / gamma:.3g}, got {t_grid[-1]:.3g}")
     # the ratio multiplies expm's rounding, about n eps, by e^{gamma t}
-    if np.log(chain.n * np.finfo(float).eps) + gamma * t_grid[-1] > np.log(_ROUNDING_FLOOR):
+    if np.log(chain.n * np.finfo(float).eps) + gamma * t_grid[-1] > np.log(ROUNDING_FLOOR):
         raise OverflowGuard(
             f"at t = {t_grid[-1]:.3g} the deviation ratio's rounding floor "
-            f"n eps e^(gamma t) exceeds {_ROUNDING_FLOOR:g}")
+            f"n eps e^(gamma t) exceeds {ROUNDING_FLOOR:g}")
     profile = certification_profile(chain, triple, psi1, t_grid)
     if not np.all(np.isfinite([r for _, r in profile])):
         raise OverflowGuard(f"the deviation ratio is not finite by t = {t_grid[-1]:.3g}")

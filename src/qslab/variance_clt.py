@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import factorial
 from typing import Optional, Union
 
@@ -31,10 +30,9 @@ from scipy.linalg import expm, lu_factor, lu_solve
 from .chain_model import AbsorbedChain
 from .errors import OverflowGuard, SingularSolve, ValidationError
 from .qprocess import QProcessChain
-from .spectral import ErgodicityCertificate, log_slope, shifted_generator
+from .spectral import ROUNDING_FLOOR, ErgodicityCertificate, log_slope, shifted_generator
 
 K_MAX = 8
-_SUP_ENUM_LIMIT = 12  # exact vertex enumeration of the |g| <= psi polytope
 
 
 @dataclass(frozen=True)
@@ -245,8 +243,9 @@ def exact_conditional_moments(gen: GeneratorLike, mu, f, k_max: int,
     With the generator shifted by its principal eigenvalue s, conditional
     stays exact however large -s t is, while m and survival (the shifted
     values times e^{s t}) may underflow to 0; with k_max = 0 the survival
-    mass is the only result, so its underflow raises.  A result that is not
-    finite raises as well.
+    mass is the only result, so its underflow raises.  A t whose squaring
+    phase has a rounding floor above ROUNDING_FLOOR raises, and so does a
+    result that is not finite.
     """
     L, s = _generator_of(gen)
     mu = np.asarray(mu, dtype=float)
@@ -298,12 +297,17 @@ def _polynomial_expm(L, f, K: int, t: float) -> np.ndarray:
     The scaling uses the 1-norm of the block matrix I (x) L + N (x) diag f,
     max_x (sum_y |L_yx| + |f_x|) (exact for K >= 1).  The Pade denominator's
     degree-0 block is factored once, and block forward substitution
-    inverts the rest of the denominator."""
+    inverts the rest of the denominator.  Each of the s squarings can double
+    the relative rounding error, so a t with 2^s n eps > ROUNDING_FLOOR is
+    refused."""
     n = L.shape[0]
     rate = float((np.abs(L).sum(axis=0) + np.abs(f)).max())
     s = 0
     if t * rate > _THETA13:  # log2 of each factor, so a huge t cannot overflow
         s = int(np.ceil(np.log2(t) + np.log2(rate / _THETA13)))
+    if s > np.log2(ROUNDING_FLOOR / (n * np.finfo(float).eps)):
+        raise OverflowGuard(f"at t={t} the {s} squarings have a rounding floor "
+                            f"2^s n eps above {ROUNDING_FLOOR:g}")
     h = np.ldexp(t, -s)
     X = np.zeros((K + 1, n, n))
     X[0] = h * L
@@ -327,11 +331,8 @@ def _polynomial_expm(L, f, K: int, t: float) -> np.ndarray:
         for j in range(1, k + 1):
             rhs -= Q[j] @ E[k - j]
         E[k] = lu_solve(lu, rhs)
-    # rounding compounds over the squarings and can overflow for a huge t;
-    # exact_conditional_moments raises on a result that is not finite
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(s):
-            E = _poly_mul(E, E)
+    for _ in range(s):
+        E = _poly_mul(E, E)
     return E
 
 
@@ -450,20 +451,18 @@ def charfun_taylor_moments(gen: GeneratorLike, mu, f, t: float, k_max: int = 4) 
 # uniform characteristic-function bound
 
 def sup_over_weight_ball(d: np.ndarray, psi: np.ndarray) -> float:
-    """sup over real |g| <= psi of |sum_x g(x) d(x)| for complex d.
+    """sup over real |g| <= psi of |sum_x g(x) d(x)| for complex d, exactly.
 
-    The objective is convex in g, so on a finite space the supremum sits at
-    a vertex of the box [-psi, psi]^n: exact enumeration up to n = 12, then
-    a fine phase sweep over the optimizers g_theta = psi * sign(Re(e^{-i
-    theta} d)) (exact in the theta-continuum limit).
-    """
-    n = len(psi)
-    if n <= _SUP_ENUM_LIMIT:
-        return float(max(abs(psi * np.array((1.0,) + signs) @ d)
-                         for signs in product((1.0, -1.0), repeat=n - 1)))
-    thetas = np.linspace(0.0, np.pi, 3600, endpoint=False)
-    rot = np.exp(-1j * thetas)[:, None] * d[None, :]
-    return float(np.max(np.abs(rot.real) @ psi))
+    As |z| = max_theta Re(e^{-i theta} z), the sup is the max over theta of
+    Re(e^{-i theta} S) with S = sum_x s psi d, s = sign(Re(e^{-i theta} d));
+    s changes only at the breakpoints (arg d + pi/2) mod pi.  Flipping one sign
+    per breakpoint in increasing order from s at theta = 0+ (sign of Re d, ties
+    by Im d) visits every arc's S, so max |S| >= sup, and each S is the value
+    of a feasible g, so max |S| <= sup."""
+    s = np.sign(np.where(d.real != 0, d.real, d.imag))
+    v = psi * s * d  # Re v > 0, or v on the positive imaginary axis
+    v = v[np.argsort(np.angle(v))]  # angle = breakpoint - pi/2
+    return float(np.abs(v.sum() - 2.0 * np.cumsum(v)).max())  # ends at -S(0+), theta = pi
 
 
 @dataclass(frozen=True)

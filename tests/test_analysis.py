@@ -1,4 +1,5 @@
-"""A run computes its spectral triple, Q-process, sigma^2 and certificate once.
+"""A run computes its eigen-decomposition, spectral triple, Q-process,
+sigma^2 and certificate once.
 
 The counting test wraps the expensive primitives wherever a qslab module
 holds them by name and runs `cli.main` in process.  The equality test shows
@@ -12,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from qslab import cli, qprocess, spectral, variance_clt
+from qslab import chain_model, cli, qprocess, spectral, variance_clt
 
 
 def _count(monkeypatch, counts, name, module, attr):
@@ -46,6 +47,7 @@ def counted_main(monkeypatch, tmp_path):
         "variance_clt.expm": (variance_clt, "expm"),
         "sigma2_poisson": (variance_clt, "sigma2_poisson"),
         "eigvals": (np.linalg, "eigvals"),
+        "eig": (chain_model, "eig"),
     }
 
     def run(*argv):
@@ -67,20 +69,21 @@ def counted_main(monkeypatch, tmp_path):
     (("variance", "--model", "m2sym"), {"profile": 0, "sigma2_poisson": 1}),
     (("moments", "--model", "m2sym"), {"profile": 0, "variance_clt.expm": 0}),
     (("charfun", "--model", "bd5"),
-     {"profile": 0, "variance_clt.expm": 4, "eigvals": 1, "sigma2_poisson": 1}),
+     {"profile": 0, "variance_clt.expm": 4, "eigvals": 0, "sigma2_poisson": 1}),
     (("clt", "--model", "m2sym", "--n", "300", "--t", "25"), {"profile": 1, "sigma2_poisson": 1}),
     (("clt", "--model", "m2sym", "--n", "300", "--t", "1", "--method", "rejection"),
      {"profile": 0}),
     (("qed", "--model", "m2sym", "--n", "300"),
      {"profile": 0, "h_transform": 3, "sigma2_poisson": 0}),
     (("all", "--model", "m2sym", "--n", "300"),
-     {"profile": 1, "h_transform": 6, "spectral.expm": 13, "variance_clt.expm": 5, "eigvals": 1,
+     {"profile": 1, "h_transform": 6, "spectral.expm": 13, "variance_clt.expm": 5, "eigvals": 0,
       "sigma2_poisson": 2}),
 ], ids=["spectral", "certify", "qprocess", "variance", "moments", "charfun", "clt-qprocess",
         "clt-rejection", "qed", "all"])
 def test_each_run_solves_and_certifies_once(counted_main, argv, expected):
     counts = counted_main(*argv)
     assert counts["solve"] == 1
+    assert counts["eig"] == 1  # the chain's one LAPACK eig serves the triple and the shift
     assert {k: counts[k] for k in expected} == expected
 
 

@@ -232,12 +232,15 @@ def test_certificate_ratio_overflow_is_a_numerical_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ("moments", "--kmax", "0", "--times", "1e300"),
+    ("moments", "--kmax", "0", "--times", "1e12,1e14"),
     ("charfun", "--times", "1e300"),
     ("qprocess", "--t", "1", "--T", "1e300"),
-], ids=["moments", "charfun", "qprocess"])
+], ids=["moments", "moments-rounding", "charfun", "qprocess"])
 def test_non_finite_oracles_are_overflow_errors(tmp_path, capsys, argv):
-    """At t = 1e300 the exponentials round to inf or nan: the run exits 4
-    and writes no CSV, so no nan row."""
+    """At t = 1e300 the exponentials round to inf or nan, and at t = 1e12
+    the moments' squarings would lose more than 1e-6 (survival 1.0000534
+    and 0.98787 where it is 1): the run exits 4 and writes no CSV, so no
+    nan or drifted row."""
     out = tmp_path / "o"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -245,6 +248,23 @@ def test_non_finite_oracles_are_overflow_errors(tmp_path, capsys, argv):
     assert rc == 4
     err = capsys.readouterr().err
     assert err.startswith("error: overflow-guard: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("clt", "--t", "1e300"),
+    ("qed", "--times", "1e300"),
+    ("clt", "--t", "1e10", "--method", "qprocess"),
+], ids=["clt", "qed", "clt-1e10"])
+def test_monte_carlo_refuses_unbounded_step_counts(tmp_path, argv):
+    """One replica's expected steps, max rate * t, above the 1e9 budget exit 4
+    before any draw; the timeout catches a run that starts stepping."""
+    out = tmp_path / "o"
+    r = subprocess.run([sys.executable, "-m", "qslab.cli", argv[0], "--model", "m2sym",
+                        *argv[1:], "--n", "10", "--out", str(out)],
+                       capture_output=True, text=True, timeout=30)
+    assert r.returncode == 4
+    assert r.stderr.startswith("error: budget-exceeded: ") and "Traceback" not in r.stderr
     assert not out.exists()
 
 

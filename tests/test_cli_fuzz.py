@@ -21,6 +21,11 @@ NUMBERS = st.one_of(
 GARBAGE = st.sampled_from(["abc", "", " ", "1,,x", "0x1p3", "--", "1e400"])
 SCALARS = st.one_of(NUMBERS, GARBAGE)
 LISTS = st.one_of(st.lists(NUMBERS, max_size=3).map(",".join), st.just(","), GARBAGE)
+# finite times far past every horizon the oracles and the sampler can serve
+_HUGE = st.floats(min_value=1e10, max_value=1e300).map(repr)
+TIMES = st.one_of(SCALARS, _HUGE)
+TIME_LISTS = st.one_of(LISTS, st.lists(st.one_of(NUMBERS, _HUGE), min_size=1, max_size=3)
+                       .map(",".join))
 
 
 def _ints(low, high):
@@ -33,12 +38,12 @@ METHODS = st.sampled_from(["rejection", "qprocess"])
 OPTIONS = {
     "spectral": {},
     "certify": {"tmax": SCALARS, "tpoints": _ints(-1000, 1000)},
-    "qprocess": {"t": SCALARS, "T": SCALARS},
+    "qprocess": {"t": SCALARS, "T": TIMES},
     "variance": {},
-    "moments": {"kmax": _ints(-2, 10), "times": LISTS},
-    "charfun": {"omegas": LISTS, "times": LISTS},
-    "clt": {"t": SCALARS, "n": _ints(-5, 200), "method": METHODS},
-    "qed": {"times": LISTS, "n": _ints(-5, 200), "method": METHODS},
+    "moments": {"kmax": _ints(-2, 10), "times": TIME_LISTS},
+    "charfun": {"omegas": LISTS, "times": TIME_LISTS},
+    "clt": {"t": TIMES, "n": _ints(-5, 200), "method": METHODS},
+    "qed": {"times": TIME_LISTS, "n": _ints(-5, 200), "method": METHODS},
     "all": {"n": _ints(-5, 200)},
 }
 # clt.csv documents nan distance and gap_bound (constant observable, rejection)

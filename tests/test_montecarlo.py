@@ -371,3 +371,19 @@ def test_quasi_ergodic_check_matches_exact_oracle(m2sym_bundle, m2sym_triple):
         assert abs(exact - closed) < 1e-10
         assert abs(mc - exact) < 4.0 * stderr
     assert -1.4 < rep.fitted_rate < -0.6
+
+
+def test_quasi_ergodic_check_has_an_exact_column_at_any_size():
+    """A 60-state ladder gets the exact column too, the conditional second
+    moment of the centred observable over t^2 (no state-count cut-off)."""
+    n = 60
+    chain = qslab.build_birth_death(n, [1.0] * (n - 1) + [0.0], [1.0] * n)
+    triple = qslab.solve_spectral(chain)
+    mu, f = np.full(n, 1.0 / n), np.linspace(-1.0, 1.0, n)
+    rep = qslab.quasi_ergodic_check(chain, triple, mu, f, [4.0, 8.0], 50, seed=3,
+                                    method="qprocess")
+    beta_f = float(qslab.h_transform(chain, triple).beta @ f)
+    for t, _, _, exact in rep.rows:
+        mv = qslab.exact_conditional_moments(chain, mu, f - beta_f, 2, t)
+        assert np.isfinite(exact)
+        assert exact == float(mv.conditional[2] / t ** 2)

@@ -185,6 +185,25 @@ def test_moments_survive_fast_uniform_killing():
     np.testing.assert_allclose(got.conditional, want.m, rtol=1e-12, atol=1e-12)
 
 
+def test_moments_refuse_times_past_the_rounding_floor(m2sym_qproc):
+    """Each squaring can double the rounding error, so a t needing s
+    squarings with 2^s n eps > 1e-6 is refused: on m2sym (rate 3, n = 2)
+    that is t > 2^31 theta13 / 3, about 3.8e9.  At t = 1e12 the squarings
+    would give survival 1.0000534, where the exact value is 1."""
+    mu, f = m2sym_qproc.beta, np.array([1.0, -1.0])
+    ok = qslab.exact_conditional_moments(m2sym_qproc, mu, f, 0, 3.5e9)
+    assert abs(ok.survival - 1.0) <= 1e-6
+    for t in (4e9, 1e12, 1e14, 1e300):
+        with pytest.raises(NumericalError) as exc:
+            qslab.exact_conditional_moments(m2sym_qproc, mu, f, 0, t)
+        assert exc.value.code == "overflow-guard"
+    # a 150-state unit ladder at 10/gamma squares well inside the floor
+    qp = _unit_ladder_qproc(150)
+    f150 = np.linspace(-1.0, 1.0, 150)
+    mv = qslab.exact_conditional_moments(qp, qp.beta, f150 - qp.beta @ f150, 4, 10.0 / qp.gamma)
+    assert np.all(np.isfinite(mv.m)) and abs(mv.survival - 1.0) < 1e-9
+
+
 def test_moments_reject_negative_time(m2sym_bundle):
     chain, mu = m2sym_bundle.chain, m2sym_bundle.mu
     with pytest.raises(ValidationError):
@@ -420,13 +439,34 @@ def test_sup_over_weight_ball_real_case_is_weighted_norm():
     assert abs(
         qslab.sup_over_weight_ball(d.astype(complex), psi) - qslab.weighted_norm(d, psi)
     ) < 1e-12
-    # large-n path falls back to the phase sweep
     d20 = rng.normal(size=20)
     psi20 = np.ones(20)
     assert abs(
         qslab.sup_over_weight_ball(d20.astype(complex), psi20)
         - qslab.weighted_norm(d20, psi20)
     ) < 1e-9
+
+
+def _sup_by_enumeration(d, psi):
+    """max |sum_x s psi d| over the 2^(n-1) sign vectors with s_0 = +1."""
+    n = len(d)
+    bits = (np.arange(2 ** (n - 1))[:, None] >> np.arange(n - 1)) & 1
+    signs = np.hstack([np.ones((len(bits), 1)), 1.0 - 2.0 * bits])
+    return float(np.abs((signs * psi) @ d).max())
+
+
+@pytest.mark.parametrize("n", [13, 14, 15, 16])
+def test_sup_over_weight_ball_matches_enumeration(n):
+    """The breakpoint walk is exact at every n: a phase sweep on 3600 angles
+    comes out low by about 1e-7 relative at these sizes."""
+    rng = np.random.default_rng([n, 11])
+    for zero_re in (False, True):
+        psi = rng.uniform(1.0, 3.0, n)
+        d = rng.normal(size=n) + 1j * rng.normal(size=n)
+        if zero_re:  # breakpoints at theta = 0, where ties go by Im d
+            d.real[::4] = 0.0
+        want = _sup_by_enumeration(d, psi)
+        assert abs(qslab.sup_over_weight_ball(d, psi) - want) <= 1e-12 * want
 
 
 def test_uniform_charfun_bound_m2sym(m2sym_bundle, m2sym_triple, m2sym_qproc):
