@@ -15,13 +15,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 import yaml
-from scipy.linalg import eig
-from scipy.sparse.csgraph import connected_components
+from scipy.linalg import eig, eigh
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .errors import (
     InvalidRates,
     NegativeOffDiagonal,
     NoKilling,
+    OverflowGuard,
     ParseError,
     PositiveRowSum,
     Reducible,
@@ -58,9 +59,64 @@ class AbsorbedChain:
         self.killing.setflags(write=False)
 
     @cached_property
+    def log_reversible_measure(self):
+        """log pi of a measure with pi_x L(x, y) = pi_y L(y, x) on every edge,
+        or None when L is not reversible.
+
+        The support must be symmetric; pi is built along a breadth-first
+        spanning tree and then checked on every edge, so a cycle that breaks
+        Kolmogorov's criterion fails.  The check allows the rounding of the
+        logs summed along two tree paths, 4 n eps (1 + max |log pi|)."""
+        L = self.sub_generator
+        n = self.n
+        edges = L > 0
+        np.fill_diagonal(edges, False)
+        if not np.array_equal(edges, edges.T):
+            return None
+        order, parent = breadth_first_order(edges, 0, directed=False,
+                                            return_predecessors=True)
+        log_pi = np.zeros(n)
+        for y in order[1:]:
+            x = parent[y]
+            log_pi[y] = log_pi[x] + np.log(L[x, y] / L[y, x])
+        x, y = np.nonzero(edges)
+        balance = log_pi[x] - log_pi[y] + np.log(L[x, y] / L[y, x])
+        tol = 4.0 * n * np.finfo(float).eps * (1.0 + np.abs(log_pi).max())
+        if balance.size and np.abs(balance).max() > tol:
+            return None
+        return log_pi - 0.5 * (log_pi.max() + log_pi.min())
+
+    @property
+    def reversible(self) -> bool:
+        return self.log_reversible_measure is not None
+
+    @cached_property
     def eigen(self):
-        """(w, vl, vr) = scipy.linalg.eig(L, left=True, right=True), read-only."""
-        w, vl, vr = eig(self.sub_generator, left=True, right=True)
+        """(w, vl, vr), read-only: L vr = vr diag(w) and vl^H L = diag(w) vl^H.
+
+        A reversible L is similar to the symmetric S = D^{1/2} L D^{-1/2},
+        D = diag(pi), with S(x, y) = sqrt(L(x, y) L(y, x)) off the diagonal;
+        eigh(S) = (w, U) gives vr = D^{-1/2} U and vl = D^{1/2} U, so w is
+        real and vl^T vr = I.  Dense eig loses the spectrum of such chains
+        when pi spans many decades (they are far from normal).  Any other L
+        goes through scipy.linalg.eig(L, left=True, right=True).  A pi whose
+        square root does not fit in normal doubles raises OverflowGuard."""
+        L = self.sub_generator
+        log_pi = self.log_reversible_measure
+        if log_pi is None:
+            w, vl, vr = eig(L, left=True, right=True)
+        else:
+            if 0.5 * np.abs(log_pi).max() > -np.log(np.finfo(float).tiny):
+                raise OverflowGuard("the reversible measure's square root spans more "
+                                    "decades than double precision holds")
+            S = np.sqrt(L * L.T)
+            # eigh's rounding scales with ||S - cI||, least at c = mean diag L
+            c = np.trace(L) / self.n
+            np.fill_diagonal(S, np.diag(L) - c)
+            w, U = eigh(S)
+            w += c
+            half = np.exp(0.5 * log_pi)[:, None]
+            vl, vr = half * U, U / half
         for arr in (w, vl, vr):
             arr.setflags(write=False)
         return w, vl, vr

@@ -90,6 +90,9 @@ def _check_args(args):
     for name in ("times", "omegas"):
         if getattr(args, name, None) is not None:
             setattr(args, name, _floats(name, getattr(args, name)))
+    if args.cmd == "charfun" and args.times is not None and min(args.times) <= 0:
+        # omega / sqrt(t) would divide by zero or take the root of a negative
+        raise ValidationError(f"charfun --times must be positive, got {min(args.times)}")
 
 
 class _Analysis:

@@ -280,9 +280,9 @@ def conditional_clt_sample(chain: AbsorbedChain, triple: SpectralTriple, mu, f,
         if mu_eta <= 0:
             raise ValidationError("mu(eta) must be positive")
         if method == "rejection":
-            cost = n_replicas * np.exp(triple.lambda0 * t)
-            if cost > REJECTION_BUDGET:
-                raise BudgetExceeded(f"rejection cost n e^(lambda0 t) = {cost:.3g} "
+            log10_cost = np.log10(max(n_replicas, 1)) + triple.lambda0 * t / np.log(10.0)
+            if log10_cost > np.log10(REJECTION_BUDGET):  # in logs: e^(lambda0 t) overflows
+                raise BudgetExceeded(f"rejection cost n e^(lambda0 t) = 10^{log10_cost:.3g} "
                                      f"exceeds budget {REJECTION_BUDGET:.3g}")
             dynamics = (chain.sub_generator, chain.killing, mu)
         else:

@@ -27,7 +27,9 @@ from .spectral import (
     certify_ergodicity,
     default_time_grid,
     log_slope,
+    modal_exp,
     shifted_generator,
+    squarings,
 )
 
 
@@ -36,7 +38,8 @@ class QProcessChain:
     """Conservative transformed chain on the support of eta.
 
     psi = psi1 / eta is the natural weight for Q-side ergodicity bounds and
-    c = min psi its positive lower bound.
+    c = min psi its positive lower bound.  chain is the absorbed chain it
+    conditions, whose one eigen-decomposition also diagonalises L_Q.
     """
 
     q_generator: np.ndarray
@@ -46,10 +49,24 @@ class QProcessChain:
     c: float
     lambda0: float
     gamma: float
+    chain: AbsorbedChain
 
     @property
     def n(self) -> int:
         return len(self.beta)
+
+    @property
+    def reversible(self) -> bool:
+        """L_Q is reversible (with respect to beta) when L is."""
+        return self.chain.reversible
+
+    @property
+    def eigen(self):
+        """(w, vl, vr) of L_Q = diag(eta)^{-1} (L + lambda0) diag(eta) from
+        the chain's: eigenvalues w + lambda0, right vectors vr / eta, left
+        vectors eta vl.  For a reversible chain vl^T vr = I still holds."""
+        w, vl, vr = self.chain.eigen
+        return w + self.lambda0, vl * self.eta[:, None], vr / self.eta[:, None]
 
     def __post_init__(self):
         for arr in (self.q_generator, self.beta, self.eta, self.psi):
@@ -79,14 +96,21 @@ def h_transform(chain: AbsorbedChain, triple: SpectralTriple,
         c=float(psi.min()),
         lambda0=triple.lambda0,
         gamma=triple.gamma,
+        chain=chain,
     )
 
 
 def q_marginal(qproc: QProcessChain, initial, t: float) -> np.ndarray:
+    """initial e^{t L_Q}; through expm (non-reversible chains) a t past the
+    rounding floor of its squarings raises OverflowGuard."""
     if t < 0:
         raise ValidationError("time must be nonnegative")
     initial = np.asarray(initial, dtype=float)
-    return initial @ expm(t * qproc.q_generator)
+    if qproc.reversible:
+        return initial @ modal_exp(qproc.eigen, t, 0.0)
+    LQ = qproc.q_generator
+    squarings(t, np.abs(LQ).sum(axis=0).max(), qproc.n)
+    return initial @ expm(t * LQ)
 
 
 @dataclass(frozen=True)
@@ -105,7 +129,10 @@ def check_q_ergodicity(qproc: QProcessChain, t_grid) -> QErgodicityReport:
     """
     rows, tv_rows = [], []
     for t in np.asarray(t_grid, dtype=float):
-        D = np.abs(expm(t * qproc.q_generator) - qproc.beta)
+        if qproc.reversible:
+            D = np.abs(modal_exp(qproc.eigen, t, 0.0, drop_lead=True))
+        else:
+            D = np.abs(expm(t * qproc.q_generator) - qproc.beta)
         devs = D @ qproc.psi / qproc.psi
         tvs = D.sum(axis=1) / qproc.psi
         rows.append((float(t), float(devs.max()), float(devs.max() * np.exp(qproc.gamma * t))))
@@ -116,13 +143,20 @@ def check_q_ergodicity(qproc: QProcessChain, t_grid) -> QErgodicityReport:
 
 def conditional_marginal(chain: AbsorbedChain, mu, t: float, T: float) -> np.ndarray:
     """Law of X_t given survival past T >= t, by two shifted exponentials;
-    a law that is not finite raises."""
-    if T < t:
-        raise ValidationError("need T >= t")
+    a law that is not finite raises, and so does, through expm
+    (non-reversible chains), a time past the rounding floor of its
+    squarings."""
+    if not 0 <= t <= T:
+        raise ValidationError("need 0 <= t <= T")
     mu = np.asarray(mu, dtype=float)
-    L, _ = shifted_generator(chain)
-    at_t = mu @ expm(t * L)
-    surv = expm((T - t) * L) @ np.ones(chain.n)
+    L, s = shifted_generator(chain)
+    if chain.reversible:
+        at_t = mu @ modal_exp(chain.eigen, t, -s)
+        surv = modal_exp(chain.eigen, T - t, -s) @ np.ones(chain.n)
+    else:
+        squarings(max(t, T - t), np.abs(L).sum(axis=0).max(), chain.n)
+        at_t = mu @ expm(t * L)
+        surv = expm((T - t) * L) @ np.ones(chain.n)
     num = at_t * surv
     if not np.all(np.isfinite(num)):
         raise OverflowGuard(f"conditional marginal is not finite at t={t}, T={T}")

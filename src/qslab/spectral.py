@@ -9,7 +9,10 @@ certify_ergodicity measures, on a time grid, the smallest constant C with
 
 and stores twice the measured maximum as the certified C (grid certification
 cannot exclude slightly larger deviations between grid points; the factor-2
-slack is recorded in the certificate).
+slack is recorded in the certificate).  A reversible chain's semigroup is
+read off its symmetric eigenbasis (modal_exp); any other chain's comes from
+scipy's expm, whose squarings set the rounding floor that squarings()
+enforces.
 """
 
 from __future__ import annotations
@@ -24,6 +27,9 @@ from .errors import DegenerateGap, NoKilling, OverflowGuard, ValidationError
 
 _SLACK_FACTOR = 2.0
 ROUNDING_FLOOR = 1e-6  # largest rounding floor of an oracle's result that a run accepts
+# the 1-norm up to which the Pade-13 approximant is accurate to double
+# precision without scaling (Higham 2005, Table 2.3)
+_THETA13 = 5.371920351148152
 
 
 @dataclass(frozen=True)
@@ -79,10 +85,12 @@ def solve_spectral(chain: AbsorbedChain) -> SpectralTriple:
     if eta.sum() < 0:
         eta = -eta
     eta = eta / (alpha @ eta)
-    res_l = np.abs(alpha @ L + lambda0 * alpha).max()
-    res_r = np.abs(L @ eta + lambda0 * eta).max()
+    # each residual relative to its vector's largest entry: alpha(eta) = 1
+    # makes eta huge where a drifted chain's alpha is concentrated
+    res_l = np.abs(alpha @ L + lambda0 * alpha).max() / alpha.max()
+    res_r = np.abs(L @ eta + lambda0 * eta).max() / np.abs(eta).max()
     if max(res_l, res_r) > 1e-10 * scale:
-        raise DegenerateGap(f"eigen-residual {max(res_l, res_r)} exceeds tolerance")
+        raise DegenerateGap(f"relative eigen-residual {max(res_l, res_r)} exceeds tolerance")
     return SpectralTriple(lambda0=float(lambda0), alpha=alpha, eta=eta, gamma=float(gamma))
 
 
@@ -118,6 +126,35 @@ def shifted_generator(chain: AbsorbedChain):
     return chain.sub_generator - s * np.eye(chain.n), s
 
 
+def squarings(t: float, norm: float, n: int) -> int:
+    """Squaring count s of Pade-13 scaling and squaring for e^{tA} with
+    ||A||_1 = norm on n states, the smallest s with t norm / 2^s <= theta13.
+    Each squaring can double the relative rounding error, so a t with
+    2^s n eps > ROUNDING_FLOOR raises OverflowGuard."""
+    s = 0
+    if t * norm > _THETA13:  # log2 of each factor, so a huge t cannot overflow
+        s = int(np.ceil(np.log2(t) + np.log2(norm / _THETA13)))
+    if s > np.log2(ROUNDING_FLOOR / (n * np.finfo(float).eps)):
+        raise OverflowGuard(f"at t={t} the {s} squarings have a rounding floor "
+                            f"2^s n eps above {ROUNDING_FLOOR:g}")
+    return s
+
+
+def modal_exp(eigen, t: float, shift: float, drop_lead: bool = False) -> np.ndarray:
+    """vr diag(e^{t(w + shift)}) vl^T, which is e^{t(A + shift I)} for the
+    matrix A = vr diag(w) vl^T of a reversible chain's eigen (vl^T vr = I).
+
+    drop_lead leaves out the mode of largest w.  With shift = lambda0 that
+    mode is the limit eta alpha, so the rest is the deviation
+    e^{t(L + lambda0)} - eta alpha without the cancellation of a
+    subtraction, whose rounding e^{gamma t} would amplify."""
+    w, vl, vr = eigen
+    weights = np.exp(t * (w + shift))
+    if drop_lead:
+        weights[np.argmax(w)] = 0.0
+    return (vr * weights) @ vl.T
+
+
 def certification_profile(chain: AbsorbedChain, triple: SpectralTriple, psi1,
                           t_grid):
     """Per-time worst deviation ratios e^{gamma t} max_x ||...||_psi1/psi1(x)."""
@@ -126,7 +163,10 @@ def certification_profile(chain: AbsorbedChain, triple: SpectralTriple, psi1,
     target = np.outer(triple.eta, triple.alpha)
     out = []
     for t in np.asarray(t_grid, dtype=float):
-        dev = expm(t * G) - target
+        if chain.reversible:
+            dev = modal_exp(chain.eigen, t, triple.lambda0, drop_lead=True)
+        else:
+            dev = expm(t * G) - target
         ratios = (np.abs(dev) @ psi1) / psi1 * np.exp(triple.gamma * t)
         out.append((float(t), float(ratios.max())))
     return out
@@ -140,8 +180,10 @@ def certify_ergodicity(chain: AbsorbedChain, triple: SpectralTriple, psi1,
     including t = 0 is recommended since the ratio there already forces
     C >= max_x ||delta_x - eta(x) alpha||_psi1 / psi1(x).  A grid is refused
     when it ends where the rounding floor n eps e^{gamma t} of the ratio
-    exceeds 1e-6 (about 22/gamma on a few states): the ratio would measure
-    expm's rounding, not the deviation.
+    exceeds 1e-6 (about 22/gamma on a few states): through expm the ratio
+    would measure rounding, not the deviation.  The symmetric route does not
+    amplify rounding so, but the same grids are refused for every chain, so
+    that the accepted grids do not depend on the route.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     gamma = triple.gamma
@@ -150,7 +192,7 @@ def certify_ergodicity(chain: AbsorbedChain, triple: SpectralTriple, psi1,
     if t_grid[-1] < 0.95 * 5.0 / gamma:
         raise ValidationError(
             f"certification grid must reach 5/gamma = {5.0 / gamma:.3g}, got {t_grid[-1]:.3g}")
-    # the ratio multiplies expm's rounding, about n eps, by e^{gamma t}
+    # expm's ratio multiplies its rounding, about n eps, by e^{gamma t}
     if np.log(chain.n * np.finfo(float).eps) + gamma * t_grid[-1] > np.log(ROUNDING_FLOOR):
         raise OverflowGuard(
             f"at t = {t_grid[-1]:.3g} the deviation ratio's rounding floor "

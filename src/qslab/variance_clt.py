@@ -30,7 +30,13 @@ from scipy.linalg import expm, lu_factor, lu_solve
 from .chain_model import AbsorbedChain
 from .errors import OverflowGuard, SingularSolve, ValidationError
 from .qprocess import QProcessChain
-from .spectral import ROUNDING_FLOOR, ErgodicityCertificate, log_slope, shifted_generator
+from .spectral import (
+    ErgodicityCertificate,
+    log_slope,
+    modal_exp,
+    shifted_generator,
+    squarings,
+)
 
 K_MAX = 8
 
@@ -128,16 +134,13 @@ def _quadrature(qproc, ft):
     B[:n, :n] = LQ
     B[:n, n] = ft
     value = 2.0 * float(bft @ expm(H * B)[:n, n])
-    # spectral amplitudes of the autocovariance: Cov(s) = sum_j c_j e^{w_j s}
-    w, V = np.linalg.eig(LQ)
-    try:
-        Vi = np.linalg.inv(V)
-        amps = [(abs((bft @ V[:, j]) * (Vi[j] @ ft)), w[j].real) for j in range(n)
-                if abs(w[j].real) >= 1e-12]  # zero mode carries beta(ft)^2 = 0
-        tail = 2.0 * sum(c * np.exp(wr * H) / abs(wr) for c, wr in amps)
-    except np.linalg.LinAlgError:
-        # non-diagonalizable corner: fall back to the coarse geometric bound
-        tail = 2.0 * abs(float(bft @ ft)) * np.exp(-gamma * H) / gamma
+    # spectral amplitudes of the autocovariance, Cov(s) = sum_j c_j e^{w_j s},
+    # from L_Q's modes: the projector on mode j is vr_j vl_j^H / (vl_j^H vr_j)
+    w, vl, vr = qproc.eigen
+    amps = np.abs((bft @ vr) * (ft @ vl.conj()) / np.einsum("ij,ij->j", vl.conj(), vr))
+    rest = np.arange(n) != np.argmax(w.real)  # the zero mode carries beta(ft)^2 = 0
+    rates = w.real[rest]
+    tail = 2.0 * float(np.sum(amps[rest] * np.exp(rates * H) / np.abs(rates)))
     # expm's squaring phase amplifies roundoff by about ||H L_Q||
     rounding = (n * np.finfo(float).eps * H * np.abs(LQ).sum(axis=1).max()
                 * np.abs(bft).sum() * np.abs(ft).max())
@@ -270,13 +273,11 @@ def exact_conditional_moments(gen: GeneratorLike, mu, f, k_max: int,
     return MomentValues(t=float(t), m=m, survival=p, conditional=shifted / shifted[0])
 
 
-# Pade-13 coefficients and the 1-norm up to which that approximant is
-# accurate to double precision without scaling (Higham 2005, Table 2.3)
+# Pade-13 coefficients (Higham 2005)
 _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
            1187353796428800.0, 129060195264000.0, 10559470521600.0,
            670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
            960960.0, 16380.0, 182.0, 1.0)
-_THETA13 = 5.371920351148152
 
 
 def _poly_mul(A, B):
@@ -297,17 +298,10 @@ def _polynomial_expm(L, f, K: int, t: float) -> np.ndarray:
     The scaling uses the 1-norm of the block matrix I (x) L + N (x) diag f,
     max_x (sum_y |L_yx| + |f_x|) (exact for K >= 1).  The Pade denominator's
     degree-0 block is factored once, and block forward substitution
-    inverts the rest of the denominator.  Each of the s squarings can double
-    the relative rounding error, so a t with 2^s n eps > ROUNDING_FLOOR is
-    refused."""
+    inverts the rest of the denominator.  spectral.squarings gives s and
+    refuses a t whose squarings pass the rounding floor."""
     n = L.shape[0]
-    rate = float((np.abs(L).sum(axis=0) + np.abs(f)).max())
-    s = 0
-    if t * rate > _THETA13:  # log2 of each factor, so a huge t cannot overflow
-        s = int(np.ceil(np.log2(t) + np.log2(rate / _THETA13)))
-    if s > np.log2(ROUNDING_FLOOR / (n * np.finfo(float).eps)):
-        raise OverflowGuard(f"at t={t} the {s} squarings have a rounding floor "
-                            f"2^s n eps above {ROUNDING_FLOOR:g}")
+    s = squarings(t, float((np.abs(L).sum(axis=0) + np.abs(f)).max()), n)
     h = np.ldexp(t, -s)
     X = np.zeros((K + 1, n, n))
     X[0] = h * L
@@ -400,8 +394,11 @@ def check_odd_moment_decay(qproc: QProcessChain, mu, f, k: int, t_grid) -> Momen
 
 def _tilted_law(L, mu, f, z, t) -> np.ndarray:
     """expm(t (L^T + i z diag f)) mu: the law at t of the chain started from
-    mu, weighted by e^{i z int_0^t f(X_s) ds} (complex z allowed)."""
-    return expm(t * (L.T + 1j * z * np.diag(f))) @ mu.astype(complex)
+    mu, weighted by e^{i z int_0^t f(X_s) ds} (complex z allowed).  A t past
+    the rounding floor of the squarings raises OverflowGuard."""
+    A = L.T + 1j * z * np.diag(f)
+    squarings(t, np.abs(A).sum(axis=0).max(), len(mu))
+    return expm(t * A) @ mu.astype(complex)
 
 
 def exact_conditional_charfun(gen: GeneratorLike, mu, f,
@@ -416,14 +413,20 @@ def exact_conditional_charfuns(gen: GeneratorLike, mu, f, omegas_over_sqrt_t,
                                t: float) -> list:
     """exact_conditional_charfun at each w' of a list, for one t: the shift
     and the survival mass are computed once, then one exponential per w'.
-    A value that is not finite raises."""
+    The survival mass of a reversible chain comes from its eigenbasis.  A
+    value that is not finite raises, and so does a t past the rounding
+    floor of an exponential's squarings."""
     if t <= 0:
         raise ValidationError("charfun needs t > 0")
-    L, _ = _generator_of(gen)
+    L, s = _generator_of(gen)
     mu = np.asarray(mu, dtype=float)
     f = np.asarray(f, dtype=float)
-    p = float((mu @ expm(t * L)).sum())
     laws = [_tilted_law(L, mu, f, w, t).sum() for w in omegas_over_sqrt_t]
+    if gen.reversible:
+        p = float((mu @ modal_exp(gen.eigen, t, -s)).sum())
+    else:
+        squarings(t, np.abs(L).sum(axis=0).max(), len(mu))
+        p = float((mu @ expm(t * L)).sum())
     if not (p > 0 and np.all(np.isfinite([p, *laws]))):
         raise OverflowGuard(f"characteristic function is not finite at t={t}")
     return [complex(z / p) for z in laws]

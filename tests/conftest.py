@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import qslab
 from qslab.chain_model import AbsorbedChain
@@ -12,6 +13,19 @@ from qslab.chain_model import AbsorbedChain
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
                   os.environ.get("PYTHONPATH")]))
+
+
+# symmetric support, but rates 1 one way round the cycle and 0.5 the other
+# way break Kolmogorov's criterion: the smallest chain that is not reversible
+CYCLE_GENERATOR = [[-2.0, 1.0, 0.5], [0.5, -2.0, 1.0], [1.0, 0.5, -2.0]]
+
+
+@pytest.fixture
+def cycle_model(tmp_path):
+    """Path of a model file holding CYCLE_GENERATOR."""
+    path = tmp_path / "cycle.yaml"
+    path.write_text(yaml.safe_dump({"generator": CYCLE_GENERATOR}))
+    return str(path)
 
 
 @pytest.fixture(scope="session")

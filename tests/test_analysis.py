@@ -1,5 +1,6 @@
 """A run computes its eigen-decomposition, spectral triple, Q-process,
-sigma^2 and certificate once.
+sigma^2 and certificate once, and a reversible chain's semigroups come
+from that decomposition, not from expm.
 
 The counting test wraps the expensive primitives wherever a qslab module
 holds them by name and runs `cli.main` in process.  The equality test shows
@@ -38,19 +39,23 @@ def _count(monkeypatch, counts, name, module, attr):
 
 
 @pytest.fixture
-def counted_main(monkeypatch, tmp_path):
+def counted_main(monkeypatch, tmp_path, cycle_model):
     wrapped = {
         "solve": (spectral, "solve_spectral"),
         "profile": (spectral, "certification_profile"),
         "h_transform": (qprocess, "h_transform"),
         "spectral.expm": (spectral, "expm"),
+        "qprocess.expm": (qprocess, "expm"),
         "variance_clt.expm": (variance_clt, "expm"),
         "sigma2_poisson": (variance_clt, "sigma2_poisson"),
         "eigvals": (np.linalg, "eigvals"),
         "eig": (chain_model, "eig"),
+        "eigh": (chain_model, "eigh"),
+        "linalg.eig": (np.linalg, "eig"),
     }
 
     def run(*argv):
+        argv = [cycle_model if a == "cycle" else a for a in argv]
         counts = dict.fromkeys(wrapped, 0)
         with monkeypatch.context() as mp:
             for name, (module, attr) in wrapped.items():
@@ -63,27 +68,36 @@ def counted_main(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("argv, expected", [
-    (("spectral", "--model", "m2sym"), {"profile": 0, "h_transform": 0}),
-    (("certify", "--model", "m2sym"), {"profile": 1, "h_transform": 0}),
-    (("qprocess", "--model", "m2sym"), {"profile": 1}),
-    (("variance", "--model", "m2sym"), {"profile": 0, "sigma2_poisson": 1}),
+    (("spectral", "--model", "m2sym"), {"profile": 0, "h_transform": 0, "eig": 0}),
+    (("certify", "--model", "m2sym"), {"profile": 1, "h_transform": 0, "spectral.expm": 0}),
+    (("qprocess", "--model", "m2sym"),
+     {"profile": 1, "spectral.expm": 0, "qprocess.expm": 0, "eig": 0}),
+    (("variance", "--model", "m2sym"),
+     {"profile": 0, "sigma2_poisson": 1, "variance_clt.expm": 1, "linalg.eig": 0}),
     (("moments", "--model", "m2sym"), {"profile": 0, "variance_clt.expm": 0}),
     (("charfun", "--model", "bd5"),
-     {"profile": 0, "variance_clt.expm": 4, "eigvals": 0, "sigma2_poisson": 1}),
+     {"profile": 0, "variance_clt.expm": 3, "eigvals": 0, "sigma2_poisson": 1, "eig": 0}),
     (("clt", "--model", "m2sym", "--n", "300", "--t", "25"), {"profile": 1, "sigma2_poisson": 1}),
     (("clt", "--model", "m2sym", "--n", "300", "--t", "1", "--method", "rejection"),
      {"profile": 0}),
     (("qed", "--model", "m2sym", "--n", "300"),
      {"profile": 0, "h_transform": 3, "sigma2_poisson": 0}),
     (("all", "--model", "m2sym", "--n", "300"),
-     {"profile": 1, "h_transform": 6, "spectral.expm": 13, "variance_clt.expm": 5, "eigvals": 0,
-      "sigma2_poisson": 2}),
+     {"profile": 1, "h_transform": 6, "spectral.expm": 0, "qprocess.expm": 0,
+      "variance_clt.expm": 4, "eigvals": 0, "linalg.eig": 0, "sigma2_poisson": 2, "eig": 0}),
+    (("all", "--model", "bd5", "--n", "300"),
+     {"spectral.expm": 0, "qprocess.expm": 0, "variance_clt.expm": 4, "eig": 0}),
+    (("all", "--model", "cycle", "--n", "300"),
+     {"profile": 1, "h_transform": 6, "spectral.expm": 13, "qprocess.expm": 3,
+      "variance_clt.expm": 5, "linalg.eig": 0, "eigh": 0}),
 ], ids=["spectral", "certify", "qprocess", "variance", "moments", "charfun", "clt-qprocess",
-        "clt-rejection", "qed", "all"])
+        "clt-rejection", "qed", "all", "all-bd5", "all-cycle"])
 def test_each_run_solves_and_certifies_once(counted_main, argv, expected):
     counts = counted_main(*argv)
     assert counts["solve"] == 1
-    assert counts["eig"] == 1  # the chain's one LAPACK eig serves the triple and the shift
+    # the chain's one decomposition, eigh for a reversible chain and eig
+    # otherwise, serves the triple, the shift and the semigroups
+    assert counts["eig"] + counts["eigh"] == 1
     assert {k: counts[k] for k in expected} == expected
 
 

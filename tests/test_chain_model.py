@@ -276,3 +276,54 @@ def test_resolve_model_builtin_and_unknown():
         np.testing.assert_allclose(bundle.mu.sum(), 1.0, rtol=0, atol=1e-12)
     with pytest.raises(ValidationError):
         qslab.resolve_model("no-such-model")
+
+
+def test_every_birth_death_and_two_state_chain_is_reversible():
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        n = int(rng.integers(1, 40))
+        birth = np.append(10.0 ** rng.uniform(-3, 3, n - 1), 0.0)
+        chain = qslab.build_birth_death(n, birth, 10.0 ** rng.uniform(-3, 3, n))
+        assert chain.reversible
+    for _ in range(40):
+        off = 10.0 ** rng.uniform(-3, 3, 2)
+        kill = 10.0 ** rng.uniform(-3, 3, 2) * rng.integers(0, 2, 2)
+        kill[rng.integers(0, 2)] += 0.5
+        L = np.array([[-off[0] - kill[0], off[0]], [off[1], -off[1] - kill[1]]])
+        assert qslab.validate_chain(L).reversible
+
+
+def test_reversible_chain_off_a_tree_is_detected():
+    """A walk on a dense graph with detailed balance built in, each rate
+    carrying the rounding of K(x, y) / pi_x: reversible."""
+    rng = np.random.default_rng(3)
+    n = 12
+    K = rng.uniform(0.1, 1.0, (n, n))
+    K = K + K.T  # symmetric conductances
+    pi = 10.0 ** rng.uniform(-4, 4, n)
+    L = K / pi[:, None]  # pi_x L(x, y) = K(x, y)
+    np.fill_diagonal(L, 0.0)
+    np.fill_diagonal(L, -L.sum(axis=1) - 0.3)
+    chain = qslab.validate_chain(L)
+    assert chain.reversible
+    qslab.solve_spectral(chain)  # its residual check passes
+
+
+def test_chains_that_break_detailed_balance_are_not_reversible(random_chain_set):
+    from conftest import CYCLE_GENERATOR
+    assert not any(chain.reversible for chain in random_chain_set)
+    # symmetric support, but the cycle breaks Kolmogorov's criterion
+    assert not qslab.validate_chain(CYCLE_GENERATOR).reversible
+    one_way = [[-2.0, 1.0, 0.0], [0.0, -2.0, 1.0], [1.0, 0.0, -2.0]]
+    assert not qslab.validate_chain(one_way).reversible  # asymmetric support
+
+
+def test_symmetric_route_gives_a_biorthonormal_basis():
+    chain = qslab.build_birth_death(30, [1.0] * 29 + [0.0], [3.0] * 30)
+    w, vl, vr = chain.eigen
+    assert w.dtype == float and np.all(np.diff(w) >= 0)
+    np.testing.assert_allclose(vl.T @ vr, np.eye(30), rtol=0, atol=1e-13)
+    L = chain.sub_generator
+    # relative to each mode's scale: pi spans 14 decades here
+    resid = np.abs(L @ vr - vr * w).max(axis=0) / np.abs(vr).max(axis=0)
+    assert resid.max() < 1e-13

@@ -97,14 +97,18 @@ def test_nonpositive_time_is_a_validation_error(tmp_path, capsys, argv):
     ("charfun", "--times", "nan"), ("charfun", "--omegas", "inf"), ("qprocess", "--T", "inf"),
     ("qed", "--times", ",", "--n", "100"), ("qed", "--n", "1"),
     ("qed", "--model", "bd5", "--method", "rejection", "--n", "3", "--times", "30,40"),
+    ("charfun", "--times", "0"), ("charfun", "--times", "1,-4"), ("qprocess", "--t=-500"),
 ], ids=["clt-n-neg", "clt-n0", "qed-n-neg", "all-n-neg", "seed-neg", "seed-2^64",
         "moments-t-neg", "moments-t-abc", "charfun-omega-x", "certify-tpoints-neg",
         "certify-tmax-nan", "charfun-t-nan", "charfun-omega-inf", "qprocess-T-inf",
-        "qed-t-empty", "qed-n1", "qed-none-kept"])
+        "qed-t-empty", "qed-n1", "qed-none-kept", "charfun-t0", "charfun-t-neg",
+        "qprocess-t-neg"])
 def test_out_of_range_arguments_are_validation_errors(tmp_path, capsys, argv):
     out = tmp_path / "o"
     model = () if "--model" in argv else ("--model", "m2sym")
-    rc = cli.main([*argv, *model, "--out", str(out)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any arithmetic warns
+        rc = cli.main([*argv, *model, "--out", str(out)])
     assert rc == 3
     assert capsys.readouterr().err.startswith("error: validation: ")
     assert not out.exists()
@@ -230,25 +234,46 @@ def test_certificate_ratio_overflow_is_a_numerical_error(tmp_path, capsys):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ("moments", "--kmax", "0", "--times", "1e300"),
-    ("moments", "--kmax", "0", "--times", "1e12,1e14"),
-    ("charfun", "--times", "1e300"),
-    ("qprocess", "--t", "1", "--T", "1e300"),
-], ids=["moments", "moments-rounding", "charfun", "qprocess"])
-def test_non_finite_oracles_are_overflow_errors(tmp_path, capsys, argv):
-    """At t = 1e300 the exponentials round to inf or nan, and at t = 1e12
-    the moments' squarings would lose more than 1e-6 (survival 1.0000534
-    and 0.98787 where it is 1): the run exits 4 and writes no CSV, so no
-    nan or drifted row."""
+@pytest.mark.parametrize("model, argv", [
+    ("m2sym", ("moments", "--kmax", "0", "--times", "1e300")),
+    ("m2sym", ("moments", "--kmax", "0", "--times", "1e12,1e14")),
+    ("m2sym", ("charfun", "--times", "1e300")),
+    ("cycle", ("qprocess", "--t", "1", "--T", "1e300")),
+    ("m2sym", ("charfun", "--times", "1e15", "--omegas", "1")),
+    ("bd5", ("charfun", "--times", "1e20", "--omegas", "1")),
+], ids=["moments", "moments-rounding", "charfun", "qprocess", "charfun-rounding",
+        "charfun-bd5"])
+def test_non_finite_oracles_are_overflow_errors(tmp_path, capsys, cycle_model, model, argv):
+    """At t = 1e300 the exponentials round to inf or nan, and well before
+    that their squarings lose more than 1e-6: moments at t = 1e12 wrote
+    survival 1.0000534 and 0.98787 where it is 1, and charfun at 1e15 wrote
+    re = 0.5544 where it is 0.6065 (at 1e20 on bd5, 0).  The run exits 4 and
+    writes no CSV, so no nan or drifted row.  qprocess needs a chain that is
+    not reversible: a reversible chain's marginals come from its
+    eigenbasis, which has no squarings."""
     out = tmp_path / "o"
+    model = cycle_model if model == "cycle" else model
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rc = cli.main([argv[0], "--model", "m2sym", *argv[1:], "--out", str(out)])
+        rc = cli.main([argv[0], "--model", model, *argv[1:], "--out", str(out)])
     assert rc == 4
     err = capsys.readouterr().err
     assert err.startswith("error: overflow-guard: ") and "Traceback" not in err
     assert not out.exists()
+
+
+def test_reversible_conditional_marginal_has_no_rounding_floor(tmp_path):
+    """On bd5 the conditioned law at t given survival to T = 1e300 is the
+    Q-process marginal: the eigenbasis sends every other mode to 0."""
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["qprocess", "--model", "bd5", "--t", "1", "--T", "1e300",
+                       "--out", str(out)])
+    assert rc == 0
+    (row,) = csv_rows(out / "qprocess.csv")
+    assert float(row["tv_gap"]) < 1e-14
+    assert float(row["bound"]) == 0.0
 
 
 @pytest.mark.parametrize("argv", [
@@ -339,3 +364,15 @@ def test_all_subcommand_produces_full_report_set(tmp_path):
     assert expected <= set(manifest["outputs"])
     for name in expected:
         assert (out / name).exists()
+
+
+def test_drifted_ladder_spectral_run_succeeds(tmp_path):
+    """Birth 1, death 3 on 60 states: dense eig exited 4 (degenerate-gap,
+    eigen-residual 1.3e-3); the symmetric form solves it."""
+    model = tmp_path / "drifted.yaml"
+    model.write_text("birth_death: {n: 60, birth: [" + "1.0, " * 59 + "0.0], death: ["
+                     + ", ".join(["3.0"] * 60) + "]}\n")
+    out = tmp_path / "o"
+    assert cli.main(["spectral", "--model", str(model), "--out", str(out)]) == 0
+    rows = {(r["object"], r["index"]): float(r["value"]) for r in csv_rows(out / "spectral.csv")}
+    assert abs(rows[("lambda0", "")] - 0.54029322509106478) < 1e-14

@@ -206,3 +206,30 @@ def test_gap_rate_matches_gamma(m2asym_bundle, m2asym_triple):
     )
     assert abs(slope + m2asym_triple.gamma) < 0.1 * m2asym_triple.gamma
     assert all(r.tv_gap_sum <= 2.0 for r in reports)
+
+
+def test_marginals_through_expm_refuse_times_past_the_rounding_floor():
+    """A chain that is not reversible keeps expm, whose squarings at
+    t = 1e12 would lose more than 1e-6; the eigenbasis of a reversible
+    chain has no squarings and serves any t."""
+    from conftest import CYCLE_GENERATOR
+    chain = qslab.validate_chain(CYCLE_GENERATOR)
+    triple = qslab.solve_spectral(chain)
+    qp = qslab.h_transform(chain, triple)
+    mu = np.full(3, 1.0 / 3.0)
+    for t in (1e12, 1e300):
+        with pytest.raises(NumericalError) as exc:
+            qslab.q_marginal(qp, mu, t)
+        assert exc.value.code == "overflow-guard"
+        with pytest.raises(NumericalError):
+            qslab.conditional_marginal(chain, mu, 1.0, t)
+    np.testing.assert_allclose(qslab.q_marginal(qp, mu, 10.0), qp.beta, rtol=0, atol=1e-12)
+    bd5 = qslab.resolve_model("bd5").chain
+    bd5_qp = qslab.h_transform(bd5, qslab.solve_spectral(bd5))
+    np.testing.assert_allclose(qslab.q_marginal(bd5_qp, np.eye(5)[0], 1e300), bd5_qp.beta,
+                               rtol=1e-13, atol=0)
+
+
+def test_conditional_marginal_refuses_negative_times(bd5_bundle):
+    with pytest.raises(ValidationError):
+        qslab.conditional_marginal(bd5_bundle.chain, np.eye(5)[0], -1.0, 1.0)

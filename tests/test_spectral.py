@@ -209,3 +209,65 @@ def test_certificate_example_grid_documented(bd5_bundle, bd5_triple):
     )
     assert cert.C > 0
     assert np.isfinite(cert.worst_ratio)
+
+
+# ---------------------------------------------------------------------------
+# drifted birth-death ladders: reversible, far from normal, pi over many decades
+
+def _drifted_ladder(n, birth, death):
+    return qslab.build_birth_death(n, [birth] * (n - 1) + [0.0], [death] * n)
+
+
+def _mpmath_spectrum(n, birth, death):
+    """(lambda0, gamma) from mpmath's eigsy of the symmetric form at 30 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        S = mp.matrix(n, n)
+        for i in range(n):
+            S[i, i] = -(birth if i < n - 1 else 0) - death
+            if i < n - 1:
+                S[i, i + 1] = S[i + 1, i] = mp.sqrt(mp.mpf(birth) * death)
+        w = sorted(mp.eigsy(S, eigvals_only=True), reverse=True)
+        return float(-w[0]), float(w[0] - w[1])
+
+
+def test_drifted_ladder_spectrum_matches_mpmath():
+    """Birth 1, death 3: dense eig found an eigen-residual of 1.3e-3 and
+    stopped; the symmetric form gives lambda0 and gamma to 1e-12."""
+    tr = qslab.solve_spectral(_drifted_ladder(60, 1.0, 3.0))
+    lam0, gamma = _mpmath_spectrum(60, 1.0, 3.0)
+    assert abs(tr.lambda0 - lam0) <= 1e-12 * lam0
+    assert abs(tr.gamma - gamma) <= 1e-12 * gamma
+
+
+def test_long_drifted_ladder_spectrum_matches_mpmath():
+    """Birth 1, death 2, n = 200: dense eig gave lambda0 = 0.1278 and gamma
+    = 0.  Reference: mpmath 1.3.0 eigsy of the symmetric form (diagonal
+    -3 and -2 at the top, off-diagonal sqrt(2)) at 40 digits, rounded."""
+    tr = qslab.solve_spectral(_drifted_ladder(200, 1.0, 2.0))
+    lam0, gamma = 0.1719102026890193334030014, 0.001011977406836749424699908
+    assert abs(tr.lambda0 - lam0) <= 1e-12 * lam0
+    assert abs(tr.gamma - gamma) <= 1e-12 * gamma
+
+
+# e^{gamma t} max_x sum_y |e^{t(L + lambda0)} - eta alpha|(x, y) on the default
+# grid, from mpmath 1.3.0 at 60 digits: eigsy(S) = (w, Q), the sum over the
+# modes other than the leading one of e^{t(w_j + lambda0)} Q_xj Q_yj, times
+# sqrt(pi_y / pi_x) = 3^{(x - y)/2}
+DRIFTED_PROFILE = (
+    126505421753.35582412, 139810113063.37044485, 146259052975.80172225,
+    156148652169.09054869, 171698563613.94981963, 197028698799.90195176,
+    239612238424.48049896, 306549384131.98573445, 386565323704.70457786,
+    448913149783.29878348, 478462940303.62915074, 486340267965.68521336,
+    487344816543.0269078,
+)
+
+
+def test_drifted_ladder_certificate_matches_mpmath():
+    """The profile from the eigenbasis keeps 1e-10 out to 6/gamma, where an
+    expm of L + lambda0 is off by 3.5e-11 and the ratios reach 5e11."""
+    chain = _drifted_ladder(60, 1.0, 3.0)
+    tr = qslab.solve_spectral(chain)
+    prof = certification_profile(chain, tr, np.ones(60), qslab.default_time_grid(tr.gamma))
+    for (_, ratio), ref in zip(prof, DRIFTED_PROFILE, strict=True):
+        assert abs(ratio - ref) <= 1e-10 * ref
