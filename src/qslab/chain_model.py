@@ -91,35 +91,67 @@ class AbsorbedChain:
         return self.log_reversible_measure is not None
 
     @cached_property
+    def symmetric_basis(self):
+        """(w, U, h) with L = diag(h)^{-1} U diag(w) U^T diag(h) for a
+        reversible chain, None for any other; read-only.
+
+        h = sqrt(pi) makes S = diag(h) L diag(h)^{-1} symmetric, with S(x, y)
+        = sqrt(L(x, y) L(y, x)) off the diagonal, and (w, U) = eigh(S): w is
+        real and ascending, U orthogonal.  A pi whose square root does not
+        fit in normal doubles raises OverflowGuard."""
+        log_pi = self.log_reversible_measure
+        if log_pi is None:
+            return None
+        if 0.5 * np.abs(log_pi).max() > -np.log(np.finfo(float).tiny):
+            raise OverflowGuard("the reversible measure's square root spans more "
+                                "decades than double precision holds")
+        L = self.sub_generator
+        S = np.sqrt(L * L.T)
+        # eigh's rounding scales with ||S - cI||, least at c = mean diag L
+        c = np.trace(L) / self.n
+        np.fill_diagonal(S, np.diag(L) - c)
+        w, U = eigh(S)
+        w += c
+        h = np.exp(0.5 * log_pi)
+        for arr in (w, U, h):
+            arr.setflags(write=False)
+        return w, U, h
+
+    @cached_property
+    def symmetric_route(self) -> bool:
+        """Whether eigen comes from symmetric_basis: L is reversible but not
+        symmetric, so pi is not constant."""
+        L = self.sub_generator
+        return self.reversible and not np.array_equal(L, L.T)
+
+    @cached_property
     def eigen(self):
         """(w, vl, vr), read-only: L vr = vr diag(w) and vl^H L = diag(w) vl^H.
 
-        A reversible L is similar to the symmetric S = D^{1/2} L D^{-1/2},
-        D = diag(pi), with S(x, y) = sqrt(L(x, y) L(y, x)) off the diagonal;
-        eigh(S) = (w, U) gives vr = D^{-1/2} U and vl = D^{1/2} U, so w is
-        real and vl^T vr = I.  Dense eig loses the spectrum of such chains
-        when pi spans many decades (they are far from normal).  Any other L
-        goes through scipy.linalg.eig(L, left=True, right=True).  A pi whose
-        square root does not fit in normal doubles raises OverflowGuard."""
-        L = self.sub_generator
-        log_pi = self.log_reversible_measure
-        if log_pi is None:
-            w, vl, vr = eig(L, left=True, right=True)
+        On the symmetric route vr = U / h and vl = U h from symmetric_basis,
+        so w is real and vl^T vr = I: dense eig loses the spectrum of such
+        chains when pi spans many decades (they are far from normal).  Any
+        other L goes through scipy.linalg.eig(L, left=True, right=True); a
+        symmetric L among them is normal, where eig is accurate, and keeps
+        the triple (and the Monte Carlo samples centred by it) bit for bit."""
+        if self.symmetric_route:
+            w, U, h = self.symmetric_basis
+            vl, vr = U * h[:, None], U / h[:, None]
         else:
-            if 0.5 * np.abs(log_pi).max() > -np.log(np.finfo(float).tiny):
-                raise OverflowGuard("the reversible measure's square root spans more "
-                                    "decades than double precision holds")
-            S = np.sqrt(L * L.T)
-            # eigh's rounding scales with ||S - cI||, least at c = mean diag L
-            c = np.trace(L) / self.n
-            np.fill_diagonal(S, np.diag(L) - c)
-            w, U = eigh(S)
-            w += c
-            half = np.exp(0.5 * log_pi)[:, None]
-            vl, vr = half * U, U / half
+            w, vl, vr = eig(self.sub_generator, left=True, right=True)
         for arr in (w, vl, vr):
             arr.setflags(write=False)
         return w, vl, vr
+
+    @property
+    def generator(self) -> np.ndarray:
+        """The sub-generator L, under the name QProcessChain also uses."""
+        return self.sub_generator
+
+    @property
+    def leading_eigenvalue(self) -> float:
+        """max Re w of eigen, which is -lambda0 of solve_spectral bit for bit."""
+        return float(self.eigen[0].real.max())
 
 
 def validate_weight(psi1) -> np.ndarray:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import expm
 
 from .chain_model import AbsorbedChain
 from .errors import OverflowGuard, ValidationError, ZeroEta
@@ -27,9 +26,7 @@ from .spectral import (
     certify_ergodicity,
     default_time_grid,
     log_slope,
-    modal_exp,
-    shifted_generator,
-    squarings,
+    semigroup,
 )
 
 
@@ -39,7 +36,7 @@ class QProcessChain:
 
     psi = psi1 / eta is the natural weight for Q-side ergodicity bounds and
     c = min psi its positive lower bound.  chain is the absorbed chain it
-    conditions, whose one eigen-decomposition also diagonalises L_Q.
+    conditions, whose eigen-decompositions also diagonalise L_Q.
     """
 
     q_generator: np.ndarray
@@ -56,15 +53,34 @@ class QProcessChain:
         return len(self.beta)
 
     @property
-    def reversible(self) -> bool:
-        """L_Q is reversible (with respect to beta) when L is."""
-        return self.chain.reversible
+    def generator(self) -> np.ndarray:
+        return self.q_generator
+
+    @property
+    def leading_eigenvalue(self) -> float:
+        return 0.0  # conservative
+
+    @property
+    def symmetric_basis(self):
+        """The chain's (w, U, h) for L_Q = diag(eta)^{-1} (L + lambda0)
+        diag(eta): (w - max w, U, h eta), whose leading eigenvalue is 0
+        exactly and h eta is proportional to sqrt(beta), the measure L_Q is
+        reversible for.  None when L is not reversible."""
+        basis = self.chain.symmetric_basis
+        if basis is None:
+            return None
+        w, U, h = basis
+        return w - w[-1], U, h * self.eta
 
     @property
     def eigen(self):
-        """(w, vl, vr) of L_Q = diag(eta)^{-1} (L + lambda0) diag(eta) from
-        the chain's: eigenvalues w + lambda0, right vectors vr / eta, left
-        vectors eta vl.  For a reversible chain vl^T vr = I still holds."""
+        """(w, vl, vr) of L_Q: with vl^T vr = I from symmetric_basis for a
+        reversible chain, else from the chain's eigen, as eigenvalues w +
+        lambda0, right vectors vr / eta and left vectors eta vl."""
+        basis = self.symmetric_basis
+        if basis is not None:
+            w, U, h = basis
+            return w, U * h[:, None], U / h[:, None]
         w, vl, vr = self.chain.eigen
         return w + self.lambda0, vl * self.eta[:, None], vr / self.eta[:, None]
 
@@ -101,16 +117,12 @@ def h_transform(chain: AbsorbedChain, triple: SpectralTriple,
 
 
 def q_marginal(qproc: QProcessChain, initial, t: float) -> np.ndarray:
-    """initial e^{t L_Q}; through expm (non-reversible chains) a t past the
-    rounding floor of its squarings raises OverflowGuard."""
+    """initial e^{t L_Q}; through expm a t past the rounding floor of its
+    squarings raises OverflowGuard (see spectral.semigroup)."""
     if t < 0:
         raise ValidationError("time must be nonnegative")
     initial = np.asarray(initial, dtype=float)
-    if qproc.reversible:
-        return initial @ modal_exp(qproc.eigen, t, 0.0)
-    LQ = qproc.q_generator
-    squarings(t, np.abs(LQ).sum(axis=0).max(), qproc.n)
-    return initial @ expm(t * LQ)
+    return initial @ semigroup(qproc, t)
 
 
 @dataclass(frozen=True)
@@ -129,10 +141,7 @@ def check_q_ergodicity(qproc: QProcessChain, t_grid) -> QErgodicityReport:
     """
     rows, tv_rows = [], []
     for t in np.asarray(t_grid, dtype=float):
-        if qproc.reversible:
-            D = np.abs(modal_exp(qproc.eigen, t, 0.0, drop_lead=True))
-        else:
-            D = np.abs(expm(t * qproc.q_generator) - qproc.beta)
+        D = np.abs(semigroup(qproc, t, lead=qproc.beta))
         devs = D @ qproc.psi / qproc.psi
         tvs = D.sum(axis=1) / qproc.psi
         rows.append((float(t), float(devs.max()), float(devs.max() * np.exp(qproc.gamma * t))))
@@ -143,20 +152,13 @@ def check_q_ergodicity(qproc: QProcessChain, t_grid) -> QErgodicityReport:
 
 def conditional_marginal(chain: AbsorbedChain, mu, t: float, T: float) -> np.ndarray:
     """Law of X_t given survival past T >= t, by two shifted exponentials;
-    a law that is not finite raises, and so does, through expm
-    (non-reversible chains), a time past the rounding floor of its
-    squarings."""
+    a law that is not finite raises, and so does, through expm, a time past
+    the rounding floor of its squarings (see spectral.semigroup)."""
     if not 0 <= t <= T:
         raise ValidationError("need 0 <= t <= T")
     mu = np.asarray(mu, dtype=float)
-    L, s = shifted_generator(chain)
-    if chain.reversible:
-        at_t = mu @ modal_exp(chain.eigen, t, -s)
-        surv = modal_exp(chain.eigen, T - t, -s) @ np.ones(chain.n)
-    else:
-        squarings(max(t, T - t), np.abs(L).sum(axis=0).max(), chain.n)
-        at_t = mu @ expm(t * L)
-        surv = expm((T - t) * L) @ np.ones(chain.n)
+    at_t = mu @ semigroup(chain, t)
+    surv = semigroup(chain, T - t) @ np.ones(chain.n)
     num = at_t * surv
     if not np.all(np.isfinite(num)):
         raise OverflowGuard(f"conditional marginal is not finite at t={t}, T={T}")

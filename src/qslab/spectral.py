@@ -9,10 +9,10 @@ certify_ergodicity measures, on a time grid, the smallest constant C with
 
 and stores twice the measured maximum as the certified C (grid certification
 cannot exclude slightly larger deviations between grid points; the factor-2
-slack is recorded in the certificate).  A reversible chain's semigroup is
-read off its symmetric eigenbasis (modal_exp); any other chain's comes from
-scipy's expm, whose squarings set the rounding floor that squarings()
-enforces.
+slack is recorded in the certificate).  semigroup() is the one place that
+picks how e^{tL} is computed: from a reversible chain's symmetric eigenbasis,
+or from scipy's expm, whose squarings set the rounding floor that
+squarings() enforces.
 """
 
 from __future__ import annotations
@@ -85,12 +85,16 @@ def solve_spectral(chain: AbsorbedChain) -> SpectralTriple:
     if eta.sum() < 0:
         eta = -eta
     eta = eta / (alpha @ eta)
-    # each residual relative to its vector's largest entry: alpha(eta) = 1
-    # makes eta huge where a drifted chain's alpha is concentrated
-    res_l = np.abs(alpha @ L + lambda0 * alpha).max() / alpha.max()
-    res_r = np.abs(L @ eta + lambda0 * eta).max() / np.abs(eta).max()
+    res_l = np.abs(alpha @ L + lambda0 * alpha).max()
+    res_r = np.abs(L @ eta + lambda0 * eta).max()
+    if chain.symmetric_route:
+        # alpha(eta) = 1 makes eta huge where a drifted chain's alpha is
+        # concentrated: each residual relative to its vector's largest entry.
+        # eig's stays absolute, since on a chain far from normal a small
+        # relative residual is only a backward error
+        res_l, res_r = res_l / alpha.max(), res_r / np.abs(eta).max()
     if max(res_l, res_r) > 1e-10 * scale:
-        raise DegenerateGap(f"relative eigen-residual {max(res_l, res_r)} exceeds tolerance")
+        raise DegenerateGap(f"eigen-residual {max(res_l, res_r)} exceeds tolerance")
     return SpectralTriple(lambda0=float(lambda0), alpha=alpha, eta=eta, gamma=float(gamma))
 
 
@@ -118,12 +122,13 @@ def default_time_grid(gamma: float, n_points: int = 12) -> np.ndarray:
     return np.concatenate([[0.0], np.geomspace(0.1 / gamma, 6.0 / gamma, n_points)])
 
 
-def shifted_generator(chain: AbsorbedChain):
-    """(L - s I, s) for a chain's sub-generator L and s = -lambda0 (bit for bit
-    as solve_spectral): conditioned ratios do not see the shift, and
-    e^{t(L - s I)} stays of order one where e^{tL} underflows."""
-    s = float(chain.eigen[0].real.max())
-    return chain.sub_generator - s * np.eye(chain.n), s
+def shifted_generator(gen):
+    """(G - s I, s) for the generator G of a chain or a Q-process and its
+    leading eigenvalue s: -lambda0 for a chain (bit for bit as
+    solve_spectral), 0 for a Q-process.  Conditioned ratios do not see the
+    shift, and e^{t(G - s I)} stays of order one where e^{tG} underflows."""
+    s = gen.leading_eigenvalue
+    return gen.generator - s * np.eye(gen.n), s
 
 
 def squarings(t: float, norm: float, n: int) -> int:
@@ -140,33 +145,46 @@ def squarings(t: float, norm: float, n: int) -> int:
     return s
 
 
-def modal_exp(eigen, t: float, shift: float, drop_lead: bool = False) -> np.ndarray:
-    """vr diag(e^{t(w + shift)}) vl^T, which is e^{t(A + shift I)} for the
-    matrix A = vr diag(w) vl^T of a reversible chain's eigen (vl^T vr = I).
+def semigroup(gen, t: float, lead=None) -> np.ndarray:
+    """e^{t(G - s I)} for the generator G of gen, an absorbed chain or a
+    Q-process, and its leading eigenvalue s (-lambda0 for a chain, 0 for a
+    Q-process), so that the leading mode neither grows nor decays; given
+    lead, the limit of that exponential, the deviation from it.
 
-    drop_lead leaves out the mode of largest w.  With shift = lambda0 that
-    mode is the limit eta alpha, so the rest is the deviation
-    e^{t(L + lambda0)} - eta alpha without the cancellation of a
-    subtraction, whose rounding e^{gamma t} would amplify."""
-    w, vl, vr = eigen
-    weights = np.exp(t * (w + shift))
-    if drop_lead:
-        weights[np.argmax(w)] = 0.0
-    return (vr * weights) @ vl.T
+    A reversible gen's symmetric basis (w, U, h) gives (U / h) diag(e^{t(w -
+    w_max)}) (U h)^T, and the deviation without its leading mode rather than
+    by a subtraction, whose rounding e^{gamma t} would amplify.  Entry (x, y)
+    carries eigh's rounding times h_y / h_x.  A deviation has that factor in
+    its own scale; an exponential does not, so one whose n eps max h / min h
+    exceeds ROUNDING_FLOOR comes, like every exponential of a gen that is not
+    reversible, from scipy's expm, after squarings() has checked its
+    rounding floor."""
+    n, eps = gen.n, np.finfo(float).eps
+    basis = gen.symmetric_basis
+    if basis is not None:
+        w, U, h = basis
+        if lead is not None or n * eps * h.max() <= ROUNDING_FLOOR * h.min():
+            weights = np.exp(t * (w - w[-1]))  # eigh sorts w ascending
+            if lead is not None:
+                weights[-1] = 0.0
+            # modes below eps times the largest add less than the sum's rounding
+            keep = weights >= eps * weights.max()
+            V = U[:, keep] * np.sqrt(weights[keep])
+            return (V / h[:, None]) @ (V * h[:, None]).T
+    A, _ = shifted_generator(gen)
+    squarings(t, np.abs(A).sum(axis=0).max(), n)
+    E = expm(t * A)
+    return E if lead is None else E - lead
 
 
 def certification_profile(chain: AbsorbedChain, triple: SpectralTriple, psi1,
                           t_grid):
     """Per-time worst deviation ratios e^{gamma t} max_x ||...||_psi1/psi1(x)."""
     psi1 = np.asarray(psi1, dtype=float)
-    G = chain.sub_generator + triple.lambda0 * np.eye(chain.n)
     target = np.outer(triple.eta, triple.alpha)
     out = []
     for t in np.asarray(t_grid, dtype=float):
-        if chain.reversible:
-            dev = modal_exp(chain.eigen, t, triple.lambda0, drop_lead=True)
-        else:
-            dev = expm(t * G) - target
+        dev = semigroup(chain, t, lead=target)
         ratios = (np.abs(dev) @ psi1) / psi1 * np.exp(triple.gamma * t)
         out.append((float(t), float(ratios.max())))
     return out

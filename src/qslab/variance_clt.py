@@ -33,7 +33,7 @@ from .qprocess import QProcessChain
 from .spectral import (
     ErgodicityCertificate,
     log_slope,
-    modal_exp,
+    semigroup,
     shifted_generator,
     squarings,
 )
@@ -221,13 +221,6 @@ def constants_table(cert: ErgodicityCertificate, qproc: QProcessChain,
 GeneratorLike = Union[AbsorbedChain, QProcessChain]
 
 
-def _generator_of(obj: GeneratorLike):
-    """(L - s I, s) for the generator L of obj and its principal eigenvalue s."""
-    if isinstance(obj, QProcessChain):
-        return obj.q_generator, 0.0  # conservative: s = 0
-    return shifted_generator(obj)
-
-
 @dataclass(frozen=True)
 class MomentValues:
     t: float
@@ -250,7 +243,7 @@ def exact_conditional_moments(gen: GeneratorLike, mu, f, k_max: int,
     phase has a rounding floor above ROUNDING_FLOOR raises, and so does a
     result that is not finite.
     """
-    L, s = _generator_of(gen)
+    L, s = shifted_generator(gen)
     mu = np.asarray(mu, dtype=float)
     f = np.asarray(f, dtype=float)
     if not 0 <= k_max <= K_MAX:
@@ -406,27 +399,31 @@ def exact_conditional_charfun(gen: GeneratorLike, mu, f,
     """E_mu[e^{i w' int_0^t f(X_s) ds} | survival] with w' = omega/sqrt(t)
     held fixed, via one complex matrix exponential of the shifted generator.
     For a conservative generator the conditioning divisor is 1."""
-    return exact_conditional_charfuns(gen, mu, f, [omega_over_sqrt_t], t)[0]
-
-
-def exact_conditional_charfuns(gen: GeneratorLike, mu, f, omegas_over_sqrt_t,
-                               t: float) -> list:
-    """exact_conditional_charfun at each w' of a list, for one t: the shift
-    and the survival mass are computed once, then one exponential per w'.
-    The survival mass of a reversible chain comes from its eigenbasis.  A
-    value that is not finite raises, and so does a t past the rounding
-    floor of an exponential's squarings."""
     if t <= 0:
         raise ValidationError("charfun needs t > 0")
-    L, s = _generator_of(gen)
+    return _conditional_charfuns(gen, mu, f, [omega_over_sqrt_t], t)[0]
+
+
+def exact_conditional_charfuns(gen: GeneratorLike, mu, f, omegas, t: float) -> list:
+    """exact_conditional_charfun at w' = omega / sqrt(t) for each omega of a
+    list, for one t: the shift and the survival mass are computed once,
+    then one exponential per omega."""
+    if t <= 0:
+        raise ValidationError("charfun needs t > 0")
+    return _conditional_charfuns(gen, mu, f, [w / np.sqrt(t) for w in omegas], t)
+
+
+def _conditional_charfuns(gen, mu, f, omegas_over_sqrt_t, t: float) -> list:
+    """The charfun at each w' for one t > 0.  The survival mass comes from
+    spectral.semigroup; read off a basis, its leading eigenvalue differs
+    from the one the tilted exponentials see by a few eps ||L||, which
+    moves the ratio by t times that, below their squarings' rounding floor.
+    A value that is not finite raises, and so does a t past that floor."""
+    L, s = shifted_generator(gen)
     mu = np.asarray(mu, dtype=float)
     f = np.asarray(f, dtype=float)
     laws = [_tilted_law(L, mu, f, w, t).sum() for w in omegas_over_sqrt_t]
-    if gen.reversible:
-        p = float((mu @ modal_exp(gen.eigen, t, -s)).sum())
-    else:
-        squarings(t, np.abs(L).sum(axis=0).max(), len(mu))
-        p = float((mu @ expm(t * L)).sum())
+    p = float((mu @ semigroup(gen, t)).sum())
     if not (p > 0 and np.all(np.isfinite([p, *laws]))):
         raise OverflowGuard(f"characteristic function is not finite at t={t}")
     return [complex(z / p) for z in laws]
@@ -437,7 +434,7 @@ def charfun_taylor_moments(gen: GeneratorLike, mu, f, t: float, k_max: int = 4) 
     characteristic function in w' at 0 (trapezoidal rule on a complex
     circle of radius 0.4 with 32 points; exact for entire functions up to
     roundoff).  Cross-check for exact_conditional_moments."""
-    L, s = _generator_of(gen)
+    L, s = shifted_generator(gen)
     radius, n_points = 0.4, 32
     mu = np.asarray(mu, dtype=float)
     f = np.asarray(f, dtype=float)

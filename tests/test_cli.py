@@ -376,3 +376,22 @@ def test_drifted_ladder_spectral_run_succeeds(tmp_path):
     assert cli.main(["spectral", "--model", str(model), "--out", str(out)]) == 0
     rows = {(r["object"], r["index"]): float(r["value"]) for r in csv_rows(out / "spectral.csv")}
     assert abs(rows[("lambda0", "")] - 0.54029322509106478) < 1e-14
+
+
+def test_drifted_ladder_off_the_symmetric_route_keeps_the_absolute_residual(tmp_path, capsys):
+    """The same ladder with a one-way edge from state 60 to state 1 at rate
+    0.5 is not reversible, so it goes through eig, which is as far off as
+    on the plain ladder: lambda0 = 0.54043010 and gamma = 0.013592 where
+    mpmath 1.3.0 (eig at 60 digits) gives 0.54043104165772 and
+    0.0135869023243529.  Relative to max |eta| its residual is small, but
+    that is only a backward error; the absolute residual refuses it."""
+    import qslab
+
+    L = np.array(qslab.build_birth_death(60, [1.0] * 59 + [0.0], [3.0] * 60).sub_generator)
+    L[59, 0], L[59, 59] = 0.5, L[59, 59] - 0.5
+    model = tmp_path / "one-way.yaml"
+    model.write_text(json.dumps({"generator": L.tolist()}))  # JSON is YAML
+    out = tmp_path / "o"
+    assert cli.main(["spectral", "--model", str(model), "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("error: degenerate-gap: eigen-residual")
+    assert not out.exists()

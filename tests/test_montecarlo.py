@@ -190,15 +190,14 @@ def test_jump_counts_do_not_depend_on_batch_size(stiff_chain):
     ("m2sym", "qprocess", 200.0, 20000, 1, 20000,
      "44f174f437ed85bd16a0782fbcc05f3d28e865170ca96ee7b51ba27d0fc9dc14"),
     ("bd5", "rejection", 20.0, 20000, 1, 3538,
-     "048728d6df6cd19ab4f0c503510d7047e95b6562d5765738279709519a5f1f77"),
+     "ced0506616e3b0efc89bc1294f72b0e07aede247fc3dd2d3a314096b4413767f"),
 ], ids=["m2sym-qprocess-t50", "m2sym-qprocess-t200", "bd5-rejection-t20"])
 def test_clt_samples_are_pinned(model, method, t, n, seed, kept, digest):
     """sha256 of the sorted sample bytes, recorded before the draw windows
     replaced one block per replica.  The digests depend on numpy's Philox
     stream and on the platform libm's log1p, so a new numpy or libm may
     legitimately move them; a kernel change must not.  They also depend on
-    beta(f), which centres f: bd5's moved when its triple came from eigh of
-    the symmetric form (beta_1 by 7.6e-17, each sample by at most 1e-15)."""
+    beta(f), which centres f, so on the bits of the spectral triple."""
     bundle = qslab.resolve_model(model)
     emp = qslab.conditional_clt_sample(bundle.chain, qslab.solve_spectral(bundle.chain),
                                        bundle.mu, bundle.f, t, n, method=method, seed=seed)

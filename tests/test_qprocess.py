@@ -233,3 +233,53 @@ def test_marginals_through_expm_refuse_times_past_the_rounding_floor():
 def test_conditional_marginal_refuses_negative_times(bd5_bundle):
     with pytest.raises(ValidationError):
         qslab.conditional_marginal(bd5_bundle.chain, np.eye(5)[0], -1.0, 1.0)
+
+
+# Reference laws from mpmath 1.3.0 at 90 digits: eigsy of the symmetric form S
+# = (w, Q) gives e^{tL}(x, y) = sum_j Q_xj Q_yj e^{t w_j} (birth/death)^{(y-x)/2}.
+# Entries not listed are below 1e-13.
+# Birth 1, death 3, n = 60, from state 60: the law at t = 1 given survival
+# past T = 5, states 38..60.
+DRIFTED_CONDITIONAL = (
+    6.05405035398183e-13, 4.47269520552492e-12, 3.15634502223351e-11, 2.12299039038375e-10,
+    1.35776247621078e-9, 8.23509763795123e-9, 4.72297643236607e-8, 2.55301086520951e-7,
+    1.29597326554614e-6, 6.15260233851306e-6, 2.71899905904686e-5, 0.000111254283131155,
+    0.000418875443715432, 0.00144064713262595, 0.00448740639667547, 0.0125285831569511,
+    0.0309582513989221, 0.0666417264156989, 0.122461104517696, 0.186999364518678,
+    0.228561556994831, 0.211369308715032, 0.133986970087107,
+)
+# Birth 1, death 2, n = 60, from state 1: the Q-process law at t = 0.5,
+# e^{lambda0 t} e^{tL}(1, y) eta_y / eta_1, states 1..15.
+DRIFTED_Q_MARGINAL = (
+    0.30971450000209, 0.405031103299657, 0.205983932045846, 0.0629994564637331,
+    0.0136449226134112, 0.00227828176594523, 0.000308835232158839, 3.51904942450837e-5,
+    3.45556684306762e-6, 2.97939837657977e-7, 2.28858643202613e-8, 1.58446374560269e-9,
+    9.98153621394326e-11, 5.76691838049456e-12, 3.07623829407916e-13,
+)
+
+
+def _drifted_ladder(n, death):
+    return qslab.build_birth_death(n, [1.0] * (n - 1) + [0.0], [death] * n)
+
+
+@pytest.mark.parametrize("law", ["conditional", "q"])
+def test_drifted_ladder_marginals_match_mpmath(law):
+    """pi spans 28 decades on the first ladder: read off the eigenbasis the
+    law carried errors of 1e-4 and negative entries, since entry (x, y)
+    carries eigh's rounding times sqrt(pi_y / pi_x) = 3^{14.5}.  Such an
+    exponential comes from expm; the Q-process's measure beta spans only
+    400, so its law keeps the eigenbasis."""
+    n = 60
+    if law == "conditional":
+        got = qslab.conditional_marginal(_drifted_ladder(n, 3.0), np.eye(n)[-1], 1.0, 5.0)
+        want = np.zeros(n)
+        want[n - len(DRIFTED_CONDITIONAL):] = DRIFTED_CONDITIONAL
+    else:
+        chain = _drifted_ladder(n, 2.0)
+        qp = qslab.h_transform(chain, qslab.solve_spectral(chain))
+        got = qslab.q_marginal(qp, np.eye(n)[0], 0.5)
+        want = np.zeros(n)
+        want[:len(DRIFTED_Q_MARGINAL)] = DRIFTED_Q_MARGINAL
+    assert got.min() >= -1e-13  # nonnegative up to rounding
+    assert abs(got.sum() - 1.0) <= 1e-10
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
