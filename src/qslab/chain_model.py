@@ -118,24 +118,17 @@ class AbsorbedChain:
         return w, U, h
 
     @cached_property
-    def symmetric_route(self) -> bool:
-        """Whether eigen comes from symmetric_basis: L is reversible but not
-        symmetric, so pi is not constant."""
-        L = self.sub_generator
-        return self.reversible and not np.array_equal(L, L.T)
-
-    @cached_property
     def eigen(self):
         """(w, vl, vr), read-only: L vr = vr diag(w) and vl^H L = diag(w) vl^H.
 
-        On the symmetric route vr = U / h and vl = U h from symmetric_basis,
-        so w is real and vl^T vr = I: dense eig loses the spectrum of such
-        chains when pi spans many decades (they are far from normal).  Any
-        other L goes through scipy.linalg.eig(L, left=True, right=True); a
-        symmetric L among them is normal, where eig is accurate, and keeps
-        the triple (and the Monte Carlo samples centred by it) bit for bit."""
-        if self.symmetric_route:
-            w, U, h = self.symmetric_basis
+        A reversible chain reads vr = U / h and vl = U h off symmetric_basis,
+        so w is real and ascending and vl^T vr = I: dense eig loses the
+        spectrum of such chains when pi spans many decades (they are far from
+        normal).  Any other L goes through scipy.linalg.eig(L, left=True,
+        right=True)."""
+        basis = self.symmetric_basis
+        if basis is not None:
+            w, U, h = basis
             vl, vr = U * h[:, None], U / h[:, None]
         else:
             w, vl, vr = eig(self.sub_generator, left=True, right=True)

@@ -61,6 +61,10 @@ class SingularSolve(NumericalError):
     code = "singular-solve"
 
 
+class UnresolvedDecay(NumericalError):
+    code = "unresolved-decay"
+
+
 class OverflowGuard(NumericalError):
     code = "overflow-guard"
 

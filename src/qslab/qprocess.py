@@ -74,13 +74,8 @@ class QProcessChain:
 
     @property
     def eigen(self):
-        """(w, vl, vr) of L_Q: with vl^T vr = I from symmetric_basis for a
-        reversible chain, else from the chain's eigen, as eigenvalues w +
-        lambda0, right vectors vr / eta and left vectors eta vl."""
-        basis = self.symmetric_basis
-        if basis is not None:
-            w, U, h = basis
-            return w, U * h[:, None], U / h[:, None]
+        """(w, vl, vr) of L_Q from the chain's eigen: eigenvalues w + lambda0,
+        right vectors vr / eta and left vectors eta vl."""
         w, vl, vr = self.chain.eigen
         return w + self.lambda0, vl * self.eta[:, None], vr / self.eta[:, None]
 

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .chain_model import AbsorbedChain
-from .errors import DegenerateGap, NoKilling, OverflowGuard, ValidationError
+from .errors import DegenerateGap, NoKilling, OverflowGuard, UnresolvedDecay, ValidationError
 
 _SLACK_FACTOR = 2.0
 ROUNDING_FLOOR = 1e-6  # largest rounding floor of an oracle's result that a run accepts
@@ -73,7 +73,10 @@ def solve_spectral(chain: AbsorbedChain) -> SpectralTriple:
     eta = vr[:, lead].real
     scale = max(1.0, np.abs(L).max())
     if lambda0 <= 1e-12 * scale:
-        raise NoKilling(f"leading eigenvalue {-lambda0} is not strictly negative")
+        if not chain.killing.any():
+            raise NoKilling(f"leading eigenvalue {-lambda0} is not strictly negative")
+        raise UnresolvedDecay(f"decay rate {lambda0} lies below the dense spectrum's "
+                              f"resolution 1e-12 ||L|| = {1e-12 * scale:g}")
     if not np.isfinite(gamma) or gamma <= 1e-8 * lambda0:
         raise DegenerateGap(f"spectral gap {gamma} below tolerance")
     if alpha.sum() < 0:
@@ -87,7 +90,7 @@ def solve_spectral(chain: AbsorbedChain) -> SpectralTriple:
     eta = eta / (alpha @ eta)
     res_l = np.abs(alpha @ L + lambda0 * alpha).max()
     res_r = np.abs(L @ eta + lambda0 * eta).max()
-    if chain.symmetric_route:
+    if chain.reversible:
         # alpha(eta) = 1 makes eta huge where a drifted chain's alpha is
         # concentrated: each residual relative to its vector's largest entry.
         # eig's stays absolute, since on a chain far from normal a small
@@ -199,9 +202,9 @@ def certify_ergodicity(chain: AbsorbedChain, triple: SpectralTriple, psi1,
     C >= max_x ||delta_x - eta(x) alpha||_psi1 / psi1(x).  A grid is refused
     when it ends where the rounding floor n eps e^{gamma t} of the ratio
     exceeds 1e-6 (about 22/gamma on a few states): through expm the ratio
-    would measure rounding, not the deviation.  The symmetric route does not
-    amplify rounding so, but the same grids are refused for every chain, so
-    that the accepted grids do not depend on the route.
+    would measure rounding, not the deviation.  A reversible chain's basis
+    does not amplify rounding so, but the same grids are refused for every
+    chain, so that the accepted grids do not depend on how e^{tL} is computed.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     gamma = triple.gamma

@@ -414,11 +414,9 @@ def exact_conditional_charfuns(gen: GeneratorLike, mu, f, omegas, t: float) -> l
 
 
 def _conditional_charfuns(gen, mu, f, omegas_over_sqrt_t, t: float) -> list:
-    """The charfun at each w' for one t > 0.  The survival mass comes from
-    spectral.semigroup; read off a basis, its leading eigenvalue differs
-    from the one the tilted exponentials see by a few eps ||L||, which
-    moves the ratio by t times that, below their squarings' rounding floor.
-    A value that is not finite raises, and so does a t past that floor."""
+    """The charfun at each w' for one t > 0, with the survival mass from
+    spectral.semigroup.  A value that is not finite raises, and so does a t
+    past the tilted exponentials' rounding floor."""
     L, s = shifted_generator(gen)
     mu = np.asarray(mu, dtype=float)
     f = np.asarray(f, dtype=float)

@@ -1,6 +1,7 @@
-"""A run computes its eigen-decompositions, spectral triple, Q-process,
-sigma^2 and certificate once, and a reversible chain's semigroups come
-from its symmetric eigenbasis, not from expm.
+"""A run makes exactly one dense eigen-decomposition and computes its
+spectral triple, Q-process, sigma^2 and certificate once; a reversible
+chain's triple and semigroups come from its symmetric eigenbasis, not from
+eig and expm.
 
 The counting test wraps the expensive primitives wherever a qslab module
 holds them by name and runs `cli.main` in process.  The equality test shows
@@ -77,26 +78,26 @@ def counted_main(monkeypatch, tmp_path, cycle_model, drifted_model):
 
 
 @pytest.mark.parametrize("argv, expected", [
-    (("spectral", "--model", "m2sym"), {"profile": 0, "h_transform": 0, "eig": 1, "eigh": 0}),
+    (("spectral", "--model", "m2sym"), {"profile": 0, "h_transform": 0, "eig": 0, "eigh": 1}),
     (("certify", "--model", "m2sym"),
-     {"profile": 1, "h_transform": 0, "spectral.expm": 0, "eig": 1, "eigh": 1}),
+     {"profile": 1, "h_transform": 0, "spectral.expm": 0, "eig": 0, "eigh": 1}),
     (("qprocess", "--model", "m2sym"), {"profile": 1, "spectral.expm": 0, "eigh": 1}),
     (("variance", "--model", "m2sym"),
      {"profile": 0, "sigma2_poisson": 1, "variance_clt.expm": 1, "linalg.eig": 0}),
-    (("moments", "--model", "m2sym"), {"profile": 0, "variance_clt.expm": 0, "eigh": 0}),
+    (("moments", "--model", "m2sym"), {"profile": 0, "variance_clt.expm": 0, "eigh": 1}),
     (("charfun", "--model", "bd5"),
      {"profile": 0, "spectral.expm": 0, "variance_clt.expm": 3, "eigvals": 0,
       "sigma2_poisson": 1}),
     (("clt", "--model", "m2sym", "--n", "300", "--t", "25"), {"profile": 1, "sigma2_poisson": 1}),
     (("clt", "--model", "m2sym", "--n", "300", "--t", "1", "--method", "rejection"),
-     {"profile": 0, "eigh": 0}),
+     {"profile": 0, "eigh": 1}),
     (("qed", "--model", "m2sym", "--n", "300"),
      {"profile": 0, "h_transform": 3, "sigma2_poisson": 0}),
     (("all", "--model", "m2sym", "--n", "300"),
      {"profile": 1, "h_transform": 6, "spectral.expm": 0, "variance_clt.expm": 4, "eigvals": 0,
-      "linalg.eig": 0, "sigma2_poisson": 2, "eig": 1, "eigh": 1}),
+      "linalg.eig": 0, "sigma2_poisson": 2, "eig": 0, "eigh": 1}),
     (("all", "--model", "bd5", "--n", "300"),
-     {"spectral.expm": 0, "variance_clt.expm": 4, "eig": 1, "eigh": 1}),
+     {"spectral.expm": 0, "variance_clt.expm": 4, "eig": 0, "eigh": 1}),
     (("all", "--model", "drifted", "--n", "300"),
      {"spectral.expm": 0, "variance_clt.expm": 4, "eig": 0, "eigh": 1}),
     (("all", "--model", "cycle", "--n", "300"),
@@ -107,10 +108,9 @@ def counted_main(monkeypatch, tmp_path, cycle_model, drifted_model):
 def test_each_run_solves_and_certifies_once(counted_main, argv, expected):
     counts = counted_main(*argv)
     assert counts["solve"] == 1
-    # at most one eig, which gives the triple of a chain off the symmetric
-    # route, and one eigh, which gives a reversible chain's semigroups (and,
-    # on the symmetric route, its triple too)
-    assert counts["eig"] <= 1 and counts["eigh"] <= 1
+    # one dense decomposition: eigh of a reversible chain's symmetric form,
+    # which gives its triple and its semigroups, or else eig
+    assert counts["eig"] + counts["eigh"] == 1
     assert {k: counts[k] for k in expected} == expected
 
 

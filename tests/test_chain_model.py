@@ -318,12 +318,16 @@ def test_chains_that_break_detailed_balance_are_not_reversible(random_chain_set)
     assert not qslab.validate_chain(one_way).reversible  # asymmetric support
 
 
-def test_symmetric_route_gives_a_biorthonormal_basis():
-    chain = qslab.build_birth_death(30, [1.0] * 29 + [0.0], [3.0] * 30)
+@pytest.mark.parametrize("make_chain", [
+    lambda: qslab.build_birth_death(30, [1.0] * 29 + [0.0], [3.0] * 30),
+    chain_model.bd5,
+], ids=["drifted-ladder", "bd5"])
+def test_reversible_chain_gives_a_biorthonormal_basis(make_chain):
+    chain = make_chain()
     w, vl, vr = chain.eigen
     assert w.dtype == float and np.all(np.diff(w) >= 0)
-    np.testing.assert_allclose(vl.T @ vr, np.eye(30), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(vl.T @ vr, np.eye(chain.n), rtol=0, atol=1e-13)
     L = chain.sub_generator
-    # relative to each mode's scale: pi spans 14 decades here
+    # relative to each mode's scale: the drifted ladder's pi spans 14 decades
     resid = np.abs(L @ vr - vr * w).max(axis=0) / np.abs(vr).max(axis=0)
     assert resid.max() < 1e-13

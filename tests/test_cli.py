@@ -77,6 +77,19 @@ def test_validation_errors_exit_3(tmp_path):
     assert "error: no-killing" in r.stderr
 
 
+def test_decay_below_double_resolution_is_a_numerical_error(tmp_path, capsys):
+    """Birth 3, death 1 on 60 states has killing at state 1, but its decay
+    rate, 3.1e-29 by 120-digit mpmath, lies far below eps ||L||: a numerical
+    limit (exit 4), not a chain without killing (exit 3)."""
+    model = tmp_path / "slow.yaml"
+    model.write_text("birth_death: {n: 60, birth: [" + "3.0, " * 59 + "0.0], death: ["
+                     + ", ".join(["1.0"] * 60) + "]}\n")
+    out = tmp_path / "o"
+    assert cli.main(["spectral", "--model", str(model), "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("error: unresolved-decay: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ("clt", "--t", "0"), ("clt", "--t=-1"), ("qed", "--times", "0"),
 ], ids=["clt-t0", "clt-t-neg", "qed-t0"])
@@ -378,7 +391,7 @@ def test_drifted_ladder_spectral_run_succeeds(tmp_path):
     assert abs(rows[("lambda0", "")] - 0.54029322509106478) < 1e-14
 
 
-def test_drifted_ladder_off_the_symmetric_route_keeps_the_absolute_residual(tmp_path, capsys):
+def test_drifted_ladder_that_is_not_reversible_keeps_the_absolute_residual(tmp_path, capsys):
     """The same ladder with a one-way edge from state 60 to state 1 at rate
     0.5 is not reversible, so it goes through eig, which is as far off as
     on the plain ladder: lambda0 = 0.54043010 and gamma = 0.013592 where

@@ -29,12 +29,19 @@ def test_m2asym_triple_matches_hand_solution(m2asym_triple):
     )
 
 
-def test_bd5_rates_match_chebyshev_closed_form(bd5_triple):
-    # unit-rate ladder of length 5: -spec(L) = 2 - 2 cos((2j-1) pi / 11)
-    angles = (2 * np.arange(1, 6) - 1) * np.pi / 11.0
-    levels = np.sort(2.0 - 2.0 * np.cos(angles))
-    assert abs(bd5_triple.lambda0 - levels[0]) < 1e-12
-    assert abs(bd5_triple.gamma - (levels[1] - levels[0])) < 1e-12
+@pytest.mark.parametrize("n", [5, 30, 150])
+def test_unit_ladder_rates_match_chebyshev_closed_form(n):
+    """Unit-rate ladder of length n (bd5 at n = 5): -spec(L) = 2 - 2 cos((2j-1)
+    pi / (2n+1)).  lambda0 in the form 4 sin^2, since 2 - 2 cos loses about
+    2e-12 relative to cancellation at n = 150."""
+    triple = qslab.solve_spectral(
+        qslab.build_birth_death(n, [1.0] * (n - 1) + [0.0], [1.0] * n))
+    lambda0 = 4.0 * np.sin(np.pi / (2 * (2 * n + 1))) ** 2
+    assert abs(triple.lambda0 - lambda0) < 2e-12 * lambda0
+    if n == 5:
+        levels = 2.0 - 2.0 * np.cos(np.array([1, 3]) * np.pi / 11.0)
+        assert abs(triple.lambda0 - levels[0]) < 1e-12
+        assert abs(triple.gamma - (levels[1] - levels[0])) < 1e-12
 
 
 def test_bd5_triple_against_power_iteration(bd5_bundle, bd5_triple):
