@@ -8,6 +8,7 @@ deterministic matrix-exponential oracles and by reproducible Monte Carlo.
 
 __version__ = "0.1.0"
 
+from .blas import pin_blas_threads
 from .chain_model import (
     AbsorbedChain,
     ModelBundle,

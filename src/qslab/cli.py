@@ -20,6 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from . import __version__, montecarlo, qprocess, variance_clt
+from .blas import pin_blas_threads
 from .chain_model import BUILTIN_MODELS, ModelBundle, resolve_model
 from .errors import DegenerateVariance, QslabError, ValidationError
 from .spectral import certify_ergodicity, default_time_grid, solve_spectral
@@ -170,12 +171,10 @@ def _run_moments(an, kmax, times):
     qp = an.qp
     obs = variance_clt.make_observable(qp, an.bundle.f)
     times = times or [5.0 / qp.gamma, 10.0 / qp.gamma]
-    rows = []
-    for t in times:
-        mv = variance_clt.exact_conditional_moments(qp, an.bundle.mu, obs.f_centered,
-                                                    kmax, t)
-        for k in range(kmax + 1):
-            rows.append((k, t, mv.m[k], mv.conditional[k], mv.survival))
+    mvs = variance_clt.exact_conditional_moments(qp, an.bundle.mu, obs.f_centered,
+                                                 kmax, times)
+    rows = [(k, t, mv.m[k], mv.conditional[k], mv.survival)
+            for t, mv in zip(times, mvs) for k in range(kmax + 1)]
     meta = {"kmax": kmax, "observable_centered": True}
     return {"moments.csv": (meta, ("k", "t", "m_k", "conditional_m_k", "survival"), rows)}
 
@@ -216,7 +215,7 @@ def _run_clt(an, t, n, method, seed, dump):
     out = {"clt.csv": ({"n_requested": emp.n_requested},
                        ("t", "n_eff", "d_kolm", "sigma2", "method", "gap_bound"), rows)}
     if dump:
-        out["clt_samples.txt"] = (None, None, [(v,) for v in emp.samples])
+        out["clt_samples.txt"] = (None, None, emp.samples)
     return out
 
 
@@ -305,6 +304,7 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    pin_blas_threads()  # the same bytes for any BLAS thread count
     parser = build_parser()
     args = parser.parse_args(argv)
     if any(isinstance(v, list) for v in vars(args).values()):  # argparse reads "--" as []
@@ -323,11 +323,10 @@ def main(argv=None) -> int:
         written = []
         for fname, (meta, columns, rows) in outputs.items():
             path = os.path.join(args.out, fname)
-            if columns is None:  # bare one-value-per-line dump
+            if columns is None:  # bare one-value-per-line dump of a float array
                 with open(path, "w") as fh:
                     fh.write(f"# manifest_hash = {digest}\n")
-                    for row in rows:
-                        fh.write(_fmt(row[0]) + "\n")
+                    fh.writelines(f"{v:.17g}\n" for v in rows.tolist())
             else:
                 full_meta = {"manifest_hash": digest, "model": determ["model"],
                              "seed": args.seed, "version": __version__}

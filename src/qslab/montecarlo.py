@@ -324,9 +324,11 @@ def quasi_ergodic_check(chain: AbsorbedChain, triple: SpectralTriple, mu, f,
                         method: Optional[str] = None) -> QuasiErgodicReport:
     """Monte Carlo conditional mean-square deviation of S_t/t from beta(f)
     on a time grid, with the exact moment-oracle value alongside when the
-    centred f is not constant.  Each time must keep at least 2 replicas."""
-    rows, used = [], None
-    for t in np.asarray(t_grid, dtype=float):
+    centred f is not constant, from one oracle call over the whole grid
+    after the samples.  Each time must keep at least 2 replicas."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    stats, used = [], None
+    for t in t_grid:
         mth = method or default_method(triple.lambda0, t)
         used = mth if used in (None, mth) else "mixed"
         emp = conditional_clt_sample(chain, triple, mu, f, t, n_replicas, method=mth,
@@ -334,14 +336,14 @@ def quasi_ergodic_check(chain: AbsorbedChain, triple: SpectralTriple, mu, f,
         dev2 = (emp.samples / np.sqrt(t)) ** 2
         if len(dev2) < 2:
             raise ValidationError(f"{len(dev2)} replicas kept at t={t}; a standard error needs 2")
-        mc = float(dev2.mean())
-        stderr = float(dev2.std(ddof=1) / np.sqrt(len(dev2)))
-        exact = float("nan")
+        stats.append((float(dev2.mean()), float(dev2.std(ddof=1) / np.sqrt(len(dev2)))))
+    exact = [float("nan")] * len(stats)
+    if stats:
         f_centered = np.asarray(f, dtype=float) - emp.beta_f
         if not variance_clt.is_constant(f_centered):
-            mv = variance_clt.exact_conditional_moments(chain, mu, f_centered, 2, t)
-            exact = float(mv.conditional[2] / t ** 2)
-        rows.append((float(t), mc, stderr, exact))
+            mvs = variance_clt.exact_conditional_moments(chain, mu, f_centered, 2, t_grid)
+            exact = [float(mv.conditional[2] / t ** 2) for mv, t in zip(mvs, t_grid)]
+    rows = [(float(t), mc, stderr, ex) for t, (mc, stderr), ex in zip(t_grid, stats, exact)]
     rate = log_slope(np.log([r[0] for r in rows]), [r[1] for r in rows])
     return QuasiErgodicReport(rows=rows, fitted_rate=rate, method=used or "auto")
 

@@ -229,10 +229,11 @@ class MomentValues:
     conditional: np.ndarray  # m[k] / survival, from the shifted generator
 
 
-def exact_conditional_moments(gen: GeneratorLike, mu, f, k_max: int,
-                              t: float) -> MomentValues:
-    """All moments up to k_max from one exponential of L + z diag(f) in the
-    ring of matrix polynomials truncated after z^k_max.
+def exact_conditional_moments(gen: GeneratorLike, mu, f, k_max: int, t):
+    """All moments up to k_max at each time of a grid t, from the
+    exponential of L + z diag(f) in the ring of matrix polynomials truncated
+    after z^k_max; a scalar t is a grid of one and returns its MomentValues,
+    a sequence returns a list in the order of t.
 
     Passing the absorbed chain gives conditioned-chain moments (divide by
     the survival mass m_0); passing the Q-process gives its plain moments.
@@ -246,24 +247,31 @@ def exact_conditional_moments(gen: GeneratorLike, mu, f, k_max: int,
     L, s = shifted_generator(gen)
     mu = np.asarray(mu, dtype=float)
     f = np.asarray(f, dtype=float)
+    times = [float(v) for v in np.ravel(t)]
     if not 0 <= k_max <= K_MAX:
         raise ValidationError(f"k_max must lie in [0, {K_MAX}]")
-    if t < 0:
-        raise ValidationError("time must be nonnegative")
     fmax = max(1.0, float(np.abs(f).max()))
-    if t > 0 and k_max * (np.log(t) + np.log(fmax)) > 700.0:
-        raise OverflowGuard(
-            f"t^k ||f||^k overflows double precision for k={k_max}, t={t}")
-    E = _polynomial_expm(L, f, k_max, t)
-    shifted = np.array([factorial(k) for k in range(k_max + 1)]) * (E.sum(axis=2) @ mu)
-    if not (np.all(np.isfinite(shifted)) and shifted[0] > 0):
-        raise OverflowGuard(f"moments at t={t} are not finite or lost the survival mass "
-                            f"(shifted survival {shifted[0]})")
-    m = shifted * np.exp(s * t)
-    p = float(m[0])
-    if k_max == 0 and p <= 0:
-        raise OverflowGuard(f"survival mass underflowed at t={t}")
-    return MomentValues(t=float(t), m=m, survival=p, conditional=shifted / shifted[0])
+    for v in times:
+        if not 0 <= v < np.inf:
+            raise ValidationError(f"time must be finite and nonnegative, got {v}")
+        if v > 0 and k_max * (np.log(v) + np.log(fmax)) > 700.0:
+            raise OverflowGuard(
+                f"t^k ||f||^k overflows double precision for k={k_max}, t={v}")
+    factorials = np.array([factorial(k) for k in range(k_max + 1)])
+    shifted = {v: factorials * (E.sum(axis=2) @ mu)
+               for v, E in _polynomial_expm(L, f, k_max, times)}
+    out = []
+    for v in times:
+        sv = shifted[v]
+        if not (np.all(np.isfinite(sv)) and sv[0] > 0):
+            raise OverflowGuard(f"moments at t={v} are not finite or lost the survival mass "
+                                f"(shifted survival {sv[0]})")
+        m = sv * np.exp(s * v)
+        p = float(m[0])
+        if k_max == 0 and p <= 0:
+            raise OverflowGuard(f"survival mass underflowed at t={v}")
+        out.append(MomentValues(t=v, m=m, survival=p, conditional=sv / sv[0]))
+    return out if np.ndim(t) else out[0]
 
 
 # Pade-13 coefficients (Higham 2005)
@@ -284,18 +292,45 @@ def _poly_mul(A, B):
     return C
 
 
-def _polynomial_expm(L, f, K: int, t: float) -> np.ndarray:
-    """E_0..E_K with e^{t(L + z diag f)} = sum_k E_k z^k mod z^{K+1}, by
-    Pade-13 scaling and squaring in the truncated polynomial ring.
+def _polynomial_expm(L, f, K: int, times):
+    """(t, E) for each distinct t of times, with E_0..E_K the coefficients of
+    e^{t(L + z diag f)} = sum_k E_k z^k mod z^{K+1}, by Pade-13 scaling and
+    squaring in the truncated polynomial ring.
 
     The scaling uses the 1-norm of the block matrix I (x) L + N (x) diag f,
-    max_x (sum_y |L_yx| + |f_x|) (exact for K >= 1).  The Pade denominator's
-    degree-0 block is factored once, and block forward substitution
-    inverts the rest of the denominator.  spectral.squarings gives s and
-    refuses a t whose squarings pass the rounding floor."""
+    max_x (sum_y |L_yx| + |f_x|) (exact for K >= 1).  spectral.squarings
+    gives each t its s, in the order of times, and refuses a t whose
+    squarings pass the rounding floor.  E(t) is the Pade approximant at
+    the step h = t / 2^s squared s times, so times that share h (a dyadic
+    family t, 2t, 4t, ... whose s grow by one per doubling) share one
+    approximant: each later time is read off the squaring loop of the
+    smallest, with the same products in the same order as on its own, so
+    bit for bit.  Grouping by the h each time computes checks s(2t) =
+    s(t) + 1 rather than assuming it: a doubling whose s does not grow by
+    one has another h and gets its own approximant.  Each E is yielded
+    before it is squared again, and only the current one is kept."""
     n = L.shape[0]
-    s = squarings(t, float((np.abs(L).sum(axis=0) + np.abs(f)).max()), n)
-    h = np.ldexp(t, -s)
+    norm = float((np.abs(L).sum(axis=0) + np.abs(f)).max())
+    families = {}
+    for t in dict.fromkeys(times):
+        s = squarings(t, norm, n)
+        families.setdefault(float(np.ldexp(t, -s)), []).append((s, t))
+    for h, members in families.items():
+        E = _pade13(L, f, K, h)
+        done = 0
+        for s, t in sorted(members):
+            for _ in range(s - done):
+                E = _poly_mul(E, E)
+            done = s
+            yield t, E
+
+
+def _pade13(L, f, K: int, h: float) -> np.ndarray:
+    """Pade-13 approximant of e^{h(L + z diag f)} mod z^{K+1}, for a step h
+    inside its accuracy radius.  The denominator's degree-0 block is
+    factored once, and block forward substitution inverts the rest of the
+    denominator."""
+    n = L.shape[0]
     X = np.zeros((K + 1, n, n))
     X[0] = h * L
     if K:
@@ -318,8 +353,6 @@ def _polynomial_expm(L, f, K: int, t: float) -> np.ndarray:
         for j in range(1, k + 1):
             rhs -= Q[j] @ E[k - j]
         E[k] = lu_solve(lu, rhs)
-    for _ in range(s):
-        E = _poly_mul(E, E)
     return E
 
 
@@ -350,13 +383,9 @@ def check_even_moment_limit(gen: GeneratorLike, mu, f, k: int, t_grid,
         raise ValidationError("even-moment check needs k >= 1")
     t_grid = np.asarray(t_grid, dtype=float)
     limit = factorial(2 * k) * sigma2 ** k / (factorial(k) * 2 ** k)
-    vals, errs = [], []
-    for t in t_grid:
-        mv = exact_conditional_moments(gen, mu, f, 2 * k, t)
-        vals.append(mv.m[2 * k] / t ** k)
-        errs.append(abs(vals[-1] - limit))
-    vals = np.array(vals)
-    errs = np.array(errs)
+    mvs = exact_conditional_moments(gen, mu, f, 2 * k, t_grid)
+    vals = np.array([mv.m[2 * k] / t ** k for mv, t in zip(mvs, t_grid)])
+    errs = np.abs(vals - limit)
     bounds = None
     ok = True
     if constants is not None and mu_psi is not None:
@@ -373,11 +402,8 @@ def check_odd_moment_decay(qproc: QProcessChain, mu, f, k: int, t_grid) -> Momen
     fixes only the 1/sqrt(t) speed, not the constant)."""
     t_grid = np.asarray(t_grid, dtype=float)
     mu = np.asarray(mu, dtype=float)
-    vals = []
-    for t in t_grid:
-        mv = exact_conditional_moments(qproc, mu, f, 2 * k + 1, t)
-        vals.append(mv.m[2 * k + 1] / t ** (k + 0.5))
-    vals = np.array(vals)
+    mvs = exact_conditional_moments(qproc, mu, f, 2 * k + 1, t_grid)
+    vals = np.array([mv.m[2 * k + 1] / t ** (k + 0.5) for mv, t in zip(mvs, t_grid)])
     errs = np.abs(vals)
     mu_psi = float(mu @ qproc.psi)
     pref = float(np.max(errs * np.sqrt(t_grid)) / mu_psi) if mu_psi > 0 else float("nan")

@@ -1,7 +1,9 @@
 """A run makes exactly one dense eigen-decomposition and computes its
 spectral triple, Q-process, sigma^2 and certificate once; a reversible
 chain's triple and semigroups come from its symmetric eigenbasis, not from
-eig and expm.
+eig and expm; and the moment oracle takes one Pade approximant per dyadic
+family of times (the default grids of `moments` and `qed` are one family
+each).
 
 The counting test wraps the expensive primitives wherever a qslab module
 holds them by name and runs `cli.main` in process.  The equality test shows
@@ -61,6 +63,7 @@ def counted_main(monkeypatch, tmp_path, cycle_model, drifted_model):
         "eig": (chain_model, "eig"),
         "eigh": (chain_model, "eigh"),
         "linalg.eig": (np.linalg, "eig"),
+        "pade": (variance_clt, "_pade13"),
     }
 
     def run(*argv):
@@ -84,7 +87,8 @@ def counted_main(monkeypatch, tmp_path, cycle_model, drifted_model):
     (("qprocess", "--model", "m2sym"), {"profile": 1, "spectral.expm": 0, "eigh": 1}),
     (("variance", "--model", "m2sym"),
      {"profile": 0, "sigma2_poisson": 1, "variance_clt.expm": 1, "linalg.eig": 0}),
-    (("moments", "--model", "m2sym"), {"profile": 0, "variance_clt.expm": 0, "eigh": 1}),
+    (("moments", "--model", "m2sym"),
+     {"profile": 0, "variance_clt.expm": 0, "eigh": 1, "pade": 1}),
     (("charfun", "--model", "bd5"),
      {"profile": 0, "spectral.expm": 0, "variance_clt.expm": 3, "eigvals": 0,
       "sigma2_poisson": 1}),
@@ -92,17 +96,17 @@ def counted_main(monkeypatch, tmp_path, cycle_model, drifted_model):
     (("clt", "--model", "m2sym", "--n", "300", "--t", "1", "--method", "rejection"),
      {"profile": 0, "eigh": 1}),
     (("qed", "--model", "m2sym", "--n", "300"),
-     {"profile": 0, "h_transform": 3, "sigma2_poisson": 0}),
+     {"profile": 0, "h_transform": 3, "sigma2_poisson": 0, "pade": 1}),
     (("all", "--model", "m2sym", "--n", "300"),
      {"profile": 1, "h_transform": 6, "spectral.expm": 0, "variance_clt.expm": 4, "eigvals": 0,
-      "linalg.eig": 0, "sigma2_poisson": 2, "eig": 0, "eigh": 1}),
+      "linalg.eig": 0, "sigma2_poisson": 2, "eig": 0, "eigh": 1, "pade": 2}),
     (("all", "--model", "bd5", "--n", "300"),
-     {"spectral.expm": 0, "variance_clt.expm": 4, "eig": 0, "eigh": 1}),
+     {"spectral.expm": 0, "variance_clt.expm": 4, "eig": 0, "eigh": 1, "pade": 2}),
     (("all", "--model", "drifted", "--n", "300"),
-     {"spectral.expm": 0, "variance_clt.expm": 4, "eig": 0, "eigh": 1}),
+     {"spectral.expm": 0, "variance_clt.expm": 4, "eig": 0, "eigh": 1, "pade": 2}),
     (("all", "--model", "cycle", "--n", "300"),
      {"profile": 1, "h_transform": 6, "spectral.expm": 17, "variance_clt.expm": 4,
-      "linalg.eig": 0, "eig": 1, "eigh": 0}),
+      "linalg.eig": 0, "eig": 1, "eigh": 0, "pade": 2}),
 ], ids=["spectral", "certify", "qprocess", "variance", "moments", "charfun", "clt-qprocess",
         "clt-rejection", "qed", "all", "all-bd5", "all-drifted", "all-cycle"])
 def test_each_run_solves_and_certifies_once(counted_main, argv, expected):

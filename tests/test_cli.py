@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -341,6 +342,26 @@ def test_clt_reruns_are_byte_identical_across_threads(tmp_path):
     assert run_cli("clt", "--model", "m2sym", "--t", "1", "--n", "300",
                    "--method", "rejection", "--out", str(o4)).returncode == 0
     assert csv_rows(o4 / "clt.csv")[0]["gap_bound"] == "nan"
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """With OpenBLAS free to use two threads, `certify` on the 300-state
+    unit ladder wrote C = 4.5198424791287062 where one thread writes
+    4.5198424791287044; a run pins both bundled OpenBLAS copies to one
+    thread, so the bytes agree whatever the environment asks for."""
+    n = 300
+    model = tmp_path / "ladder300.yaml"
+    model.write_text(f"birth_death: {{n: {n}, birth: {[1.0] * (n - 1) + [0.0]}, "
+                     f"death: {[1.0] * n}}}\n")
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        r = subprocess.run([sys.executable, "-m", "qslab.cli", "certify", "--model", str(model),
+                            "--out", str(out)], capture_output=True, text=True,
+                           env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+        assert r.returncode == 0, r.stderr
+        outs.append(read(out / "certify.csv"))
+    assert outs[0] == outs[1]
 
 
 def test_different_seed_changes_samples(tmp_path):

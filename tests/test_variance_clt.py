@@ -8,6 +8,7 @@ import pytest
 from scipy.linalg import expm
 
 import qslab
+from qslab import variance_clt
 from qslab.errors import NumericalError, ValidationError
 from qslab.spectral import shifted_generator
 
@@ -206,10 +207,82 @@ def test_moments_refuse_times_past_the_rounding_floor(m2sym_qproc):
 
 def test_moments_reject_negative_time(m2sym_bundle):
     chain, mu = m2sym_bundle.chain, m2sym_bundle.mu
-    with pytest.raises(ValidationError):
-        qslab.exact_conditional_moments(chain, mu, F1, 2, -1.0)
+    for t in (-1.0, np.inf, np.nan, [1.0, -1.0]):
+        with pytest.raises(ValidationError):
+            qslab.exact_conditional_moments(chain, mu, F1, 0, t)
     mv = qslab.exact_conditional_moments(chain, mu, F1, 2, 0.0)
     np.testing.assert_array_equal(mv.conditional, [1.0, 0.0, 0.0])
+
+
+# a dyadic family (8, 16, 32, 64), two times outside it and t = 0, unsorted
+# and repeated, all over gamma; 8/gamma has at least one squaring, as the
+# shifted generator's 1-norm is at least its spectral radius, gamma
+_GRID = (8.0, 16.0, 3.0, 64.0, 0.0, 16.0, 32.0, 0.7, 8.0)
+
+
+def _grid_case(name, bundles):
+    """(generator, mu, f, gamma) of an absorbed builtin, or of the 150-state
+    unit ladder's Q-process from its quasi-ergodic law."""
+    if name == "ladder150":
+        qp = _unit_ladder_qproc(150)
+        f = np.linspace(-1.0, 1.0, 150)
+        return qp, qp.beta, f - qp.beta @ f, qp.gamma
+    b = bundles[name]
+    return b.chain, b.mu, b.f, qslab.solve_spectral(b.chain).gamma
+
+
+def _count_pade(monkeypatch):
+    """Record the step h of each Pade approximant the moment oracle takes."""
+    steps, pade = [], variance_clt._pade13
+
+    def counted(L, f, K, h):
+        steps.append(h)
+        return pade(L, f, K, h)
+
+    monkeypatch.setattr(variance_clt, "_pade13", counted)
+    return steps
+
+
+def _assert_grid_matches_single_calls(gen, mu, f, K, times):
+    grid = qslab.exact_conditional_moments(gen, mu, f, K, times)
+    assert [mv.t for mv in grid] == list(times)
+    for mv in grid:
+        one = qslab.exact_conditional_moments(gen, mu, f, K, mv.t)
+        for field in ("m", "conditional"):
+            assert getattr(mv, field).tobytes() == getattr(one, field).tobytes(), (K, mv.t)
+        assert mv.survival == one.survival
+
+
+@pytest.mark.parametrize("K", [0, 4])
+@pytest.mark.parametrize("name", ["m2sym", "bd5", "m2asym", "ladder150"])
+def test_grid_moments_match_single_time_calls_bit_for_bit(
+        monkeypatch, m2sym_bundle, bd5_bundle, m2asym_bundle, name, K):
+    """One call over a grid writes, in the grid's order, the bytes of one
+    call per time, with one Pade approximant per dyadic family (here 8, 16,
+    32 and 64 share one) and one for each other time."""
+    gen, mu, f, gamma = _grid_case(
+        name, {"m2sym": m2sym_bundle, "bd5": bd5_bundle, "m2asym": m2asym_bundle})
+    times = [c / gamma for c in _GRID]
+    steps = _count_pade(monkeypatch)
+    qslab.exact_conditional_moments(gen, mu, f, K, times)
+    assert len(steps) == 4
+    _assert_grid_matches_single_calls(gen, mu, f, K, times)
+
+
+def test_grid_moments_fall_back_when_doubling_misses_a_squaring(monkeypatch, bd5_bundle):
+    """A squaring count that breaks s(2t) = s(t) + 1 past 12/gamma changes
+    the step h of 16, 32 and 64: they form a family of their own and take a
+    second approximant, and every time still has the bytes of its own call."""
+    chain, mu, f = bd5_bundle.chain, bd5_bundle.mu, bd5_bundle.f
+    gamma = qslab.solve_spectral(chain).gamma
+    times = [c / gamma for c in _GRID]
+    squarings = variance_clt.squarings
+    monkeypatch.setattr(variance_clt, "squarings",
+                        lambda t, norm, n: squarings(t, norm, n) + (t > 12.0 / gamma))
+    steps = _count_pade(monkeypatch)
+    qslab.exact_conditional_moments(chain, mu, f, 4, times)
+    assert len(steps) == 5
+    _assert_grid_matches_single_calls(chain, mu, f, 4, times)
 
 
 def _augmented_generator(L, f, K):
