@@ -136,15 +136,16 @@ class AbsorbedChain:
             arr.setflags(write=False)
         return w, vl, vr
 
-    @property
-    def generator(self) -> np.ndarray:
-        """The sub-generator L, under the name QProcessChain also uses."""
-        return self.sub_generator
-
-    @property
-    def leading_eigenvalue(self) -> float:
-        """max Re w of eigen, which is -lambda0 of solve_spectral bit for bit."""
-        return float(self.eigen[0].real.max())
+    @cached_property
+    def shifted(self):
+        """(L - s I, s), read-only, with s = max Re w of eigen, which is
+        -lambda0 of solve_spectral bit for bit.  Conditioned ratios do not
+        see the shift, and e^{t(L - s I)} stays of order one where e^{tL}
+        underflows."""
+        s = float(self.eigen[0].real.max())
+        A = self.sub_generator - s * np.eye(self.n)
+        A.setflags(write=False)
+        return A, s
 
 
 def validate_weight(psi1) -> np.ndarray:

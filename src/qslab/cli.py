@@ -94,7 +94,7 @@ def _check_args(args):
 
 
 class _Analysis:
-    """One run's spectral triple, Q-process, Poisson-only sigma^2 and
+    """One run's spectral triple, Q-process, observable, Poisson sigma^2 and
     certificate, each computed on first use and then shared by every stage
     of the run.  The certificate grid has tpoints geometric times after 0,
     out to tmax if given and to the default 6/gamma otherwise."""
@@ -112,8 +112,12 @@ class _Analysis:
         return qprocess.h_transform(self.bundle.chain, self.triple, self.bundle.psi1)
 
     @cached_property
+    def obs(self):
+        return variance_clt.make_observable(self.qp, self.bundle.f)
+
+    @cached_property
     def sigma2(self):
-        return variance_clt.sigma2_poisson(self.qp, self.bundle.f, with_quadrature=False).sigma2
+        return variance_clt.sigma2_poisson(self.qp, self.obs, with_quadrature=False).sigma2
 
     @cached_property
     def cert(self):
@@ -158,20 +162,18 @@ def _run_qprocess(an, t, T):
 
 
 def _run_variance(an):
-    res = variance_clt.sigma2_poisson(an.qp, an.bundle.f)
+    s2 = an.sigma2
+    quad, H, bound = variance_clt.sigma2_quadrature(an.qp, an.obs)
     meta = {"tolerance_cross_oracle": 1e-8}
-    rows = [(res.sigma2, res.quadrature_value,
-             abs(res.sigma2 - res.quadrature_value), res.error_bound,
-             res.horizon, res.horizon)]
+    rows = [(s2, quad, abs(s2 - quad), bound, H, H)]
     return {"variance.csv": (meta, ("sigma2", "quadrature", "abs_diff",
                                     "error_bound", "horizon", "step"), rows)}
 
 
 def _run_moments(an, kmax, times):
     qp = an.qp
-    obs = variance_clt.make_observable(qp, an.bundle.f)
     times = times or [5.0 / qp.gamma, 10.0 / qp.gamma]
-    mvs = variance_clt.exact_conditional_moments(qp, an.bundle.mu, obs.f_centered,
+    mvs = variance_clt.exact_conditional_moments(qp, an.bundle.mu, an.obs.f_centered,
                                                  kmax, times)
     rows = [(k, t, mv.m[k], mv.conditional[k], mv.survival)
             for t, mv in zip(times, mvs) for k in range(kmax + 1)]
@@ -181,12 +183,11 @@ def _run_moments(an, kmax, times):
 
 def _run_charfun(an, omegas, times):
     qp, b, s2 = an.qp, an.bundle, an.sigma2
-    obs = variance_clt.make_observable(qp, b.f)
     omegas = omegas or [0.5, 1.0, 2.0]
     times = times or [100.0 / qp.gamma]
     rows = []
     for t in times:
-        cfs = variance_clt.exact_conditional_charfuns(b.chain, b.mu, obs.f_centered,
+        cfs = variance_clt.exact_conditional_charfuns(b.chain, b.mu, an.obs.f_centered,
                                                       omegas, t)
         for w, cf in zip(omegas, cfs):
             lim = float(np.exp(-s2 * w * w / 2.0))
@@ -198,7 +199,7 @@ def _run_charfun(an, omegas, times):
 
 def _run_clt(an, t, n, method, seed, dump):
     b, triple = an.bundle, an.triple
-    constant = variance_clt.is_constant(variance_clt.make_observable(an.qp, b.f).f_centered)
+    constant = variance_clt.is_constant(an.obs.f_centered)
     if not constant and an.sigma2 <= 1e-12:
         raise DegenerateVariance(
             f"sigma^2 = {an.sigma2} for a nonconstant observable; no CLT asserted")

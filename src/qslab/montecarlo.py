@@ -64,19 +64,22 @@ class Trajectory:
 
 
 def _jump_tables(generator: np.ndarray, killing: Optional[np.ndarray]):
-    # rows of cumulative jump probabilities; killing, when present, occupies
-    # a final virtual column (target index n = cemetery)
+    """(rates, rows of cumulative jump probabilities); killing, when present,
+    occupies a final virtual column (target index n = cemetery).  Every
+    rate is positive: a chain of two or more states is strongly connected
+    (validate_chain), a one-state chain's rate is its killing rate, and L_Q,
+    defined for two states or more, has L's off-diagonal support."""
     rates = -np.diag(generator).copy()
     off = generator.copy()
     np.fill_diagonal(off, 0.0)
     if killing is not None:
         off = np.hstack([off, killing[:, None]])
-    probs = np.where(rates[:, None] > 0, off / np.where(rates > 0, rates, 1.0)[:, None], 0.0)
+    probs = off / rates[:, None]
     cum = np.cumsum(probs, axis=1)
     # pin the cumulative row to exactly 1 from its last positive-probability
     # column on, so a uniform draw can never fall off the end by roundoff
-    pos, ncol = probs > 0, probs.shape[1]
-    last = np.where(pos.any(axis=1), ncol - 1 - np.argmax(pos[:, ::-1], axis=1), ncol)
+    ncol = probs.shape[1]
+    last = ncol - 1 - np.argmax(probs[:, ::-1] > 0, axis=1)
     cum[np.arange(ncol) >= last[:, None]] = 1.0
     return rates, cum
 
@@ -91,10 +94,7 @@ def _simulate_one(generator, killing, initial, t_max, rng_stream) -> Trajectory:
     t, times, states, absorption = 0.0, [], [state], np.inf
     while True:
         u_h, u_j = gen.random(), gen.random()
-        rate = rates[state]
-        if rate <= 0:
-            break  # single absorbing-free state: sits forever
-        t_next = t + (-np.log1p(-u_h) / rate)
+        t_next = t + (-np.log1p(-u_h) / rates[state])
         if t_next >= t_max:
             break
         nxt = int((u_j > cumJ[state]).sum())
@@ -150,8 +150,7 @@ class _Kernel:
         self.n, ncol = cumJ.shape
         self.cum0 = np.cumsum(np.asarray(initial, dtype=float))
         self.f, self.t_max = np.asarray(f, dtype=float), float(t_max)
-        zero = rates <= 0  # zero-rate states hold forever
-        self.zero, self.neg_rates = (zero if zero.any() else None), -np.where(zero, 1.0, rates)
+        self.neg_rates = -rates
         # jump rows padded with +inf, and a guide table into them (see _next_states)
         self.width, self.K = ncol + 1, 1 << max(ncol - 1, 1).bit_length()
         self.cum = np.hstack([cumJ, np.full((self.n, 1), np.inf)]).ravel()
@@ -197,10 +196,7 @@ class _Kernel:
                 U = _draw_window(gen, replicas[pos], 1 + 2 * j, 2 * self.window)
                 row, col = np.arange(pos.size), 0
             # -log1p(-u)/rate bit for bit, as in _simulate_one
-            hold = np.log1p(-U[row, col]) / self.neg_rates[st]
-            if self.zero is not None:
-                hold[self.zero[st]] = np.inf
-            t_next = tc + hold
+            t_next = tc + np.log1p(-U[row, col]) / self.neg_rates[st]
             acc += self.f[st] * (np.minimum(t_next, t_max) - tc)
             nxt = self._next_states(st, U[row, col + 1])
             jumping = t_next < t_max

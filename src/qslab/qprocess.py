@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .chain_model import AbsorbedChain
-from .errors import OverflowGuard, ValidationError, ZeroEta
+from .errors import DegenerateGap, OverflowGuard, ValidationError, ZeroEta
 from .spectral import (
     ErgodicityCertificate,
     SpectralTriple,
@@ -53,12 +53,9 @@ class QProcessChain:
         return len(self.beta)
 
     @property
-    def generator(self) -> np.ndarray:
-        return self.q_generator
-
-    @property
-    def leading_eigenvalue(self) -> float:
-        return 0.0  # conservative
+    def shifted(self):
+        """(L_Q, 0): conservative, so its leading eigenvalue is 0."""
+        return self.q_generator, 0.0
 
     @property
     def symmetric_basis(self):
@@ -86,7 +83,11 @@ class QProcessChain:
 
 def h_transform(chain: AbsorbedChain, triple: SpectralTriple,
                 psi1: Optional[np.ndarray] = None) -> QProcessChain:
-    """Build the Q-process generator; rows are forced to sum to zero exactly."""
+    """Build the Q-process generator; rows are forced to sum to zero exactly.
+    A one-state chain has no spectral gap (see solve_spectral), so no
+    Q-process: every state of one has a positive total rate."""
+    if chain.n < 2:
+        raise DegenerateGap("a one-state chain has no spectral gap")
     eta = triple.eta
     if np.min(eta) <= 1e-12 * np.max(eta):
         raise ZeroEta("eta vanishes somewhere: h-transform undefined on full E")
@@ -112,12 +113,10 @@ def h_transform(chain: AbsorbedChain, triple: SpectralTriple,
 
 
 def q_marginal(qproc: QProcessChain, initial, t: float) -> np.ndarray:
-    """initial e^{t L_Q}; through expm a t past the rounding floor of its
-    squarings raises OverflowGuard (see spectral.semigroup)."""
-    if t < 0:
-        raise ValidationError("time must be nonnegative")
-    initial = np.asarray(initial, dtype=float)
-    return initial @ semigroup(qproc, t)
+    """initial e^{t L_Q}; spectral.semigroup refuses a t that is negative
+    or not finite, and through expm one past the rounding floor of its
+    squarings."""
+    return np.asarray(initial, dtype=float) @ semigroup(qproc, t)
 
 
 @dataclass(frozen=True)

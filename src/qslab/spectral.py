@@ -125,20 +125,18 @@ def default_time_grid(gamma: float, n_points: int = 12) -> np.ndarray:
     return np.concatenate([[0.0], np.geomspace(0.1 / gamma, 6.0 / gamma, n_points)])
 
 
-def shifted_generator(gen):
-    """(G - s I, s) for the generator G of a chain or a Q-process and its
-    leading eigenvalue s: -lambda0 for a chain (bit for bit as
-    solve_spectral), 0 for a Q-process.  Conditioned ratios do not see the
-    shift, and e^{t(G - s I)} stays of order one where e^{tG} underflows."""
-    s = gen.leading_eigenvalue
-    return gen.generator - s * np.eye(gen.n), s
+def check_time(t: float) -> None:
+    """Refuse a negative or non-finite time t for an exponential e^{tA}."""
+    if not 0 <= t < np.inf:
+        raise ValidationError(f"time must be finite and nonnegative, got {t}")
 
 
 def squarings(t: float, norm: float, n: int) -> int:
     """Squaring count s of Pade-13 scaling and squaring for e^{tA} with
     ||A||_1 = norm on n states, the smallest s with t norm / 2^s <= theta13.
     Each squaring can double the relative rounding error, so a t with
-    2^s n eps > ROUNDING_FLOOR raises OverflowGuard."""
+    2^s n eps > ROUNDING_FLOOR raises OverflowGuard, after check_time."""
+    check_time(t)
     s = 0
     if t * norm > _THETA13:  # log2 of each factor, so a huge t cannot overflow
         s = int(np.ceil(np.log2(t) + np.log2(norm / _THETA13)))
@@ -149,10 +147,10 @@ def squarings(t: float, norm: float, n: int) -> int:
 
 
 def semigroup(gen, t: float, lead=None) -> np.ndarray:
-    """e^{t(G - s I)} for the generator G of gen, an absorbed chain or a
-    Q-process, and its leading eigenvalue s (-lambda0 for a chain, 0 for a
-    Q-process), so that the leading mode neither grows nor decays; given
-    lead, the limit of that exponential, the deviation from it.
+    """e^{tA} for (A, s) = gen.shifted, the generator of an absorbed chain
+    or a Q-process shifted by its leading eigenvalue, so that the leading
+    mode neither grows nor decays; given lead, the limit of that
+    exponential, the deviation from it.
 
     A reversible gen's symmetric basis (w, U, h) gives (U / h) diag(e^{t(w -
     w_max)}) (U h)^T, and the deviation without its leading mode rather than
@@ -161,7 +159,8 @@ def semigroup(gen, t: float, lead=None) -> np.ndarray:
     its own scale; an exponential does not, so one whose n eps max h / min h
     exceeds ROUNDING_FLOOR comes, like every exponential of a gen that is not
     reversible, from scipy's expm, after squarings() has checked its
-    rounding floor."""
+    rounding floor.  check_time comes first."""
+    check_time(t)
     n, eps = gen.n, np.finfo(float).eps
     basis = gen.symmetric_basis
     if basis is not None:
@@ -174,7 +173,7 @@ def semigroup(gen, t: float, lead=None) -> np.ndarray:
             keep = weights >= eps * weights.max()
             V = U[:, keep] * np.sqrt(weights[keep])
             return (V / h[:, None]) @ (V * h[:, None]).T
-    A, _ = shifted_generator(gen)
+    A, _ = gen.shifted
     squarings(t, np.abs(A).sum(axis=0).max(), n)
     E = expm(t * A)
     return E if lead is None else E - lead

@@ -30,13 +30,7 @@ from scipy.linalg import expm, lu_factor, lu_solve
 from .chain_model import AbsorbedChain
 from .errors import OverflowGuard, SingularSolve, ValidationError
 from .qprocess import QProcessChain
-from .spectral import (
-    ErgodicityCertificate,
-    log_slope,
-    semigroup,
-    shifted_generator,
-    squarings,
-)
+from .spectral import ErgodicityCertificate, check_time, log_slope, semigroup, squarings
 
 K_MAX = 8
 
@@ -104,29 +98,19 @@ def sigma2_poisson(qproc: QProcessChain, f,
     if sigma2 < -1e-12:
         raise SingularSolve(f"negative variance {sigma2} from Poisson solve")
     sigma2 = max(sigma2, 0.0)
-    if with_quadrature:
-        quad, H, bound = _quadrature(qproc, ft)
-    else:
-        quad, H, bound = float("nan"), float("nan"), float("nan")
+    quad, H, bound = sigma2_quadrature(qproc, obs) if with_quadrature else (float("nan"),) * 3
     return VarianceResult(sigma2=sigma2, g=g, quadrature_value=quad,
                           horizon=H, error_bound=bound)
 
 
 def sigma2_quadrature(qproc: QProcessChain, f):
-    """2 * int_0^H Cov_beta(f(X_0), f(X_s)) ds with H = 40/gamma, by one
-    block exponential, plus its recorded error bound (truncated tail +
-    rounding term)."""
-    obs = f if isinstance(f, AdditiveObservable) else make_observable(qproc, f)
-    value, _, bound = _quadrature(qproc, obs.f_centered)
-    return value, bound
-
-
-def _quadrature(qproc, ft):
-    """Van Loan: the last column of expm(H [[L_Q, ft], [0, 0]]) is
-    int_0^H e^{s L_Q} ft ds, so one exponential integrates the
+    """(value, H, bound): 2 * int_0^H Cov_beta(f(X_0), f(X_s)) ds with H =
+    40/gamma and its error bound (truncated tail + rounding term).  Van
+    Loan: the last column of expm(H [[L_Q, ft], [0, 0]]) is int_0^H e^{s
+    L_Q} ft ds for the centred ft, so one exponential integrates the
     autocovariance beta(ft e^{s L_Q} ft) over [0, H]."""
-    gamma = qproc.gamma
-    H = 40.0 / gamma
+    ft = (f if isinstance(f, AdditiveObservable) else make_observable(qproc, f)).f_centered
+    H = 40.0 / qproc.gamma
     LQ = qproc.q_generator
     n = qproc.n
     bft = qproc.beta * ft
@@ -244,7 +228,7 @@ def exact_conditional_moments(gen: GeneratorLike, mu, f, k_max: int, t):
     phase has a rounding floor above ROUNDING_FLOOR raises, and so does a
     result that is not finite.
     """
-    L, s = shifted_generator(gen)
+    L, s = gen.shifted
     mu = np.asarray(mu, dtype=float)
     f = np.asarray(f, dtype=float)
     times = [float(v) for v in np.ravel(t)]
@@ -252,8 +236,7 @@ def exact_conditional_moments(gen: GeneratorLike, mu, f, k_max: int, t):
         raise ValidationError(f"k_max must lie in [0, {K_MAX}]")
     fmax = max(1.0, float(np.abs(f).max()))
     for v in times:
-        if not 0 <= v < np.inf:
-            raise ValidationError(f"time must be finite and nonnegative, got {v}")
+        check_time(v)
         if v > 0 and k_max * (np.log(v) + np.log(fmax)) > 700.0:
             raise OverflowGuard(
                 f"t^k ||f||^k overflows double precision for k={k_max}, t={v}")
@@ -356,6 +339,15 @@ def _pade13(L, f, K: int, h: float) -> np.ndarray:
     return E
 
 
+def _positive_times(t_grid) -> np.ndarray:
+    """t_grid as an array, refused unless every time is finite and positive:
+    the normalised checks divide by powers of t."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    if not np.all((t_grid > 0) & (t_grid < np.inf)):
+        raise ValidationError(f"normalised checks need finite times t > 0, got {t_grid}")
+    return t_grid
+
+
 @dataclass(frozen=True)
 class MomentReport:
     k: int
@@ -381,7 +373,7 @@ def check_even_moment_limit(gen: GeneratorLike, mu, f, k: int, t_grid,
     """
     if k < 1:
         raise ValidationError("even-moment check needs k >= 1")
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = _positive_times(t_grid)
     limit = factorial(2 * k) * sigma2 ** k / (factorial(k) * 2 ** k)
     mvs = exact_conditional_moments(gen, mu, f, 2 * k, t_grid)
     vals = np.array([mv.m[2 * k] / t ** k for mv, t in zip(mvs, t_grid)])
@@ -400,7 +392,7 @@ def check_odd_moment_decay(qproc: QProcessChain, mu, f, k: int, t_grid) -> Momen
     """Report m_{2k+1}(t)/t^{k+1/2} on the grid with its fitted decay rate
     and the empirical prefactor max_t |value| sqrt(t)/mu(psi) (the theorem
     fixes only the 1/sqrt(t) speed, not the constant)."""
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = _positive_times(t_grid)
     mu = np.asarray(mu, dtype=float)
     mvs = exact_conditional_moments(qproc, mu, f, 2 * k + 1, t_grid)
     vals = np.array([mv.m[2 * k + 1] / t ** (k + 0.5) for mv, t in zip(mvs, t_grid)])
@@ -443,7 +435,7 @@ def _conditional_charfuns(gen, mu, f, omegas_over_sqrt_t, t: float) -> list:
     """The charfun at each w' for one t > 0, with the survival mass from
     spectral.semigroup.  A value that is not finite raises, and so does a t
     past the tilted exponentials' rounding floor."""
-    L, s = shifted_generator(gen)
+    L, _ = gen.shifted
     mu = np.asarray(mu, dtype=float)
     f = np.asarray(f, dtype=float)
     laws = [_tilted_law(L, mu, f, w, t).sum() for w in omegas_over_sqrt_t]
@@ -458,7 +450,7 @@ def charfun_taylor_moments(gen: GeneratorLike, mu, f, t: float, k_max: int = 4) 
     characteristic function in w' at 0 (trapezoidal rule on a complex
     circle of radius 0.4 with 32 points; exact for entire functions up to
     roundoff).  Cross-check for exact_conditional_moments."""
-    L, s = shifted_generator(gen)
+    L, s = gen.shifted
     radius, n_points = 0.4, 32
     mu = np.asarray(mu, dtype=float)
     f = np.asarray(f, dtype=float)
@@ -507,6 +499,7 @@ def check_uniform_charfun_bound(qproc: QProcessChain, cert: ErgodicityCertificat
     C mu(psi) e^{-gamma t} + (C |omega|/sqrt(t)) (beta(psi) + C mu(psi)) / gamma
     with the certified constants, plus the distance of the weighted law to
     its Gaussian-limit target beta(g) e^{-sigma^2 omega^2 / 2}."""
+    t_grid = _positive_times(t_grid)
     obs = f if isinstance(f, AdditiveObservable) else make_observable(qproc, f)
     ft = obs.f_centered
     mu = np.asarray(mu, dtype=float)
@@ -517,7 +510,7 @@ def check_uniform_charfun_bound(qproc: QProcessChain, cert: ErgodicityCertificat
     beta_psi = float(qproc.beta @ psi)
     rows = []
     ok = True
-    for t in np.asarray(t_grid, dtype=float):
+    for t in t_grid:
         wp = omega / np.sqrt(t)
         m = _tilted_law(qproc.q_generator, mu, ft, wp, t)
         z = m.sum()

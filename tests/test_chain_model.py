@@ -1,6 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 import qslab
@@ -331,3 +335,43 @@ def test_reversible_chain_gives_a_biorthonormal_basis(make_chain):
     # relative to each mode's scale: the drifted ladder's pi spans 14 decades
     resid = np.abs(L @ vr - vr * w).max(axis=0) / np.abs(vr).max(axis=0)
     assert resid.max() < 1e-13
+
+
+_RATES = st.one_of(st.just(0.0), st.floats(0.01, 10.0))
+
+
+@st.composite
+def model_bundles(draw):
+    """A valid bundle on 2..6 states: random rates (some zero) plus a cycle
+    through every state, so the chain is strongly connected, killing at one
+    state at least, and random psi1 >= 1, mu, f with max|f| <= 1 and name."""
+    n = draw(st.integers(2, 6))
+    vec = lambda values: np.array(draw(st.lists(values, min_size=n, max_size=n)))
+    A = np.array(draw(st.lists(_RATES, min_size=n * n, max_size=n * n))).reshape(n, n)
+    A[np.arange(n), (np.arange(n) + 1) % n] = vec(st.floats(0.01, 10.0))
+    np.fill_diagonal(A, 0.0)
+    kappa = vec(_RATES)
+    kappa[draw(st.integers(0, n - 1))] = draw(st.floats(0.01, 10.0))
+    mu = vec(st.floats(0.01, 1.0))
+    return chain_model.ModelBundle(
+        chain=qslab.validate_chain(A - np.diag(A.sum(axis=1) + kappa)),
+        psi1=vec(st.floats(1.0, 10.0)), mu=mu / mu.sum(), f=vec(st.floats(-1.0, 1.0)),
+        name=draw(st.text("abz-_ 019", max_size=6)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(model_bundles())
+def test_generated_chains_keep_the_q_process_and_yaml_invariants(bundle):
+    """L_Q's rows sum to 0 within 2 n eps max|L_Q| (h_transform sets the
+    diagonal from the off-diagonal sum), beta L_Q = 0 within 1e-12 max|L_Q|
+    (the triple's residuals carry over; 2000 such chains stayed below 4 n
+    eps max|L_Q|), and load(emit(b)) == b field by field."""
+    chain = bundle.chain
+    qp = qslab.h_transform(chain, qslab.solve_spectral(chain), bundle.psi1)
+    scale = np.abs(qp.q_generator).max()
+    assert np.abs(qp.q_generator.sum(axis=1)).max() <= 2 * chain.n * np.finfo(float).eps * scale
+    assert np.abs(qp.beta @ qp.q_generator).max() <= 1e-12 * scale
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.yaml"
+        qslab.emit_model_config(bundle, path)
+        _assert_same_bundle(qslab.load_model_config(path), bundle)

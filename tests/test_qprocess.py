@@ -89,6 +89,18 @@ def test_zero_eta_guard(m2sym_bundle):
     assert exc.value.code == "zero-eta"
 
 
+def test_one_state_chain_has_no_q_process():
+    """solve_spectral refuses a one-state chain (no gap), and so does
+    h_transform given a hand-made triple: its L_Q would be [[0]], a state
+    with no rate for the jump tables."""
+    from qslab.spectral import SpectralTriple
+
+    one = SpectralTriple(lambda0=1.0, alpha=np.ones(1), eta=np.ones(1), gamma=1.0)
+    with pytest.raises(NumericalError) as exc:
+        qslab.h_transform(qslab.validate_chain([[-1.0]]), one)
+    assert exc.value.code == "degenerate-gap"
+
+
 def test_psi_carries_the_weight(m2asym_triple, m2asym_bundle):
     psi1 = np.array([1.0, 3.0])
     qp = qslab.h_transform(m2asym_bundle.chain, m2asym_triple, psi1)

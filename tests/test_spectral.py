@@ -1,11 +1,17 @@
+import warnings
+from dataclasses import FrozenInstanceError
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 import qslab
 from qslab.chain_model import AbsorbedChain
-from qslab.errors import NumericalError, ValidationError
+from qslab.errors import NumericalError, QslabError, ValidationError
 from qslab.spectral import certification_profile
+
+from conftest import CYCLE_GENERATOR, make_random_chain
 
 
 def test_m2sym_triple_is_exact(m2sym_triple):
@@ -91,6 +97,69 @@ def test_eigen_residuals_on_random_chains(random_chain_set):
         assert np.abs(tr.alpha @ L + tr.lambda0 * tr.alpha).max() < 1e-10
         assert np.abs(L @ tr.eta + tr.lambda0 * tr.eta).max() < 1e-10
         assert abs(tr.gamma - 1.0) < 1e-8  # the factory normalizes the gap
+
+
+SHIFT_CHAINS = {
+    "m2sym": qslab.m2sym, "m2asym": qslab.m2asym, "bd5": qslab.bd5,
+    "cycle": lambda: qslab.validate_chain(CYCLE_GENERATOR),
+    "random-dense": lambda: make_random_chain(np.random.default_rng(2026), n=12),
+}
+
+
+@pytest.mark.parametrize("name", list(SHIFT_CHAINS))
+def test_shift_is_cached_read_only_and_minus_lambda0(name):
+    """chain.shifted = (L - sI, s) is built once per chain and cannot be
+    written, and s is -lambda0 of solve_spectral bit for bit; a Q-process
+    is shifted by 0 and hands out its own generator."""
+    chain = SHIFT_CHAINS[name]()
+    A, s = chain.shifted
+    assert chain.shifted[0] is A
+    triple = qslab.solve_spectral(chain)
+    assert s.hex() == (-triple.lambda0).hex()
+    np.testing.assert_array_equal(A, chain.sub_generator - s * np.eye(chain.n))
+    with pytest.raises(ValueError):
+        A[0, 0] = 0.0
+    with pytest.raises(FrozenInstanceError):
+        chain.shifted = (A, s)
+    qp = qslab.h_transform(chain, triple)
+    assert qp.shifted[0] is qp.q_generator and qp.shifted[1] == 0.0
+
+
+# calls that start an exponential at a time that is negative or not finite
+TIME_PROBES = {
+    "charfun-inf": lambda o: qslab.exact_conditional_charfun(o.chain, o.mu, o.f, 1.0, np.inf),
+    "charfuns-inf": lambda o: qslab.exact_conditional_charfuns(o.chain, o.mu, o.f, [1.0], np.inf),
+    "taylor-inf": lambda o: qslab.charfun_taylor_moments(o.chain, o.mu, o.f, np.inf),
+    "taylor-neg": lambda o: qslab.charfun_taylor_moments(o.chain, o.mu, o.f, -1.0),
+    "charfun-bound-inf": lambda o: qslab.check_uniform_charfun_bound(
+        o.qp, o.cert, o.mu, o.f, 1.0, [np.inf]),
+    "marginal-T-inf": lambda o: qslab.conditional_marginal(o.chain, o.mu, 1.0, np.inf),
+    "q-marginal-inf": lambda o: qslab.q_marginal(o.qp, o.qp.beta, np.inf),
+    "q-marginal-nan": lambda o: qslab.q_marginal(o.qp, o.qp.beta, np.nan),
+    "q-gap-T-inf": lambda o: qslab.conditional_vs_q_gap(o.chain, o.triple, o.mu, 1.0, np.inf),
+    "q-ergodicity-neg": lambda o: qslab.check_q_ergodicity(o.qp, [-1.0]),
+}
+
+
+@pytest.mark.parametrize("model", ["m2sym", "cycle"])
+@pytest.mark.parametrize("probe", list(TIME_PROBES))
+def test_exponentials_refuse_negative_or_non_finite_times(probe, model):
+    """spectral.squarings and spectral.semigroup, where every exponential
+    starts, refuse such a time with a coded error and no warning, on the
+    symmetric basis (m2sym) and through expm (the cycle)."""
+    chain = SHIFT_CHAINS[model]()
+    triple = qslab.solve_spectral(chain)
+    ones = np.ones(chain.n)
+    o = SimpleNamespace(
+        chain=chain, triple=triple, qp=qslab.h_transform(chain, triple), mu=ones / chain.n,
+        f=np.linspace(-1.0, 1.0, chain.n),
+        cert=qslab.certify_ergodicity(chain, triple, ones, qslab.default_time_grid(triple.gamma)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(QslabError) as exc:
+            TIME_PROBES[probe](o)
+    assert [str(w.message) for w in caught] == []
+    assert exc.value.code == "validation" and exc.value.exit_code == 3
 
 
 def test_time_rescaling_scales_rates_only(random_chain_set):

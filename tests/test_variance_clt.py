@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 from math import factorial
 from types import SimpleNamespace
@@ -10,7 +11,6 @@ from scipy.linalg import expm
 import qslab
 from qslab import variance_clt
 from qslab.errors import NumericalError, ValidationError
-from qslab.spectral import shifted_generator
 
 F1 = np.array([1.0, -1.0])
 
@@ -362,7 +362,7 @@ def test_moments_match_a_fixed_point_reference(bd5_bundle, model, absorbed, K, t
     chain = bd5_bundle.chain if model == "bd5" else _unit_ladder(8)
     triple = qslab.solve_spectral(chain)
     gen = chain if absorbed else qslab.h_transform(chain, triple)
-    L = shifted_generator(chain)[0] if absorbed else gen.q_generator
+    L = chain.shifted[0] if absorbed else gen.q_generator
     rng = np.random.default_rng([chain.n, K, 11])
     mu = rng.uniform(0.5, 1.5, chain.n)
     mu /= mu.sum()
@@ -384,7 +384,7 @@ def test_moments_match_the_dense_block_formula(random_chain_set):
         n = chain.n
         mu = np.full(n, 1.0 / n)
         f = np.linspace(-1.0, 1.0, n)
-        L = shifted_generator(chain)[0]
+        L = chain.shifted[0]
         for K in (0, 4, 8):
             A = _augmented_generator(L, f, K).astype(float)
             for t in (0.5, 5.0):  # gamma = 1
@@ -563,3 +563,29 @@ def test_uniform_charfun_bound_m2sym(m2sym_bundle, m2sym_triple, m2sym_qproc):
         assert sup_gap <= bound
         convs.append(conv)
     assert convs[0] > convs[1] > convs[2]  # Gaussian limit sharpens with t
+
+
+NORMALISED_CHECKS = {
+    "charfun-bound-t0": lambda qp, cert: qslab.check_uniform_charfun_bound(
+        qp, cert, qp.beta, F1, 1.0, [0.0]),
+    "charfun-bound-t-neg": lambda qp, cert: qslab.check_uniform_charfun_bound(
+        qp, cert, qp.beta, F1, 1.0, [-1.0]),
+    "even-t0": lambda qp, cert: qslab.check_even_moment_limit(
+        qp, qp.beta, F1, 1, [0.0, 10.0], sigma2=1.0),
+    "odd-t0": lambda qp, cert: qslab.check_odd_moment_decay(qp, qp.beta, F1, 0, [0.0, 10.0]),
+}
+
+
+@pytest.mark.parametrize("check", list(NORMALISED_CHECKS))
+def test_normalised_checks_refuse_nonpositive_times(m2sym_bundle, m2sym_triple, m2sym_qproc,
+                                                    check):
+    """The checks divide by powers of t: a t <= 0 is a ValidationError raised
+    before any arithmetic, so no warning."""
+    cert = qslab.certify_ergodicity(
+        m2sym_bundle.chain, m2sym_triple, np.ones(2), qslab.default_time_grid(2.0)
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValidationError):
+            NORMALISED_CHECKS[check](m2sym_qproc, cert)
+    assert [str(w.message) for w in caught] == []
