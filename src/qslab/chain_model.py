@@ -32,7 +32,7 @@ from .errors import (
 _ROWSUM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AbsorbedChain:
     """Validated sub-Markov generator with killing rates.
 
@@ -256,7 +256,7 @@ def bd5() -> AbsorbedChain:
     return build_birth_death(5, [1.0, 1.0, 1.0, 1.0, 0.0], [1.0] * 5)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelBundle:
     """A chain plus the optional pieces a run needs: weight psi1, initial
     law mu, and the bounded observable f."""
@@ -346,14 +346,15 @@ def load_model_config(path) -> ModelBundle:
     psi1 = validate_weight(_vec("psi1", np.ones(n)))
     mu = validate_initial_law(_vec("mu", np.full(n, 1.0 / n)), n)
     f = _vec("observable", np.eye(n)[0])
-    if np.max(np.abs(f)) > 1.0 + 1e-12:
-        raise ValidationError("observable must satisfy max|f| <= 1")
+    if not np.max(np.abs(f)) <= 1.0 + 1e-12:  # nan compares false
+        raise ValidationError("observable must be finite with max|f| <= 1")
     name = str(raw.get("name", "model"))
     return ModelBundle(chain=chain, psi1=psi1, mu=mu, f=f, name=name)
 
 
 def emit_model_config(bundle: ModelBundle, path) -> None:
-    """Write a bundle back to YAML so that load(emit(b)) == b."""
+    """Write a bundle back to YAML; load_model_config of the file gives
+    back its states, generator, psi1, mu, observable and name."""
     doc = {
         "name": bundle.name,
         "states": list(bundle.chain.states),

@@ -152,8 +152,7 @@ def _run_certify(an):
 
 
 def _run_qprocess(an, t, T):
-    b = an.bundle
-    rep = qprocess.conditional_vs_q_gap(b.chain, an.triple, b.mu, t, T, b.psi1, an.cert)
+    rep = qprocess.conditional_vs_q_gap(an.qp, an.bundle.mu, t, T, an.cert)
     rows = [(rep.t, rep.T, rep.tv_gap, rep.tv_gap_sum, rep.bound,
              rep.threshold_T, rep.threshold_ok)]
     return {"qprocess.csv": ({"gamma": an.triple.gamma},
@@ -171,9 +170,9 @@ def _run_variance(an):
 
 
 def _run_moments(an, kmax, times):
-    qp = an.qp
-    times = times or [5.0 / qp.gamma, 10.0 / qp.gamma]
-    mvs = variance_clt.exact_conditional_moments(qp, an.bundle.mu, an.obs.f_centered,
+    gamma = an.triple.gamma
+    times = times or [5.0 / gamma, 10.0 / gamma]
+    mvs = variance_clt.exact_conditional_moments(an.qp, an.bundle.mu, an.obs.f_centered,
                                                  kmax, times)
     rows = [(k, t, mv.m[k], mv.conditional[k], mv.survival)
             for t, mv in zip(times, mvs) for k in range(kmax + 1)]
@@ -182,9 +181,9 @@ def _run_moments(an, kmax, times):
 
 
 def _run_charfun(an, omegas, times):
-    qp, b, s2 = an.qp, an.bundle, an.sigma2
+    b, s2 = an.bundle, an.sigma2
     omegas = omegas or [0.5, 1.0, 2.0]
-    times = times or [100.0 / qp.gamma]
+    times = times or [100.0 / an.triple.gamma]
     rows = []
     for t in times:
         cfs = variance_clt.exact_conditional_charfuns(b.chain, b.mu, an.obs.f_centered,
@@ -203,7 +202,7 @@ def _run_clt(an, t, n, method, seed, dump):
     if not constant and an.sigma2 <= 1e-12:
         raise DegenerateVariance(
             f"sigma^2 = {an.sigma2} for a nonconstant observable; no CLT asserted")
-    emp = montecarlo.conditional_clt_sample(b.chain, triple, b.mu, b.f, t, n,
+    emp = montecarlo.conditional_clt_sample(an.qp, b.mu, an.obs, t, n,
                                             method=method, seed=seed)
     s2, d, gap_bound = 0.0, float("nan"), float("nan")
     if not constant:
@@ -221,9 +220,9 @@ def _run_clt(an, t, n, method, seed, dump):
 
 
 def _run_qed(an, times, n, method, seed):
-    b, triple = an.bundle, an.triple
-    times = times or [10.0 / triple.gamma, 20.0 / triple.gamma, 40.0 / triple.gamma]
-    rep = montecarlo.quasi_ergodic_check(b.chain, triple, b.mu, b.f, times, n,
+    gamma = an.triple.gamma
+    times = times or [10.0 / gamma, 20.0 / gamma, 40.0 / gamma]
+    rep = montecarlo.quasi_ergodic_check(an.qp, an.bundle.mu, an.obs, times, n,
                                          seed=seed, method=method)
     meta = {"fitted_rate": rep.fitted_rate, "method": rep.method}
     return {"qed.csv": (meta, ("t", "mean_square", "stderr", "exact"), rep.rows)}

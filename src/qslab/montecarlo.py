@@ -17,8 +17,8 @@ from scipy.special import ndtr
 
 from .chain_model import AbsorbedChain
 from .errors import BudgetExceeded, DegenerateVariance, ValidationError
-from .qprocess import QProcessChain, h_transform
-from .spectral import SpectralTriple, log_slope
+from .qprocess import QProcessChain
+from .spectral import log_slope
 from . import variance_clt
 
 DEFAULT_BATCH = 4096
@@ -250,22 +250,21 @@ def default_method(lambda0: float, t: float) -> str:
     return "qprocess" if t > 3.0 / lambda0 else "rejection"
 
 
-def conditional_clt_sample(chain: AbsorbedChain, triple: SpectralTriple, mu, f,
-                           t: float, n_replicas: int, method: Optional[str] = None,
-                           seed: int = 0, threads: int = 1,
+def conditional_clt_sample(qproc: QProcessChain, mu, f, t: float, n_replicas: int,
+                           method: Optional[str] = None, seed: int = 0,
                            batch: int = DEFAULT_BATCH) -> EmpiricalDistribution:
     """Sample the statistic sqrt(t)(S_t/t - beta(f)) under conditioning.
 
-    'rejection' keeps absorbed-chain paths that survive past t (unbiased);
-    'qprocess' simulates the surrogate conservative dynamics from the
-    eta-reweighted initial law, whose law differs from exact conditioning by
-    the coupling gap that qprocess.conditional_vs_q_gap bounds.  threads is
-    accepted and ignored: batches run in the calling thread.
+    'rejection' keeps paths of the absorbed chain qproc.chain that survive
+    past t (unbiased); 'qprocess' simulates the surrogate conservative
+    dynamics L_Q from the eta-reweighted initial law, whose law differs
+    from exact conditioning by the coupling gap that
+    qprocess.conditional_vs_q_gap bounds.
     """
     if not t > 0:
         raise ValidationError(f"time horizon t must be positive, got {t}")
     mu = np.asarray(mu, dtype=float)
-    qproc = h_transform(chain, triple)
+    chain, triple = qproc.chain, qproc.triple
     obs = variance_clt.make_observable(qproc, f)
     method = default_method(triple.lambda0, t) if method is None else method
     if method not in ("rejection", "qprocess"):
@@ -315,30 +314,27 @@ class QuasiErgodicReport:
     method: str
 
 
-def quasi_ergodic_check(chain: AbsorbedChain, triple: SpectralTriple, mu, f,
-                        t_grid, n_replicas: int, seed: int = 0,
-                        method: Optional[str] = None) -> QuasiErgodicReport:
+def quasi_ergodic_check(qproc: QProcessChain, mu, f, t_grid, n_replicas: int,
+                        seed: int = 0, method: Optional[str] = None) -> QuasiErgodicReport:
     """Monte Carlo conditional mean-square deviation of S_t/t from beta(f)
     on a time grid, with the exact moment-oracle value alongside when the
     centred f is not constant, from one oracle call over the whole grid
     after the samples.  Each time must keep at least 2 replicas."""
     t_grid = np.asarray(t_grid, dtype=float)
+    obs = variance_clt.make_observable(qproc, f)
     stats, used = [], None
     for t in t_grid:
-        mth = method or default_method(triple.lambda0, t)
+        mth = method or default_method(qproc.triple.lambda0, t)
         used = mth if used in (None, mth) else "mixed"
-        emp = conditional_clt_sample(chain, triple, mu, f, t, n_replicas, method=mth,
-                                     seed=seed)
+        emp = conditional_clt_sample(qproc, mu, obs, t, n_replicas, method=mth, seed=seed)
         dev2 = (emp.samples / np.sqrt(t)) ** 2
         if len(dev2) < 2:
             raise ValidationError(f"{len(dev2)} replicas kept at t={t}; a standard error needs 2")
         stats.append((float(dev2.mean()), float(dev2.std(ddof=1) / np.sqrt(len(dev2)))))
     exact = [float("nan")] * len(stats)
-    if stats:
-        f_centered = np.asarray(f, dtype=float) - emp.beta_f
-        if not variance_clt.is_constant(f_centered):
-            mvs = variance_clt.exact_conditional_moments(chain, mu, f_centered, 2, t_grid)
-            exact = [float(mv.conditional[2] / t ** 2) for mv, t in zip(mvs, t_grid)]
+    if stats and not variance_clt.is_constant(obs.f_centered):
+        mvs = variance_clt.exact_conditional_moments(qproc.chain, mu, obs.f_centered, 2, t_grid)
+        exact = [float(mv.conditional[2] / t ** 2) for mv, t in zip(mvs, t_grid)]
     rows = [(float(t), mc, stderr, ex) for t, (mc, stderr), ex in zip(t_grid, stats, exact)]
     rate = log_slope(np.log([r[0] for r in rows]), [r[1] for r in rows])
     return QuasiErgodicReport(rows=rows, fitted_rate=rate, method=used or "auto")

@@ -30,22 +30,22 @@ from .spectral import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QProcessChain:
     """Conservative transformed chain on the support of eta.
 
-    psi = psi1 / eta is the natural weight for Q-side ergodicity bounds and
-    c = min psi its positive lower bound.  chain is the absorbed chain it
-    conditions, whose eigen-decompositions also diagonalise L_Q.
+    chain is the absorbed chain it conditions, whose eigen-decompositions
+    also diagonalise L_Q, and triple the chain's spectral triple it was
+    built from.  psi = psi1 / eta is the natural weight for Q-side
+    ergodicity bounds and c = min psi its positive lower bound.
     """
 
     q_generator: np.ndarray
     beta: np.ndarray
-    eta: np.ndarray
+    psi1: np.ndarray
     psi: np.ndarray
     c: float
-    lambda0: float
-    gamma: float
+    triple: SpectralTriple
     chain: AbsorbedChain
 
     @property
@@ -67,17 +67,18 @@ class QProcessChain:
         if basis is None:
             return None
         w, U, h = basis
-        return w - w[-1], U, h * self.eta
+        return w - w[-1], U, h * self.triple.eta
 
     @property
     def eigen(self):
         """(w, vl, vr) of L_Q from the chain's eigen: eigenvalues w + lambda0,
         right vectors vr / eta and left vectors eta vl."""
         w, vl, vr = self.chain.eigen
-        return w + self.lambda0, vl * self.eta[:, None], vr / self.eta[:, None]
+        eta = self.triple.eta[:, None]
+        return w + self.triple.lambda0, vl * eta, vr / eta
 
     def __post_init__(self):
-        for arr in (self.q_generator, self.beta, self.eta, self.psi):
+        for arr in (self.q_generator, self.beta, self.psi1, self.psi):
             arr.setflags(write=False)
 
 
@@ -85,7 +86,8 @@ def h_transform(chain: AbsorbedChain, triple: SpectralTriple,
                 psi1: Optional[np.ndarray] = None) -> QProcessChain:
     """Build the Q-process generator; rows are forced to sum to zero exactly.
     A one-state chain has no spectral gap (see solve_spectral), so no
-    Q-process: every state of one has a positive total rate."""
+    Q-process: every state of one has a positive total rate.  psi1
+    (default 1) is kept as a read-only copy."""
     if chain.n < 2:
         raise DegenerateGap("a one-state chain has no spectral gap")
     eta = triple.eta
@@ -96,20 +98,10 @@ def h_transform(chain: AbsorbedChain, triple: SpectralTriple,
     LQ = (L + triple.lambda0 * np.eye(n)) * np.outer(1.0 / eta, eta)
     np.fill_diagonal(LQ, 0.0)
     np.fill_diagonal(LQ, -LQ.sum(axis=1))
-    beta = eta * triple.alpha
-    if psi1 is None:
-        psi1 = np.ones(n)
-    psi = np.asarray(psi1, dtype=float) / eta
-    return QProcessChain(
-        q_generator=LQ,
-        beta=beta,
-        eta=eta.copy(),
-        psi=psi,
-        c=float(psi.min()),
-        lambda0=triple.lambda0,
-        gamma=triple.gamma,
-        chain=chain,
-    )
+    psi1 = np.ones(n) if psi1 is None else np.array(psi1, dtype=float)
+    psi = psi1 / eta
+    return QProcessChain(q_generator=LQ, beta=eta * triple.alpha, psi1=psi1, psi=psi,
+                         c=float(psi.min()), triple=triple, chain=chain)
 
 
 def q_marginal(qproc: QProcessChain, initial, t: float) -> np.ndarray:
@@ -138,8 +130,9 @@ def check_q_ergodicity(qproc: QProcessChain, t_grid) -> QErgodicityReport:
         D = np.abs(semigroup(qproc, t, lead=qproc.beta))
         devs = D @ qproc.psi / qproc.psi
         tvs = D.sum(axis=1) / qproc.psi
-        rows.append((float(t), float(devs.max()), float(devs.max() * np.exp(qproc.gamma * t))))
-        tv_rows.append((float(t), float(tvs.max()), float(tvs.max() * np.exp(qproc.gamma * t))))
+        growth = np.exp(qproc.triple.gamma * t)
+        rows.append((float(t), float(devs.max()), float(devs.max() * growth)))
+        tv_rows.append((float(t), float(tvs.max()), float(tvs.max() * growth)))
     rate = log_slope([r[0] for r in rows], [r[1] for r in rows])
     return QErgodicityReport(rows=rows, tv_rows=tv_rows, fitted_rate=rate)
 
@@ -173,22 +166,20 @@ class ConditionalGapReport:
     threshold_ok: bool
 
 
-def conditional_vs_q_gap(chain: AbsorbedChain, triple: SpectralTriple, mu,
-                         t: float, T: float,
-                         psi1: Optional[np.ndarray] = None,
+def conditional_vs_q_gap(qproc: QProcessChain, mu, t: float, T: float,
                          cert: Optional[ErgodicityCertificate] = None) -> ConditionalGapReport:
     """Gap between the T-conditioned marginal at t and the Q-process marginal
-    started from the eta-reweighted initial law mu*eta/mu(eta).
+    started from the eta-reweighted initial law mu*eta/mu(eta), with the
+    ratio mu(psi1)/mu(eta) from the Q-process's weight psi1.
 
-    When no certificate is supplied one is computed on the default grid; its
-    C feeds both the displayed bound prefactor and the validity threshold.
+    When no certificate is supplied one is computed for psi1 on the default
+    grid; its C feeds both the displayed bound prefactor and the validity
+    threshold.
     """
     mu = np.asarray(mu, dtype=float)
-    if psi1 is None:
-        psi1 = np.ones(chain.n)
+    chain, triple = qproc.chain, qproc.triple
     if cert is None:
-        cert = certify_ergodicity(chain, triple, psi1, default_time_grid(triple.gamma))
-    qproc = h_transform(chain, triple, psi1)
+        cert = certify_ergodicity(chain, triple, qproc.psi1, default_time_grid(triple.gamma))
     mu_eta = mu @ triple.eta
     if mu_eta <= 0:
         raise ValidationError("mu(eta) must be positive")
@@ -196,8 +187,7 @@ def conditional_vs_q_gap(chain: AbsorbedChain, triple: SpectralTriple, mu,
     cond = conditional_marginal(chain, mu, t, T)
     qm = q_marginal(qproc, h_mu, t)
     gap_sum = float(np.abs(cond - qm).sum())
-    mu_psi1 = float(mu @ psi1)
-    ratio = mu_psi1 / mu_eta
+    ratio = float(mu @ qproc.psi1) / mu_eta
     bound = cert.C * ratio * np.exp(-triple.gamma * (T - t))
     threshold = np.log(max(2.0 * cert.C * ratio, 1.0 + 1e-300)) / triple.gamma
     return ConditionalGapReport(
@@ -210,9 +200,10 @@ def conditional_vs_q_gap(chain: AbsorbedChain, triple: SpectralTriple, mu,
     )
 
 
-def fit_gap_rate(chain: AbsorbedChain, triple: SpectralTriple, mu, t: float, dT_list):
-    """Sweep T - t with psi1 = 1, certified once on the default grid, and
-    regress log gap; returns (slope, reports)."""
-    cert = certify_ergodicity(chain, triple, np.ones(chain.n), default_time_grid(triple.gamma))
-    reports = [conditional_vs_q_gap(chain, triple, mu, t, t + dT, cert=cert) for dT in dT_list]
+def fit_gap_rate(qproc: QProcessChain, mu, t: float, dT_list):
+    """Sweep T - t, certified once for psi1 on the default grid, and regress
+    log gap; returns (slope, reports)."""
+    cert = certify_ergodicity(qproc.chain, qproc.triple, qproc.psi1,
+                              default_time_grid(qproc.triple.gamma))
+    reports = [conditional_vs_q_gap(qproc, mu, t, t + dT, cert) for dT in dT_list]
     return log_slope(dT_list, [r.tv_gap for r in reports]), reports

@@ -32,7 +32,7 @@ ROUNDING_FLOOR = 1e-6  # largest rounding floor of an oracle's result that a run
 _THETA13 = 5.371920351148152
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralTriple:
     lambda0: float
     alpha: np.ndarray

@@ -49,12 +49,18 @@ class AdditiveObservable:
 
 
 def make_observable(qproc: QProcessChain, f) -> AdditiveObservable:
-    f = np.asarray(f, dtype=float)
+    """f with its centred version under beta.  An AdditiveObservable
+    centred under this beta is returned unchanged, any other is centred
+    again.  Entries must be finite with max|f| <= 1."""
+    given = f if isinstance(f, AdditiveObservable) else None
+    f = np.asarray(f if given is None else given.f, dtype=float)
     if f.shape != (qproc.n,):
         raise ValidationError(f"observable must have length {qproc.n}")
-    if np.max(np.abs(f)) > 1.0 + 1e-12:
-        raise ValidationError("observable must satisfy max|f| <= 1")
+    if not np.max(np.abs(f)) <= 1.0 + 1e-12:  # nan compares false
+        raise ValidationError("observable must be finite with max|f| <= 1")
     bf = float(qproc.beta @ f)
+    if given is not None and given.beta_f == bf:
+        return given
     return AdditiveObservable(f=f, f_centered=f - bf, beta_f=bf)
 
 
@@ -78,7 +84,7 @@ class VarianceResult:
 def sigma2_poisson(qproc: QProcessChain, f,
                    with_quadrature: bool = True) -> VarianceResult:
     """Green-function route: solve the Poisson equation and fold with beta."""
-    obs = f if isinstance(f, AdditiveObservable) else make_observable(qproc, f)
+    obs = make_observable(qproc, f)
     n = qproc.n
     ft = obs.f_centered
     A = np.zeros((n + 1, n + 1))
@@ -109,8 +115,8 @@ def sigma2_quadrature(qproc: QProcessChain, f):
     Loan: the last column of expm(H [[L_Q, ft], [0, 0]]) is int_0^H e^{s
     L_Q} ft ds for the centred ft, so one exponential integrates the
     autocovariance beta(ft e^{s L_Q} ft) over [0, H]."""
-    ft = (f if isinstance(f, AdditiveObservable) else make_observable(qproc, f)).f_centered
-    H = 40.0 / qproc.gamma
+    ft = make_observable(qproc, f).f_centered
+    H = 40.0 / qproc.triple.gamma
     LQ = qproc.q_generator
     n = qproc.n
     bft = qproc.beta * ft
@@ -500,7 +506,7 @@ def check_uniform_charfun_bound(qproc: QProcessChain, cert: ErgodicityCertificat
     with the certified constants, plus the distance of the weighted law to
     its Gaussian-limit target beta(g) e^{-sigma^2 omega^2 / 2}."""
     t_grid = _positive_times(t_grid)
-    obs = f if isinstance(f, AdditiveObservable) else make_observable(qproc, f)
+    obs = make_observable(qproc, f)
     ft = obs.f_centered
     mu = np.asarray(mu, dtype=float)
     sigma2 = sigma2_poisson(qproc, obs, with_quadrature=False).sigma2

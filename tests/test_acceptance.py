@@ -201,18 +201,18 @@ def test_criterion_09_charfun_gaussian_limit(m2sym_bundle, m2asym_bundle,
           f"(tol 0.05) at t = 100/gamma, |omega| <= 2, {elapsed:.2f}s")
 
 
-def test_criterion_10_monte_carlo_clt(m2sym_bundle, m2sym_triple):
+def test_criterion_10_monte_carlo_clt(m2sym_bundle, m2sym_qproc):
     start = time.monotonic()
-    chain, mu = m2sym_bundle.chain, m2sym_bundle.mu
+    qp, mu = m2sym_qproc, m2sym_bundle.mu
     n = 100000
-    emp = qslab.conditional_clt_sample(chain, m2sym_triple, mu, F1, 200.0, n,
-                                       method="qprocess", seed=0, threads=1)
+    emp = qslab.conditional_clt_sample(qp, mu, F1, 200.0, n,
+                                       method="qprocess", seed=0)
     d200 = qslab.kolmogorov_distance(emp, 1.0)
     assert d200 <= 0.02
     ds = []
     for t in (25.0, 100.0, 400.0):
-        e = qslab.conditional_clt_sample(chain, m2sym_triple, mu, F1, t, n,
-                                         method="qprocess", seed=0, threads=1)
+        e = qslab.conditional_clt_sample(qp, mu, F1, t, n,
+                                         method="qprocess", seed=0)
         ds.append(qslab.kolmogorov_distance(e, 1.0))
     se = 0.26 / np.sqrt(n)  # asymptotic std of the KS statistic
     for a, b in zip(ds, ds[1:]):
@@ -224,28 +224,27 @@ def test_criterion_10_monte_carlo_clt(m2sym_bundle, m2sym_triple):
           f"within 2 se = {2 * se:.5f}, {elapsed:.0f}s single-threaded")
 
 
-def test_criterion_11_conditional_gap_rate(m2sym_bundle, m2sym_triple,
-                                           m2asym_bundle, m2asym_triple):
+def test_criterion_11_conditional_gap_rate(m2sym_bundle, m2sym_qproc,
+                                           m2asym_triple, m2asym_qproc):
     slope, _ = qslab.fit_gap_rate(
-        m2asym_bundle.chain, m2asym_triple, np.array([1.0, 0.0]), 1.0,
+        m2asym_qproc, np.array([1.0, 0.0]), 1.0,
         [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     gamma = m2asym_triple.gamma
     assert abs(slope + gamma) <= 0.1 * gamma
     worst = 0.0
     for t, T in ((0.5, 0.5), (0.5, 2.0), (1.0, 5.0), (2.0, 10.0)):
-        rep = qslab.conditional_vs_q_gap(m2sym_bundle.chain, m2sym_triple,
-                                         m2sym_bundle.mu, t, T)
+        rep = qslab.conditional_vs_q_gap(m2sym_qproc, m2sym_bundle.mu, t, T)
         worst = max(worst, rep.tv_gap)
     assert worst <= 1e-10
     print(f"[PASS] criterion 11: M2ASYM gap slope {slope:.4f} vs -gamma = "
           f"{-gamma:.4f} (10% tol); M2SYM gaps <= {worst:.3g} (tol 1e-10)")
 
 
-def test_criterion_12_quasi_ergodic_deviation(m2sym_bundle, m2sym_triple,
-                                              bd5_bundle, bd5_triple):
+def test_criterion_12_quasi_ergodic_deviation(m2sym_bundle, m2sym_qproc,
+                                              bd5_bundle, bd5_triple, bd5_qproc):
     # exact closed form + MC agreement on M2SYM
     rep = qslab.quasi_ergodic_check(
-        m2sym_bundle.chain, m2sym_triple, m2sym_bundle.mu, F1,
+        m2sym_qproc, m2sym_bundle.mu, F1,
         [10.0, 20.0], 20000, seed=2, method="qprocess")
     for t, mc, stderr, exact in rep.rows:
         closed = 1.0 / t - (1.0 - np.exp(-2.0 * t)) / (2.0 * t ** 2)
@@ -253,7 +252,7 @@ def test_criterion_12_quasi_ergodic_deviation(m2sym_bundle, m2sym_triple,
         assert abs(mc - exact) <= 3.0 * stderr
     # decay exponent on BD5 from the quasi-stationary start
     rep5 = qslab.quasi_ergodic_check(
-        bd5_bundle.chain, bd5_triple, bd5_triple.alpha, bd5_bundle.f,
+        bd5_qproc, bd5_triple.alpha, bd5_bundle.f,
         [20.0, 40.0, 80.0, 160.0], 20000, seed=2, method="qprocess")
     assert -1.3 <= rep5.fitted_rate <= -0.8
     # the surrogate samples follow the Q-process law; check them at 3 se

@@ -1,6 +1,7 @@
 """A run makes exactly one dense eigen-decomposition and computes its
-spectral triple, Q-process and certificate once; sigma^2 is solved once per
-run (`variance` and `all` write that Poisson value beside the quadrature,
+spectral triple, Q-process, centred observable and certificate once (the
+sampler, `qed` and the gap check take the run's Q-process); sigma^2 is
+solved once per run (`variance` and `all` write that Poisson value beside the quadrature,
 with no second solve); a reversible chain's triple and semigroups come from
 its symmetric eigenbasis, not from eig and expm; and the moment oracle
 takes one Pade approximant per dyadic family of times (the default grids of
@@ -70,8 +71,13 @@ def counted_main(monkeypatch, tmp_path, cycle_model, drifted_model):
     def run(*argv):
         models = {"cycle": cycle_model, "drifted": drifted_model}
         argv = [models.get(a, a) for a in argv]
-        counts = dict.fromkeys([*wrapped, "shifted"], 0)
+        counts = dict.fromkeys([*wrapped, "shifted", "observables"], 0)
         build_shift = chain_model.AbsorbedChain.shifted.func
+        post_init = variance_clt.AdditiveObservable.__post_init__
+
+        def counted_observable(obs):
+            counts["observables"] += 1
+            post_init(obs)
 
         def counted_shift(chain):
             counts["shifted"] += 1
@@ -83,6 +89,7 @@ def counted_main(monkeypatch, tmp_path, cycle_model, drifted_model):
             for name, (module, attr) in wrapped.items():
                 _count(mp, counts, name, module, attr)
             mp.setattr(chain_model.AbsorbedChain, "shifted", shifted)
+            mp.setattr(variance_clt.AdditiveObservable, "__post_init__", counted_observable)
             rc = cli.main([*argv, "--threads", "1", "--out", str(tmp_path / argv[0])])
         assert rc == 0
         return counts
@@ -94,28 +101,34 @@ def counted_main(monkeypatch, tmp_path, cycle_model, drifted_model):
     (("spectral", "--model", "m2sym"), {"profile": 0, "h_transform": 0, "eig": 0, "eigh": 1}),
     (("certify", "--model", "m2sym"),
      {"profile": 1, "h_transform": 0, "spectral.expm": 0, "eig": 0, "eigh": 1}),
-    (("qprocess", "--model", "m2sym"), {"profile": 1, "spectral.expm": 0, "eigh": 1}),
+    (("qprocess", "--model", "m2sym"),
+     {"profile": 1, "h_transform": 1, "spectral.expm": 0, "eigh": 1}),
     (("variance", "--model", "m2sym"),
-     {"profile": 0, "sigma2_poisson": 1, "variance_clt.expm": 1, "linalg.eig": 0}),
+     {"profile": 0, "h_transform": 1, "sigma2_poisson": 1, "variance_clt.expm": 1,
+      "linalg.eig": 0}),
     (("moments", "--model", "m2sym"),
-     {"profile": 0, "variance_clt.expm": 0, "eigh": 1, "pade": 1, "shifted": 0}),
+     {"profile": 0, "h_transform": 1, "variance_clt.expm": 0, "eigh": 1, "pade": 1,
+      "shifted": 0}),
     (("charfun", "--model", "bd5"),
-     {"profile": 0, "spectral.expm": 0, "variance_clt.expm": 3, "eigvals": 0,
-      "sigma2_poisson": 1, "shifted": 1}),
-    (("clt", "--model", "m2sym", "--n", "300", "--t", "25"), {"profile": 1, "sigma2_poisson": 1}),
+     {"profile": 0, "h_transform": 1, "spectral.expm": 0, "variance_clt.expm": 3,
+      "eigvals": 0, "sigma2_poisson": 1, "shifted": 1}),
+    (("clt", "--model", "m2sym", "--n", "300", "--t", "25"),
+     {"profile": 1, "h_transform": 1, "sigma2_poisson": 1}),
     (("clt", "--model", "m2sym", "--n", "300", "--t", "1", "--method", "rejection"),
-     {"profile": 0, "eigh": 1}),
+     {"profile": 0, "h_transform": 1, "eigh": 1}),
     (("qed", "--model", "m2sym", "--n", "300"),
-     {"profile": 0, "h_transform": 3, "sigma2_poisson": 0, "pade": 1}),
+     {"profile": 0, "h_transform": 1, "sigma2_poisson": 0, "pade": 1}),
     (("all", "--model", "m2sym", "--n", "300"),
-     {"profile": 1, "h_transform": 6, "spectral.expm": 0, "variance_clt.expm": 4, "eigvals": 0,
+     {"profile": 1, "h_transform": 1, "spectral.expm": 0, "variance_clt.expm": 4, "eigvals": 0,
       "linalg.eig": 0, "sigma2_poisson": 1, "eig": 0, "eigh": 1, "pade": 2, "shifted": 1}),
     (("all", "--model", "bd5", "--n", "300"),
-     {"spectral.expm": 0, "variance_clt.expm": 4, "eig": 0, "eigh": 1, "pade": 2}),
+     {"h_transform": 1, "spectral.expm": 0, "variance_clt.expm": 4, "eig": 0, "eigh": 1,
+      "pade": 2}),
     (("all", "--model", "drifted", "--n", "300"),
-     {"spectral.expm": 0, "variance_clt.expm": 4, "eig": 0, "eigh": 1, "pade": 2}),
+     {"h_transform": 1, "spectral.expm": 0, "variance_clt.expm": 4, "eig": 0, "eigh": 1,
+      "pade": 2}),
     (("all", "--model", "cycle", "--n", "300"),
-     {"profile": 1, "h_transform": 6, "spectral.expm": 17, "variance_clt.expm": 4,
+     {"profile": 1, "h_transform": 1, "spectral.expm": 17, "variance_clt.expm": 4,
       "linalg.eig": 0, "eig": 1, "eigh": 0, "pade": 2, "shifted": 1}),
 ], ids=["spectral", "certify", "qprocess", "variance", "moments", "charfun", "clt-qprocess",
         "clt-rejection", "qed", "all", "all-bd5", "all-drifted", "all-cycle"])
@@ -127,6 +140,8 @@ def test_each_run_solves_and_certifies_once(counted_main, argv, expected):
     assert counts["eig"] + counts["eigh"] == 1
     # the chain's shifted generator is built at most once; L_Q needs no shift
     assert counts["shifted"] <= 1
+    # make_observable builds the run's centred observable at most once
+    assert counts["observables"] <= 1
     assert {k: counts[k] for k in expected} == expected
 
 

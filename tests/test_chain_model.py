@@ -158,6 +158,20 @@ def test_yaml_roundtrip(tmp_path, bd5_bundle):
     assert loaded.name == bd5_bundle.name
 
 
+def test_model_objects_compare_and_hash_by_identity(bd5_bundle, bd5_triple, bd5_qproc):
+    """Bundles, chains, triples and Q-processes hold numpy arrays, so
+    equality is identity: == gives a bool and hash works, where a
+    field-wise == would raise."""
+    again = qslab.resolve_model("bd5")
+    again_triple = qslab.solve_spectral(again.chain)
+    pairs = ((bd5_bundle, again), (bd5_bundle.chain, again.chain),
+             (bd5_triple, again_triple),
+             (bd5_qproc, qslab.h_transform(again.chain, again_triple)))
+    for obj, twin in pairs:
+        assert (obj == obj) is True and (obj == twin) is False
+        assert hash(obj) == hash(obj) and len({obj, twin}) == 2
+
+
 def test_yaml_generator_block(tmp_path):
     path = tmp_path / "gen.yaml"
     path.write_text(
@@ -365,7 +379,7 @@ def test_generated_chains_keep_the_q_process_and_yaml_invariants(bundle):
     """L_Q's rows sum to 0 within 2 n eps max|L_Q| (h_transform sets the
     diagonal from the off-diagonal sum), beta L_Q = 0 within 1e-12 max|L_Q|
     (the triple's residuals carry over; 2000 such chains stayed below 4 n
-    eps max|L_Q|), and load(emit(b)) == b field by field."""
+    eps max|L_Q|), and load(emit(b)) gives back b field by field."""
     chain = bundle.chain
     qp = qslab.h_transform(chain, qslab.solve_spectral(chain), bundle.psi1)
     scale = np.abs(qp.q_generator).max()

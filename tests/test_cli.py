@@ -182,7 +182,11 @@ def test_degenerate_variance_is_found_before_sampling(tmp_path, capsys, monkeypa
     ("birth_death: {n: abc, birth: [1.0, 0.0], death: [1.0, 1.0]}\n", "parse-error", 3),
     ("birth_death: {n: 2.7, birth: [1.0, 0.0], death: [1.0, 1.0]}\n", "parse-error", 3),
     ("states: 5\ngenerator: [[-2.0, 1.0], [1.0, -2.0]]\n", "parse-error", 3),
-], ids=["one-state", "n-not-numeric", "n-not-integer", "states-not-list"])
+    # max|f| <= 1 is tested so that nan fails it, as inf does
+    ("generator: [[-2.0, 1.0], [1.0, -2.0]]\nobservable: [.nan, 0.0]\n", "validation", 3),
+    ("generator: [[-2.0, 1.0], [1.0, -2.0]]\nobservable: [.inf, 0.0]\n", "validation", 3),
+], ids=["one-state", "n-not-numeric", "n-not-integer", "states-not-list", "observable-nan",
+        "observable-inf"])
 def test_bad_model_files_end_in_coded_errors(tmp_path, capsys, text, code, exit_code):
     model = tmp_path / "model.yaml"
     model.write_text(text)

@@ -1,8 +1,9 @@
-"""Property test of the command-line boundary: whatever numbers or strings
+"""Property tests of the command-line boundary: whatever numbers or strings
 the options get, on the builtins or on drifted birth-death ladders (the
-reversible chains far from normal), `cli.main` ends in a documented exit
-code, never raises, prints a coded diagnostic on failure, and writes no
-undocumented `nan`."""
+reversible chains far from normal), and whatever a model file holds, valid
+or broken in one of the ways BREAKS names, `cli.main` ends in a documented
+exit code, never raises, prints a coded diagnostic on failure, and writes
+no undocumented `nan`."""
 
 import contextlib
 import io
@@ -11,6 +12,9 @@ import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
+import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
 from qslab import cli
@@ -78,6 +82,17 @@ def _undocumented_nans(out):
     return found
 
 
+def _run(argv, out):
+    """(exit code, stderr) of cli.main; a usage error's SystemExit is its code."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            rc = cli.main([*argv, "--out", str(out)])
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, err.getvalue()
+
+
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(command_lines())
 def test_any_command_line_ends_in_a_documented_exit(argv):
@@ -90,17 +105,93 @@ def test_any_command_line_ends_in_a_documented_exit(argv):
             Path(argv[2]).write_text(
                 f"birth_death: {{n: {n}, birth: {[birth] * (n - 1) + [0.0]}, "
                 f"death: {[death] * n}}}\n")
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            try:
-                rc = cli.main([*argv, "--out", str(out)])
-            except SystemExit as exc:  # argparse's usage errors
-                rc = exc.code
-        assert rc in (0, 2, 3, 4), (argv, rc, err.getvalue())
+        rc, err = _run(argv, out)
+        assert rc in (0, 2, 3, 4), (argv, rc, err)
         if rc == 2:
-            assert "error: " in err.getvalue()
+            assert "error: " in err
         elif rc:
-            assert re.search(r"^error: [a-z-]+: ", err.getvalue(), re.M), err.getvalue()
+            assert re.search(r"^error: [a-z-]+: ", err, re.M), err
             assert not out.exists()
         else:
             assert _undocumented_nans(out) == []
+
+
+# each breaks one rule of the model-file schema or of the chain's invariants
+BREAKS = ("negative-rate", "positive-row-sum", "reducible", "non-numeric", "non-finite",
+          "nan-observable", "wrong-length", "psi1-below-1", "mu-not-a-law", "unknown-key",
+          "both-blocks", "no-block")
+VECTORS = ("psi1", "mu", "observable")
+_RATES = st.one_of(st.just(0.0), st.floats(0.01, 10.0))
+
+
+@st.composite
+def model_documents(draw, brk):
+    """A model file's mapping on 2..4 states: a generator (random rates, some
+    zero, plus a cycle through every state and killing at one state at
+    least) or a birth-death block, with psi1, mu and observable; then the
+    break brk of BREAKS, if any."""
+    n = draw(st.integers(2, 4))
+    floats = lambda low, high, k=n: draw(st.lists(st.floats(low, high), min_size=k, max_size=k))
+    A = np.array(draw(st.lists(_RATES, min_size=n * n, max_size=n * n))).reshape(n, n)
+    A[np.arange(n), (np.arange(n) + 1) % n] = floats(0.01, 10.0)
+    np.fill_diagonal(A, 0.0)
+    kappa = np.array(draw(st.lists(_RATES, min_size=n, max_size=n)))
+    kappa[draw(st.integers(0, n - 1))] = draw(st.floats(0.01, 10.0))
+    mu = np.array(floats(0.01, 1.0))
+    doc = {"psi1": floats(1.0, 10.0), "mu": (mu / mu.sum()).tolist(),
+           "observable": floats(-1.0, 1.0)}
+    blocks = {"generator": (A - np.diag(A.sum(axis=1) + kappa)).tolist(),
+              "birth_death": {"n": n, "birth": floats(0.1, 5.0, n - 1) + [0.0],
+                              "death": floats(0.1, 5.0)}}
+    rate_breaks = ("negative-rate", "positive-row-sum", "reducible")
+    block = "generator" if brk in rate_breaks else draw(st.sampled_from(sorted(blocks)))
+    doc[block] = blocks[block]
+    L = doc.get("generator")
+    if brk == "negative-rate":
+        L[0][1] = -draw(st.floats(0.01, 10.0))
+    elif brk == "positive-row-sum":
+        L[0][0] = -sum(L[0][1:]) + draw(st.floats(0.01, 10.0))
+    elif brk == "reducible":  # state 0 is killed but reaches no other state
+        L[0] = [-1.0] + [0.0] * (n - 1)
+    elif brk in ("non-numeric", "non-finite"):
+        bad = "abc" if brk == "non-numeric" else draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        rates = L[0] if L is not None else doc["birth_death"]["death"]
+        draw(st.sampled_from([rates, *(doc[key] for key in VECTORS)]))[0] = bad
+    elif brk == "nan-observable":
+        doc["observable"][draw(st.integers(0, n - 1))] = np.nan
+    elif brk == "wrong-length":
+        key = draw(st.sampled_from(VECTORS))
+        doc[key] = doc[key][1:] if draw(st.booleans()) else doc[key] + [0.0]
+    elif brk == "psi1-below-1":
+        doc["psi1"][0] = draw(st.floats(0.0, 0.99))
+    elif brk == "mu-not-a-law":
+        doc["mu"] = [2.0 * v for v in doc["mu"]]
+    elif brk == "unknown-key":
+        doc["extra"] = 1.0
+    elif brk == "both-blocks":
+        doc.update(blocks)
+    elif brk == "no-block":
+        del doc[block]
+    return doc
+
+
+@pytest.mark.parametrize("brk", [None, *BREAKS])
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_any_model_file_ends_in_a_documented_exit(brk, data):
+    """A broken file exits 3 under every cheap subcommand, before it writes
+    anything; a valid one exits 0 with no undocumented nan, or 4."""
+    doc = data.draw(model_documents(brk))
+    with tempfile.TemporaryDirectory() as tmp:
+        model = Path(tmp) / "model.yaml"
+        model.write_text(yaml.safe_dump(doc))
+        for cmd in (["spectral"], ["variance"], ["moments", "--kmax", "2"]):
+            out = Path(tmp) / cmd[0]
+            rc, err = _run([*cmd, "--model", str(model)], out)
+            assert rc in ((3,) if brk else (0, 4)), (doc, cmd, rc, err)
+            assert "Traceback" not in err
+            if rc:
+                assert re.search(r"^error: [a-z-]+: ", err, re.M), err
+                assert not out.exists()
+            else:
+                assert _undocumented_nans(out) == []

@@ -200,8 +200,8 @@ def test_clt_samples_are_pinned(model, method, t, n, seed, kept, digest):
     beta(f), which centres f, so on the bits of the spectral triple: bd5's
     moved when its triple came off the symmetric eigenbasis instead of eig."""
     bundle = qslab.resolve_model(model)
-    emp = qslab.conditional_clt_sample(bundle.chain, qslab.solve_spectral(bundle.chain),
-                                       bundle.mu, bundle.f, t, n, method=method, seed=seed)
+    qp = qslab.h_transform(bundle.chain, qslab.solve_spectral(bundle.chain))
+    emp = qslab.conditional_clt_sample(qp, bundle.mu, bundle.f, t, n, method=method, seed=seed)
     assert emp.n_effective == kept
     assert hashlib.sha256(emp.samples.tobytes()).hexdigest() == digest
 
@@ -281,58 +281,50 @@ def test_default_method_switch():
     assert default_method(1.0, 4.0) == "qprocess"
 
 
-def test_clt_sample_reproducible_across_schedules(m2sym_bundle, m2sym_triple):
-    chain, mu, f = m2sym_bundle.chain, m2sym_bundle.mu, m2sym_bundle.f
-    a = qslab.conditional_clt_sample(chain, m2sym_triple, mu, f, 25.0, 3000,
-                                     method="qprocess", seed=12)
-    b = qslab.conditional_clt_sample(chain, m2sym_triple, mu, f, 25.0, 3000,
-                                     method="qprocess", seed=12, threads=4, batch=111)
+def test_clt_sample_reproducible_across_schedules(m2sym_bundle, m2sym_qproc):
+    qp, mu, f = m2sym_qproc, m2sym_bundle.mu, m2sym_bundle.f
+    a = qslab.conditional_clt_sample(qp, mu, f, 25.0, 3000, method="qprocess", seed=12)
+    b = qslab.conditional_clt_sample(qp, mu, f, 25.0, 3000,
+                                     method="qprocess", seed=12, batch=111)
     np.testing.assert_array_equal(a.samples, b.samples)
-    c = qslab.conditional_clt_sample(chain, m2sym_triple, mu, f, 25.0, 3000,
-                                     method="qprocess", seed=13)
+    c = qslab.conditional_clt_sample(qp, mu, f, 25.0, 3000, method="qprocess", seed=13)
     assert not np.array_equal(a.samples, c.samples)
     assert a.n_effective == a.n_requested == 3000
 
 
-def test_clt_sample_rejection_keeps_survivors_only(m2sym_bundle, m2sym_triple):
+def test_clt_sample_rejection_keeps_survivors_only(m2sym_bundle, m2sym_qproc):
     chain, mu, f = m2sym_bundle.chain, m2sym_bundle.mu, m2sym_bundle.f
     t, n = 2.0, 20000
-    emp = qslab.conditional_clt_sample(chain, m2sym_triple, mu, f, t, n,
-                                       method="rejection", seed=8)
+    emp = qslab.conditional_clt_sample(m2sym_qproc, mu, f, t, n, method="rejection", seed=8)
     p = float((mu @ expm(t * chain.sub_generator)).sum())
     assert emp.method == "rejection"
     assert abs(emp.n_effective / n - p) < 3.0 * np.sqrt(p * (1 - p) / n)
     assert np.all(np.diff(emp.samples) >= 0)
 
 
-def test_clt_sample_two_methods_agree_in_law(m2sym_bundle, m2sym_triple):
-    chain, mu, f = m2sym_bundle.chain, m2sym_bundle.mu, m2sym_bundle.f
-    rej = qslab.conditional_clt_sample(chain, m2sym_triple, mu, f, 5.0, 40000,
-                                       method="rejection", seed=21)
-    qpr = qslab.conditional_clt_sample(chain, m2sym_triple, mu, f, 5.0, 2000,
-                                       method="qprocess", seed=22)
+def test_clt_sample_two_methods_agree_in_law(m2sym_bundle, m2sym_qproc):
+    qp, mu, f = m2sym_qproc, m2sym_bundle.mu, m2sym_bundle.f
+    rej = qslab.conditional_clt_sample(qp, mu, f, 5.0, 40000, method="rejection", seed=21)
+    qpr = qslab.conditional_clt_sample(qp, mu, f, 5.0, 2000, method="qprocess", seed=22)
     assert rej.n_effective > 150
     assert ks_2samp(rej.samples, qpr.samples).pvalue > 1e-3
 
 
-def test_clt_sample_constant_observable_collapses(m2sym_bundle, m2sym_triple):
+def test_clt_sample_constant_observable_collapses(m2sym_bundle, m2sym_qproc):
     emp = qslab.conditional_clt_sample(
-        m2sym_bundle.chain, m2sym_triple, m2sym_bundle.mu, np.ones(2), 10.0, 500,
-        method="qprocess", seed=1)
+        m2sym_qproc, m2sym_bundle.mu, np.ones(2), 10.0, 500, method="qprocess", seed=1)
     assert emp.beta_f == 1.0
     assert emp.n_effective == 500
     assert np.all(emp.samples == 0.0)
 
 
-def test_clt_sample_guardrails(m2sym_bundle, m2sym_triple):
-    chain, mu, f = m2sym_bundle.chain, m2sym_bundle.mu, m2sym_bundle.f
+def test_clt_sample_guardrails(m2sym_bundle, m2sym_qproc):
+    qp, mu, f = m2sym_qproc, m2sym_bundle.mu, m2sym_bundle.f
     with pytest.raises(ValidationError):
-        qslab.conditional_clt_sample(chain, m2sym_triple, mu, f, 5.0, 100,
-                                     method="importance", seed=0)
+        qslab.conditional_clt_sample(qp, mu, f, 5.0, 100, method="importance", seed=0)
     for t in (50.0, 701.0):  # e^{701} n overflows: the cost is compared in logs
         with pytest.raises(NumericalError) as exc:
-            qslab.conditional_clt_sample(chain, m2sym_triple, mu, f, t, 100000,
-                                         method="rejection", seed=0)
+            qslab.conditional_clt_sample(qp, mu, f, t, 100000, method="rejection", seed=0)
         assert exc.value.code == "budget-exceeded"
 
 
@@ -363,10 +355,9 @@ def test_kolmogorov_distance_on_true_gaussian_draw():
     assert d < 1.63 / np.sqrt(len(z))  # 1% critical value
 
 
-def test_quasi_ergodic_check_matches_exact_oracle(m2sym_bundle, m2sym_triple):
+def test_quasi_ergodic_check_matches_exact_oracle(m2sym_bundle, m2sym_qproc):
     rep = qslab.quasi_ergodic_check(
-        m2sym_bundle.chain, m2sym_triple, m2sym_bundle.mu, m2sym_bundle.f,
-        [10.0, 20.0], 4000, seed=5)
+        m2sym_qproc, m2sym_bundle.mu, m2sym_bundle.f, [10.0, 20.0], 4000, seed=5)
     assert rep.method == "qprocess"
     for t, mc, stderr, exact in rep.rows:
         # exact second conditional moment: (t - (1-e^{-2t})/2) / t^2
@@ -381,11 +372,10 @@ def test_quasi_ergodic_check_has_an_exact_column_at_any_size():
     moment of the centred observable over t^2 (no state-count cut-off)."""
     n = 60
     chain = qslab.build_birth_death(n, [1.0] * (n - 1) + [0.0], [1.0] * n)
-    triple = qslab.solve_spectral(chain)
+    qp = qslab.h_transform(chain, qslab.solve_spectral(chain))
     mu, f = np.full(n, 1.0 / n), np.linspace(-1.0, 1.0, n)
-    rep = qslab.quasi_ergodic_check(chain, triple, mu, f, [4.0, 8.0], 50, seed=3,
-                                    method="qprocess")
-    beta_f = float(qslab.h_transform(chain, triple).beta @ f)
+    rep = qslab.quasi_ergodic_check(qp, mu, f, [4.0, 8.0], 50, seed=3, method="qprocess")
+    beta_f = float(qp.beta @ f)
     for t, _, _, exact in rep.rows:
         mv = qslab.exact_conditional_moments(chain, mu, f - beta_f, 2, t)
         assert np.isfinite(exact)

@@ -133,9 +133,9 @@ def test_q_ergodicity_m2sym_decay_is_pure_exponential(m2sym_qproc):
 
 
 def test_q_ergodicity_bd5_rate_near_gamma(bd5_qproc):
-    grid = np.array([5.0, 10.0, 15.0]) / bd5_qproc.gamma
-    rep = qslab.check_q_ergodicity(bd5_qproc, grid)
-    assert abs(rep.fitted_rate + bd5_qproc.gamma) < 0.05 * bd5_qproc.gamma
+    gamma = bd5_qproc.triple.gamma
+    rep = qslab.check_q_ergodicity(bd5_qproc, np.array([5.0, 10.0, 15.0]) / gamma)
+    assert abs(rep.fitted_rate + gamma) < 0.05 * gamma
 
 
 def test_q_ergodicity_implied_c_is_the_certificate_profile(
@@ -174,11 +174,11 @@ def test_conditional_marginal_survives_fast_uniform_killing():
     np.testing.assert_allclose(got, mu @ expm(swap), rtol=0, atol=1e-12)
 
 
-def test_conditional_equals_q_marginal_when_eta_flat(m2sym_bundle, m2sym_triple):
+def test_conditional_equals_q_marginal_when_eta_flat(m2sym_qproc):
     """Flat eta: conditioning deeper than t changes nothing."""
     mu = np.array([1.0, 0.0])
     for t, T in ((0.5, 0.5), (0.5, 3.0), (1.0, 9.0)):
-        rep = qslab.conditional_vs_q_gap(m2sym_bundle.chain, m2sym_triple, mu, t, T)
+        rep = qslab.conditional_vs_q_gap(m2sym_qproc, mu, t, T)
         assert rep.tv_gap < 1e-12
         assert rep.tv_gap_sum < 1e-12
 
@@ -188,7 +188,7 @@ def test_gap_report_fields_are_consistent(m2asym_bundle, m2asym_triple):
     mu = np.array([1.0, 0.0])
     psi1 = np.ones(2)
     cert = qslab.certify_ergodicity(chain, tr, psi1, qslab.default_time_grid(tr.gamma))
-    rep = qslab.conditional_vs_q_gap(chain, tr, mu, 1.0, 3.0, psi1, cert)
+    rep = qslab.conditional_vs_q_gap(qslab.h_transform(chain, tr, psi1), mu, 1.0, 3.0, cert)
     assert abs(rep.tv_gap_sum - 2.0 * rep.tv_gap) < 1e-15
     assert rep.tv_gap_sum <= 2.0
     ratio = (mu @ psi1) / (mu @ tr.eta)
@@ -199,21 +199,20 @@ def test_gap_report_fields_are_consistent(m2asym_bundle, m2asym_triple):
     assert rep.threshold_ok == (rep.T >= rep.threshold_T)
 
 
-def test_gap_respects_bound_past_threshold(m2asym_bundle, m2asym_triple):
-    chain, tr = m2asym_bundle.chain, m2asym_triple
+def test_gap_respects_bound_past_threshold(m2asym_qproc):
     mu = np.array([1.0, 0.0])
     gaps = []
     for dT in (1.0, 2.0, 3.0, 4.0):
-        rep = qslab.conditional_vs_q_gap(chain, tr, mu, 1.0, 1.0 + dT)
+        rep = qslab.conditional_vs_q_gap(m2asym_qproc, mu, 1.0, 1.0 + dT)
         gaps.append(rep.tv_gap)
         if rep.threshold_ok:
             assert rep.tv_gap <= rep.bound
     assert all(a > b for a, b in zip(gaps, gaps[1:]))  # decreasing in T
 
 
-def test_gap_rate_matches_gamma(m2asym_bundle, m2asym_triple):
+def test_gap_rate_matches_gamma(m2asym_triple, m2asym_qproc):
     slope, reports = qslab.fit_gap_rate(
-        m2asym_bundle.chain, m2asym_triple, np.array([1.0, 0.0]), 1.0,
+        m2asym_qproc, np.array([1.0, 0.0]), 1.0,
         [1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
     )
     assert abs(slope + m2asym_triple.gamma) < 0.1 * m2asym_triple.gamma

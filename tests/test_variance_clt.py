@@ -15,7 +15,7 @@ from qslab.errors import NumericalError, ValidationError
 F1 = np.array([1.0, -1.0])
 
 
-def test_make_observable_centers_under_beta(m2asym_qproc):
+def test_make_observable_centers_under_beta(m2asym_qproc, m2sym_qproc, bd5_qproc):
     obs = qslab.make_observable(m2asym_qproc, F1)
     assert abs(m2asym_qproc.beta @ obs.f_centered) < 1e-14
     assert abs(obs.beta_f - (m2asym_qproc.beta @ F1)) < 1e-15
@@ -23,6 +23,15 @@ def test_make_observable_centers_under_beta(m2asym_qproc):
         qslab.make_observable(m2asym_qproc, [2.0, 0.0])
     with pytest.raises(ValidationError):
         qslab.make_observable(m2asym_qproc, [1.0, 0.0, 0.0])
+    for bad in ([np.nan, 0.0], [np.inf, 0.0]):
+        with pytest.raises(ValidationError):
+            qslab.make_observable(m2asym_qproc, bad)
+    assert qslab.make_observable(m2asym_qproc, obs) is obs
+    # an observable centred under another beta is centred again, or refused
+    again = qslab.make_observable(m2sym_qproc, obs)
+    assert again.beta_f == m2sym_qproc.beta @ F1 != obs.beta_f
+    with pytest.raises(ValidationError):
+        qslab.make_observable(bd5_qproc, obs)
 
 
 def test_sigma2_m2sym_closed_form(m2sym_qproc):
@@ -201,7 +210,8 @@ def test_moments_refuse_times_past_the_rounding_floor(m2sym_qproc):
     # a 150-state unit ladder at 10/gamma squares well inside the floor
     qp = _unit_ladder_qproc(150)
     f150 = np.linspace(-1.0, 1.0, 150)
-    mv = qslab.exact_conditional_moments(qp, qp.beta, f150 - qp.beta @ f150, 4, 10.0 / qp.gamma)
+    mv = qslab.exact_conditional_moments(qp, qp.beta, f150 - qp.beta @ f150, 4,
+                                         10.0 / qp.triple.gamma)
     assert np.all(np.isfinite(mv.m)) and abs(mv.survival - 1.0) < 1e-9
 
 
@@ -226,7 +236,7 @@ def _grid_case(name, bundles):
     if name == "ladder150":
         qp = _unit_ladder_qproc(150)
         f = np.linspace(-1.0, 1.0, 150)
-        return qp, qp.beta, f - qp.beta @ f, qp.gamma
+        return qp, qp.beta, f - qp.beta @ f, qp.triple.gamma
     b = bundles[name]
     return b.chain, b.mu, b.f, qslab.solve_spectral(b.chain).gamma
 
