@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import time
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -196,16 +196,19 @@ def _run_charfun(an, omegas, times):
                                    "abs_gap"), rows)}
 
 
-def _run_clt(an, t, n, method, seed, dump):
-    b, triple = an.bundle, an.triple
-    constant = variance_clt.is_constant(an.obs.f_centered)
-    if not constant and an.sigma2 <= 1e-12:
+def _sample(an, t, n, method, seed, clt=True):
+    """One sampler call, after refusing a clt row whose nonconstant f has sigma^2 ~ 0."""
+    if clt and not variance_clt.is_constant(an.obs.f_centered) and an.sigma2 <= 1e-12:
         raise DegenerateVariance(
             f"sigma^2 = {an.sigma2} for a nonconstant observable; no CLT asserted")
-    emp = montecarlo.conditional_clt_sample(an.qp, b.mu, an.obs, t, n,
-                                            method=method, seed=seed)
+    return montecarlo.conditional_clt_sample(an.qp, an.bundle.mu, an.obs, t, n,
+                                             method=method, seed=seed)
+
+
+def _run_clt(an, emp, dump):
+    b, triple = an.bundle, an.triple
     s2, d, gap_bound = 0.0, float("nan"), float("nan")
-    if not constant:
+    if not variance_clt.is_constant(an.obs.f_centered):
         s2 = an.sigma2
         d = montecarlo.kolmogorov_distance(emp, s2)
         if emp.method == "qprocess":
@@ -219,13 +222,16 @@ def _run_clt(an, t, n, method, seed, dump):
     return out
 
 
-def _run_qed(an, times, n, method, seed):
-    gamma = an.triple.gamma
-    times = times or [10.0 / gamma, 20.0 / gamma, 40.0 / gamma]
-    rep = montecarlo.quasi_ergodic_check(an.qp, an.bundle.mu, an.obs, times, n,
-                                         seed=seed, method=method)
+def _run_qed(an, samples):
+    rep = montecarlo.quasi_ergodic_check(an.qp, an.bundle.mu, an.obs, samples)
     meta = {"fitted_rate": rep.fitted_rate, "method": rep.method}
     return {"qed.csv": (meta, ("t", "mean_square", "stderr", "exact"), rep.rows)}
+
+
+def _qed_times(an, times):
+    """qed's times as given, else 10, 20 and 40 over gamma."""
+    gamma = an.triple.gamma
+    return times or [10.0 / gamma, 20.0 / gamma, 40.0 / gamma]
 
 
 def _run_all(an, n, seed):
@@ -237,8 +243,9 @@ def _run_all(an, n, seed):
     out.update(_run_variance(an))
     out.update(_run_moments(an, 4, None))
     out.update(_run_charfun(an, None, None))
-    out.update(_run_clt(an, 50.0 / gamma, n, None, seed, False))
-    out.update(_run_qed(an, None, n, None, seed))
+    clt, *qed = _sample(an, [50.0 / gamma, *_qed_times(an, None)], n, None, seed)
+    out.update(_run_clt(an, clt, False))
+    out.update(_run_qed(an, qed))
     return out
 
 
@@ -249,12 +256,14 @@ _RUNNERS = {
     "variance": lambda an, a: _run_variance(an),
     "moments": lambda an, a: _run_moments(an, a.kmax, a.times),
     "charfun": lambda an, a: _run_charfun(an, a.omegas, a.times),
-    "clt": lambda an, a: _run_clt(an, a.t, a.n, a.method, a.seed, a.dump),
-    "qed": lambda an, a: _run_qed(an, a.times, a.n, a.method, a.seed),
+    "clt": lambda an, a: _run_clt(an, _sample(an, a.t, a.n, a.method, a.seed), a.dump),
+    "qed": lambda an, a: _run_qed(an, _sample(an, _qed_times(an, a.times), a.n, a.method,
+                                              a.seed, clt=False)),
     "all": lambda an, a: _run_all(an, a.n, a.seed),
 }
 
 
+@cache  # one parser per process: parse_args keeps no state in it
 def build_parser():
     p = argparse.ArgumentParser(prog="qslab",
                                 description="quasi-stationary laboratory for absorbed finite Markov chains")

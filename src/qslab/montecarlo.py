@@ -33,7 +33,7 @@ def philox_stream(seed: int, replica: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """A path observed on [0, end] with end = min(absorption, t_max).
 
@@ -141,15 +141,16 @@ def _draw_window(gen, replicas, offset, width):
 
 class _Kernel:
     """Lock-step simulator of replica batches for one chain, initial law,
-    observable and horizon.  Step j of every live replica reads draws 1 + 2j
-    and 2 + 2j of its stream, from windows of `window` steps; replicas still
-    running at a window's end draw their next window."""
+    observable and sorted horizons.  Step j of every live replica reads draws
+    1 + 2j and 2 + 2j of its stream, from windows of `window` steps; replicas
+    still running at a window's end draw their next window.  A replica runs
+    to the largest horizon and records S_h as it crosses each earlier h."""
 
-    def __init__(self, generator, killing, initial, f, t_max):
+    def __init__(self, generator, killing, initial, f, horizons):
         rates, cumJ = _jump_tables(generator, killing)
         self.n, ncol = cumJ.shape
         self.cum0 = np.cumsum(np.asarray(initial, dtype=float))
-        self.f, self.t_max = np.asarray(f, dtype=float), float(t_max)
+        self.f, self.horizons, self.t_max = np.asarray(f, dtype=float), horizons, horizons[-1]
         self.neg_rates = -rates
         # jump rows padded with +inf, and a guide table into them (see _next_states)
         self.width, self.K = ncol + 1, 1 << max(ncol - 1, 1).bit_length()
@@ -183,9 +184,11 @@ class _Kernel:
 
     def run(self, replicas, seed, count_jumps=None):
         B, n, t_max, gen = len(replicas), self.n, self.t_max, philox_stream(seed, 0)
+        # k_lo: the first earlier horizon that some replica has yet to reach
+        hz, last, k_lo = self.horizons, len(self.horizons) - 1, 0
         U = _draw_window(gen, replicas, 0, 1 + 2 * self.window)
         state = np.minimum(np.searchsorted(self.cum0, U[:, 0], side="right"), n - 1)
-        S, absorbed = np.empty(B), np.zeros(B, dtype=bool)
+        S, absorbed = np.empty((last + 1, B)), np.zeros((last + 1, B), dtype=bool)
         # live replicas, compacted: batch position, window row, state, clock, integral
         pos = row = np.arange(B)
         st, tc, acc, j, col = state.copy(), np.zeros(B), np.zeros(B), 0, 1
@@ -197,6 +200,11 @@ class _Kernel:
                 row, col = np.arange(pos.size), 0
             # -log1p(-u)/rate bit for bit, as in _simulate_one
             t_next = tc + np.log1p(-U[row, col]) / self.neg_rates[st]
+            if k_lo < last and t_next.max() >= hz[k_lo]:  # S_h, as a run to t_max = h ends
+                for k in range(k_lo, np.searchsorted(hz[:last], t_next.max(), side="right")):
+                    x = np.flatnonzero((tc < hz[k]) & (hz[k] <= t_next))
+                    S[k, pos[x]] = acc[x] + self.f[st[x]] * (np.minimum(t_next[x], hz[k]) - tc[x])
+                k_lo = np.searchsorted(hz[:last], t_next.min(), side="right")
             acc += self.f[st] * (np.minimum(t_next, t_max) - tc)
             nxt = self._next_states(st, U[row, col + 1])
             jumping = t_next < t_max
@@ -205,8 +213,13 @@ class _Kernel:
             live = jumping & (nxt < n)
             if not live.all():
                 end = ~live
-                S[pos[end]], state[pos[end]] = acc[end], st[end]
-                absorbed[pos[end & jumping]] = True  # killed strictly before the horizon
+                S[last, pos[end]], state[pos[end]] = acc[end], st[end]
+                killed = end & jumping  # strictly before t_max
+                absorbed[last, pos[killed]] = True
+                if last:  # and at each earlier horizon past the kill, where S stops too
+                    late = hz[:last, None] > t_next[killed]
+                    absorbed[:last, pos[killed]] = late
+                    S[:last, pos[killed]] = np.where(late, acc[killed], S[:last, pos[killed]])
                 pos, row, acc = pos[live], row[live], acc[live]
                 nxt, t_next = nxt[live], t_next[live]
             st, tc = nxt, t_next
@@ -217,22 +230,23 @@ class _Kernel:
 def _batch_statistics(generator, killing, initial, f, t_max, n_replicas, seed,
                       batch=DEFAULT_BATCH, count_jumps=False):
     """(S_i, terminal state_i, absorbed_i) for replicas 0..n-1, plus optional
-    pooled jump counts; identical output for any batch size."""
-    kernel = _Kernel(generator, killing, initial, f, t_max)
-    S = np.empty(n_replicas)
+    pooled jump counts; identical output for any batch size.  A sorted grid
+    of distinct horizons t_max gives S and absorbed one row per horizon."""
+    kernel = _Kernel(generator, killing, initial, f, np.atleast_1d(np.asarray(t_max, float)))
+    S = np.empty((len(kernel.horizons), n_replicas))
     term = np.empty(n_replicas, dtype=int)
-    absorbed = np.empty(n_replicas, dtype=bool)
+    absorbed = np.empty(S.shape, dtype=bool)
     counts = np.zeros((kernel.n, kernel.width), dtype=np.int64) if count_jumps else None
     for lo in range(0, n_replicas, batch):
         hi = min(lo + batch, n_replicas)
-        S[lo:hi], term[lo:hi], absorbed[lo:hi] = kernel.run(np.arange(lo, hi), seed, counts)
-    return S, term, absorbed, counts
+        S[:, lo:hi], term[lo:hi], absorbed[:, lo:hi] = kernel.run(np.arange(lo, hi), seed, counts)
+    return (S, term, absorbed, counts) if np.ndim(t_max) else (S[0], term, absorbed[0], counts)
 
 
 # ---------------------------------------------------------------------------
 # conditioned-CLT sampling
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmpiricalDistribution:
     samples: np.ndarray       # sorted values of sqrt(t) (S_t/t - beta(f))
     n_effective: int
@@ -250,9 +264,9 @@ def default_method(lambda0: float, t: float) -> str:
     return "qprocess" if t > 3.0 / lambda0 else "rejection"
 
 
-def conditional_clt_sample(qproc: QProcessChain, mu, f, t: float, n_replicas: int,
+def conditional_clt_sample(qproc: QProcessChain, mu, f, t, n_replicas: int,
                            method: Optional[str] = None, seed: int = 0,
-                           batch: int = DEFAULT_BATCH) -> EmpiricalDistribution:
+                           batch: int = DEFAULT_BATCH):
     """Sample the statistic sqrt(t)(S_t/t - beta(f)) under conditioning.
 
     'rejection' keeps paths of the absorbed chain qproc.chain that survive
@@ -260,35 +274,45 @@ def conditional_clt_sample(qproc: QProcessChain, mu, f, t: float, n_replicas: in
     dynamics L_Q from the eta-reweighted initial law, whose law differs
     from exact conditioning by the coupling gap that
     qprocess.conditional_vs_q_gap bounds.
+
+    A scalar t gives its EmpiricalDistribution, a grid (repeated, unsorted
+    times allowed) a list in its order.  Times that share a method take one
+    kernel pass, to their largest; the rejection budget is checked first.
     """
-    if not t > 0:
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    if not np.all(times > 0):
         raise ValidationError(f"time horizon t must be positive, got {t}")
     mu = np.asarray(mu, dtype=float)
     chain, triple = qproc.chain, qproc.triple
     obs = variance_clt.make_observable(qproc, f)
-    method = default_method(triple.lambda0, t) if method is None else method
-    if method not in ("rejection", "qprocess"):
+    methods = [default_method(triple.lambda0, ti) if method is None else method for ti in times]
+    if not set(methods) <= {"rejection", "qprocess"}:
         raise ValidationError(f"unknown conditioning method {method!r}")
-    samples = np.zeros(n_replicas)  # a constant observable's statistic is exactly 0
+    drawn = {}  # (method, t) -> sorted statistic; none for a constant observable
     if not variance_clt.is_constant(obs.f_centered):
         mu_eta = float(mu @ triple.eta)
         if mu_eta <= 0:
             raise ValidationError("mu(eta) must be positive")
-        if method == "rejection":
-            log10_cost = np.log10(max(n_replicas, 1)) + triple.lambda0 * t / np.log(10.0)
-            if log10_cost > np.log10(REJECTION_BUDGET):  # in logs: e^(lambda0 t) overflows
-                raise BudgetExceeded(f"rejection cost n e^(lambda0 t) = 10^{log10_cost:.3g} "
-                                     f"exceeds budget {REJECTION_BUDGET:.3g}")
-            dynamics = (chain.sub_generator, chain.killing, mu)
-        else:
-            # the Q-process from the eta-reweighted law; no replica is absorbed
-            dynamics = (qproc.q_generator, None, mu * triple.eta / mu_eta)
-        S, _, absorbed, _ = _batch_statistics(*dynamics, obs.f_centered, t, n_replicas,
-                                              seed, batch)
-        samples = np.sort(np.sqrt(t) * S[~absorbed] / t)
-    return EmpiricalDistribution(samples=samples, n_effective=len(samples),
-                                 n_requested=n_replicas, t=float(t),
-                                 method=method, beta_f=obs.beta_f)
+        for m in sorted(set(methods), reverse=True):  # rejection's budget before any pass
+            hz = np.unique(times[np.array(methods) == m])
+            if m == "rejection":
+                log10_cost = np.log10(max(n_replicas, 1)) + triple.lambda0 * hz[-1] / np.log(10.0)
+                if log10_cost > np.log10(REJECTION_BUDGET):  # in logs: e^(lambda0 t) overflows
+                    raise BudgetExceeded(f"rejection cost n e^(lambda0 t) = 10^{log10_cost:.3g} "
+                                         f"exceeds budget {REJECTION_BUDGET:.3g}")
+                dynamics = (chain.sub_generator, chain.killing, mu)
+            else:
+                # the Q-process from the eta-reweighted law; no replica is absorbed
+                dynamics = (qproc.q_generator, None, mu * triple.eta / mu_eta)
+            S, _, absorbed, _ = _batch_statistics(*dynamics, obs.f_centered, hz, n_replicas,
+                                                  seed, batch)
+            for h, s_h, dead in zip(hz, S, absorbed):
+                drawn[m, h] = np.sort(np.sqrt(h) * s_h[~dead] / h)
+    zero = np.zeros(n_replicas)  # a constant observable's statistic is exactly 0
+    out = [EmpiricalDistribution(samples=(kept := drawn.get((m, ti), zero)),
+                                 n_effective=len(kept), n_requested=n_replicas, t=float(ti),
+                                 method=m, beta_f=obs.beta_f) for m, ti in zip(methods, times)]
+    return out if np.ndim(t) else out[0]
 
 
 def kolmogorov_distance(empirical: EmpiricalDistribution, sigma2: float) -> float:
@@ -314,19 +338,16 @@ class QuasiErgodicReport:
     method: str
 
 
-def quasi_ergodic_check(qproc: QProcessChain, mu, f, t_grid, n_replicas: int,
-                        seed: int = 0, method: Optional[str] = None) -> QuasiErgodicReport:
+def quasi_ergodic_check(qproc: QProcessChain, mu, f, samples) -> QuasiErgodicReport:
     """Monte Carlo conditional mean-square deviation of S_t/t from beta(f)
-    on a time grid, with the exact moment-oracle value alongside when the
-    centred f is not constant, from one oracle call over the whole grid
-    after the samples.  Each time must keep at least 2 replicas."""
-    t_grid = np.asarray(t_grid, dtype=float)
+    on the samples of a conditional_clt_sample grid, with the exact value
+    from one moment-oracle call over the grid when the centred f is not
+    constant.  Each time must keep at least 2 replicas."""
+    t_grid = np.array([emp.t for emp in samples])
     obs = variance_clt.make_observable(qproc, f)
     stats, used = [], None
-    for t in t_grid:
-        mth = method or default_method(qproc.triple.lambda0, t)
-        used = mth if used in (None, mth) else "mixed"
-        emp = conditional_clt_sample(qproc, mu, obs, t, n_replicas, method=mth, seed=seed)
+    for emp, t in zip(samples, t_grid):
+        used = emp.method if used in (None, emp.method) else "mixed"
         dev2 = (emp.samples / np.sqrt(t)) ** 2
         if len(dev2) < 2:
             raise ValidationError(f"{len(dev2)} replicas kept at t={t}; a standard error needs 2")

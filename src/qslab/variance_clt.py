@@ -35,7 +35,7 @@ from .spectral import ErgodicityCertificate, check_time, log_slope, semigroup, s
 K_MAX = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdditiveObservable:
     """Bounded-by-one observable with its centered version under beta."""
 
@@ -72,7 +72,7 @@ def is_constant(f_centered) -> bool:
 # ---------------------------------------------------------------------------
 # sigma^2
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VarianceResult:
     sigma2: float
     g: np.ndarray                # Poisson solution, beta(g) = 0
@@ -140,7 +140,7 @@ def sigma2_quadrature(qproc: QProcessChain, f):
 # ---------------------------------------------------------------------------
 # explicit constant sequences
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstantsTable:
     C: float
     gamma: float
@@ -211,7 +211,7 @@ def constants_table(cert: ErgodicityCertificate, qproc: QProcessChain,
 GeneratorLike = Union[AbsorbedChain, QProcessChain]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentValues:
     t: float
     m: np.ndarray           # m[k] = E_mu[(int_0^t f)^k 1_{survival}], may underflow
@@ -354,7 +354,7 @@ def _positive_times(t_grid) -> np.ndarray:
     return t_grid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentReport:
     k: int
     t_grid: np.ndarray

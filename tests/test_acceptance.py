@@ -205,14 +205,12 @@ def test_criterion_10_monte_carlo_clt(m2sym_bundle, m2sym_qproc):
     start = time.monotonic()
     qp, mu = m2sym_qproc, m2sym_bundle.mu
     n = 100000
-    emp = qslab.conditional_clt_sample(qp, mu, F1, 200.0, n,
-                                       method="qprocess", seed=0)
+    emp, *rest = qslab.conditional_clt_sample(qp, mu, F1, [200.0, 25.0, 100.0, 400.0], n,
+                                              method="qprocess", seed=0)
     d200 = qslab.kolmogorov_distance(emp, 1.0)
     assert d200 <= 0.02
     ds = []
-    for t in (25.0, 100.0, 400.0):
-        e = qslab.conditional_clt_sample(qp, mu, F1, t, n,
-                                         method="qprocess", seed=0)
+    for e in rest:
         ds.append(qslab.kolmogorov_distance(e, 1.0))
     se = 0.26 / np.sqrt(n)  # asymptotic std of the KS statistic
     for a, b in zip(ds, ds[1:]):
@@ -244,16 +242,17 @@ def test_criterion_12_quasi_ergodic_deviation(m2sym_bundle, m2sym_qproc,
                                               bd5_bundle, bd5_triple, bd5_qproc):
     # exact closed form + MC agreement on M2SYM
     rep = qslab.quasi_ergodic_check(
-        m2sym_qproc, m2sym_bundle.mu, F1,
-        [10.0, 20.0], 20000, seed=2, method="qprocess")
+        m2sym_qproc, m2sym_bundle.mu, F1, qslab.conditional_clt_sample(
+            m2sym_qproc, m2sym_bundle.mu, F1, [10.0, 20.0], 20000, method="qprocess", seed=2))
     for t, mc, stderr, exact in rep.rows:
         closed = 1.0 / t - (1.0 - np.exp(-2.0 * t)) / (2.0 * t ** 2)
         assert abs(exact - closed) < 1e-9
         assert abs(mc - exact) <= 3.0 * stderr
     # decay exponent on BD5 from the quasi-stationary start
     rep5 = qslab.quasi_ergodic_check(
-        bd5_qproc, bd5_triple.alpha, bd5_bundle.f,
-        [20.0, 40.0, 80.0, 160.0], 20000, seed=2, method="qprocess")
+        bd5_qproc, bd5_triple.alpha, bd5_bundle.f, qslab.conditional_clt_sample(
+            bd5_qproc, bd5_triple.alpha, bd5_bundle.f, [20.0, 40.0, 80.0, 160.0], 20000,
+            method="qprocess", seed=2))
     assert -1.3 <= rep5.fitted_rate <= -0.8
     # the surrogate samples follow the Q-process law; check them at 3 se
     # against their own exact moment, and record that the distance to the

@@ -5,7 +5,9 @@ solved once per run (`variance` and `all` write that Poisson value beside the qu
 with no second solve); a reversible chain's triple and semigroups come from
 its symmetric eigenbasis, not from eig and expm; and the moment oracle
 takes one Pade approximant per dyadic family of times (the default grids of
-`moments` and `qed` are one family each).
+`moments` and `qed` are one family each); and the sampler makes one kernel
+pass per method over a run's times, so `all` simulates each replica once
+for `clt` and `qed` together when they share a method.
 
 The counting test wraps the expensive primitives wherever a qslab module
 holds them by name and runs `cli.main` in process.  The equality test shows
@@ -19,7 +21,7 @@ import sys
 import numpy as np
 import pytest
 
-from qslab import chain_model, cli, qprocess, spectral, variance_clt
+from qslab import chain_model, cli, montecarlo, qprocess, spectral, variance_clt
 
 
 def _count(monkeypatch, counts, name, module, attr):
@@ -66,6 +68,7 @@ def counted_main(monkeypatch, tmp_path, cycle_model, drifted_model):
         "eigh": (chain_model, "eigh"),
         "linalg.eig": (np.linalg, "eig"),
         "pade": (variance_clt, "_pade13"),
+        "passes": (montecarlo, "_batch_statistics"),
     }
 
     def run(*argv):
@@ -113,25 +116,28 @@ def counted_main(monkeypatch, tmp_path, cycle_model, drifted_model):
      {"profile": 0, "h_transform": 1, "spectral.expm": 0, "variance_clt.expm": 3,
       "eigvals": 0, "sigma2_poisson": 1, "shifted": 1}),
     (("clt", "--model", "m2sym", "--n", "300", "--t", "25"),
-     {"profile": 1, "h_transform": 1, "sigma2_poisson": 1}),
+     {"profile": 1, "h_transform": 1, "sigma2_poisson": 1, "passes": 1}),
     (("clt", "--model", "m2sym", "--n", "300", "--t", "1", "--method", "rejection"),
-     {"profile": 0, "h_transform": 1, "eigh": 1}),
+     {"profile": 0, "h_transform": 1, "eigh": 1, "passes": 1}),
     (("qed", "--model", "m2sym", "--n", "300"),
-     {"profile": 0, "h_transform": 1, "sigma2_poisson": 0, "pade": 1}),
+     {"profile": 0, "h_transform": 1, "sigma2_poisson": 0, "pade": 1, "passes": 1}),
+    # bd5's default qed grid straddles 3/lambda0: one pass per method
+    (("qed", "--model", "bd5", "--n", "300"), {"h_transform": 1, "pade": 1, "passes": 2}),
     (("all", "--model", "m2sym", "--n", "300"),
      {"profile": 1, "h_transform": 1, "spectral.expm": 0, "variance_clt.expm": 4, "eigvals": 0,
-      "linalg.eig": 0, "sigma2_poisson": 1, "eig": 0, "eigh": 1, "pade": 2, "shifted": 1}),
+      "linalg.eig": 0, "sigma2_poisson": 1, "eig": 0, "eigh": 1, "pade": 2, "shifted": 1,
+      "passes": 1}),
     (("all", "--model", "bd5", "--n", "300"),
      {"h_transform": 1, "spectral.expm": 0, "variance_clt.expm": 4, "eig": 0, "eigh": 1,
-      "pade": 2}),
+      "pade": 2, "passes": 2}),
     (("all", "--model", "drifted", "--n", "300"),
      {"h_transform": 1, "spectral.expm": 0, "variance_clt.expm": 4, "eig": 0, "eigh": 1,
-      "pade": 2}),
+      "pade": 2, "passes": 1}),
     (("all", "--model", "cycle", "--n", "300"),
      {"profile": 1, "h_transform": 1, "spectral.expm": 17, "variance_clt.expm": 4,
-      "linalg.eig": 0, "eig": 1, "eigh": 0, "pade": 2, "shifted": 1}),
+      "linalg.eig": 0, "eig": 1, "eigh": 0, "pade": 2, "shifted": 1, "passes": 2}),
 ], ids=["spectral", "certify", "qprocess", "variance", "moments", "charfun", "clt-qprocess",
-        "clt-rejection", "qed", "all", "all-bd5", "all-drifted", "all-cycle"])
+        "clt-rejection", "qed", "qed-bd5", "all", "all-bd5", "all-drifted", "all-cycle"])
 def test_each_run_solves_and_certifies_once(counted_main, argv, expected):
     counts = counted_main(*argv)
     assert counts["solve"] == 1

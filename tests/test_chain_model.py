@@ -159,14 +159,29 @@ def test_yaml_roundtrip(tmp_path, bd5_bundle):
 
 
 def test_model_objects_compare_and_hash_by_identity(bd5_bundle, bd5_triple, bd5_qproc):
-    """Bundles, chains, triples and Q-processes hold numpy arrays, so
-    equality is identity: == gives a bool and hash works, where a
-    field-wise == would raise."""
+    """Bundles, chains, triples, Q-processes and the result records (paths,
+    samples, observables, sigma^2, constants, moments, moment reports) hold
+    numpy arrays, so equality is identity: == gives a bool and hash works,
+    where a field-wise == would raise."""
     again = qslab.resolve_model("bd5")
     again_triple = qslab.solve_spectral(again.chain)
-    pairs = ((bd5_bundle, again), (bd5_bundle.chain, again.chain),
+    pairs = [(bd5_bundle, again), (bd5_bundle.chain, again.chain),
              (bd5_triple, again_triple),
-             (bd5_qproc, qslab.h_transform(again.chain, again_triple)))
+             (bd5_qproc, qslab.h_transform(again.chain, again_triple))]
+    chain, qp, mu, f = bd5_bundle.chain, bd5_qproc, bd5_bundle.mu, bd5_bundle.f
+    cert = qslab.certify_ergodicity(chain, bd5_triple, bd5_bundle.psi1,
+                                    qslab.default_time_grid(bd5_triple.gamma))
+    makers = (lambda: qslab.simulate_absorbed(chain, mu, 5.0, (1, 0)),
+              lambda: qslab.conditional_clt_sample(qp, mu, f, 5.0, 50, seed=1),
+              lambda: qslab.make_observable(qp, f),
+              lambda: qslab.sigma2_poisson(qp, f, with_quadrature=False),
+              lambda: qslab.constants_table(cert, qp, K=4),
+              lambda: qslab.exact_conditional_moments(chain, mu, f, 2, 5.0),
+              lambda: qslab.check_odd_moment_decay(qp, qp.beta, f, 1, [10.0, 20.0]))
+    pairs += [(make(), make()) for make in makers]
+    assert [type(obj).__name__ for obj, _ in pairs[4:]] == [
+        "Trajectory", "EmpiricalDistribution", "AdditiveObservable", "VarianceResult",
+        "ConstantsTable", "MomentValues", "MomentReport"]
     for obj, twin in pairs:
         assert (obj == obj) is True and (obj == twin) is False
         assert hash(obj) == hash(obj) and len({obj, twin}) == 2

@@ -70,6 +70,17 @@ def test_usage_errors_exit_2(tmp_path):
     assert exc.value.code == 2
 
 
+def test_the_parser_is_built_once_per_process(tmp_path):
+    """main reuses one parser; a parse leaves no value behind for the next."""
+    cli.build_parser.cache_clear()
+    for sub in ("spectral", "variance"):
+        assert cli.main([sub, "--model", "m2sym", "--out", str(tmp_path / sub)]) == 0
+    assert cli.build_parser.cache_info().misses == 1
+    parser = cli.build_parser()
+    assert parser.parse_args(["clt", "--model", "m2sym", "--t", "5"]).t == 5.0
+    assert parser.parse_args(["clt", "--model", "m2sym"]).t == 100.0
+
+
 def test_validation_errors_exit_3(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("generator: [[-1.0, 1.0], [1.0, -1.0]]\n")

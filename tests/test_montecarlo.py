@@ -218,6 +218,69 @@ def test_batch_and_thread_count_do_not_change_results(m2sym_bundle):
         np.testing.assert_array_equal(absorbed, base[2])
 
 
+def test_horizon_grid_does_not_depend_on_batch_size(stiff_chain):
+    """One pass over a grid of horizons with kills between them gives, row
+    by row, the arrays of a pass to each horizon alone, for any batch size;
+    a replica killed at tau is absorbed at every horizon past tau."""
+    mu = np.full(4, 0.25)
+    f = np.array([1.0, -0.5, 0.25, -1.0])
+    grid, n, seed = np.array([0.5, 2.0, 3.0, 5.0]), 400, 6
+    args = (stiff_chain.sub_generator, stiff_chain.killing, mu, f)
+    base = _batch_statistics(*args, grid, n, seed, batch=n)
+    assert base[0].shape == base[2].shape == (len(grid), n)
+    assert 0 < base[2][0].sum() < base[2][-1].sum() < n
+    assert np.all(base[2][:-1] <= base[2][1:])  # absorbed stays absorbed
+    for batch in (64, 37):
+        got = _batch_statistics(*args, grid, n, seed, batch=batch)
+        for a, b in zip(got[:3], base[:3]):
+            np.testing.assert_array_equal(a, b)
+    for k, h in enumerate(grid):
+        S, _, absorbed, _ = _batch_statistics(*args, h, n, seed, batch=97)
+        np.testing.assert_array_equal(S, base[0][k])
+        np.testing.assert_array_equal(absorbed, base[2][k])
+    np.testing.assert_array_equal(_batch_statistics(*args, 5.0, n, seed)[1], base[1])
+
+
+def _count_passes(monkeypatch):
+    passes = []
+    run = montecarlo._batch_statistics
+
+    def spy(*args, **kwargs):
+        passes.append(args[4])
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "_batch_statistics", spy)
+    return passes
+
+
+@pytest.mark.parametrize("model, grid, method", [
+    ("bd5", (20.0, 5.0, 10.0, 10.0), "rejection"),
+    ("m2asym", (0.5, 2.0, 1.0), "rejection"),
+    ("bd5", (3.0, 30.0), "qprocess"),
+    ("bd5", (60.0, 20.0, 30.0), None),  # 3/lambda0 = 37: two methods
+], ids=["bd5-rejection", "m2asym-rejection", "bd5-qprocess", "bd5-default"])
+def test_grid_samples_equal_per_time_samples(monkeypatch, model, grid, method):
+    """A grid call gives each time the bits of its own call, repeated and
+    unsorted times included, from one kernel pass per method."""
+    bundle = qslab.resolve_model(model)
+    qp = qslab.h_transform(bundle.chain, qslab.solve_spectral(bundle.chain))
+    mu, f, n = bundle.mu, bundle.f, 1500
+    passes = _count_passes(monkeypatch)
+    emps = qslab.conditional_clt_sample(qp, mu, f, list(grid), n, method=method, seed=4,
+                                        batch=333)
+    monkeypatch.undo()
+    methods = {e.method for e in emps}
+    assert len(passes) == len(methods) == (1 if method else 2)
+    assert sorted(np.concatenate(passes).tolist()) == sorted(set(grid))
+    for t, emp in zip(grid, emps):
+        alone = qslab.conditional_clt_sample(qp, mu, f, t, n, method=method, seed=4)
+        assert (emp.t, emp.method, emp.n_effective) == (alone.t, alone.method, alone.n_effective)
+        np.testing.assert_array_equal(emp.samples, alone.samples)
+    rep = qslab.quasi_ergodic_check(qp, mu, f, emps)
+    assert rep.method == (methods.pop() if len(methods) == 1 else "mixed")
+    assert [row[0] for row in rep.rows] == list(grid)
+
+
 def test_survival_fraction_matches_semigroup(m2sym_bundle):
     chain = m2sym_bundle.chain
     n = 20000
@@ -356,8 +419,9 @@ def test_kolmogorov_distance_on_true_gaussian_draw():
 
 
 def test_quasi_ergodic_check_matches_exact_oracle(m2sym_bundle, m2sym_qproc):
+    qp, mu, f = m2sym_qproc, m2sym_bundle.mu, m2sym_bundle.f
     rep = qslab.quasi_ergodic_check(
-        m2sym_qproc, m2sym_bundle.mu, m2sym_bundle.f, [10.0, 20.0], 4000, seed=5)
+        qp, mu, f, qslab.conditional_clt_sample(qp, mu, f, [10.0, 20.0], 4000, seed=5))
     assert rep.method == "qprocess"
     for t, mc, stderr, exact in rep.rows:
         # exact second conditional moment: (t - (1-e^{-2t})/2) / t^2
@@ -374,7 +438,9 @@ def test_quasi_ergodic_check_has_an_exact_column_at_any_size():
     chain = qslab.build_birth_death(n, [1.0] * (n - 1) + [0.0], [1.0] * n)
     qp = qslab.h_transform(chain, qslab.solve_spectral(chain))
     mu, f = np.full(n, 1.0 / n), np.linspace(-1.0, 1.0, n)
-    rep = qslab.quasi_ergodic_check(qp, mu, f, [4.0, 8.0], 50, seed=3, method="qprocess")
+    rep = qslab.quasi_ergodic_check(
+        qp, mu, f, qslab.conditional_clt_sample(qp, mu, f, [4.0, 8.0], 50, method="qprocess",
+                                                seed=3))
     beta_f = float(qp.beta @ f)
     for t, _, _, exact in rep.rows:
         mv = qslab.exact_conditional_moments(chain, mu, f - beta_f, 2, t)
