@@ -46,12 +46,10 @@ from .variance_clt import (
     ConstantsTable,
     MomentReport,
     VarianceResult,
-    charfun_taylor_moments,
     check_even_moment_limit,
     check_odd_moment_decay,
     check_uniform_charfun_bound,
     constants_table,
-    exact_conditional_charfun,
     exact_conditional_charfuns,
     exact_conditional_moments,
     make_observable,
@@ -61,13 +59,9 @@ from .variance_clt import (
 )
 from .montecarlo import (
     EmpiricalDistribution,
-    Trajectory,
     conditional_clt_sample,
-    jump_frequency_counts,
     kolmogorov_distance,
     philox_stream,
     quasi_ergodic_check,
-    simulate_absorbed,
-    simulate_qprocess,
 )
 from . import errors

@@ -9,6 +9,7 @@ and a strongly connected transition graph on E.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -19,6 +20,7 @@ from scipy.linalg import eig, eigh
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .errors import (
+    BudgetExceeded,
     InvalidRates,
     NegativeOffDiagonal,
     NoKilling,
@@ -30,6 +32,10 @@ from .errors import (
 )
 
 _ROWSUM_TOL = 1e-12
+# the largest birth-death chain a run builds: certify took 0.44 s at n = 1000
+# and 2.7 s at n = 2000 (cost ~ n^3, peak RSS 383 MB), so about 22 s and
+# 1.5 GB at this n
+BIRTH_DEATH_MAX_STATES = 4000
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,7 +221,9 @@ def validate_chain(raw_matrix, states: Optional[Sequence[str]] = None) -> Absorb
 
 def build_birth_death(n: int, birth, death) -> AbsorbedChain:
     """Tridiagonal chain on {1..n}: up-rates b_i, down-rates d_i, with the
-    death rate of state 1 acting as the killing rate (absorption into 0)."""
+    death rate of state 1 acting as the killing rate (absorption into 0).
+    More than BIRTH_DEATH_MAX_STATES states raise BudgetExceeded before the
+    n x n matrix is allocated."""
     try:
         birth = np.asarray(birth, dtype=float)
         death = np.asarray(death, dtype=float)
@@ -229,6 +237,10 @@ def build_birth_death(n: int, birth, death) -> AbsorbedChain:
         raise InvalidRates("d_1 must be positive (it is the killing rate)")
     if n > 1 and birth[-1] != 0:
         raise InvalidRates("b_n must vanish (no escape above the top state)")
+    if n > BIRTH_DEATH_MAX_STATES:
+        raise BudgetExceeded(f"a birth-death chain of n = {n} states needs {8.0 * n * n:.3g} "
+                             f"bytes per dense n x n array; at most "
+                             f"{BIRTH_DEATH_MAX_STATES} states are built")
     L = np.zeros((n, n))
     for i in range(n - 1):
         L[i, i + 1] = birth[i]
@@ -287,6 +299,47 @@ BUILTIN_MODELS = ("m2sym", "m2asym", "bd5")
 # libyaml's parser when PyYAML was built with it: the same safe constructor,
 # so the same Python objects, at several times the speed on large matrices
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# plain scalars that SafeLoader reads as the int() or float() of the text
+_INT = re.compile(r"[-+]?(?:0|[1-9][0-9]*)").fullmatch
+_FLOAT = re.compile(r"[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?").fullmatch
+
+
+def _event_document(fh):
+    """fh's one document built from _YAML_LOADER's parse events, or None where
+    yaml.load might differ: a tag, anchor or alias, not one document, a key
+    that is a collection, a YAMLError, a plain scalar outside _INT, _FLOAT and str."""
+    resolve, str_tag = yaml.resolver.Resolver().resolve, "tag:yaml.org,2002:str"
+    stack = [[]]  # the documents, then the open collections (a mapping as keys and values)
+    try:
+        for ev in yaml.parse(fh, Loader=_YAML_LOADER):
+            kind = type(ev)
+            if kind is yaml.ScalarEvent:
+                v = ev.value
+                if ev.anchor is not None or ev.tag is not None:
+                    return None
+                if ev.implicit[0]:  # plain; quoted and block scalars are str
+                    if _FLOAT(v):
+                        v = float(v)
+                    elif _INT(v):
+                        v = int(v)
+                    elif resolve(yaml.ScalarNode, v, (True, False)) != str_tag:
+                        return None
+                stack[-1].append(v)
+            elif kind is yaml.SequenceStartEvent or kind is yaml.MappingStartEvent:
+                if ev.anchor is not None or ev.tag is not None:
+                    return None
+                stack[-1].append([])
+                stack.append(stack[-1][-1])
+            elif kind is yaml.SequenceEndEvent:
+                stack.pop()
+            elif kind is yaml.MappingEndEvent:  # a later duplicate key wins, as in SafeLoader
+                flat = stack.pop()
+                stack[-1][-1] = dict(zip(flat[::2], flat[1::2]))
+            elif kind is yaml.AliasEvent:
+                return None
+    except (yaml.YAMLError, TypeError):  # TypeError: an unhashable key
+        return None
+    return stack[0][0] if len(stack[0]) == 1 else None
 
 
 def load_model_config(path) -> ModelBundle:
@@ -300,7 +353,10 @@ def load_model_config(path) -> ModelBundle:
     """
     try:
         with open(path) as fh:
-            raw = yaml.load(fh, Loader=_YAML_LOADER)
+            raw = _event_document(fh)
+            if raw is None:
+                fh.seek(0)
+                raw = yaml.load(fh, Loader=_YAML_LOADER)
     except OSError as exc:
         raise ParseError(f"cannot read model file: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -15,7 +15,6 @@ from typing import Optional
 import numpy as np
 from scipy.special import ndtr
 
-from .chain_model import AbsorbedChain
 from .errors import BudgetExceeded, DegenerateVariance, ValidationError
 from .qprocess import QProcessChain
 from .spectral import log_slope
@@ -31,36 +30,6 @@ def philox_stream(seed: int, replica: int) -> np.random.Generator:
     """The per-replica RNG stream; key = (master seed mod 2^64, replica index)."""
     key = np.array([int(seed) % 2 ** 64, int(replica)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """A path observed on [0, end] with end = min(absorption, t_max).
-
-    jump_times are the state-change instants; visited_states is one longer.
-    absorption_time is +inf when the path survives the horizon.
-    """
-
-    jump_times: np.ndarray
-    visited_states: np.ndarray
-    absorption_time: float
-    t_max: float
-
-    @property
-    def survived(self) -> bool:
-        return not np.isfinite(self.absorption_time)
-
-    def additive_integral(self, f) -> float:
-        """Exact piecewise-constant integral of f along the path.
-
-        Accumulated segment by segment in path order — the same floating-point
-        sequence as the batch kernel, so the two agree bit for bit."""
-        f = np.asarray(f, dtype=float)
-        edges = np.concatenate([[0.0], self.jump_times, [min(self.absorption_time, self.t_max)]])
-        total = np.float64(0.0)
-        for state, seg in zip(self.visited_states, np.diff(edges)):
-            total += f[state] * seg
-        return float(total)
 
 
 def _jump_tables(generator: np.ndarray, killing: Optional[np.ndarray]):
@@ -84,41 +53,8 @@ def _jump_tables(generator: np.ndarray, killing: Optional[np.ndarray]):
     return rates, cum
 
 
-def _simulate_one(generator, killing, initial, t_max, rng_stream) -> Trajectory:
-    """The one-path reference simulator, which the batch kernel matches bit for
-    bit; rng_stream is the (seed, replica) pair of its Philox stream."""
-    gen = philox_stream(*rng_stream)
-    rates, cumJ = _jump_tables(generator, killing)
-    cum0, n = np.cumsum(np.asarray(initial, dtype=float)), generator.shape[0]
-    state = min(int(np.searchsorted(cum0, gen.random(), side="right")), n - 1)
-    t, times, states, absorption = 0.0, [], [state], np.inf
-    while True:
-        u_h, u_j = gen.random(), gen.random()
-        t_next = t + (-np.log1p(-u_h) / rates[state])
-        if t_next >= t_max:
-            break
-        nxt = int((u_j > cumJ[state]).sum())
-        if nxt >= n:
-            absorption = t_next
-            break
-        t, state = t_next, nxt
-        times.append(t)
-        states.append(state)
-    return Trajectory(jump_times=np.array(times), visited_states=np.array(states, dtype=int),
-                      absorption_time=absorption, t_max=float(t_max))
-
-
-def simulate_absorbed(chain: AbsorbedChain, mu, t_max: float, rng_stream) -> Trajectory:
-    """One exact path of the killed chain from stream (seed, replica)."""
-    return _simulate_one(chain.sub_generator, chain.killing, mu, t_max, rng_stream)
-
-
-def simulate_qprocess(qproc: QProcessChain, initial, t_max: float, rng_stream) -> Trajectory:
-    return _simulate_one(qproc.q_generator, None, initial, t_max, rng_stream)
-
-
 # ---------------------------------------------------------------------------
-# vectorized batch kernel (same draw discipline as _simulate_one)
+# vectorized batch kernel (the draw discipline of the module docstring)
 
 def _draw_window(gen, replicas, offset, width):
     """Draws [offset, offset + width) of stream (seed, r), one row per r, with
@@ -198,7 +134,7 @@ class _Kernel:
                     raise BudgetExceeded(f"a replica exceeded {self.max_steps:.0f} steps")
                 U = _draw_window(gen, replicas[pos], 1 + 2 * j, 2 * self.window)
                 row, col = np.arange(pos.size), 0
-            # -log1p(-u)/rate bit for bit, as in _simulate_one
+            # -log1p(-u)/rate bit for bit, as the one-path reference in tests/oracles.py
             t_next = tc + np.log1p(-U[row, col]) / self.neg_rates[st]
             if k_lo < last and t_next.max() >= hz[k_lo]:  # S_h, as a run to t_max = h ends
                 for k in range(k_lo, np.searchsorted(hz[:last], t_next.max(), side="right")):
@@ -360,12 +296,3 @@ def quasi_ergodic_check(qproc: QProcessChain, mu, f, samples) -> QuasiErgodicRep
     rate = log_slope(np.log([r[0] for r in rows]), [r[1] for r in rows])
     return QuasiErgodicReport(rows=rows, fitted_rate=rate, method=used or "auto")
 
-
-def jump_frequency_counts(chain: AbsorbedChain, mu, t_max: float, n_replicas: int,
-                          seed: int = 0):
-    """Pooled one-step transition counts (cemetery in the last column) for
-    goodness-of-fit tests against the embedded jump probabilities."""
-    _, _, _, counts = _batch_statistics(
-        chain.sub_generator, chain.killing, mu, np.zeros(chain.n), t_max,
-        n_replicas, seed, count_jumps=True)
-    return counts[:, : chain.n + 1]

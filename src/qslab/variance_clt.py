@@ -418,20 +418,11 @@ def _tilted_law(L, mu, f, z, t) -> np.ndarray:
     return expm(t * A) @ mu.astype(complex)
 
 
-def exact_conditional_charfun(gen: GeneratorLike, mu, f,
-                              omega_over_sqrt_t: float, t: float) -> complex:
-    """E_mu[e^{i w' int_0^t f(X_s) ds} | survival] with w' = omega/sqrt(t)
-    held fixed, via one complex matrix exponential of the shifted generator.
-    For a conservative generator the conditioning divisor is 1."""
-    if t <= 0:
-        raise ValidationError("charfun needs t > 0")
-    return _conditional_charfuns(gen, mu, f, [omega_over_sqrt_t], t)[0]
-
-
 def exact_conditional_charfuns(gen: GeneratorLike, mu, f, omegas, t: float) -> list:
-    """exact_conditional_charfun at w' = omega / sqrt(t) for each omega of a
-    list, for one t: the shift and the survival mass are computed once,
-    then one exponential per omega."""
+    """E_mu[e^{i w' int_0^t f(X_s) ds} | survival] at w' = omega / sqrt(t)
+    for each omega of a list, for one t > 0: the shift and the survival mass
+    are computed once, then one complex exponential of the shifted generator
+    per omega.  For a conservative generator the conditioning divisor is 1."""
     if t <= 0:
         raise ValidationError("charfun needs t > 0")
     return _conditional_charfuns(gen, mu, f, [w / np.sqrt(t) for w in omegas], t)
@@ -449,24 +440,6 @@ def _conditional_charfuns(gen, mu, f, omegas_over_sqrt_t, t: float) -> list:
     if not (p > 0 and np.all(np.isfinite([p, *laws]))):
         raise OverflowGuard(f"characteristic function is not finite at t={t}")
     return [complex(z / p) for z in laws]
-
-
-def charfun_taylor_moments(gen: GeneratorLike, mu, f, t: float, k_max: int = 4) -> np.ndarray:
-    """Moments m_k recovered by numerically differentiating the raw
-    characteristic function in w' at 0 (trapezoidal rule on a complex
-    circle of radius 0.4 with 32 points; exact for entire functions up to
-    roundoff).  Cross-check for exact_conditional_moments."""
-    L, s = gen.shifted
-    radius, n_points = 0.4, 32
-    mu = np.asarray(mu, dtype=float)
-    f = np.asarray(f, dtype=float)
-    zs = radius * np.exp(2j * np.pi * np.arange(n_points) / n_points)
-    vals = np.empty(n_points, dtype=complex)
-    for i, z in enumerate(zs):
-        vals[i] = _tilted_law(L, mu, f, z, t).sum()
-    coef = np.fft.fft(vals) * np.exp(s * t) / n_points / radius ** np.arange(n_points)
-    ks = np.arange(k_max + 1)
-    return np.real(coef[: k_max + 1] * np.array([factorial(k) for k in ks]) / 1j ** ks)
 
 
 # ---------------------------------------------------------------------------

@@ -190,8 +190,8 @@ def test_criterion_09_charfun_gaussian_limit(m2sym_bundle, m2asym_bundle,
         sigma2 = qslab.sigma2_poisson(qp, obs, with_quadrature=False).sigma2
         t = 100.0 / tr.gamma
         for omega in (-2.0, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0):
-            cf = qslab.exact_conditional_charfun(
-                bundle.chain, tr.alpha, obs.f_centered, omega / np.sqrt(t), t)
+            cf = qslab.exact_conditional_charfuns(
+                bundle.chain, tr.alpha, obs.f_centered, [omega], t)[0]
             gap = abs(cf - np.exp(-sigma2 * omega ** 2 / 2.0))
             worst = max(worst, gap)
     elapsed = time.monotonic() - start

@@ -1,3 +1,4 @@
+import re
 import tempfile
 from pathlib import Path
 
@@ -10,9 +11,11 @@ from scipy.linalg import expm
 import qslab
 from qslab import chain_model
 from qslab.chain_model import BUILTIN_MODELS
-from qslab.errors import ValidationError
+from qslab.errors import BudgetExceeded, ValidationError
 
+import oracles
 from conftest import make_random_chain
+from test_cli_fuzz import BREAKS, model_documents
 
 
 def test_validate_accepts_and_extracts_killing():
@@ -119,6 +122,14 @@ def test_birth_death_needs_one_state():
     assert exc.value.code == "invalid-rates"
 
 
+def test_birth_death_past_the_ceiling_is_refused_before_it_is_built():
+    n = chain_model.BIRTH_DEATH_MAX_STATES + 1
+    with pytest.raises(BudgetExceeded) as exc:
+        qslab.build_birth_death(n, [1.0] * (n - 1) + [0.0], [1.0] * n)
+    assert exc.value.exit_code == 4 and exc.value.code == "budget-exceeded"
+    assert f"n = {n} states needs {8.0 * n * n:.3g} bytes" in exc.value.message
+
+
 def test_fixture_semigroup_substochastic(m2sym_bundle, m2asym_bundle, bd5_bundle):
     """exp(tL) must stay entrywise nonnegative with row sums in (0, 1]."""
     for bundle in (m2sym_bundle, m2asym_bundle, bd5_bundle):
@@ -171,7 +182,7 @@ def test_model_objects_compare_and_hash_by_identity(bd5_bundle, bd5_triple, bd5_
     chain, qp, mu, f = bd5_bundle.chain, bd5_qproc, bd5_bundle.mu, bd5_bundle.f
     cert = qslab.certify_ergodicity(chain, bd5_triple, bd5_bundle.psi1,
                                     qslab.default_time_grid(bd5_triple.gamma))
-    makers = (lambda: qslab.simulate_absorbed(chain, mu, 5.0, (1, 0)),
+    makers = (lambda: oracles.simulate_absorbed(chain, mu, 5.0, (1, 0)),
               lambda: qslab.conditional_clt_sample(qp, mu, f, 5.0, 50, seed=1),
               lambda: qslab.make_observable(qp, f),
               lambda: qslab.sigma2_poisson(qp, f, with_quadrature=False),
@@ -238,6 +249,11 @@ def test_yaml_rejects_malformed(tmp_path):
         with pytest.raises(ValidationError) as exc:
             qslab.load_model_config(path)
         assert exc.value.exit_code == 3, fname
+        if fname == "notyaml.yaml":  # the parser's own message, which names the file
+            with open(path) as fh, pytest.raises(yaml.YAMLError) as raw:
+                yaml.load(fh, Loader=chain_model._YAML_LOADER)
+            assert f'in "{path}"' in str(raw.value)
+            assert exc.value.message == f"malformed YAML in {path}: {raw.value}"
 
 
 def _assert_same_bundle(a, b):
@@ -282,6 +298,110 @@ def test_malformed_yaml_is_a_parse_error_under_either_loader(tmp_path, monkeypat
         with pytest.raises(ValidationError) as exc:
             qslab.load_model_config(path)
         assert exc.value.code == "parse-error"
+
+
+YAML_LOADERS = [pytest.param(name, marks=pytest.mark.skipif(
+    not hasattr(yaml, name), reason="PyYAML built without libyaml"))
+    for name in ("SafeLoader", "CSafeLoader")]
+# read from parser events: every one is a value SafeLoader builds the same
+EVENT_DOCUMENTS = [
+    "a: -0.0\nb: +1.5e+3\nc: 1.\nd: -7\ne: 0\nf: +12\ng: 1.5E-3\nh: -0\n",
+    "big: 123456789012345678901234567890123\nf: 1234567890123456789012.5e+300\n",
+    "q: '1.5'\nd: \"2\"\nblock: |\n  1.0\n  two\nfolded: >\n  3\n  4\n",
+    "a: 1\nb: [x]\na: 2.0\n",  # a duplicate key: the last value wins
+    "e: 1e3\nf: 1.0e3\ns: abc\nt: 1.5 x\nu: 1-2\nv: 1.2.3\n",
+    "[[1.0, -2], {k: [], m: {}}, '']\n",
+    "---\nplain: text\n...\n",
+]
+# left to yaml.load, whose object or error the loader returns or raises
+FALLBACK_DOCUMENTS = [
+    "a: 010\n", "a: 1_000\n", "a: .inf\n", "a: -.inf\n", "a: .nan\n", "a: 0x1F\n",
+    "a: 1:30\n", "a: yes\n", "a: off\n", "a: ~\n", "a: null\n", "a:\n", "<<: {b: 1}\n",
+    "a: =\n", "a: 2001-12-14\n", "a: !!float 1\n", "a: !!str 1\n", "a: ! 1\n",
+    "a: &x 1\nb: *x\n", "a: *x\n", "a: &y [1.0]\n", "a: 1\n---\nb: 2\n", "? [1, 2]\n: 3\n",
+    "{a: 1}: 2\n", "", "a: [1.0\n", "\tgenerator: 1\n", "a: !!binary aGk=\n",
+]
+
+
+def _yaml_load(path):
+    """yaml.load's object, or its error's type and text."""
+    try:
+        with open(path) as fh:
+            return yaml.load(fh, Loader=chain_model._YAML_LOADER)
+    except yaml.YAMLError as exc:
+        return type(exc), str(exc)
+
+
+def _event_document(path):
+    with open(path) as fh:
+        return chain_model._event_document(fh)
+
+
+def _count_yaml_loads(monkeypatch):
+    calls = []
+    load = yaml.load
+    monkeypatch.setattr(yaml, "load", lambda *a, **k: calls.append(1) or load(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("loader", YAML_LOADERS)
+def test_event_loader_builds_what_yaml_load_builds(tmp_path, monkeypatch, loader):
+    """Documents in the event loader's subset give objects whose repr equals
+    yaml.load's; every other document is left to yaml.load, one call, so the
+    object or the parse error is yaml.load's own."""
+    monkeypatch.setattr(chain_model, "_YAML_LOADER", getattr(yaml, loader))
+    calls = _count_yaml_loads(monkeypatch)
+    for i, text in enumerate(EVENT_DOCUMENTS + FALLBACK_DOCUMENTS):
+        path = tmp_path / f"doc{i}.yaml"
+        path.write_text(text)
+        got, want = _event_document(path), _yaml_load(path)
+        assert (got is None) == (text in FALLBACK_DOCUMENTS), text
+        assert got is None or repr(got) == repr(want), text
+        del calls[:]
+        try:
+            qslab.load_model_config(path)
+        except ValidationError:
+            pass
+        assert len(calls) == (text in FALLBACK_DOCUMENTS), text
+
+
+@pytest.mark.parametrize("loader", YAML_LOADERS)
+def test_model_files_are_read_without_yaml_load(tmp_path, monkeypatch, loader, bd5_bundle):
+    """An emitted bundle and a dense file written as the benchmark writes
+    one (repr floats with a dot and a signed exponent) take no yaml.load."""
+    monkeypatch.setattr(chain_model, "_YAML_LOADER", getattr(yaml, loader))
+    L = np.array(make_random_chain(np.random.default_rng(3), n=30).sub_generator)
+    L[0, 0], L[0, 1] = L[0, 0] - 1e-7 - L[0, 1], 1e-7
+    rows = "".join("  - [" + ", ".join(re.sub(r"^(-?[0-9]+)e", r"\1.0e", repr(v)) for v in row)
+                   + "]\n" for row in L.tolist())
+    (tmp_path / "dense.yaml").write_text(f"name: dense-30\ngenerator:\n{rows}")
+    qslab.emit_model_config(bd5_bundle, tmp_path / "bd5.yaml")
+    calls = _count_yaml_loads(monkeypatch)
+    dense = qslab.load_model_config(tmp_path / "dense.yaml")
+    again = qslab.load_model_config(tmp_path / "bd5.yaml")
+    assert calls == []
+    assert np.array_equal(dense.chain.sub_generator, L)
+    _assert_same_bundle(again, bd5_bundle)
+    for name in ("dense.yaml", "bd5.yaml"):
+        assert repr(_event_document(tmp_path / name)) == repr(_yaml_load(tmp_path / name))
+
+
+@pytest.mark.parametrize("loader", YAML_LOADERS)
+@pytest.mark.parametrize("brk", [None, *BREAKS])
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_generated_model_documents_read_as_yaml_load_reads_them(brk, loader, data):
+    """The documents of the model-file property test, valid and broken: the
+    event loader equals yaml.load, and falls back exactly where safe_dump
+    wrote a non-finite float."""
+    text = yaml.safe_dump(data.draw(model_documents(brk)))
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chain_model, "_YAML_LOADER", getattr(yaml, loader))
+        path = Path(tmp) / "model.yaml"
+        path.write_text(text)
+        got, want = _event_document(path), _yaml_load(path)
+    assert (got is None) == any(w in text for w in (".nan", ".inf")), text
+    assert got is None or repr(got) == repr(want)
 
 
 def test_yaml_rejects_bad_sections(tmp_path):

@@ -322,6 +322,22 @@ def test_monte_carlo_refuses_unbounded_step_counts(tmp_path, argv):
     assert not out.exists()
 
 
+def test_huge_birth_death_file_is_refused_before_it_is_built(tmp_path):
+    """40000 states would need an 11.9 GiB generator; the run exits 4 with
+    a coded diagnostic instead of a MemoryError traceback."""
+    n = 40000
+    model = tmp_path / "huge.yaml"
+    model.write_text(f"birth_death:\n  n: {n}\n  birth: [{'1.0, ' * (n - 1)}0.0]\n"
+                     f"  death: [{', '.join(['1.0'] * n)}]\n")
+    out = tmp_path / "o"
+    r = subprocess.run([sys.executable, "-m", "qslab.cli", "spectral", "--model", str(model),
+                        "--out", str(out)], capture_output=True, text=True, timeout=30)
+    assert r.returncode == 4
+    assert r.stderr.startswith("error: budget-exceeded: ") and "Traceback" not in r.stderr
+    assert f"n = {n} states" in r.stderr
+    assert not out.exists()
+
+
 def test_model_file_is_hashed_into_manifest(tmp_path):
     model = tmp_path / "ladder.yaml"
     model.write_text(

@@ -11,6 +11,8 @@ from qslab import montecarlo
 from qslab.errors import NumericalError, ValidationError
 from qslab.montecarlo import EmpiricalDistribution, _batch_statistics, default_method
 
+import oracles
+
 
 def test_philox_streams_are_prefix_stable_and_distinct():
     a = qslab.philox_stream(7, 3).random(5)
@@ -49,7 +51,7 @@ def test_window_draws_are_stream_slices():
 
 
 def test_trajectory_integral_by_hand():
-    surv = qslab.Trajectory(
+    surv = oracles.Trajectory(
         jump_times=np.array([1.0, 2.5, 3.0]),
         visited_states=np.array([0, 1, 0, 1]),
         absorption_time=np.inf,
@@ -59,7 +61,7 @@ def test_trajectory_integral_by_hand():
     # segments 1.0, 1.5, 0.5, 1.0 on states 0,1,0,1
     assert surv.additive_integral([2.0, -3.0]) == -4.5
 
-    dead = qslab.Trajectory(
+    dead = oracles.Trajectory(
         jump_times=np.array([1.0]),
         visited_states=np.array([0, 1]),
         absorption_time=2.0,
@@ -72,7 +74,7 @@ def test_trajectory_integral_by_hand():
 def test_single_state_absorption_is_unit_exponential():
     chain = qslab.validate_chain([[-1.0]])
     times = np.array([
-        qslab.simulate_absorbed(chain, [1.0], 50.0, (11, i)).absorption_time
+        oracles.simulate_absorbed(chain, [1.0], 50.0, (11, i)).absorption_time
         for i in range(10000)
     ])
     assert np.all(np.isfinite(times))
@@ -92,7 +94,7 @@ def test_batch_kernel_matches_single_paths_bitwise(bd5_bundle, bd5_qproc):
         chain.sub_generator, chain.killing, mu, f, t_max, n, seed, batch=13
     )
     for i in range(n):
-        tr = qslab.simulate_absorbed(chain, mu, t_max, (seed, i))
+        tr = oracles.simulate_absorbed(chain, mu, t_max, (seed, i))
         assert S[i] == tr.additive_integral(f)
         assert absorbed[i] == (not tr.survived)
         if tr.survived:
@@ -103,7 +105,7 @@ def test_batch_kernel_matches_single_paths_bitwise(bd5_bundle, bd5_qproc):
     )
     assert not deadq.any()
     for i in range(n):
-        tr = qslab.simulate_qprocess(bd5_qproc, bd5_qproc.beta, t_max, (seed, i))
+        tr = oracles.simulate_qprocess(bd5_qproc, bd5_qproc.beta, t_max, (seed, i))
         assert Sq[i] == tr.additive_integral(f)
         assert termq[i] == tr.visited_states[-1]
         assert np.all(np.diff(np.concatenate([[0.0], tr.jump_times])) > 0)
@@ -145,8 +147,8 @@ def test_multi_window_replicas_match_single_paths(stiff_chain, monkeypatch):
     t_max, seed, n = 10.0, 3, 96
     qproc = qslab.h_transform(chain, qslab.solve_spectral(chain))
     for gen_matrix, killing, simulate, model in (
-            (chain.sub_generator, chain.killing, qslab.simulate_absorbed, chain),
-            (qproc.q_generator, None, qslab.simulate_qprocess, qproc)):
+            (chain.sub_generator, chain.killing, oracles.simulate_absorbed, chain),
+            (qproc.q_generator, None, oracles.simulate_qprocess, qproc)):
         later = _count_windows(monkeypatch)
         S, term, absorbed, _ = _batch_statistics(
             gen_matrix, killing, mu, f, t_max, n, seed, batch=40)
@@ -172,11 +174,11 @@ def test_jump_counts_do_not_depend_on_batch_size(stiff_chain):
     t_max, seed, n = 3.0, 17, 300
     want = np.zeros((4, 6), dtype=np.int64)
     for i in range(n):
-        tr = qslab.simulate_absorbed(chain, mu, t_max, (seed, i))
+        tr = oracles.simulate_absorbed(chain, mu, t_max, (seed, i))
         np.add.at(want, (tr.visited_states[:-1], tr.visited_states[1:]), 1)
         if not tr.survived:
             want[tr.visited_states[-1], 4] += 1
-    counts = qslab.jump_frequency_counts(chain, mu, t_max, n, seed=seed)
+    counts = oracles.jump_frequency_counts(chain, mu, t_max, n, seed=seed)
     np.testing.assert_array_equal(counts, want[:, :5])
     _, _, _, small = _batch_statistics(chain.sub_generator, chain.killing, mu,
                                        np.zeros(4), t_max, n, seed, batch=13,
@@ -322,7 +324,7 @@ def test_jump_counts_match_embedded_probabilities(bd5_bundle):
     """Pooled transition counts vs the embedded jump matrix (chi-square,
     cemetery column included)."""
     chain = bd5_bundle.chain
-    counts = qslab.jump_frequency_counts(chain, bd5_bundle.mu, 40.0, 4000, seed=17)
+    counts = oracles.jump_frequency_counts(chain, bd5_bundle.mu, 40.0, 4000, seed=17)
     rates = -np.diag(chain.sub_generator)
     off = chain.sub_generator.copy()
     np.fill_diagonal(off, 0.0)

@@ -11,6 +11,7 @@ from qslab.chain_model import AbsorbedChain
 from qslab.errors import NumericalError, QslabError, ValidationError
 from qslab.spectral import certification_profile
 
+import oracles
 from conftest import CYCLE_GENERATOR, make_random_chain
 
 
@@ -127,10 +128,10 @@ def test_shift_is_cached_read_only_and_minus_lambda0(name):
 
 # calls that start an exponential at a time that is negative or not finite
 TIME_PROBES = {
-    "charfun-inf": lambda o: qslab.exact_conditional_charfun(o.chain, o.mu, o.f, 1.0, np.inf),
+    "charfun-inf": lambda o: oracles.exact_conditional_charfun(o.chain, o.mu, o.f, 1.0, np.inf),
     "charfuns-inf": lambda o: qslab.exact_conditional_charfuns(o.chain, o.mu, o.f, [1.0], np.inf),
-    "taylor-inf": lambda o: qslab.charfun_taylor_moments(o.chain, o.mu, o.f, np.inf),
-    "taylor-neg": lambda o: qslab.charfun_taylor_moments(o.chain, o.mu, o.f, -1.0),
+    "taylor-inf": lambda o: oracles.charfun_taylor_moments(o.chain, o.mu, o.f, np.inf),
+    "taylor-neg": lambda o: oracles.charfun_taylor_moments(o.chain, o.mu, o.f, -1.0),
     "charfun-bound-inf": lambda o: qslab.check_uniform_charfun_bound(
         o.qp, o.cert, o.mu, o.f, 1.0, [np.inf]),
     "marginal-T-inf": lambda o: qslab.conditional_marginal(o.chain, o.mu, 1.0, np.inf),

@@ -12,6 +12,8 @@ import qslab
 from qslab import variance_clt
 from qslab.errors import NumericalError, ValidationError
 
+import oracles
+
 F1 = np.array([1.0, -1.0])
 
 
@@ -408,7 +410,7 @@ def test_taylor_moments_cross_check(m2sym_qproc, random_chain_set):
     augmented-generator moments far below the 1e-6 contract."""
     beta = m2sym_qproc.beta
     mv = qslab.exact_conditional_moments(m2sym_qproc, beta, F1, 4, 2.0)
-    tm = qslab.charfun_taylor_moments(m2sym_qproc, beta, F1, 2.0, k_max=4)
+    tm = oracles.charfun_taylor_moments(m2sym_qproc, beta, F1, 2.0, k_max=4)
     np.testing.assert_allclose(tm, mv.m[:5], rtol=0, atol=1e-6)
 
     chain = random_chain_set[0]
@@ -416,7 +418,7 @@ def test_taylor_moments_cross_check(m2sym_qproc, random_chain_set):
     mu = np.full(n, 1.0 / n)
     f = np.linspace(-1.0, 1.0, n)
     mv = qslab.exact_conditional_moments(chain, mu, f, 4, 2.0)
-    tm = qslab.charfun_taylor_moments(chain, mu, f, 2.0, k_max=4)
+    tm = oracles.charfun_taylor_moments(chain, mu, f, 2.0, k_max=4)
     np.testing.assert_allclose(tm, mv.m[:5], rtol=0, atol=1e-6)
 
 
@@ -469,16 +471,17 @@ def test_odd_moment_decay_rate_m2asym(m2asym_qproc):
 
 def test_charfun_basics(m2sym_bundle, m2sym_qproc):
     mu = np.array([0.5, 0.5])
-    assert abs(qslab.exact_conditional_charfun(m2sym_bundle.chain, mu, F1, 0.0, 3.0) - 1.0) < 1e-13
+    assert abs(oracles.exact_conditional_charfun(m2sym_bundle.chain, mu, F1, 0.0, 3.0)
+               - 1.0) < 1e-13
     # constant f factors out of the conditioning as a pure phase
     c = 0.3
-    got = qslab.exact_conditional_charfun(m2sym_bundle.chain, mu, np.full(2, c), 0.5, 3.0)
+    got = oracles.exact_conditional_charfun(m2sym_bundle.chain, mu, np.full(2, c), 0.5, 3.0)
     assert abs(got - np.exp(1j * 0.5 * c * 3.0)) < 1e-12
     for w in (0.5, 1.5):
-        cf = qslab.exact_conditional_charfun(m2sym_bundle.chain, mu, F1, w, 2.0)
+        cf = oracles.exact_conditional_charfun(m2sym_bundle.chain, mu, F1, w, 2.0)
         assert abs(cf) <= 1.0 + 1e-12
     with pytest.raises(ValidationError):
-        qslab.exact_conditional_charfun(m2sym_bundle.chain, mu, F1, 1.0, 0.0)
+        oracles.exact_conditional_charfun(m2sym_bundle.chain, mu, F1, 1.0, 0.0)
 
 
 def test_charfun_survives_fast_uniform_killing():
@@ -490,14 +493,14 @@ def test_charfun_survives_fast_uniform_killing():
     mu, t = np.array([0.7, 0.3]), 50.0
     for omega in (0.5, 1.0, 2.0):
         w = omega / np.sqrt(t)
-        got = qslab.exact_conditional_charfun(killed, mu, F1, w, t)
+        got = oracles.exact_conditional_charfun(killed, mu, F1, w, t)
         want = (expm(t * (swap.T + 1j * w * np.diag(F1))) @ mu).sum()
         assert abs(got - want) < 1e-12
 
 
 def test_charfun_approaches_gaussian(m2sym_qproc):
     t = 50.0
-    cf = qslab.exact_conditional_charfun(
+    cf = oracles.exact_conditional_charfun(
         m2sym_qproc, m2sym_qproc.beta, F1, 1.0 / np.sqrt(t), t
     )
     assert abs(cf - np.exp(-0.5)) < 0.01
