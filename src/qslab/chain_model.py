@@ -280,21 +280,9 @@ class ModelBundle:
     name: str = "model"
 
 
-def _fixture_bundle(name: str) -> ModelBundle:
-    name = name.lower()
-    if name == "m2sym":
-        chain, f = m2sym(), np.array([1.0, -1.0])
-    elif name == "m2asym":
-        chain, f = m2asym(), np.array([1.0, -1.0])
-    elif name == "bd5":
-        chain, f = bd5(), np.array([1.0, 0.0, 0.0, 0.0, 0.0])
-    else:
-        raise KeyError(name)
-    n = chain.n
-    return ModelBundle(chain=chain, psi1=np.ones(n), mu=np.full(n, 1.0 / n), f=f, name=name)
-
-
-BUILTIN_MODELS = ("m2sym", "m2asym", "bd5")
+# builtin name -> (chain builder, observable); psi1 = 1 and mu uniform
+BUILTIN_MODELS = {"m2sym": (m2sym, [1.0, -1.0]), "m2asym": (m2asym, [1.0, -1.0]),
+                  "bd5": (bd5, [1.0, 0.0, 0.0, 0.0, 0.0])}
 
 # libyaml's parser when PyYAML was built with it: the same safe constructor,
 # so the same Python objects, at several times the speed on large matrices
@@ -361,6 +349,8 @@ def load_model_config(path) -> ModelBundle:
         raise ParseError(f"cannot read model file: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ParseError(f"malformed YAML in {path}: {exc}") from exc
+    except ValueError as exc:  # text that is not UTF-8, an int past Python's digit limit
+        raise ParseError(f"unreadable model file {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError(f"model file {path} must contain a mapping")
     known = {"states", "generator", "birth_death", "psi1", "mu", "observable", "name"}
@@ -425,6 +415,11 @@ def emit_model_config(bundle: ModelBundle, path) -> None:
 
 def resolve_model(spec: str) -> ModelBundle:
     """Accept either a builtin fixture name or a path to a YAML file."""
-    if spec.lower() in BUILTIN_MODELS:
-        return _fixture_bundle(spec)
-    return load_model_config(spec)
+    name = spec.lower()
+    if name not in BUILTIN_MODELS:
+        return load_model_config(spec)
+    build, f = BUILTIN_MODELS[name]
+    chain = build()
+    n = chain.n
+    return ModelBundle(chain=chain, psi1=np.ones(n), mu=np.full(n, 1.0 / n), f=np.array(f),
+                       name=name)

@@ -350,7 +350,7 @@ def main(argv=None) -> int:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
     except QslabError as exc:
-        print(f"error: {exc.code}: {exc.message}", file=sys.stderr)
+        print(f"error: {exc.code}: {exc}", file=sys.stderr)
         return exc.exit_code
     return 0
 

@@ -10,10 +10,6 @@ class QslabError(Exception):
     exit_code = 1
     code = "error"
 
-    def __init__(self, message):
-        super().__init__(message)
-        self.message = message
-
 
 class ValidationError(QslabError):
     exit_code = 3

@@ -22,6 +22,7 @@ from . import variance_clt
 
 DEFAULT_BATCH = 4096
 REJECTION_BUDGET = 1e9
+MAX_REPLICAS = 10 ** 7  # per sample: qed on m2sym took 63 s and 646 MB at 10^7 (README)
 _WINDOW_CAP = 512   # steps per draw window
 _STEP_CEILING = 64  # times the Poisson step bound
 
@@ -214,6 +215,7 @@ def conditional_clt_sample(qproc: QProcessChain, mu, f, t, n_replicas: int,
     A scalar t gives its EmpiricalDistribution, a grid (repeated, unsorted
     times allowed) a list in its order.  Times that share a method take one
     kernel pass, to their largest; the rejection budget is checked first.
+    More than MAX_REPLICAS replicas raise BudgetExceeded before any allocation.
     """
     times = np.atleast_1d(np.asarray(t, dtype=float))
     if not np.all(times > 0):
@@ -224,6 +226,8 @@ def conditional_clt_sample(qproc: QProcessChain, mu, f, t, n_replicas: int,
     methods = [default_method(triple.lambda0, ti) if method is None else method for ti in times]
     if not set(methods) <= {"rejection", "qprocess"}:
         raise ValidationError(f"unknown conditioning method {method!r}")
+    if n_replicas > MAX_REPLICAS:
+        raise BudgetExceeded(f"{n_replicas} replicas exceed the ceiling of {MAX_REPLICAS}")
     drawn = {}  # (method, t) -> sorted statistic; none for a constant observable
     if not variance_clt.is_constant(obs.f_centered):
         mu_eta = float(mu @ triple.eta)

@@ -20,14 +20,7 @@ import numpy as np
 
 from .chain_model import AbsorbedChain
 from .errors import DegenerateGap, OverflowGuard, ValidationError, ZeroEta
-from .spectral import (
-    ErgodicityCertificate,
-    SpectralTriple,
-    certify_ergodicity,
-    default_time_grid,
-    log_slope,
-    semigroup,
-)
+from .spectral import ErgodicityCertificate, SpectralTriple, log_slope, semigroup
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,27 +107,22 @@ def q_marginal(qproc: QProcessChain, initial, t: float) -> np.ndarray:
 @dataclass(frozen=True)
 class QErgodicityReport:
     rows: list  # (t, worst weighted deviation ratio, implied C)
-    tv_rows: list  # same with the plain sum-of-abs (TV) deviation over psi(x)
     fitted_rate: float
 
 
 def check_q_ergodicity(qproc: QProcessChain, t_grid) -> QErgodicityReport:
     """Worst-case weighted deviation of delta_x exp(t L_Q) from beta.
 
-    For each grid time: max_x ||delta_x exp(t L_Q) - beta||_psi / psi(x),
-    together with the total-variation variant (sum |.| convention) over the
-    same eta-weighted prefactor, and a fitted exponential decay rate.
+    For each grid time: max_x ||delta_x exp(t L_Q) - beta||_psi / psi(x)
+    and that times e^{gamma t}, with a fitted exponential decay rate.
     """
-    rows, tv_rows = [], []
+    rows = []
     for t in np.asarray(t_grid, dtype=float):
-        D = np.abs(semigroup(qproc, t, lead=qproc.beta))
-        devs = D @ qproc.psi / qproc.psi
-        tvs = D.sum(axis=1) / qproc.psi
-        growth = np.exp(qproc.triple.gamma * t)
-        rows.append((float(t), float(devs.max()), float(devs.max() * growth)))
-        tv_rows.append((float(t), float(tvs.max()), float(tvs.max() * growth)))
+        devs = np.abs(semigroup(qproc, t, lead=qproc.beta)) @ qproc.psi / qproc.psi
+        rows.append((float(t), float(devs.max()),
+                     float(devs.max() * np.exp(qproc.triple.gamma * t))))
     rate = log_slope([r[0] for r in rows], [r[1] for r in rows])
-    return QErgodicityReport(rows=rows, tv_rows=tv_rows, fitted_rate=rate)
+    return QErgodicityReport(rows=rows, fitted_rate=rate)
 
 
 def conditional_marginal(chain: AbsorbedChain, mu, t: float, T: float) -> np.ndarray:
@@ -167,19 +155,15 @@ class ConditionalGapReport:
 
 
 def conditional_vs_q_gap(qproc: QProcessChain, mu, t: float, T: float,
-                         cert: Optional[ErgodicityCertificate] = None) -> ConditionalGapReport:
+                         cert: ErgodicityCertificate) -> ConditionalGapReport:
     """Gap between the T-conditioned marginal at t and the Q-process marginal
     started from the eta-reweighted initial law mu*eta/mu(eta), with the
-    ratio mu(psi1)/mu(eta) from the Q-process's weight psi1.
-
-    When no certificate is supplied one is computed for psi1 on the default
-    grid; its C feeds both the displayed bound prefactor and the validity
-    threshold.
+    ratio mu(psi1)/mu(eta) from the Q-process's weight psi1.  The run's
+    certificate for psi1 gives the C of both the displayed bound prefactor
+    and the validity threshold.
     """
     mu = np.asarray(mu, dtype=float)
     chain, triple = qproc.chain, qproc.triple
-    if cert is None:
-        cert = certify_ergodicity(chain, triple, qproc.psi1, default_time_grid(triple.gamma))
     mu_eta = mu @ triple.eta
     if mu_eta <= 0:
         raise ValidationError("mu(eta) must be positive")
@@ -200,10 +184,8 @@ def conditional_vs_q_gap(qproc: QProcessChain, mu, t: float, T: float,
     )
 
 
-def fit_gap_rate(qproc: QProcessChain, mu, t: float, dT_list):
-    """Sweep T - t, certified once for psi1 on the default grid, and regress
-    log gap; returns (slope, reports)."""
-    cert = certify_ergodicity(qproc.chain, qproc.triple, qproc.psi1,
-                              default_time_grid(qproc.triple.gamma))
+def fit_gap_rate(qproc: QProcessChain, mu, t: float, dT_list, cert: ErgodicityCertificate):
+    """Sweep T - t under the run's certificate and regress log gap; returns
+    (slope, reports)."""
     reports = [conditional_vs_q_gap(qproc, mu, t, t + dT, cert) for dT in dT_list]
     return log_slope(dT_list, [r.tv_gap for r in reports]), reports

@@ -77,7 +77,6 @@ class VarianceResult:
     sigma2: float
     g: np.ndarray                # Poisson solution, beta(g) = 0
     quadrature_value: float
-    horizon: float               # one exponential spans it
     error_bound: float           # spectral tail + expm rounding term
 
 
@@ -104,9 +103,8 @@ def sigma2_poisson(qproc: QProcessChain, f,
     if sigma2 < -1e-12:
         raise SingularSolve(f"negative variance {sigma2} from Poisson solve")
     sigma2 = max(sigma2, 0.0)
-    quad, H, bound = sigma2_quadrature(qproc, obs) if with_quadrature else (float("nan"),) * 3
-    return VarianceResult(sigma2=sigma2, g=g, quadrature_value=quad,
-                          horizon=H, error_bound=bound)
+    quad, _, bound = sigma2_quadrature(qproc, obs) if with_quadrature else (float("nan"),) * 3
+    return VarianceResult(sigma2=sigma2, g=g, quadrature_value=quad, error_bound=bound)
 
 
 def sigma2_quadrature(qproc: QProcessChain, f):
@@ -145,7 +143,6 @@ class ConstantsTable:
     C: float
     gamma: float
     c: float
-    beta_psi: float
     C1: float
     D: np.ndarray    # D[k-1] = D_k, k = 1..K
     Ck: np.ndarray   # Ck[k-1] = C_k, k = 1..K
@@ -199,7 +196,7 @@ def constants_table(cert: ErgodicityCertificate, qproc: QProcessChain,
         if Ck_closed[k] != C1 * (k + 1) / factorial(k):
             raise SingularSolve(f"C_{k + 1} identity C_1 k/(k-1)! fails")
     return ConstantsTable(
-        C=float(C), gamma=float(g), c=float(c), beta_psi=float(bp), C1=float(C1),
+        C=float(C), gamma=float(g), c=float(c), C1=float(C1),
         D=np.array([float(d) for d in D_closed]),
         Ck=np.array([float(v) for v in Ck_closed]),
     )
@@ -367,26 +364,26 @@ class MomentReport:
     prefactor_hat: float = float("nan")
 
 
-def check_even_moment_limit(gen: GeneratorLike, mu, f, k: int, t_grid,
+def check_even_moment_limit(qproc: QProcessChain, mu, f, k: int, t_grid,
                             sigma2: float,
-                            constants: Optional[ConstantsTable] = None,
-                            mu_psi: Optional[float] = None) -> MomentReport:
-    """Compare m_{2k}(t)/t^k against (2k)! sigma^{2k} / (k! 2^k) on a grid.
+                            constants: Optional[ConstantsTable] = None) -> MomentReport:
+    """Compare the Q-process's m_{2k}(t)/t^k with (2k)! sigma^{2k} / (k! 2^k) on a grid.
 
     f must already be centered (the theorems are stated for beta(f) = 0).
-    When a constants table and mu(psi) are supplied, each error is also
-    checked against the explicit bound.
+    When a constants table is supplied, each error is also checked against
+    the explicit bound with mu(psi) for the Q-process's psi.
     """
     if k < 1:
         raise ValidationError("even-moment check needs k >= 1")
     t_grid = _positive_times(t_grid)
     limit = factorial(2 * k) * sigma2 ** k / (factorial(k) * 2 ** k)
-    mvs = exact_conditional_moments(gen, mu, f, 2 * k, t_grid)
+    mvs = exact_conditional_moments(qproc, mu, f, 2 * k, t_grid)
     vals = np.array([mv.m[2 * k] / t ** k for mv, t in zip(mvs, t_grid)])
     errs = np.abs(vals - limit)
     bounds = None
     ok = True
-    if constants is not None and mu_psi is not None:
+    if constants is not None:
+        mu_psi = float(np.asarray(mu, dtype=float) @ qproc.psi)
         bounds = np.array([constants.even_moment_bound(k, mu_psi, t) for t in t_grid])
         ok = bool(np.all(errs <= bounds))
     return MomentReport(k=k, t_grid=t_grid, values=vals, limit=float(limit),
@@ -462,7 +459,6 @@ def sup_over_weight_ball(d: np.ndarray, psi: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class CharfunBoundReport:
-    omega: float
     rows: list            # (t, sup_gap, bound, conv_gap)
     all_bounded: bool
     sigma2: float
@@ -500,5 +496,4 @@ def check_uniform_charfun_bound(qproc: QProcessChain, cert: ErgodicityCertificat
             m - qproc.beta * np.exp(-sigma2 * omega ** 2 / 2.0), psi)
         ok = ok and sup_gap <= bound
         rows.append((float(t), float(sup_gap), float(bound), float(conv_gap)))
-    return CharfunBoundReport(omega=float(omega), rows=rows, all_bounded=bool(ok),
-                              sigma2=float(sigma2))
+    return CharfunBoundReport(rows=rows, all_bounded=bool(ok), sigma2=float(sigma2))

@@ -73,6 +73,22 @@ def bd5_qproc(bd5_bundle, bd5_triple):
     return qslab.h_transform(bd5_bundle.chain, bd5_triple)
 
 
+def _run_cert(qp):
+    """The certificate a run builds for qp: its weight psi1 on the default grid."""
+    return qslab.certify_ergodicity(qp.chain, qp.triple, qp.psi1,
+                                    qslab.default_time_grid(qp.triple.gamma))
+
+
+@pytest.fixture(scope="session")
+def m2sym_cert(m2sym_qproc):
+    return _run_cert(m2sym_qproc)
+
+
+@pytest.fixture(scope="session")
+def m2asym_cert(m2asym_qproc):
+    return _run_cert(m2asym_qproc)
+
+
 def make_random_chain(rng, n=None) -> AbsorbedChain:
     """Dense irreducible chain with one killed state, time-normalized so the
     spectral gap is 1 (scaling leaves alpha and eta untouched)."""

@@ -118,12 +118,11 @@ def test_criterion_05_even_moments(m2sym_qproc, bd5_bundle, bd5_triple,
     sigma2 = qslab.sigma2_poisson(bd5_qproc, obs, with_quadrature=False).sigma2
     tab = qslab.constants_table(certs["bd5"], bd5_qproc)
     beta = bd5_qproc.beta
-    mu_psi = float(beta @ bd5_qproc.psi)
     slopes = []
     for k in (1, 2, 3):
         rep = qslab.check_even_moment_limit(
             bd5_qproc, beta, obs.f_centered, k, [20.0, 40.0, 80.0, 160.0],
-            sigma2, constants=tab, mu_psi=mu_psi)
+            sigma2, constants=tab)
         assert -1.3 <= rep.fitted_rate <= -0.8, f"k={k}: slope {rep.fitted_rate}"
         assert rep.bounds_ok
         slopes.append(rep.fitted_rate)
@@ -222,16 +221,16 @@ def test_criterion_10_monte_carlo_clt(m2sym_bundle, m2sym_qproc):
           f"within 2 se = {2 * se:.5f}, {elapsed:.0f}s single-threaded")
 
 
-def test_criterion_11_conditional_gap_rate(m2sym_bundle, m2sym_qproc,
-                                           m2asym_triple, m2asym_qproc):
+def test_criterion_11_conditional_gap_rate(m2sym_bundle, m2sym_qproc, m2sym_cert,
+                                           m2asym_triple, m2asym_qproc, m2asym_cert):
     slope, _ = qslab.fit_gap_rate(
         m2asym_qproc, np.array([1.0, 0.0]), 1.0,
-        [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], m2asym_cert)
     gamma = m2asym_triple.gamma
     assert abs(slope + gamma) <= 0.1 * gamma
     worst = 0.0
     for t, T in ((0.5, 0.5), (0.5, 2.0), (1.0, 5.0), (2.0, 10.0)):
-        rep = qslab.conditional_vs_q_gap(m2sym_qproc, m2sym_bundle.mu, t, T)
+        rep = qslab.conditional_vs_q_gap(m2sym_qproc, m2sym_bundle.mu, t, T, m2sym_cert)
         worst = max(worst, rep.tv_gap)
     assert worst <= 1e-10
     print(f"[PASS] criterion 11: M2ASYM gap slope {slope:.4f} vs -gamma = "

@@ -127,7 +127,7 @@ def test_birth_death_past_the_ceiling_is_refused_before_it_is_built():
     with pytest.raises(BudgetExceeded) as exc:
         qslab.build_birth_death(n, [1.0] * (n - 1) + [0.0], [1.0] * n)
     assert exc.value.exit_code == 4 and exc.value.code == "budget-exceeded"
-    assert f"n = {n} states needs {8.0 * n * n:.3g} bytes" in exc.value.message
+    assert f"n = {n} states needs {8.0 * n * n:.3g} bytes" in str(exc.value)
 
 
 def test_fixture_semigroup_substochastic(m2sym_bundle, m2asym_bundle, bd5_bundle):
@@ -253,7 +253,7 @@ def test_yaml_rejects_malformed(tmp_path):
             with open(path) as fh, pytest.raises(yaml.YAMLError) as raw:
                 yaml.load(fh, Loader=chain_model._YAML_LOADER)
             assert f'in "{path}"' in str(raw.value)
-            assert exc.value.message == f"malformed YAML in {path}: {raw.value}"
+            assert str(exc.value) == f"malformed YAML in {path}: {raw.value}"
 
 
 def _assert_same_bundle(a, b):

@@ -196,11 +196,18 @@ def test_degenerate_variance_is_found_before_sampling(tmp_path, capsys, monkeypa
     # max|f| <= 1 is tested so that nan fails it, as inf does
     ("generator: [[-2.0, 1.0], [1.0, -2.0]]\nobservable: [.nan, 0.0]\n", "validation", 3),
     ("generator: [[-2.0, 1.0], [1.0, -2.0]]\nobservable: [.inf, 0.0]\n", "validation", 3),
+    ("birth_death: {n: 2, birth: [1.0, 0.0], death: [1.0, 1.0], extra: 1}\n", "parse-error", 3),
+    ("birth_death: {n: 2, birth: [1.0, 0.0]}\n", "parse-error", 3),
+    ("states: [a, b, c]\ngenerator: [[-2.0, 1.0], [1.0, -2.0]]\n", "validation", 3),
+    (b"name: \xff\xfe\ngenerator: [[-2.0, 1.0], [1.0, -2.0]]\n", "parse-error", 3),
+    ("birth_death: {n: " + "1" * 4301 + ", birth: [1.0, 0.0], death: [1.0, 1.0]}\n",
+     "parse-error", 3),
 ], ids=["one-state", "n-not-numeric", "n-not-integer", "states-not-list", "observable-nan",
-        "observable-inf"])
+        "observable-inf", "birth-death-extra-key", "birth-death-missing-field",
+        "states-wrong-length", "not-utf8", "n-past-the-digit-limit"])
 def test_bad_model_files_end_in_coded_errors(tmp_path, capsys, text, code, exit_code):
     model = tmp_path / "model.yaml"
-    model.write_text(text)
+    model.write_bytes(text if isinstance(text, bytes) else text.encode())
     rc = cli.main(["spectral", "--model", str(model), "--out", str(tmp_path / "o")])
     assert rc == exit_code
     assert capsys.readouterr().err.startswith(f"error: {code}: ")
@@ -335,6 +342,23 @@ def test_huge_birth_death_file_is_refused_before_it_is_built(tmp_path):
     assert r.returncode == 4
     assert r.stderr.startswith("error: budget-exceeded: ") and "Traceback" not in r.stderr
     assert f"n = {n} states" in r.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("clt", "--n", "10000000000"),
+    ("qed", "--n", "10000000000"),
+    ("certify", "--tpoints", "1000000000000"),
+], ids=["clt", "qed", "certify"])
+def test_huge_counts_are_refused_before_they_allocate(tmp_path, argv):
+    """10^10 replicas would need 74.5 GiB of samples (224 GiB for qed's three
+    horizons) and 10^12 grid times 7.28 TiB; each exits 4 with a coded
+    diagnostic instead of a MemoryError traceback."""
+    out = tmp_path / "o"
+    r = subprocess.run([sys.executable, "-m", "qslab.cli", argv[0], "--model", "m2sym",
+                        *argv[1:], "--out", str(out)], capture_output=True, text=True, timeout=30)
+    assert r.returncode == 4
+    assert r.stderr.startswith("error: budget-exceeded: ") and "Traceback" not in r.stderr
     assert not out.exists()
 
 

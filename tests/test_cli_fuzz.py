@@ -18,6 +18,9 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from qslab import cli
+from qslab.montecarlo import MAX_REPLICAS
+from qslab.spectral import MAX_GRID_POINTS
+from qslab.variance_clt import K_MAX
 
 _MAGNITUDES = st.floats(min_value=1e-3, max_value=1e3)
 NUMBERS = st.one_of(
@@ -34,9 +37,12 @@ TIME_LISTS = st.one_of(LISTS, st.lists(st.one_of(NUMBERS, _HUGE), min_size=1, ma
                        .map(",".join))
 
 
-def _ints(low, high):
-    """Integer options, or a float or garbage string that argparse refuses."""
-    return st.one_of(st.integers(low, high).map(str), NUMBERS, GARBAGE)
+def _ints(low, high, ceiling):
+    """Integer options, or a float or garbage string that argparse refuses,
+    or a count past the option's ceiling (ceiling + 1, 2^63 - 1), which is
+    refused before anything of its size is allocated."""
+    return st.one_of(st.integers(low, high).map(str), NUMBERS, GARBAGE,
+                     st.sampled_from([ceiling + 1, 2 ** 63 - 1]).map(str))
 
 
 METHODS = st.sampled_from(["rejection", "qprocess"])
@@ -45,14 +51,14 @@ LADDERS = st.tuples(st.integers(2, 8), st.floats(0.2, 5.0), st.floats(0.2, 5.0))
 
 OPTIONS = {
     "spectral": {},
-    "certify": {"tmax": SCALARS, "tpoints": _ints(-1000, 1000)},
+    "certify": {"tmax": SCALARS, "tpoints": _ints(-1000, 1000, MAX_GRID_POINTS)},
     "qprocess": {"t": SCALARS, "T": TIMES},
     "variance": {},
-    "moments": {"kmax": _ints(-2, 10), "times": TIME_LISTS},
+    "moments": {"kmax": _ints(-2, 10, K_MAX), "times": TIME_LISTS},
     "charfun": {"omegas": LISTS, "times": TIME_LISTS},
-    "clt": {"t": TIMES, "n": _ints(-5, 200), "method": METHODS},
-    "qed": {"times": TIME_LISTS, "n": _ints(-5, 200), "method": METHODS},
-    "all": {"n": _ints(-5, 200)},
+    "clt": {"t": TIMES, "n": _ints(-5, 200, MAX_REPLICAS), "method": METHODS},
+    "qed": {"times": TIME_LISTS, "n": _ints(-5, 200, MAX_REPLICAS), "method": METHODS},
+    "all": {"n": _ints(-5, 200, MAX_REPLICAS)},
 }
 # clt.csv documents nan distance and gap_bound (constant observable, rejection)
 ALLOWED_NAN = {("clt.csv", "d_kolm"), ("clt.csv", "gap_bound")}
@@ -121,6 +127,12 @@ BREAKS = ("negative-rate", "positive-row-sum", "reducible", "non-numeric", "non-
           "nan-observable", "wrong-length", "psi1-below-1", "mu-not-a-law", "unknown-key",
           "both-blocks", "no-block")
 VECTORS = ("psi1", "mu", "observable")
+# breaks of the file's bytes: text that is not UTF-8, and a birth-death n of
+# more digits than Python converts (4300)
+TEXT_BREAKS = {
+    "not-utf8": lambda text: text.encode() + b"name: \xff\xfe\n",
+    "huge-n": lambda text: re.sub(r"^  n: \d+$", "  n: " + "1" * 4301, text, flags=re.M).encode(),
+}
 _RATES = st.one_of(st.just(0.0), st.floats(0.01, 10.0))
 
 
@@ -144,7 +156,8 @@ def model_documents(draw, brk):
               "birth_death": {"n": n, "birth": floats(0.1, 5.0, n - 1) + [0.0],
                               "death": floats(0.1, 5.0)}}
     rate_breaks = ("negative-rate", "positive-row-sum", "reducible")
-    block = "generator" if brk in rate_breaks else draw(st.sampled_from(sorted(blocks)))
+    block = ("generator" if brk in rate_breaks else "birth_death" if brk == "huge-n"
+             else draw(st.sampled_from(sorted(blocks))))
     doc[block] = blocks[block]
     L = doc.get("generator")
     if brk == "negative-rate":
@@ -175,7 +188,7 @@ def model_documents(draw, brk):
     return doc
 
 
-@pytest.mark.parametrize("brk", [None, *BREAKS])
+@pytest.mark.parametrize("brk", [None, *BREAKS, *TEXT_BREAKS])
 @settings(max_examples=6, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_any_model_file_ends_in_a_documented_exit(brk, data):
@@ -184,7 +197,8 @@ def test_any_model_file_ends_in_a_documented_exit(brk, data):
     doc = data.draw(model_documents(brk))
     with tempfile.TemporaryDirectory() as tmp:
         model = Path(tmp) / "model.yaml"
-        model.write_text(yaml.safe_dump(doc))
+        text = yaml.safe_dump(doc)
+        model.write_bytes(TEXT_BREAKS[brk](text) if brk in TEXT_BREAKS else text.encode())
         for cmd in (["spectral"], ["variance"], ["moments", "--kmax", "2"]):
             out = Path(tmp) / cmd[0]
             rc, err = _run([*cmd, "--model", str(model)], out)

@@ -125,9 +125,8 @@ def test_q_marginal_basics(m2sym_qproc):
 def test_q_ergodicity_m2sym_decay_is_pure_exponential(m2sym_qproc):
     grid = [0.0, 0.5, 1.0, 2.0, 4.0]
     rep = qslab.check_q_ergodicity(m2sym_qproc, grid)
-    for (t, dev, implied), (_, tv, _) in zip(rep.rows, rep.tv_rows):
+    for t, dev, implied in rep.rows:
         assert abs(dev - np.exp(-2.0 * t)) < 1e-12
-        assert abs(tv - dev) < 1e-14  # psi = 1 makes the two norms agree
         assert abs(implied - 1.0) < 1e-10
     assert abs(rep.fitted_rate + 2.0) < 1e-9
 
@@ -174,11 +173,11 @@ def test_conditional_marginal_survives_fast_uniform_killing():
     np.testing.assert_allclose(got, mu @ expm(swap), rtol=0, atol=1e-12)
 
 
-def test_conditional_equals_q_marginal_when_eta_flat(m2sym_qproc):
+def test_conditional_equals_q_marginal_when_eta_flat(m2sym_qproc, m2sym_cert):
     """Flat eta: conditioning deeper than t changes nothing."""
     mu = np.array([1.0, 0.0])
     for t, T in ((0.5, 0.5), (0.5, 3.0), (1.0, 9.0)):
-        rep = qslab.conditional_vs_q_gap(m2sym_qproc, mu, t, T)
+        rep = qslab.conditional_vs_q_gap(m2sym_qproc, mu, t, T, m2sym_cert)
         assert rep.tv_gap < 1e-12
         assert rep.tv_gap_sum < 1e-12
 
@@ -199,21 +198,21 @@ def test_gap_report_fields_are_consistent(m2asym_bundle, m2asym_triple):
     assert rep.threshold_ok == (rep.T >= rep.threshold_T)
 
 
-def test_gap_respects_bound_past_threshold(m2asym_qproc):
+def test_gap_respects_bound_past_threshold(m2asym_qproc, m2asym_cert):
     mu = np.array([1.0, 0.0])
     gaps = []
     for dT in (1.0, 2.0, 3.0, 4.0):
-        rep = qslab.conditional_vs_q_gap(m2asym_qproc, mu, 1.0, 1.0 + dT)
+        rep = qslab.conditional_vs_q_gap(m2asym_qproc, mu, 1.0, 1.0 + dT, m2asym_cert)
         gaps.append(rep.tv_gap)
         if rep.threshold_ok:
             assert rep.tv_gap <= rep.bound
     assert all(a > b for a, b in zip(gaps, gaps[1:]))  # decreasing in T
 
 
-def test_gap_rate_matches_gamma(m2asym_triple, m2asym_qproc):
+def test_gap_rate_matches_gamma(m2asym_triple, m2asym_qproc, m2asym_cert):
     slope, reports = qslab.fit_gap_rate(
         m2asym_qproc, np.array([1.0, 0.0]), 1.0,
-        [1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+        [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], m2asym_cert,
     )
     assert abs(slope + m2asym_triple.gamma) < 0.1 * m2asym_triple.gamma
     assert all(r.tv_gap_sum <= 2.0 for r in reports)

@@ -137,7 +137,7 @@ TIME_PROBES = {
     "marginal-T-inf": lambda o: qslab.conditional_marginal(o.chain, o.mu, 1.0, np.inf),
     "q-marginal-inf": lambda o: qslab.q_marginal(o.qp, o.qp.beta, np.inf),
     "q-marginal-nan": lambda o: qslab.q_marginal(o.qp, o.qp.beta, np.nan),
-    "q-gap-T-inf": lambda o: qslab.conditional_vs_q_gap(o.qp, o.mu, 1.0, np.inf),
+    "q-gap-T-inf": lambda o: qslab.conditional_vs_q_gap(o.qp, o.mu, 1.0, np.inf, o.cert),
     "q-ergodicity-neg": lambda o: qslab.check_q_ergodicity(o.qp, [-1.0]),
 }
 

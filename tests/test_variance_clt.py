@@ -443,8 +443,7 @@ def test_even_moment_limit_against_constants_bound(
     tab = qslab.constants_table(cert, m2sym_qproc)
     beta = m2sym_qproc.beta
     rep = qslab.check_even_moment_limit(
-        m2sym_qproc, beta, F1, 2, [10.0, 40.0], sigma2=1.0,
-        constants=tab, mu_psi=float(beta @ m2sym_qproc.psi),
+        m2sym_qproc, beta, F1, 2, [10.0, 40.0], sigma2=1.0, constants=tab,
     )
     assert rep.bounds_ok
     assert rep.bounds is not None and np.all(rep.errors <= rep.bounds)
