@@ -290,44 +290,53 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 # plain scalars that SafeLoader reads as the int() or float() of the text
 _INT = re.compile(r"[-+]?(?:0|[1-9][0-9]*)").fullmatch
 _FLOAT = re.compile(r"[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?").fullmatch
+# the schema's deepest collection is a generator row or a birth-death rate list
+MAX_NESTING = 3
 
 
 def _event_document(fh):
     """fh's one document built from _YAML_LOADER's parse events, or None where
     yaml.load might differ: a tag, anchor or alias, not one document, a key
-    that is a collection, a YAMLError, a plain scalar outside _INT, _FLOAT and str."""
+    that is a collection, a YAMLError, a plain scalar outside _INT, _FLOAT and str.
+    A collection nested deeper than MAX_NESTING raises ParseError, also in a
+    document left to yaml.load, whose parser slows with the square of the depth."""
     resolve, str_tag = yaml.resolver.Resolver().resolve, "tag:yaml.org,2002:str"
     stack = [[]]  # the documents, then the open collections (a mapping as keys and values)
+    exact = True  # no event that yaml.load might read otherwise
     try:
         for ev in yaml.parse(fh, Loader=_YAML_LOADER):
             kind = type(ev)
             if kind is yaml.ScalarEvent:
                 v = ev.value
                 if ev.anchor is not None or ev.tag is not None:
-                    return None
-                if ev.implicit[0]:  # plain; quoted and block scalars are str
+                    exact = False
+                elif ev.implicit[0]:  # plain; quoted and block scalars are str
                     if _FLOAT(v):
                         v = float(v)
                     elif _INT(v):
                         v = int(v)
                     elif resolve(yaml.ScalarNode, v, (True, False)) != str_tag:
-                        return None
+                        exact = False
                 stack[-1].append(v)
             elif kind is yaml.SequenceStartEvent or kind is yaml.MappingStartEvent:
-                if ev.anchor is not None or ev.tag is not None:
-                    return None
+                if len(stack) > MAX_NESTING:
+                    raise ParseError(f"collections nest deeper than {MAX_NESTING} in {fh.name}")
+                exact = exact and ev.anchor is None and ev.tag is None
                 stack[-1].append([])
                 stack.append(stack[-1][-1])
             elif kind is yaml.SequenceEndEvent:
                 stack.pop()
             elif kind is yaml.MappingEndEvent:  # a later duplicate key wins, as in SafeLoader
                 flat = stack.pop()
-                stack[-1][-1] = dict(zip(flat[::2], flat[1::2]))
+                try:
+                    stack[-1][-1] = dict(zip(flat[::2], flat[1::2]))
+                except TypeError:  # a collection as a key
+                    exact = False
             elif kind is yaml.AliasEvent:
-                return None
-    except (yaml.YAMLError, TypeError):  # TypeError: an unhashable key
+                exact = False
+    except yaml.YAMLError:
         return None
-    return stack[0][0] if len(stack[0]) == 1 else None
+    return stack[0][0] if exact and len(stack[0]) == 1 else None
 
 
 def load_model_config(path) -> ModelBundle:

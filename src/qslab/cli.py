@@ -198,7 +198,7 @@ def _run_charfun(an, omegas, times):
 
 def _sample(an, t, n, method, seed, clt=True):
     """One sampler call, after refusing a clt row whose nonconstant f has sigma^2 ~ 0."""
-    if clt and not variance_clt.is_constant(an.obs.f_centered) and an.sigma2 <= 1e-12:
+    if clt and an.obs.f_centered.any() and an.sigma2 <= 1e-12:
         raise DegenerateVariance(
             f"sigma^2 = {an.sigma2} for a nonconstant observable; no CLT asserted")
     return montecarlo.conditional_clt_sample(an.qp, an.bundle.mu, an.obs, t, n,
@@ -208,7 +208,7 @@ def _sample(an, t, n, method, seed, clt=True):
 def _run_clt(an, emp, dump):
     b, triple = an.bundle, an.triple
     s2, d, gap_bound = 0.0, float("nan"), float("nan")
-    if not variance_clt.is_constant(an.obs.f_centered):
+    if an.obs.f_centered.any():
         s2 = an.sigma2
         d = montecarlo.kolmogorov_distance(emp, s2)
         if emp.method == "qprocess":

@@ -190,7 +190,6 @@ class EmpiricalDistribution:
     n_requested: int
     t: float
     method: str
-    beta_f: float
 
     def __post_init__(self):
         self.samples.setflags(write=False)
@@ -228,30 +227,28 @@ def conditional_clt_sample(qproc: QProcessChain, mu, f, t, n_replicas: int,
         raise ValidationError(f"unknown conditioning method {method!r}")
     if n_replicas > MAX_REPLICAS:
         raise BudgetExceeded(f"{n_replicas} replicas exceed the ceiling of {MAX_REPLICAS}")
-    drawn = {}  # (method, t) -> sorted statistic; none for a constant observable
-    if not variance_clt.is_constant(obs.f_centered):
-        mu_eta = float(mu @ triple.eta)
-        if mu_eta <= 0:
-            raise ValidationError("mu(eta) must be positive")
-        for m in sorted(set(methods), reverse=True):  # rejection's budget before any pass
-            hz = np.unique(times[np.array(methods) == m])
-            if m == "rejection":
-                log10_cost = np.log10(max(n_replicas, 1)) + triple.lambda0 * hz[-1] / np.log(10.0)
-                if log10_cost > np.log10(REJECTION_BUDGET):  # in logs: e^(lambda0 t) overflows
-                    raise BudgetExceeded(f"rejection cost n e^(lambda0 t) = 10^{log10_cost:.3g} "
-                                         f"exceeds budget {REJECTION_BUDGET:.3g}")
-                dynamics = (chain.sub_generator, chain.killing, mu)
-            else:
-                # the Q-process from the eta-reweighted law; no replica is absorbed
-                dynamics = (qproc.q_generator, None, mu * triple.eta / mu_eta)
-            S, _, absorbed, _ = _batch_statistics(*dynamics, obs.f_centered, hz, n_replicas,
-                                                  seed, batch)
-            for h, s_h, dead in zip(hz, S, absorbed):
-                drawn[m, h] = np.sort(np.sqrt(h) * s_h[~dead] / h)
-    zero = np.zeros(n_replicas)  # a constant observable's statistic is exactly 0
-    out = [EmpiricalDistribution(samples=(kept := drawn.get((m, ti), zero)),
-                                 n_effective=len(kept), n_requested=n_replicas, t=float(ti),
-                                 method=m, beta_f=obs.beta_f) for m, ti in zip(methods, times)]
+    mu_eta = float(mu @ triple.eta)
+    if mu_eta <= 0:
+        raise ValidationError("mu(eta) must be positive")
+    drawn = {}  # (method, t) -> sorted statistic
+    for m in sorted(set(methods), reverse=True):  # rejection's budget before any pass
+        hz = np.unique(times[np.array(methods) == m])
+        if m == "rejection":
+            log10_cost = np.log10(max(n_replicas, 1)) + triple.lambda0 * hz[-1] / np.log(10.0)
+            if log10_cost > np.log10(REJECTION_BUDGET):  # in logs: e^(lambda0 t) overflows
+                raise BudgetExceeded(f"rejection cost n e^(lambda0 t) = 10^{log10_cost:.3g} "
+                                     f"exceeds budget {REJECTION_BUDGET:.3g}")
+            dynamics = (chain.sub_generator, chain.killing, mu)
+        else:
+            # the Q-process from the eta-reweighted law; no replica is absorbed
+            dynamics = (qproc.q_generator, None, mu * triple.eta / mu_eta)
+        S, _, absorbed, _ = _batch_statistics(*dynamics, obs.f_centered, hz, n_replicas,
+                                              seed, batch)
+        for h, s_h, dead in zip(hz, S, absorbed):
+            drawn[m, h] = np.sort(np.sqrt(h) * s_h[~dead] / h)
+    out = [EmpiricalDistribution(samples=(kept := drawn[m, ti]), n_effective=len(kept),
+                                 n_requested=n_replicas, t=float(ti), method=m)
+           for m, ti in zip(methods, times)]
     return out if np.ndim(t) else out[0]
 
 
@@ -273,7 +270,7 @@ def kolmogorov_distance(empirical: EmpiricalDistribution, sigma2: float) -> floa
 
 @dataclass(frozen=True)
 class QuasiErgodicReport:
-    rows: list            # (t, mc_value, mc_stderr, exact_value or nan)
+    rows: list            # (t, mc_value, mc_stderr, exact_value)
     fitted_rate: float
     method: str
 
@@ -281,8 +278,8 @@ class QuasiErgodicReport:
 def quasi_ergodic_check(qproc: QProcessChain, mu, f, samples) -> QuasiErgodicReport:
     """Monte Carlo conditional mean-square deviation of S_t/t from beta(f)
     on the samples of a conditional_clt_sample grid, with the exact value
-    from one moment-oracle call over the grid when the centred f is not
-    constant.  Each time must keep at least 2 replicas."""
+    from one moment-oracle call over the grid.  Each time must keep at
+    least 2 replicas."""
     t_grid = np.array([emp.t for emp in samples])
     obs = variance_clt.make_observable(qproc, f)
     stats, used = [], None
@@ -292,11 +289,9 @@ def quasi_ergodic_check(qproc: QProcessChain, mu, f, samples) -> QuasiErgodicRep
         if len(dev2) < 2:
             raise ValidationError(f"{len(dev2)} replicas kept at t={t}; a standard error needs 2")
         stats.append((float(dev2.mean()), float(dev2.std(ddof=1) / np.sqrt(len(dev2)))))
-    exact = [float("nan")] * len(stats)
-    if stats and not variance_clt.is_constant(obs.f_centered):
-        mvs = variance_clt.exact_conditional_moments(qproc.chain, mu, obs.f_centered, 2, t_grid)
-        exact = [float(mv.conditional[2] / t ** 2) for mv, t in zip(mvs, t_grid)]
-    rows = [(float(t), mc, stderr, ex) for t, (mc, stderr), ex in zip(t_grid, stats, exact)]
+    mvs = variance_clt.exact_conditional_moments(qproc.chain, mu, obs.f_centered, 2, t_grid)
+    rows = [(float(t), mc, stderr, float(mv.conditional[2] / t ** 2))
+            for t, (mc, stderr), mv in zip(t_grid, stats, mvs)]
     rate = log_slope(np.log([r[0] for r in rows]), [r[1] for r in rows])
     return QuasiErgodicReport(rows=rows, fitted_rate=rate, method=used or "auto")
 

@@ -51,7 +51,8 @@ class AdditiveObservable:
 def make_observable(qproc: QProcessChain, f) -> AdditiveObservable:
     """f with its centred version under beta.  An AdditiveObservable
     centred under this beta is returned unchanged, any other is centred
-    again.  Entries must be finite with max|f| <= 1."""
+    again.  Entries must be finite with max|f| <= 1.  A centred f within
+    1e-14 of 0 everywhere counts as constant and is stored as exact zeros."""
     given = f if isinstance(f, AdditiveObservable) else None
     f = np.asarray(f if given is None else given.f, dtype=float)
     if f.shape != (qproc.n,):
@@ -61,12 +62,10 @@ def make_observable(qproc: QProcessChain, f) -> AdditiveObservable:
     bf = float(qproc.beta @ f)
     if given is not None and given.beta_f == bf:
         return given
-    return AdditiveObservable(f=f, f_centered=f - bf, beta_f=bf)
-
-
-def is_constant(f_centered) -> bool:
-    """Whether a centred f counts as constant: its CLT statistic is then 0."""
-    return bool(np.max(np.abs(f_centered)) <= 1e-14)
+    ft = f - bf
+    if np.max(np.abs(ft)) <= 1e-14:
+        ft = np.zeros(qproc.n)  # +0.0 throughout: ft * 0 would leave -0.0 where ft < 0
+    return AdditiveObservable(f=f, f_centered=ft, beta_f=bf)
 
 
 # ---------------------------------------------------------------------------
@@ -461,11 +460,11 @@ def sup_over_weight_ball(d: np.ndarray, psi: np.ndarray) -> float:
 class CharfunBoundReport:
     rows: list            # (t, sup_gap, bound, conv_gap)
     all_bounded: bool
-    sigma2: float
 
 
 def check_uniform_charfun_bound(qproc: QProcessChain, cert: ErgodicityCertificate,
-                                mu, f, omega: float, t_grid) -> CharfunBoundReport:
+                                mu, f, omega: float, t_grid,
+                                sigma2: float) -> CharfunBoundReport:
     """For each t: the exact sup over ||g||_{L^inf(psi)} <= 1 of
 
         | E_mu^Q[e^{i omega S_t/sqrt(t)} g(X_t)] - beta(g) E_mu^Q[e^{i omega S_t/sqrt(t)}] |
@@ -473,12 +472,11 @@ def check_uniform_charfun_bound(qproc: QProcessChain, cert: ErgodicityCertificat
     (f centered internally, S_t its running integral), checked against
     C mu(psi) e^{-gamma t} + (C |omega|/sqrt(t)) (beta(psi) + C mu(psi)) / gamma
     with the certified constants, plus the distance of the weighted law to
-    its Gaussian-limit target beta(g) e^{-sigma^2 omega^2 / 2}."""
+    its Gaussian-limit target beta(g) e^{-sigma^2 omega^2 / 2} for the
+    given sigma^2 (the run's Poisson value)."""
     t_grid = _positive_times(t_grid)
-    obs = make_observable(qproc, f)
-    ft = obs.f_centered
+    ft = make_observable(qproc, f).f_centered
     mu = np.asarray(mu, dtype=float)
-    sigma2 = sigma2_poisson(qproc, obs, with_quadrature=False).sigma2
     C, gamma = cert.C, cert.gamma
     psi = qproc.psi
     mu_psi = float(mu @ psi)
@@ -496,4 +494,4 @@ def check_uniform_charfun_bound(qproc: QProcessChain, cert: ErgodicityCertificat
             m - qproc.beta * np.exp(-sigma2 * omega ** 2 / 2.0), psi)
         ok = ok and sup_gap <= bound
         rows.append((float(t), float(sup_gap), float(bound), float(conv_gap)))
-    return CharfunBoundReport(rows=rows, all_bounded=bool(ok), sigma2=float(sigma2))
+    return CharfunBoundReport(rows=rows, all_bounded=bool(ok))

@@ -165,9 +165,10 @@ def test_criterion_08_uniform_charfun_bound(m2sym_qproc, bd5_qproc, certs):
     for name, qp, f in (("m2sym", m2sym_qproc, F1),
                         ("bd5", bd5_qproc, np.eye(5)[0])):
         mu = np.eye(qp.n)[0]
+        sigma2 = qslab.sigma2_poisson(qp, f, with_quadrature=False).sigma2
         for omega in (0.5, 1.0, 2.0):
             rep = qslab.check_uniform_charfun_bound(
-                qp, certs[name], mu, f, omega, [10.0, 40.0, 160.0])
+                qp, certs[name], mu, f, omega, [10.0, 40.0, 160.0], sigma2)
             assert rep.all_bounded, f"{name}, omega={omega}"
             convs = [row[3] for row in rep.rows]
             for a, b in zip(convs, convs[1:]):

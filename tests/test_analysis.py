@@ -55,7 +55,15 @@ def drifted_model(tmp_path):
 
 
 @pytest.fixture
-def counted_main(monkeypatch, tmp_path, cycle_model, drifted_model):
+def constant_model(tmp_path):
+    """Path of a model file holding a two-state chain with a constant observable."""
+    path = tmp_path / "constant.yaml"
+    path.write_text("generator: [[-2.0, 1.0], [1.0, -2.0]]\nobservable: [0.5, 0.5]\n")
+    return str(path)
+
+
+@pytest.fixture
+def counted_main(monkeypatch, tmp_path, cycle_model, drifted_model, constant_model):
     wrapped = {
         "solve": (spectral, "solve_spectral"),
         "profile": (spectral, "certification_profile"),
@@ -72,7 +80,7 @@ def counted_main(monkeypatch, tmp_path, cycle_model, drifted_model):
     }
 
     def run(*argv):
-        models = {"cycle": cycle_model, "drifted": drifted_model}
+        models = {"cycle": cycle_model, "drifted": drifted_model, "constant": constant_model}
         argv = [models.get(a, a) for a in argv]
         counts = dict.fromkeys([*wrapped, "shifted", "observables"], 0)
         build_shift = chain_model.AbsorbedChain.shifted.func
@@ -119,6 +127,9 @@ def counted_main(monkeypatch, tmp_path, cycle_model, drifted_model):
      {"profile": 1, "h_transform": 1, "sigma2_poisson": 1, "passes": 1}),
     (("clt", "--model", "m2sym", "--n", "300", "--t", "1", "--method", "rejection"),
      {"profile": 0, "h_transform": 1, "eigh": 1, "passes": 1}),
+    # a constant observable is sampled like any other
+    (("clt", "--model", "constant", "--n", "300", "--t", "1", "--method", "rejection"),
+     {"profile": 0, "h_transform": 1, "sigma2_poisson": 0, "passes": 1}),
     (("qed", "--model", "m2sym", "--n", "300"),
      {"profile": 0, "h_transform": 1, "sigma2_poisson": 0, "pade": 1, "passes": 1}),
     # bd5's default qed grid straddles 3/lambda0: one pass per method
@@ -137,7 +148,8 @@ def counted_main(monkeypatch, tmp_path, cycle_model, drifted_model):
      {"profile": 1, "h_transform": 1, "spectral.expm": 17, "variance_clt.expm": 4,
       "linalg.eig": 0, "eig": 1, "eigh": 0, "pade": 2, "shifted": 1, "passes": 2}),
 ], ids=["spectral", "certify", "qprocess", "variance", "moments", "charfun", "clt-qprocess",
-        "clt-rejection", "qed", "qed-bd5", "all", "all-bd5", "all-drifted", "all-cycle"])
+        "clt-rejection", "clt-constant", "qed", "qed-bd5", "all", "all-bd5", "all-drifted",
+        "all-cycle"])
 def test_each_run_solves_and_certifies_once(counted_main, argv, expected):
     counts = counted_main(*argv)
     assert counts["solve"] == 1

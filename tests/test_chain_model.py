@@ -298,6 +298,14 @@ def test_malformed_yaml_is_a_parse_error_under_either_loader(tmp_path, monkeypat
         with pytest.raises(ValidationError) as exc:
             qslab.load_model_config(path)
         assert exc.value.code == "parse-error"
+    # a fourth nested collection, also after a tag, an anchor or a collection as a key
+    for i, text in enumerate(("generator: [[[1.0]]]\n", "a: !!seq [[[1]]]\n", "a: &x [[[1]]]\n",
+                              "a:\n  ? [x]\n  : 1\nb: [[[1.0]]]\n")):
+        path = tmp_path / f"deep{i}.yaml"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match="^collections nest deeper than 3 in ") as exc:
+            qslab.load_model_config(path)
+        assert exc.value.code == "parse-error"
 
 
 YAML_LOADERS = [pytest.param(name, marks=pytest.mark.skipif(

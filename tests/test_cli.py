@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -161,6 +162,21 @@ def test_constant_observable_asserts_no_clt(tmp_path):
     assert (row["sigma2"], row["d_kolm"], row["gap_bound"]) == ("0", "nan", "nan")
 
 
+def test_constant_observable_is_sampled_like_any_other(tmp_path, capsys):
+    """Rejection keeps the survivors of a constant f and meets the budget
+    n e^{lambda0 t}; qed's exact column is the oracle's 0."""
+    model = _model(tmp_path, "[[-2.0, 1.0], [1.0, -2.0]]", "[0.5, 0.5]")
+    argv = ["clt", "--model", model, "--method", "rejection", "--n", "1000"]
+    assert cli.main([*argv, "--t", "5", "--out", str(tmp_path / "clt")]) == 0
+    assert 0 < int(csv_rows(tmp_path / "clt" / "clt.csv")[0]["n_eff"]) < 100  # e^{-5} n = 7
+    assert cli.main([*argv, "--t", "100", "--out", str(tmp_path / "big")]) == 4
+    assert capsys.readouterr().err.startswith("error: budget-exceeded: ")
+    assert not (tmp_path / "big").exists()
+    out = tmp_path / "qed"
+    assert cli.main(["qed", "--model", model, "--n", "500", "--out", str(out)]) == 0
+    assert [row["exact"] for row in csv_rows(out / "qed.csv")] == ["0", "0", "0"]
+
+
 def test_tiny_nonconstant_observable_has_degenerate_variance(tmp_path, capsys):
     """sigma^2 = 2.5e-15: clt asserts no CLT, while qed, which needs no
     sigma^2, reports its exact column."""
@@ -202,13 +218,18 @@ def test_degenerate_variance_is_found_before_sampling(tmp_path, capsys, monkeypa
     (b"name: \xff\xfe\ngenerator: [[-2.0, 1.0], [1.0, -2.0]]\n", "parse-error", 3),
     ("birth_death: {n: " + "1" * 4301 + ", birth: [1.0, 0.0], death: [1.0, 1.0]}\n",
      "parse-error", 3),
+    ("generator: " + "[" * 10 ** 5 + "]" * 10 ** 5 + "\n", "parse-error", 3),
+    ("generator: !!seq " + "[" * 10 ** 5 + "]" * 10 ** 5 + "\n", "parse-error", 3),
 ], ids=["one-state", "n-not-numeric", "n-not-integer", "states-not-list", "observable-nan",
         "observable-inf", "birth-death-extra-key", "birth-death-missing-field",
-        "states-wrong-length", "not-utf8", "n-past-the-digit-limit"])
+        "states-wrong-length", "not-utf8", "n-past-the-digit-limit", "nested-1e5-deep",
+        "nested-1e5-deep-tagged"])
 def test_bad_model_files_end_in_coded_errors(tmp_path, capsys, text, code, exit_code):
     model = tmp_path / "model.yaml"
     model.write_bytes(text if isinstance(text, bytes) else text.encode())
+    start = time.monotonic()
     rc = cli.main(["spectral", "--model", str(model), "--out", str(tmp_path / "o")])
+    assert time.monotonic() - start < 10.0  # YAML parsing slows with the square of the depth
     assert rc == exit_code
     assert capsys.readouterr().err.startswith(f"error: {code}: ")
 

@@ -48,6 +48,8 @@ def _ints(low, high, ceiling):
 METHODS = st.sampled_from(["rejection", "qprocess"])
 # (n, birth, death) of a ladder with constant rates: pi spans up to 10 decades
 LADDERS = st.tuples(st.integers(2, 8), st.floats(0.2, 5.0), st.floats(0.2, 5.0))
+# a ladder whose fourth entry is its observable's one value: a constant f
+CONSTANT_LADDER = (4, 1.0, 2.0, 0.5)
 
 OPTIONS = {
     "spectral": {},
@@ -67,7 +69,8 @@ ALLOWED_NAN = {("clt.csv", "d_kolm"), ("clt.csv", "gap_bound")}
 @st.composite
 def command_lines(draw):
     cmd = draw(st.sampled_from(sorted(OPTIONS)))
-    argv = [cmd, "--model", draw(st.one_of(st.sampled_from(["m2sym", "bd5"]), LADDERS))]
+    argv = [cmd, "--model", draw(st.one_of(st.sampled_from(["m2sym", "bd5"]), LADDERS,
+                                           st.just(CONSTANT_LADDER)))]
     for name, values in OPTIONS[cmd].items():
         if draw(st.booleans()):
             argv.append(f"--{name}={draw(values)}")
@@ -106,11 +109,11 @@ def test_any_command_line_ends_in_a_documented_exit(argv):
         out = Path(tmp) / "o"
         argv = list(argv)  # hypothesis may replay the drawn example
         if isinstance(argv[2], tuple):
-            n, birth, death = argv[2]
+            n, birth, death, *level = argv[2]
             argv[2] = str(Path(tmp) / "ladder.yaml")
             Path(argv[2]).write_text(
                 f"birth_death: {{n: {n}, birth: {[birth] * (n - 1) + [0.0]}, "
-                f"death: {[death] * n}}}\n")
+                f"death: {[death] * n}}}\n" + (f"observable: {level * n}\n" if level else ""))
         rc, err = _run(argv, out)
         assert rc in (0, 2, 3, 4), (argv, rc, err)
         if rc == 2:
@@ -127,11 +130,14 @@ BREAKS = ("negative-rate", "positive-row-sum", "reducible", "non-numeric", "non-
           "nan-observable", "wrong-length", "psi1-below-1", "mu-not-a-law", "unknown-key",
           "both-blocks", "no-block")
 VECTORS = ("psi1", "mu", "observable")
-# breaks of the file's bytes: text that is not UTF-8, and a birth-death n of
-# more digits than Python converts (4300)
+# breaks of the file's bytes: text that is not UTF-8, a birth-death n of
+# more digits than Python converts (4300), and a generator nested 10^5 deep
 TEXT_BREAKS = {
     "not-utf8": lambda text: text.encode() + b"name: \xff\xfe\n",
     "huge-n": lambda text: re.sub(r"^  n: \d+$", "  n: " + "1" * 4301, text, flags=re.M).encode(),
+    "deep": lambda text: re.sub(r"^generator:\n(?:[- ].*\n)*",
+                                "generator: " + "[" * 10 ** 5 + "]" * 10 ** 5 + "\n",
+                                text, flags=re.M).encode(),
 }
 _RATES = st.one_of(st.just(0.0), st.floats(0.01, 10.0))
 
@@ -156,7 +162,7 @@ def model_documents(draw, brk):
               "birth_death": {"n": n, "birth": floats(0.1, 5.0, n - 1) + [0.0],
                               "death": floats(0.1, 5.0)}}
     rate_breaks = ("negative-rate", "positive-row-sum", "reducible")
-    block = ("generator" if brk in rate_breaks else "birth_death" if brk == "huge-n"
+    block = ("generator" if brk in (*rate_breaks, "deep") else "birth_death" if brk == "huge-n"
              else draw(st.sampled_from(sorted(blocks))))
     doc[block] = blocks[block]
     L = doc.get("generator")

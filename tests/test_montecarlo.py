@@ -378,9 +378,25 @@ def test_clt_sample_two_methods_agree_in_law(m2sym_bundle, m2sym_qproc):
 def test_clt_sample_constant_observable_collapses(m2sym_bundle, m2sym_qproc):
     emp = qslab.conditional_clt_sample(
         m2sym_qproc, m2sym_bundle.mu, np.ones(2), 10.0, 500, method="qprocess", seed=1)
-    assert emp.beta_f == 1.0
     assert emp.n_effective == 500
     assert np.all(emp.samples == 0.0)
+
+
+def test_constant_observable_keeps_the_survivors_of_any_observable(m2sym_bundle, m2sym_qproc):
+    """A constant f has the statistic 0 on every path, but rejection still
+    conditions on survival: on one seed it keeps the replicas that a
+    nonconstant f keeps, at a scalar t and on a grid."""
+    qp, mu, n = m2sym_qproc, m2sym_bundle.mu, 3000
+    pairs = []
+    for t in (5.0, [2.0, 5.0, 1.0]):
+        const, other = (qslab.conditional_clt_sample(qp, mu, f, t, n, method="rejection", seed=6)
+                        for f in (np.full(2, 0.5), m2sym_bundle.f))
+        pairs += zip(const, other) if isinstance(t, list) else [(const, other)]
+    assert len(pairs) == 4
+    for const, other in pairs:
+        assert (const.t, const.method) == (other.t, other.method)
+        assert 0 < const.n_effective == other.n_effective < n
+        assert not const.samples.any() and not np.signbit(const.samples).any()
 
 
 def test_clt_sample_guardrails(m2sym_bundle, m2sym_qproc):
@@ -398,7 +414,7 @@ def test_kolmogorov_distance_hand_values():
         return EmpiricalDistribution(
             samples=np.sort(np.asarray(samples, dtype=float)),
             n_effective=len(samples), n_requested=len(samples),
-            t=1.0, method="direct", beta_f=0.0)
+            t=1.0, method="direct")
 
     assert abs(qslab.kolmogorov_distance(emp([0.0, 0.0]), 1.0) - 0.5) < 1e-15
     # two points at +-1: distance is Phi(1) - 1/2
@@ -415,7 +431,7 @@ def test_kolmogorov_distance_on_true_gaussian_draw():
     z = rng.standard_normal(100000)
     emp = EmpiricalDistribution(
         samples=np.sort(2.0 * z), n_effective=len(z), n_requested=len(z),
-        t=1.0, method="direct", beta_f=0.0)
+        t=1.0, method="direct")
     d = qslab.kolmogorov_distance(emp, 4.0)
     assert d < 1.63 / np.sqrt(len(z))  # 1% critical value
 

@@ -133,7 +133,7 @@ TIME_PROBES = {
     "taylor-inf": lambda o: oracles.charfun_taylor_moments(o.chain, o.mu, o.f, np.inf),
     "taylor-neg": lambda o: oracles.charfun_taylor_moments(o.chain, o.mu, o.f, -1.0),
     "charfun-bound-inf": lambda o: qslab.check_uniform_charfun_bound(
-        o.qp, o.cert, o.mu, o.f, 1.0, [np.inf]),
+        o.qp, o.cert, o.mu, o.f, 1.0, [np.inf], sigma2=1.0),
     "marginal-T-inf": lambda o: qslab.conditional_marginal(o.chain, o.mu, 1.0, np.inf),
     "q-marginal-inf": lambda o: qslab.q_marginal(o.qp, o.qp.beta, np.inf),
     "q-marginal-nan": lambda o: qslab.q_marginal(o.qp, o.qp.beta, np.nan),

@@ -34,6 +34,10 @@ def test_make_observable_centers_under_beta(m2asym_qproc, m2sym_qproc, bd5_qproc
     assert again.beta_f == m2sym_qproc.beta @ F1 != obs.beta_f
     with pytest.raises(ValidationError):
         qslab.make_observable(bd5_qproc, obs)
+    # bd5's beta(0.5) misses 0.5 by one rounding: a constant f centres to +0.0
+    const = qslab.make_observable(bd5_qproc, np.full(5, 0.5))
+    assert const.beta_f != 0.5
+    assert not const.f_centered.any() and not np.signbit(const.f_centered).any()
 
 
 def test_sigma2_m2sym_closed_form(m2sym_qproc):
@@ -559,11 +563,11 @@ def test_uniform_charfun_bound_m2sym(m2sym_bundle, m2sym_triple, m2sym_qproc):
         m2sym_bundle.chain, m2sym_triple, np.ones(2), qslab.default_time_grid(2.0)
     )
     mu = np.array([1.0, 0.0])
+    sigma2 = qslab.sigma2_poisson(m2sym_qproc, F1, with_quadrature=False).sigma2
     rep = qslab.check_uniform_charfun_bound(
-        m2sym_qproc, cert, mu, F1, 1.0, [10.0, 40.0, 160.0]
+        m2sym_qproc, cert, mu, F1, 1.0, [10.0, 40.0, 160.0], sigma2
     )
     assert rep.all_bounded
-    assert abs(rep.sigma2 - 1.0) < 1e-12
     mu_psi = float(mu @ m2sym_qproc.psi)
     beta_psi = float(m2sym_qproc.beta @ m2sym_qproc.psi)
     convs = []
@@ -579,9 +583,9 @@ def test_uniform_charfun_bound_m2sym(m2sym_bundle, m2sym_triple, m2sym_qproc):
 
 NORMALISED_CHECKS = {
     "charfun-bound-t0": lambda qp, cert: qslab.check_uniform_charfun_bound(
-        qp, cert, qp.beta, F1, 1.0, [0.0]),
+        qp, cert, qp.beta, F1, 1.0, [0.0], sigma2=1.0),
     "charfun-bound-t-neg": lambda qp, cert: qslab.check_uniform_charfun_bound(
-        qp, cert, qp.beta, F1, 1.0, [-1.0]),
+        qp, cert, qp.beta, F1, 1.0, [-1.0], sigma2=1.0),
     "even-t0": lambda qp, cert: qslab.check_even_moment_limit(
         qp, qp.beta, F1, 1, [0.0, 10.0], sigma2=1.0),
     "odd-t0": lambda qp, cert: qslab.check_odd_moment_decay(qp, qp.beta, F1, 0, [0.0, 10.0]),
