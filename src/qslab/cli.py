@@ -25,6 +25,8 @@ from .chain_model import BUILTIN_MODELS, ModelBundle, resolve_model
 from .errors import DegenerateVariance, QslabError, ValidationError
 from .spectral import certify_ergodicity, default_time_grid, solve_spectral
 
+_DUMP_CHUNK = 65536  # values per write of a one-value-per-line dump
+
 
 def _fmt(v):
     if isinstance(v, (float, np.floating)):
@@ -42,6 +44,14 @@ def _write_csv(path, meta, columns, rows):
         w.writerow(columns)
         for row in rows:
             w.writerow([_fmt(v) for v in row])
+
+
+def _write_values(fh, values):
+    """One f"{v:.17g}" line per float, formatted _DUMP_CHUNK values at a time
+    ("%.17g" gives the same bytes), so memory stays bounded."""
+    for lo in range(0, len(values), _DUMP_CHUNK):
+        chunk = tuple(values[lo:lo + _DUMP_CHUNK].tolist())
+        fh.write(("%.17g\n" * len(chunk)) % chunk)
 
 
 def _model_id(spec: str) -> str:
@@ -335,7 +345,7 @@ def main(argv=None) -> int:
             if columns is None:  # bare one-value-per-line dump of a float array
                 with open(path, "w") as fh:
                     fh.write(f"# manifest_hash = {digest}\n")
-                    fh.writelines(f"{v:.17g}\n" for v in rows.tolist())
+                    _write_values(fh, rows)
             else:
                 full_meta = {"manifest_hash": digest, "model": determ["model"],
                              "seed": args.seed, "version": __version__}

@@ -5,6 +5,9 @@ the counter-based Philox4x64 stream keyed by (s, i) — draw 0 for the initial
 state, draws 1 + 2j and 2 + 2j for the holding time and jump of step j.
 Batch size and draw-window size never change the values a replica sees, so
 sample lists are bit-identical; batches run in turn, in the calling thread.
+A draw window is step-major, one row per draw index and one column per
+replica, and is filled a tile of replicas at a time (_draw_window), so a
+lock-step reads contiguous rows; the layout moves no value a replica sees.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ REJECTION_BUDGET = 1e9
 MAX_REPLICAS = 10 ** 7  # per sample: qed on m2sym took 63 s and 646 MB at 10^7 (README)
 _WINDOW_CAP = 512   # steps per draw window
 _STEP_CEILING = 64  # times the Poisson step bound
+_TILE = 64          # replicas per transposed block of a draw window
 
 
 def philox_stream(seed: int, replica: int) -> np.random.Generator:
@@ -58,22 +62,29 @@ def _jump_tables(generator: np.ndarray, killing: Optional[np.ndarray]):
 # vectorized batch kernel (the draw discipline of the module docstring)
 
 def _draw_window(gen, replicas, offset, width):
-    """Draws [offset, offset + width) of stream (seed, r), one row per r, with
-    gen = philox_stream(seed, ·) serving the whole batch.
+    """Draws [offset, offset + width) of stream (seed, r), step-major: one
+    row per draw index and one column per r, with gen = philox_stream(seed, ·)
+    serving the whole batch.
 
     Philox is counter-based: re-keyed to (seed, r) with block counter c and
-    an empty 4-draw buffer, gen resumes that stream at draw 4c.  Rows start
-    at c = offset // 4; the view skips the offset % 4 before."""
+    an empty 4-draw buffer, gen resumes that stream at draw 4c.  Streams
+    start at c = offset // 4 and drop the offset % 4 draws before.  Each
+    tile of _TILE replicas is filled one stream per row into a buffer small
+    enough to stay in cache, then copied transposed into its columns."""
     bg, skip = gen.bit_generator, offset % 4
     key0 = int(bg.state["state"]["key"][0])  # the key word Philox makes of seed (mod 2^64)
     template = {"bit_generator": "Philox", "state": {"counter": (offset // 4, 0, 0, 0)},
                 "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    U = np.empty((len(replicas), skip + width))
-    for i, r in enumerate(replicas.tolist()):
-        template["state"]["key"] = (key0, r)
-        bg.state = template
-        gen.random(out=U[i])
-    return U[:, skip:]
+    U, tile = np.empty((width, len(replicas))), np.empty((_TILE, skip + width))
+    reps = replicas.tolist()
+    for lo in range(0, len(reps), _TILE):
+        chunk = reps[lo:lo + _TILE]
+        for i, r in enumerate(chunk):
+            template["state"]["key"] = (key0, r)
+            bg.state = template
+            gen.random(out=tile[i])
+        U[:, lo:lo + len(chunk)] = tile[:len(chunk), skip:].T
+    return U
 
 
 class _Kernel:
@@ -124,26 +135,28 @@ class _Kernel:
         # k_lo: the first earlier horizon that some replica has yet to reach
         hz, last, k_lo = self.horizons, len(self.horizons) - 1, 0
         U = _draw_window(gen, replicas, 0, 1 + 2 * self.window)
-        state = np.minimum(np.searchsorted(self.cum0, U[:, 0], side="right"), n - 1)
+        state = np.minimum(np.searchsorted(self.cum0, U[0], side="right"), n - 1)
         S, absorbed = np.empty((last + 1, B)), np.zeros((last + 1, B), dtype=bool)
-        # live replicas, compacted: batch position, window row, state, clock, integral
-        pos = row = np.arange(B)
+        # live replicas, compacted: batch position, window column (None while
+        # every replica of the window lives), state, clock, integral
+        pos, row = np.arange(B), None
         st, tc, acc, j, col = state.copy(), np.zeros(B), np.zeros(B), 0, 1
         while pos.size:
-            if col == U.shape[1]:
+            if col == U.shape[0]:
                 if j >= self.max_steps:
                     raise BudgetExceeded(f"a replica exceeded {self.max_steps:.0f} steps")
                 U = _draw_window(gen, replicas[pos], 1 + 2 * j, 2 * self.window)
-                row, col = np.arange(pos.size), 0
+                row, col = None, 0
+            u_hold, u_jump = (U[col], U[col + 1]) if row is None else (U[col][row], U[col + 1][row])
             # -log1p(-u)/rate bit for bit, as the one-path reference in tests/oracles.py
-            t_next = tc + np.log1p(-U[row, col]) / self.neg_rates[st]
+            t_next = tc + np.log1p(-u_hold) / self.neg_rates[st]
             if k_lo < last and t_next.max() >= hz[k_lo]:  # S_h, as a run to t_max = h ends
                 for k in range(k_lo, np.searchsorted(hz[:last], t_next.max(), side="right")):
                     x = np.flatnonzero((tc < hz[k]) & (hz[k] <= t_next))
                     S[k, pos[x]] = acc[x] + self.f[st[x]] * (np.minimum(t_next[x], hz[k]) - tc[x])
                 k_lo = np.searchsorted(hz[:last], t_next.min(), side="right")
             acc += self.f[st] * (np.minimum(t_next, t_max) - tc)
-            nxt = self._next_states(st, U[row, col + 1])
+            nxt = self._next_states(st, u_jump)
             jumping = t_next < t_max
             if count_jumps is not None:
                 np.add.at(count_jumps, (st[jumping], nxt[jumping]), 1)
@@ -157,7 +170,8 @@ class _Kernel:
                     late = hz[:last, None] > t_next[killed]
                     absorbed[:last, pos[killed]] = late
                     S[:last, pos[killed]] = np.where(late, acc[killed], S[:last, pos[killed]])
-                pos, row, acc = pos[live], row[live], acc[live]
+                pos, acc = pos[live], acc[live]
+                row = np.flatnonzero(live) if row is None else row[live]
                 nxt, t_next = nxt[live], t_next[live]
             st, tc = nxt, t_next
             j, col = j + 1, col + 2

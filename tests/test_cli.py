@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -60,6 +61,20 @@ def test_floats_carry_seventeen_digits(tmp_path):
     assert r.returncode == 0
     text = (out / "spectral.csv").read_text()
     assert "1.5857864376269049" in text  # 3 - sqrt(2) at full precision
+
+
+def test_dump_writer_matches_per_value_formatting():
+    """The chunked writer of `clt --dump` writes the bytes of one
+    f"{v:.17g}" line per value, across chunk boundaries and at the edges
+    of the double range."""
+    edges = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+             -1.7976931348623157e308, 1e-7, 0.1, 1e16, 123456789.0]
+    rng = np.random.default_rng(3)
+    values = np.concatenate([edges, rng.standard_normal(2 * cli._DUMP_CHUNK + 7)
+                             * 10.0 ** rng.integers(-300, 300, 2 * cli._DUMP_CHUNK + 7), edges])
+    fh = io.StringIO()
+    cli._write_values(fh, values)
+    assert fh.getvalue() == "".join(f"{v:.17g}\n" for v in values.tolist())
 
 
 def test_usage_errors_exit_2(tmp_path):

@@ -62,8 +62,9 @@ OPTIONS = {
     "qed": {"times": TIME_LISTS, "n": _ints(-5, 200, MAX_REPLICAS), "method": METHODS},
     "all": {"n": _ints(-5, 200, MAX_REPLICAS)},
 }
-# clt.csv documents nan distance and gap_bound (constant observable, rejection)
-ALLOWED_NAN = {("clt.csv", "d_kolm"), ("clt.csv", "gap_bound")}
+# clt.csv documents nan distance and gap_bound (constant observable, rejection),
+# qed.csv a nan fitted_rate (fewer than two positive mean squares)
+ALLOWED_NAN = {("clt.csv", "d_kolm"), ("clt.csv", "gap_bound"), ("qed.csv", "fitted_rate")}
 
 
 @st.composite
@@ -80,9 +81,16 @@ def command_lines(draw):
 
 
 def _undocumented_nans(out):
+    """(file, column or header key, line) of each nan that ALLOWED_NAN does
+    not name, in the data rows and in the '# key = value' header lines."""
     found = []
     for path in sorted(out.glob("*.csv")):
-        lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+        text = path.read_text().splitlines()
+        for line in (l for l in text if l.startswith("#")):
+            key, _, value = line[2:].partition(" = ")
+            if "nan" in value.lower() and (path.name, key) not in ALLOWED_NAN:
+                found.append((path.name, key, line))
+        lines = [l for l in text if not l.startswith("#")]
         header = lines[0].split(",")
         for line in lines[1:]:
             for column, value in zip(header, line.split(",")):

@@ -37,17 +37,24 @@ def test_philox_key_is_the_seed_as_a_u64():
 
 
 def test_window_draws_are_stream_slices():
-    """A window read by re-keying one generator is the same slice of the
-    replica's stream, for offsets on and off the 4-draw block boundary."""
+    """A window read by re-keying one generator holds, in the column of each
+    replica, the same slice of its stream, for offsets on and off the 4-draw
+    block boundary and for replica sets that end in a ragged tile."""
     replicas = np.array([0, 1, 5, 2 ** 40 + 3])
     offsets = (0, 1, 2, 3, 4, 5, 7, 8, 4 * 37 + 1, 4 * 37 + 2, 4 * 37 + 3, 1001)
     for seed, offset in itertools.product((99, -1, 2 ** 63 + 5), offsets):
         for width in (1, 6, 33):
             U = montecarlo._draw_window(qslab.philox_stream(seed, 0), replicas, offset, width)
-            assert U.shape == (len(replicas), width)
-            for row, r in zip(U, replicas):
+            assert U.shape == (width, len(replicas))
+            for column, r in zip(U.T, replicas):
                 ref = qslab.philox_stream(seed, r).random(offset + width)[offset:]
-                np.testing.assert_array_equal(row, ref)
+                np.testing.assert_array_equal(column, ref)
+    tile = montecarlo._TILE
+    for replicas, offset in itertools.product(
+            (np.arange(tile + 1), 3 * np.arange(2 * tile + 2) + 2 ** 40), (0, 8, 4 * 37 + 3, 1001)):
+        U = montecarlo._draw_window(qslab.philox_stream(7, 0), replicas, offset, 9)
+        ref = [qslab.philox_stream(7, r).random(offset + 9)[offset:] for r in replicas]
+        np.testing.assert_array_equal(U, np.array(ref).T)
 
 
 def test_trajectory_integral_by_hand():
@@ -196,11 +203,13 @@ def test_jump_counts_do_not_depend_on_batch_size(stiff_chain):
 ], ids=["m2sym-qprocess-t50", "m2sym-qprocess-t200", "bd5-rejection-t20"])
 def test_clt_samples_are_pinned(model, method, t, n, seed, kept, digest):
     """sha256 of the sorted sample bytes, recorded before the draw windows
-    replaced one block per replica.  The digests depend on numpy's Philox
-    stream and on the platform libm's log1p, so a new numpy or libm may
-    legitimately move them; a kernel change must not.  They also depend on
-    beta(f), which centres f, so on the bits of the spectral triple: bd5's
-    moved when its triple came off the symmetric eigenbasis instead of eig."""
+    replaced one block per replica; they held when the windows turned
+    step-major, filled by a transposed copy a tile of replicas at a time.
+    The digests depend on numpy's Philox stream and on the platform libm's
+    log1p, so a new numpy or libm may legitimately move them; a kernel
+    change must not.  They also depend on beta(f), which centres f, so on
+    the bits of the spectral triple: bd5's moved when its triple came off
+    the symmetric eigenbasis instead of eig."""
     bundle = qslab.resolve_model(model)
     qp = qslab.h_transform(bundle.chain, qslab.solve_spectral(bundle.chain))
     emp = qslab.conditional_clt_sample(qp, bundle.mu, bundle.f, t, n, method=method, seed=seed)
@@ -213,7 +222,7 @@ def test_batch_and_thread_count_do_not_change_results(m2sym_bundle):
     args = (chain.sub_generator, chain.killing, m2sym_bundle.mu,
             np.array([1.0, -1.0]), 3.0, 1000, 5)
     base = _batch_statistics(*args, batch=1000)
-    for batch in (64, 37, 256):
+    for batch in (64, 37, 256, 200):
         S, term, absorbed, _ = _batch_statistics(*args, batch=batch)
         np.testing.assert_array_equal(S, base[0])
         np.testing.assert_array_equal(term, base[1])
