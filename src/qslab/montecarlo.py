@@ -8,6 +8,10 @@ sample lists are bit-identical; batches run in turn, in the calling thread.
 A draw window is step-major, one row per draw index and one column per
 replica, and is filled a tile of replicas at a time (_draw_window), so a
 lock-step reads contiguous rows; the layout moves no value a replica sees.
+Once drawn, a window's holding rows hold log1p(-u), numpy's log1p of the
+same doubles, so each holding time keeps its bits.  A lock-step in which
+every replica jumps before the last horizon takes a shorter body that
+adds the same terms (_Kernel.run).
 """
 
 from __future__ import annotations
@@ -26,9 +30,10 @@ from . import variance_clt
 DEFAULT_BATCH = 4096
 REJECTION_BUDGET = 1e9
 MAX_REPLICAS = 10 ** 7  # per sample: qed on m2sym took 63 s and 646 MB at 10^7 (README)
+MIN_QED_TIME = 2.0 ** -511  # the smallest t whose t^2 is a normal double
 _WINDOW_CAP = 512   # steps per draw window
 _STEP_CEILING = 64  # times the Poisson step bound
-_TILE = 64          # replicas per transposed block of a draw window
+_TILE = 256         # replicas per transposed block of a draw window
 
 
 def philox_stream(seed: int, replica: int) -> np.random.Generator:
@@ -71,18 +76,19 @@ def _draw_window(gen, replicas, offset, width):
     start at c = offset // 4 and drop the offset % 4 draws before.  Each
     tile of _TILE replicas is filled one stream per row into a buffer small
     enough to stay in cache, then copied transposed into its columns."""
-    bg, skip = gen.bit_generator, offset % 4
+    bg, skip, rand = gen.bit_generator, offset % 4, gen.random
     key0 = int(bg.state["state"]["key"][0])  # the key word Philox makes of seed (mod 2^64)
     template = {"bit_generator": "Philox", "state": {"counter": (offset // 4, 0, 0, 0)},
                 "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    U, tile = np.empty((width, len(replicas))), np.empty((_TILE, skip + width))
-    reps = replicas.tolist()
+    state, reps = template["state"], replicas.tolist()
+    U, tile = np.empty((width, len(reps))), np.empty((min(_TILE, len(reps)), skip + width))
+    rows = list(tile)
     for lo in range(0, len(reps), _TILE):
         chunk = reps[lo:lo + _TILE]
-        for i, r in enumerate(chunk):
-            template["state"]["key"] = (key0, r)
+        for r, out in zip(chunk, rows):
+            state["key"] = (key0, r)
             bg.state = template
-            gen.random(out=tile[i])
+            rand(out=out)
         U[:, lo:lo + len(chunk)] = tile[:len(chunk), skip:].T
     return U
 
@@ -91,20 +97,28 @@ class _Kernel:
     """Lock-step simulator of replica batches for one chain, initial law,
     observable and sorted horizons.  Step j of every live replica reads draws
     1 + 2j and 2 + 2j of its stream, from windows of `window` steps; replicas
-    still running at a window's end draw their next window.  A replica runs
-    to the largest horizon and records S_h as it crosses each earlier h."""
+    still running at a window's end draw their next window.  Once a window
+    is drawn, its holding rows hold log1p(-u), so a step's holding time is
+    one division.  A replica runs to the largest horizon and records S_h as
+    it crosses each earlier h.  In a step where every replica jumps before
+    t_max, no path reaches the horizon, so the step skips the clamp and the
+    masks, and on a chain without killing no path can end at all."""
 
     def __init__(self, generator, killing, initial, f, horizons):
         rates, cumJ = _jump_tables(generator, killing)
         self.n, ncol = cumJ.shape
+        self.ncol, self.killing = ncol, killing is not None
         self.cum0 = np.cumsum(np.asarray(initial, dtype=float))
         self.f, self.horizons, self.t_max = np.asarray(f, dtype=float), horizons, horizons[-1]
         self.neg_rates = -rates
-        # jump rows padded with +inf, and a guide table into them (see _next_states)
-        self.width, self.K = ncol + 1, 1 << max(ncol - 1, 1).bit_length()
-        self.cum = np.hstack([cumJ, np.full((self.n, 1), np.inf)]).ravel()
+        # jump rows padded with +inf, and a guide table into them (see
+        # _next_states), both with one row stride
+        self.K = 1 << max(ncol - 1, 1).bit_length()
+        self.stride = max(ncol + 1, self.K)
+        self.cum = np.pad(cumJ, ((0, 0), (0, self.stride - ncol)), constant_values=np.inf).ravel()
         grid = np.arange(self.K) / self.K
-        self.guide = np.concatenate([np.searchsorted(row, grid) for row in cumJ])
+        guide = np.array([np.searchsorted(row, grid) for row in cumJ])
+        self.guide = np.pad(guide, ((0, 0), (0, self.stride - self.K))).ravel()
         # a window covers the mean step count from the initial law plus two
         # Poisson sd, so few replicas need a second; steps are dominated by
         # Poisson(max rate * t), which the ceiling exceeds only on broken input
@@ -122,19 +136,28 @@ class _Kernel:
         positive term on, and u < 1: the columns with cumJ < u form a prefix,
         so the count is the first column with cumJ >= u.  K u is exact for K
         a power of two, and guide[st, floor(K u)] bounds it from below."""
-        g = self.guide[st * self.K + (u * self.K).astype(np.intp)]
-        base = st * self.width
-        idx = np.flatnonzero(u > self.cum[base + g])
+        base = st * self.stride
+        g = self.guide[base + (u * self.K).astype(np.intp)]
+        idx = (u > self.cum[base + g]).nonzero()[0]
         while idx.size:
             g[idx] += 1
             idx = idx[u[idx] > self.cum[base[idx] + g[idx]]]
         return g
 
+    def _draw(self, gen, replicas, offset, width):
+        """_draw_window, with each holding row turned into log1p(-u) in place:
+        the same doubles, so a replica's holding times keep their bits."""
+        U = _draw_window(gen, replicas, offset, width)
+        hold = U[1 - offset % 2::2]  # draws 1 + 2j: odd rows of a first window
+        np.negative(hold, out=hold)
+        np.log1p(hold, out=hold)
+        return U
+
     def run(self, replicas, seed, count_jumps=None):
         B, n, t_max, gen = len(replicas), self.n, self.t_max, philox_stream(seed, 0)
         # k_lo: the first earlier horizon that some replica has yet to reach
         hz, last, k_lo = self.horizons, len(self.horizons) - 1, 0
-        U = _draw_window(gen, replicas, 0, 1 + 2 * self.window)
+        U = self._draw(gen, replicas, 0, 1 + 2 * self.window)
         state = np.minimum(np.searchsorted(self.cum0, U[0], side="right"), n - 1)
         S, absorbed = np.empty((last + 1, B)), np.zeros((last + 1, B), dtype=bool)
         # live replicas, compacted: batch position, window column (None while
@@ -145,23 +168,31 @@ class _Kernel:
             if col == U.shape[0]:
                 if j >= self.max_steps:
                     raise BudgetExceeded(f"a replica exceeded {self.max_steps:.0f} steps")
-                U = _draw_window(gen, replicas[pos], 1 + 2 * j, 2 * self.window)
+                U = self._draw(gen, replicas[pos], 1 + 2 * j, 2 * self.window)
                 row, col = None, 0
-            u_hold, u_jump = (U[col], U[col + 1]) if row is None else (U[col][row], U[col + 1][row])
+            hold, u_jump = (U[col], U[col + 1]) if row is None else (U[col][row], U[col + 1][row])
             # -log1p(-u)/rate bit for bit, as the one-path reference in tests/oracles.py
-            t_next = tc + np.log1p(-u_hold) / self.neg_rates[st]
-            if k_lo < last and t_next.max() >= hz[k_lo]:  # S_h, as a run to t_max = h ends
-                for k in range(k_lo, np.searchsorted(hz[:last], t_next.max(), side="right")):
-                    x = np.flatnonzero((tc < hz[k]) & (hz[k] <= t_next))
+            t_next = tc + hold / self.neg_rates[st]
+            t_hi = t_next.max()
+            if k_lo < last and t_hi >= hz[k_lo]:  # S_h, as a run to t_max = h ends
+                for k in range(k_lo, np.searchsorted(hz[:last], t_hi, side="right")):
+                    x = ((tc < hz[k]) & (hz[k] <= t_next)).nonzero()[0]
                     S[k, pos[x]] = acc[x] + self.f[st[x]] * (np.minimum(t_next[x], hz[k]) - tc[x])
                 k_lo = np.searchsorted(hz[:last], t_next.min(), side="right")
-            acc += self.f[st] * (np.minimum(t_next, t_max) - tc)
             nxt = self._next_states(st, u_jump)
-            jumping = t_next < t_max
-            if count_jumps is not None:
-                np.add.at(count_jumps, (st[jumping], nxt[jumping]), 1)
-            live = jumping & (nxt < n)
-            if not live.all():
+            if t_hi < t_max:  # every replica jumps: min(t_next, t_max) is t_next
+                acc += self.f[st] * (t_next - tc)
+                jumping = True
+                if count_jumps is not None:
+                    np.add.at(count_jumps, (st, nxt), 1)
+                live = nxt < n if self.killing else None
+            else:
+                acc += self.f[st] * (np.minimum(t_next, t_max) - tc)
+                jumping = t_next < t_max
+                if count_jumps is not None:
+                    np.add.at(count_jumps, (st[jumping], nxt[jumping]), 1)
+                live = jumping & (nxt < n)
+            if live is not None and not live.all():
                 end = ~live
                 S[last, pos[end]], state[pos[end]] = acc[end], st[end]
                 killed = end & jumping  # strictly before t_max
@@ -171,7 +202,7 @@ class _Kernel:
                     absorbed[:last, pos[killed]] = late
                     S[:last, pos[killed]] = np.where(late, acc[killed], S[:last, pos[killed]])
                 pos, acc = pos[live], acc[live]
-                row = np.flatnonzero(live) if row is None else row[live]
+                row = live.nonzero()[0] if row is None else row[live]
                 nxt, t_next = nxt[live], t_next[live]
             st, tc = nxt, t_next
             j, col = j + 1, col + 2
@@ -187,7 +218,7 @@ def _batch_statistics(generator, killing, initial, f, t_max, n_replicas, seed,
     S = np.empty((len(kernel.horizons), n_replicas))
     term = np.empty(n_replicas, dtype=int)
     absorbed = np.empty(S.shape, dtype=bool)
-    counts = np.zeros((kernel.n, kernel.width), dtype=np.int64) if count_jumps else None
+    counts = np.zeros((kernel.n, kernel.ncol + 1), dtype=np.int64) if count_jumps else None
     for lo in range(0, n_replicas, batch):
         hi = min(lo + batch, n_replicas)
         S[:, lo:hi], term[lo:hi], absorbed[:, lo:hi] = kernel.run(np.arange(lo, hi), seed, counts)
@@ -293,8 +324,13 @@ def quasi_ergodic_check(qproc: QProcessChain, mu, f, samples) -> QuasiErgodicRep
     """Monte Carlo conditional mean-square deviation of S_t/t from beta(f)
     on the samples of a conditional_clt_sample grid, with the exact value
     from one moment-oracle call over the grid.  Each time must keep at
-    least 2 replicas."""
+    least 2 replicas, and be at least MIN_QED_TIME, so that t^2 and the
+    exact column's divisor do not underflow."""
     t_grid = np.array([emp.t for emp in samples])
+    tiny = t_grid[t_grid < MIN_QED_TIME]
+    if tiny.size:
+        raise ValidationError(f"time t={float(tiny[0])!r} is below 2^-511 = {MIN_QED_TIME!r}: "
+                              "t^2 is not a normal double")
     obs = variance_clt.make_observable(qproc, f)
     stats, used = [], None
     for emp, t in zip(samples, t_grid):

@@ -113,11 +113,12 @@ def weighted_norm(signed_measure, psi) -> float:
 
 def log_slope(x, y) -> float:
     """Least-squares slope of log y against x over the points with y > 0;
-    nan when fewer than two such points.  Pass log x for a power-law rate."""
+    nan when those points hold fewer than two distinct x, where no line
+    is determined.  Pass log x for a power-law rate."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     pos = y > 0
-    if pos.sum() >= 2:
+    if np.unique(x[pos]).size >= 2:
         return float(np.polyfit(x[pos], np.log(y[pos]), 1)[0])
     return float("nan")
 

@@ -8,11 +8,13 @@ import yaml
 import qslab
 from qslab.chain_model import AbsorbedChain
 
-# pytest's own pythonpath setting does not reach the `python -m qslab.cli`
-# subprocesses, which find the package through PYTHONPATH
+# pytest's own settings do not reach the `python -m qslab.cli` subprocesses,
+# which find the package through PYTHONPATH, and fail on the warnings that
+# pyproject.toml's filterwarnings makes errors in process
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
                   os.environ.get("PYTHONPATH")]))
+os.environ["PYTHONWARNINGS"] = "error::RuntimeWarning"
 
 
 # symmetric support, but rates 1 one way round the cycle and 0.5 the other

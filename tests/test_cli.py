@@ -479,6 +479,32 @@ def test_qed_subcommand(tmp_path):
         assert float(row["mean_square"]) > 0
 
 
+def test_qed_at_one_repeated_time_writes_no_rate(tmp_path):
+    """Two rows at the same t determine no decay rate: the header says nan,
+    the documented value, and nothing is printed."""
+    out = tmp_path / "o"
+    r = run_cli("qed", "--model", "m2sym", "--times", "5,5", "--n", "500", "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    assert r.stderr == ""
+    assert meta_of(out / "qed.csv")["fitted_rate"] == "nan"
+    assert len(csv_rows(out / "qed.csv")) == 2
+
+
+def test_qed_refuses_a_time_whose_square_underflows(tmp_path):
+    """At t = 1e-200 both t^2 and the exact second moment underflow to 0,
+    and the exact column was 0/0 = nan; a time below 2^-511 exits 3 and
+    names the time, while 2^-511 itself is served."""
+    out = tmp_path / "o"
+    r = run_cli("qed", "--model", "m2sym", "--times", "1e-200,1e-100", "--out", str(out))
+    assert r.returncode == 3
+    assert r.stderr.startswith("error: validation: time t=1e-200 ")
+    assert not out.exists()
+    r = run_cli("qed", "--model", "bd5", "--times", f"{2.0 ** -511!r},1", "--n", "100",
+                "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    assert all(float(row["exact"]) > 0 for row in csv_rows(out / "qed.csv"))
+
+
 def test_all_subcommand_produces_full_report_set(tmp_path):
     out = tmp_path / "o"
     r = run_cli("all", "--model", "m2sym", "--n", "2000", "--out", str(out))

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qslab import cli
 from qslab.montecarlo import MAX_REPLICAS
@@ -32,8 +32,10 @@ SCALARS = st.one_of(NUMBERS, GARBAGE)
 LISTS = st.one_of(st.lists(NUMBERS, max_size=3).map(",".join), st.just(","), GARBAGE)
 # finite times far past every horizon the oracles and the sampler can serve
 _HUGE = st.floats(min_value=1e10, max_value=1e300).map(repr)
-TIMES = st.one_of(SCALARS, _HUGE)
-TIME_LISTS = st.one_of(LISTS, st.lists(st.one_of(NUMBERS, _HUGE), min_size=1, max_size=3)
+# positive times whose square underflows, subnormal ones included
+_TINY = st.floats(min_value=1e-320, max_value=1e-150).map(repr)
+TIMES = st.one_of(SCALARS, _HUGE, _TINY)
+TIME_LISTS = st.one_of(LISTS, st.lists(st.one_of(NUMBERS, _HUGE, _TINY), min_size=1, max_size=3)
                        .map(",".join))
 
 
@@ -112,6 +114,13 @@ def _run(argv, out):
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(command_lines())
+# the 50 drawn lines need not hold a tiny time; these do, in every option that takes one
+@example(["qed", "--model", "bd5", "--times=1e-200,1.5e-154", "--n=50"])
+@example(["qed", "--model", "m2sym", "--times=1e-320", "--n=50"])
+@example(["clt", "--model", "bd5", "--t=1e-250", "--n=50"])
+@example(["moments", "--model", "bd5", "--times=1e-320,1e-160"])
+@example(["charfun", "--model", "m2sym", "--times=1e-200"])
+@example(["qprocess", "--model", "bd5", "--t=0", "--T=1e-300"])
 def test_any_command_line_ends_in_a_documented_exit(argv):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "o"

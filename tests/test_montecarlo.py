@@ -57,6 +57,19 @@ def test_window_draws_are_stream_slices():
         np.testing.assert_array_equal(U, np.array(ref).T)
 
 
+def test_window_does_not_depend_on_tile_size(monkeypatch):
+    """Tiles of 1 and of 3 replicas, ragged or not, fill the window that the
+    default tile fills."""
+    replicas = 3 * np.arange(10) + 2 ** 40
+    for offset, width in ((0, 9), (4 * 37 + 3, 5)):
+        want = montecarlo._draw_window(qslab.philox_stream(7, 0), replicas, offset, width)
+        for tile in (1, 3):
+            monkeypatch.setattr(montecarlo, "_TILE", tile)
+            got = montecarlo._draw_window(qslab.philox_stream(7, 0), replicas, offset, width)
+            monkeypatch.undo()
+            np.testing.assert_array_equal(got, want)
+
+
 def test_trajectory_integral_by_hand():
     surv = oracles.Trajectory(
         jump_times=np.array([1.0, 2.5, 3.0]),
@@ -204,12 +217,15 @@ def test_jump_counts_do_not_depend_on_batch_size(stiff_chain):
 def test_clt_samples_are_pinned(model, method, t, n, seed, kept, digest):
     """sha256 of the sorted sample bytes, recorded before the draw windows
     replaced one block per replica; they held when the windows turned
-    step-major, filled by a transposed copy a tile of replicas at a time.
-    The digests depend on numpy's Philox stream and on the platform libm's
-    log1p, so a new numpy or libm may legitimately move them; a kernel
-    change must not.  They also depend on beta(f), which centres f, so on
-    the bits of the spectral triple: bd5's moved when its triple came off
-    the symmetric eigenbasis instead of eig."""
+    step-major, filled by a transposed copy a tile of replicas at a time,
+    and when the holding rows turned into log1p(-u) once per window.
+    The digests depend on numpy's Philox stream and on numpy's own float64
+    log1p, whose SIMD code numpy's build and the CPU's dispatch choose (it
+    differs from math.log1p in about 7% of draws), so a new numpy or
+    another CPU may legitimately move them; a kernel change must not.
+    They also depend on beta(f), which centres f, so on the bits of the
+    spectral triple: bd5's moved when its triple came off the symmetric
+    eigenbasis instead of eig."""
     bundle = qslab.resolve_model(model)
     qp = qslab.h_transform(bundle.chain, qslab.solve_spectral(bundle.chain))
     emp = qslab.conditional_clt_sample(qp, bundle.mu, bundle.f, t, n, method=method, seed=seed)
@@ -250,6 +266,41 @@ def test_horizon_grid_does_not_depend_on_batch_size(stiff_chain):
         np.testing.assert_array_equal(S, base[0][k])
         np.testing.assert_array_equal(absorbed, base[2][k])
     np.testing.assert_array_equal(_batch_statistics(*args, 5.0, n, seed)[1], base[1])
+
+
+def test_horizon_grid_matches_single_paths_bitwise():
+    """One pass over a grid of horizons equals, replica by replica and at
+    every horizon, the one-path simulator run to that horizon: S, the
+    absorbed flag and the terminal state, for a killed chain (kills land
+    between every two horizons) and for its Q-process (no path can end
+    early).  The slow states 1-2 (killed at 1, rate 2.1) and the fast pair
+    3-4 mix steps where some path reaches the horizon or is killed with
+    steps where none does."""
+    chain = qslab.validate_chain([
+        [-3.0, 0.9, 0.0, 0.0],
+        [0.6, -1.0, 0.4, 0.0],
+        [0.0, 1.0, -50.0, 49.0],
+        [0.0, 0.0, 100.0, -100.0],
+    ])
+    mu = np.full(4, 0.25)
+    f = np.array([1.0, -0.5, 0.25, -1.0])
+    grid, n, seed = np.array([0.5, 2.0, 3.0, 5.0]), 48, 11
+    qproc = qslab.h_transform(chain, qslab.solve_spectral(chain))
+    for gen_matrix, killing, simulate, model in (
+            (chain.sub_generator, chain.killing, oracles.simulate_absorbed, chain),
+            (qproc.q_generator, None, oracles.simulate_qprocess, qproc)):
+        S, term, absorbed, _ = _batch_statistics(gen_matrix, killing, mu, f, grid, n, seed,
+                                                 batch=20)
+        for i in range(n):
+            for k, h in enumerate(grid):
+                tr = simulate(model, mu, h, (seed, i))
+                assert S[k, i] == tr.additive_integral(f)
+                assert absorbed[k, i] == (not tr.survived)
+            assert term[i] == tr.visited_states[-1]
+        if killing is None:
+            assert not absorbed.any()
+        else:
+            assert 0 < absorbed[0].sum() < absorbed[1].sum() < absorbed[-1].sum() < n
 
 
 def _count_passes(monkeypatch):

@@ -209,6 +209,19 @@ def test_weighted_norm_is_sup_over_bounded_functions():
         assert abs(qslab.weighted_norm(m, psi) - best) < 1e-12
 
 
+def test_log_slope_needs_two_distinct_x():
+    """A line is fitted only through two or more distinct x among the
+    points with y > 0; repeated x, alone or beside a point with y = 0,
+    give nan (numpy's polyfit returned a slope and a RankWarning)."""
+    from qslab.spectral import log_slope
+
+    assert abs(log_slope([1.0, 2.0, 3.0], np.exp([-1.0, -3.0, -5.0])) + 2.0) < 1e-12
+    assert np.isnan(log_slope([5.0, 5.0], [0.3, 0.1]))
+    assert np.isnan(log_slope([5.0, 5.0, 7.0], [0.3, 0.1, 0.0]))
+    assert np.isnan(log_slope([2.0], [1.0]))
+    assert abs(log_slope([5.0, 5.0, 7.0], [1.0, 1.0, np.exp(2.0)]) - 1.0) < 1e-12
+
+
 def test_default_time_grid_shape():
     g = qslab.default_time_grid(2.0)
     assert g[0] == 0.0
