@@ -239,9 +239,12 @@ def _run_qed(an, samples):
 
 
 def _qed_times(an, times):
-    """qed's times as given, else 10, 20 and 40 over gamma."""
+    """qed's times as given, else 10, 20 and 40 over gamma, refused before
+    any sampling when quasi_ergodic_check would refuse them."""
     gamma = an.triple.gamma
-    return times or [10.0 / gamma, 20.0 / gamma, 40.0 / gamma]
+    times = times or [10.0 / gamma, 20.0 / gamma, 40.0 / gamma]
+    montecarlo.check_qed_times(times)
+    return times
 
 
 def _run_all(an, n, seed):

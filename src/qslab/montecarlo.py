@@ -9,9 +9,7 @@ A draw window is step-major, one row per draw index and one column per
 replica, and is filled a tile of replicas at a time (_draw_window), so a
 lock-step reads contiguous rows; the layout moves no value a replica sees.
 Once drawn, a window's holding rows hold log1p(-u), numpy's log1p of the
-same doubles, so each holding time keeps its bits.  A lock-step in which
-every replica jumps before the last horizon takes a shorter body that
-adds the same terms (_Kernel.run).
+same doubles, so each holding time keeps its bits.
 """
 
 from __future__ import annotations
@@ -100,14 +98,12 @@ class _Kernel:
     still running at a window's end draw their next window.  Once a window
     is drawn, its holding rows hold log1p(-u), so a step's holding time is
     one division.  A replica runs to the largest horizon and records S_h as
-    it crosses each earlier h.  In a step where every replica jumps before
-    t_max, no path reaches the horizon, so the step skips the clamp and the
-    masks, and on a chain without killing no path can end at all."""
+    it crosses each earlier h."""
 
     def __init__(self, generator, killing, initial, f, horizons):
         rates, cumJ = _jump_tables(generator, killing)
         self.n, ncol = cumJ.shape
-        self.ncol, self.killing = ncol, killing is not None
+        self.ncol = ncol
         self.cum0 = np.cumsum(np.asarray(initial, dtype=float))
         self.f, self.horizons, self.t_max = np.asarray(f, dtype=float), horizons, horizons[-1]
         self.neg_rates = -rates
@@ -173,26 +169,18 @@ class _Kernel:
             hold, u_jump = (U[col], U[col + 1]) if row is None else (U[col][row], U[col + 1][row])
             # -log1p(-u)/rate bit for bit, as the one-path reference in tests/oracles.py
             t_next = tc + hold / self.neg_rates[st]
-            t_hi = t_next.max()
-            if k_lo < last and t_hi >= hz[k_lo]:  # S_h, as a run to t_max = h ends
-                for k in range(k_lo, np.searchsorted(hz[:last], t_hi, side="right")):
+            if k_lo < last and t_next.max() >= hz[k_lo]:  # S_h, as a run to t_max = h ends
+                for k in range(k_lo, np.searchsorted(hz[:last], t_next.max(), side="right")):
                     x = ((tc < hz[k]) & (hz[k] <= t_next)).nonzero()[0]
                     S[k, pos[x]] = acc[x] + self.f[st[x]] * (np.minimum(t_next[x], hz[k]) - tc[x])
                 k_lo = np.searchsorted(hz[:last], t_next.min(), side="right")
+            acc += self.f[st] * (np.minimum(t_next, t_max) - tc)
             nxt = self._next_states(st, u_jump)
-            if t_hi < t_max:  # every replica jumps: min(t_next, t_max) is t_next
-                acc += self.f[st] * (t_next - tc)
-                jumping = True
-                if count_jumps is not None:
-                    np.add.at(count_jumps, (st, nxt), 1)
-                live = nxt < n if self.killing else None
-            else:
-                acc += self.f[st] * (np.minimum(t_next, t_max) - tc)
-                jumping = t_next < t_max
-                if count_jumps is not None:
-                    np.add.at(count_jumps, (st[jumping], nxt[jumping]), 1)
-                live = jumping & (nxt < n)
-            if live is not None and not live.all():
+            jumping = t_next < t_max
+            if count_jumps is not None:
+                np.add.at(count_jumps, (st[jumping], nxt[jumping]), 1)
+            live = jumping & (nxt < n)
+            if not live.all():
                 end = ~live
                 S[last, pos[end]], state[pos[end]] = acc[end], st[end]
                 killed = end & jumping  # strictly before t_max
@@ -320,17 +308,24 @@ class QuasiErgodicReport:
     method: str
 
 
+def check_qed_times(times):
+    """Refuse a quasi-ergodic check at a time below MIN_QED_TIME, where t^2
+    and the exact column's divisor underflow; callers that sample run this
+    first, so that such a time costs no draw."""
+    times = np.asarray(times, dtype=float)
+    tiny = times[~(times >= MIN_QED_TIME)]
+    if tiny.size:
+        raise ValidationError(f"time t={float(tiny[0])!r} is below 2^-511 = {MIN_QED_TIME!r}, "
+                              "the least time whose t^2 is a normal double")
+
+
 def quasi_ergodic_check(qproc: QProcessChain, mu, f, samples) -> QuasiErgodicReport:
     """Monte Carlo conditional mean-square deviation of S_t/t from beta(f)
     on the samples of a conditional_clt_sample grid, with the exact value
     from one moment-oracle call over the grid.  Each time must keep at
-    least 2 replicas, and be at least MIN_QED_TIME, so that t^2 and the
-    exact column's divisor do not underflow."""
+    least 2 replicas, and pass check_qed_times."""
     t_grid = np.array([emp.t for emp in samples])
-    tiny = t_grid[t_grid < MIN_QED_TIME]
-    if tiny.size:
-        raise ValidationError(f"time t={float(tiny[0])!r} is below 2^-511 = {MIN_QED_TIME!r}: "
-                              "t^2 is not a normal double")
+    check_qed_times(t_grid)
     obs = variance_clt.make_observable(qproc, f)
     stats, used = [], None
     for emp, t in zip(samples, t_grid):

@@ -505,6 +505,19 @@ def test_qed_refuses_a_time_whose_square_underflows(tmp_path):
     assert all(float(row["exact"]) > 0 for row in csv_rows(out / "qed.csv"))
 
 
+def test_tiny_qed_time_is_refused_before_sampling(tmp_path, capsys, monkeypatch):
+    """A time below 2^-511 among many replicas costs no draw: it is refused
+    where qed's times are read, before the sampler is called."""
+    calls = []
+    monkeypatch.setattr(montecarlo, "conditional_clt_sample",
+                        lambda *a, **k: calls.append(a))
+    out = tmp_path / "o"
+    assert cli.main(["qed", "--model", "m2sym", "--times", "5,1e-200", "--n", "10000000",
+                     "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: validation: time t=1e-200 ")
+    assert calls == [] and not out.exists()
+
+
 def test_all_subcommand_produces_full_report_set(tmp_path):
     out = tmp_path / "o"
     r = run_cli("all", "--model", "m2sym", "--n", "2000", "--out", str(out))
