@@ -14,7 +14,6 @@ from .chain_model import (
     ModelBundle,
     bd5,
     build_birth_death,
-    emit_model_config,
     load_model_config,
     m2asym,
     m2sym,
@@ -29,33 +28,23 @@ from .spectral import (
     certify_ergodicity,
     default_time_grid,
     solve_spectral,
-    weighted_norm,
 )
 from .qprocess import (
     ConditionalGapReport,
     QProcessChain,
-    check_q_ergodicity,
     conditional_marginal,
     conditional_vs_q_gap,
-    fit_gap_rate,
     h_transform,
     q_marginal,
 )
 from .variance_clt import (
     AdditiveObservable,
-    ConstantsTable,
-    MomentReport,
     VarianceResult,
-    check_even_moment_limit,
-    check_odd_moment_decay,
-    check_uniform_charfun_bound,
-    constants_table,
     exact_conditional_charfuns,
     exact_conditional_moments,
     make_observable,
     sigma2_poisson,
     sigma2_quadrature,
-    sup_over_weight_ball,
 )
 from .montecarlo import (
     EmpiricalDistribution,

@@ -32,6 +32,7 @@ from .errors import (
 )
 
 _ROWSUM_TOL = 1e-12
+_SQRT_MAX = np.sqrt(np.finfo(float).max)  # the largest rate whose square is finite
 # the largest birth-death chain a run builds: certify took 0.44 s at n = 1000
 # and 2.7 s at n = 2000 (cost ~ n^3, peak RSS 383 MB), so about 22 s and
 # 1.5 GB at this n
@@ -104,7 +105,8 @@ class AbsorbedChain:
         h = sqrt(pi) makes S = diag(h) L diag(h)^{-1} symmetric, with S(x, y)
         = sqrt(L(x, y) L(y, x)) off the diagonal, and (w, U) = eigh(S): w is
         real and ascending, U orthogonal.  A pi whose square root does not
-        fit in normal doubles raises OverflowGuard."""
+        fit in normal doubles raises OverflowGuard, and so does an off-diagonal
+        rate above sqrt(DBL_MAX), where L(x, y) L(y, x) could overflow."""
         log_pi = self.log_reversible_measure
         if log_pi is None:
             return None
@@ -112,7 +114,11 @@ class AbsorbedChain:
             raise OverflowGuard("the reversible measure's square root spans more "
                                 "decades than double precision holds")
         L = self.sub_generator
-        S = np.sqrt(L * L.T)
+        if L.max() > _SQRT_MAX:  # the largest off-diagonal rate: the diagonal is negative
+            raise OverflowGuard(f"a rate above sqrt(DBL_MAX) = {_SQRT_MAX:.3g} overflows "
+                                "the products of the symmetric form")
+        with np.errstate(over="ignore"):  # only on the diagonal, which is replaced
+            S = np.sqrt(L * L.T)
         # eigh's rounding scales with ||S - cI||, least at c = mean diag L
         c = np.trace(L) / self.n
         np.fill_diagonal(S, np.diag(L) - c)
@@ -405,21 +411,6 @@ def load_model_config(path) -> ModelBundle:
         raise ValidationError("observable must be finite with max|f| <= 1")
     name = str(raw.get("name", "model"))
     return ModelBundle(chain=chain, psi1=psi1, mu=mu, f=f, name=name)
-
-
-def emit_model_config(bundle: ModelBundle, path) -> None:
-    """Write a bundle back to YAML; load_model_config of the file gives
-    back its states, generator, psi1, mu, observable and name."""
-    doc = {
-        "name": bundle.name,
-        "states": list(bundle.chain.states),
-        "generator": [[float(v) for v in row] for row in bundle.chain.sub_generator],
-        "psi1": [float(v) for v in bundle.psi1],
-        "mu": [float(v) for v in bundle.mu],
-        "observable": [float(v) for v in bundle.f],
-    }
-    with open(path, "w") as fh:
-        yaml.safe_dump(doc, fh, sort_keys=False)
 
 
 def resolve_model(spec: str) -> ModelBundle:

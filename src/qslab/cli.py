@@ -131,10 +131,7 @@ class _Analysis:
 
     @cached_property
     def cert(self):
-        gamma = self.triple.gamma
-        grid = default_time_grid(gamma, self._tpoints)
-        if self._tmax is not None:
-            grid = np.concatenate([[0.0], np.geomspace(0.1 / gamma, self._tmax, self._tpoints)])
+        grid = default_time_grid(self.triple.gamma, self._tpoints, self._tmax)
         return certify_ergodicity(self.bundle.chain, self.triple, self.bundle.psi1, grid)
 
 

@@ -28,7 +28,7 @@ from . import variance_clt
 DEFAULT_BATCH = 4096
 REJECTION_BUDGET = 1e9
 MAX_REPLICAS = 10 ** 7  # per sample: qed on m2sym took 63 s and 646 MB at 10^7 (README)
-MIN_QED_TIME = 2.0 ** -511  # the smallest t whose t^2 is a normal double
+MIN_QED_TIME = 2.0 ** -511  # the smallest t whose t^2 is a normal double (so sqrt(t) t is one)
 _WINDOW_CAP = 512   # steps per draw window
 _STEP_CEILING = 64  # times the Poisson step bound
 _TILE = 256         # replicas per transposed block of a draw window
@@ -247,11 +247,11 @@ def conditional_clt_sample(qproc: QProcessChain, mu, f, t, n_replicas: int,
     A scalar t gives its EmpiricalDistribution, a grid (repeated, unsorted
     times allowed) a list in its order.  Times that share a method take one
     kernel pass, to their largest; the rejection budget is checked first.
-    More than MAX_REPLICAS replicas raise BudgetExceeded before any allocation.
+    More than MAX_REPLICAS replicas raise BudgetExceeded before any allocation,
+    and a time that check_qed_times refuses raises before any draw.
     """
     times = np.atleast_1d(np.asarray(t, dtype=float))
-    if not np.all(times > 0):
-        raise ValidationError(f"time horizon t must be positive, got {t}")
+    check_qed_times(times)
     mu = np.asarray(mu, dtype=float)
     chain, triple = qproc.chain, qproc.triple
     obs = variance_clt.make_observable(qproc, f)
@@ -309,9 +309,9 @@ class QuasiErgodicReport:
 
 
 def check_qed_times(times):
-    """Refuse a quasi-ergodic check at a time below MIN_QED_TIME, where t^2
-    and the exact column's divisor underflow; callers that sample run this
-    first, so that such a time costs no draw."""
+    """Refuse a time below MIN_QED_TIME, nan and t <= 0 included: there the
+    statistic sqrt(t) S_t / t, t^2 and the exact column's divisor underflow.
+    conditional_clt_sample runs this before any draw."""
     times = np.asarray(times, dtype=float)
     tiny = times[~(times >= MIN_QED_TIME)]
     if tiny.size:

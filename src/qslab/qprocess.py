@@ -20,7 +20,7 @@ import numpy as np
 
 from .chain_model import AbsorbedChain
 from .errors import DegenerateGap, OverflowGuard, ValidationError, ZeroEta
-from .spectral import ErgodicityCertificate, SpectralTriple, log_slope, semigroup
+from .spectral import ErgodicityCertificate, SpectralTriple, semigroup
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,27 +104,6 @@ def q_marginal(qproc: QProcessChain, initial, t: float) -> np.ndarray:
     return np.asarray(initial, dtype=float) @ semigroup(qproc, t)
 
 
-@dataclass(frozen=True)
-class QErgodicityReport:
-    rows: list  # (t, worst weighted deviation ratio, implied C)
-    fitted_rate: float
-
-
-def check_q_ergodicity(qproc: QProcessChain, t_grid) -> QErgodicityReport:
-    """Worst-case weighted deviation of delta_x exp(t L_Q) from beta.
-
-    For each grid time: max_x ||delta_x exp(t L_Q) - beta||_psi / psi(x)
-    and that times e^{gamma t}, with a fitted exponential decay rate.
-    """
-    rows = []
-    for t in np.asarray(t_grid, dtype=float):
-        devs = np.abs(semigroup(qproc, t, lead=qproc.beta)) @ qproc.psi / qproc.psi
-        rows.append((float(t), float(devs.max()),
-                     float(devs.max() * np.exp(qproc.triple.gamma * t))))
-    rate = log_slope([r[0] for r in rows], [r[1] for r in rows])
-    return QErgodicityReport(rows=rows, fitted_rate=rate)
-
-
 def conditional_marginal(chain: AbsorbedChain, mu, t: float, T: float) -> np.ndarray:
     """Law of X_t given survival past T >= t, by two shifted exponentials;
     a law that is not finite raises, and so does, through expm, a time past
@@ -183,9 +162,3 @@ def conditional_vs_q_gap(qproc: QProcessChain, mu, t: float, T: float,
         threshold_ok=bool(T >= threshold),
     )
 
-
-def fit_gap_rate(qproc: QProcessChain, mu, t: float, dT_list, cert: ErgodicityCertificate):
-    """Sweep T - t under the run's certificate and regress log gap; returns
-    (slope, reports)."""
-    reports = [conditional_vs_q_gap(qproc, mu, t, t + dT, cert) for dT in dT_list]
-    return log_slope(dT_list, [r.tv_gap for r in reports]), reports

@@ -103,14 +103,6 @@ def solve_spectral(chain: AbsorbedChain) -> SpectralTriple:
     return SpectralTriple(lambda0=float(lambda0), alpha=alpha, eta=eta, gamma=float(gamma))
 
 
-def weighted_norm(signed_measure, psi) -> float:
-    """sum_x |m(x)| psi(x): the exact supremum of |m(f)| over |f| <= psi,
-    attained at f = sign(m) * psi."""
-    m = np.asarray(signed_measure, dtype=float)
-    psi = np.asarray(psi, dtype=float)
-    return float(np.abs(m) @ psi)
-
-
 def log_slope(x, y) -> float:
     """Least-squares slope of log y against x over the points with y > 0;
     nan when those points hold fewer than two distinct x, where no line
@@ -123,12 +115,14 @@ def log_slope(x, y) -> float:
     return float("nan")
 
 
-def default_time_grid(gamma: float, n_points: int = 12) -> np.ndarray:
-    """{0} followed by a geometric sweep out to 6/gamma; more than
-    MAX_GRID_POINTS points raise BudgetExceeded before the grid is built."""
+def default_time_grid(gamma: float, n_points: int = 12, end=None) -> np.ndarray:
+    """{0} followed by a geometric sweep from 0.1/gamma out to end, by
+    default 6/gamma; more than MAX_GRID_POINTS points raise BudgetExceeded
+    before the grid is built."""
     if n_points > MAX_GRID_POINTS:
         raise BudgetExceeded(f"{n_points} grid times exceed the ceiling of {MAX_GRID_POINTS}")
-    return np.concatenate([[0.0], np.geomspace(0.1 / gamma, 6.0 / gamma, n_points)])
+    end = 6.0 / gamma if end is None else end
+    return np.concatenate([[0.0], np.geomspace(0.1 / gamma, end, n_points)])
 
 
 def check_time(t: float) -> None:

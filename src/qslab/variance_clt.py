@@ -1,5 +1,5 @@
-"""Asymptotic variance, explicit constant sequences, and exact conditional
-moment / characteristic-function oracles for additive functionals.
+"""Asymptotic variance and exact conditional moment / characteristic-function
+oracles for additive functionals.
 
 sigma2_poisson solves L_Q g = -f_centered with beta(g) = 0 (one bordered
 linear solve) and returns sigma^2 = 2 beta(f_centered * g); the independent
@@ -20,9 +20,8 @@ perturbation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 from scipy.linalg import expm, lu_factor, lu_solve
@@ -30,7 +29,7 @@ from scipy.linalg import expm, lu_factor, lu_solve
 from .chain_model import AbsorbedChain
 from .errors import OverflowGuard, SingularSolve, ValidationError
 from .qprocess import QProcessChain
-from .spectral import ErgodicityCertificate, check_time, log_slope, semigroup, squarings
+from .spectral import check_time, semigroup, squarings
 
 K_MAX = 8
 
@@ -132,73 +131,6 @@ def sigma2_quadrature(qproc: QProcessChain, f):
     rounding = (n * np.finfo(float).eps * H * np.abs(LQ).sum(axis=1).max()
                 * np.abs(bft).sum() * np.abs(ft).max())
     return value, float(H), float(tail + rounding)
-
-
-# ---------------------------------------------------------------------------
-# explicit constant sequences
-
-@dataclass(frozen=True, eq=False)
-class ConstantsTable:
-    C: float
-    gamma: float
-    c: float
-    C1: float
-    D: np.ndarray    # D[k-1] = D_k, k = 1..K
-    Ck: np.ndarray   # Ck[k-1] = C_k, k = 1..K
-
-    def even_moment_bound(self, k: int, mu_psi: float, t: float) -> float:
-        """(2k)! D_k C_1 k/(k-1)! * mu(psi)/t."""
-        return (factorial(2 * k) * self.D[k - 1] * self.C1 * k
-                / factorial(k - 1) * mu_psi / t)
-
-    def odd_moment_coefficient(self, k: int) -> float:
-        """Prefactor scale for m_{2k+1}/t^{k+1/2} <= coeff * mu(psi)/sqrt(t);
-        the k = 0 case uses C/(c gamma) since (k-1)! is undefined there."""
-        if k == 0:
-            return self.C / (self.c * self.gamma)
-        return factorial(2 * k + 1) * self.D[k - 1] * self.C1 * k / factorial(k - 1)
-
-
-def constants_table(cert: ErgodicityCertificate, qproc: QProcessChain,
-                    K: int = K_MAX) -> ConstantsTable:
-    """Evaluate the explicit sequences in exact rational arithmetic.
-
-    D_1 = max(C^2/c, C beta(psi)/(c^2 gamma)),
-    D_k = (r^{k-1} or 1, whichever is larger) * D_1 with r = (C/gamma)(1 + beta(psi)/c),
-    C_1 = 1/gamma + 1/gamma^2,  C_k = C_1/(k-1)! + C_1/(k-2)!  (k >= 2).
-
-    The closed forms are checked against their recursions exactly (Fraction
-    arithmetic on the binary float inputs) before the floats are returned.
-    """
-    if K < 1:
-        raise ValidationError("need K >= 1")
-    C = Fraction(float(cert.C))
-    g = Fraction(float(cert.gamma))
-    c = Fraction(float(qproc.c))
-    bp = Fraction(float(qproc.beta @ qproc.psi))
-    D1 = max(C * C / c, C * bp / (c * c * g))
-    r = (C / g) * (1 + bp / c)
-    D_closed = [max(r ** (k - 1), Fraction(1)) * D1 for k in range(1, K + 1)]
-    D_rec = [D1]
-    for k in range(2, K + 1):
-        D_rec.append(max(D_rec[-1] * r, D1))
-    C1 = 1 / g + 1 / (g * g)
-    Ck_closed = [C1] + [C1 / factorial(k - 1) + C1 / factorial(k - 2) for k in range(2, K + 1)]
-    Ck_rec = [C1]
-    for k in range(2, K + 1):
-        Ck_rec.append(Ck_rec[-1] / (k - 1) + C1 / factorial(k - 1))
-    for k in range(K):
-        if D_closed[k] != D_rec[k]:
-            raise SingularSolve(f"D_{k + 1} closed form disagrees with recursion")
-        if Ck_closed[k] != Ck_rec[k]:
-            raise SingularSolve(f"C_{k + 1} closed form disagrees with recursion")
-        if Ck_closed[k] != C1 * (k + 1) / factorial(k):
-            raise SingularSolve(f"C_{k + 1} identity C_1 k/(k-1)! fails")
-    return ConstantsTable(
-        C=float(C), gamma=float(g), c=float(c), C1=float(C1),
-        D=np.array([float(d) for d in D_closed]),
-        Ck=np.array([float(v) for v in Ck_closed]),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -341,70 +273,6 @@ def _pade13(L, f, K: int, h: float) -> np.ndarray:
     return E
 
 
-def _positive_times(t_grid) -> np.ndarray:
-    """t_grid as an array, refused unless every time is finite and positive:
-    the normalised checks divide by powers of t."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    if not np.all((t_grid > 0) & (t_grid < np.inf)):
-        raise ValidationError(f"normalised checks need finite times t > 0, got {t_grid}")
-    return t_grid
-
-
-@dataclass(frozen=True, eq=False)
-class MomentReport:
-    k: int
-    t_grid: np.ndarray
-    values: np.ndarray       # m_{2k}/t^k resp. m_{2k+1}/t^{k+1/2}
-    limit: float
-    errors: np.ndarray
-    fitted_rate: float
-    bounds: Optional[np.ndarray] = None
-    bounds_ok: bool = True
-    prefactor_hat: float = float("nan")
-
-
-def check_even_moment_limit(qproc: QProcessChain, mu, f, k: int, t_grid,
-                            sigma2: float,
-                            constants: Optional[ConstantsTable] = None) -> MomentReport:
-    """Compare the Q-process's m_{2k}(t)/t^k with (2k)! sigma^{2k} / (k! 2^k) on a grid.
-
-    f must already be centered (the theorems are stated for beta(f) = 0).
-    When a constants table is supplied, each error is also checked against
-    the explicit bound with mu(psi) for the Q-process's psi.
-    """
-    if k < 1:
-        raise ValidationError("even-moment check needs k >= 1")
-    t_grid = _positive_times(t_grid)
-    limit = factorial(2 * k) * sigma2 ** k / (factorial(k) * 2 ** k)
-    mvs = exact_conditional_moments(qproc, mu, f, 2 * k, t_grid)
-    vals = np.array([mv.m[2 * k] / t ** k for mv, t in zip(mvs, t_grid)])
-    errs = np.abs(vals - limit)
-    bounds = None
-    ok = True
-    if constants is not None:
-        mu_psi = float(np.asarray(mu, dtype=float) @ qproc.psi)
-        bounds = np.array([constants.even_moment_bound(k, mu_psi, t) for t in t_grid])
-        ok = bool(np.all(errs <= bounds))
-    return MomentReport(k=k, t_grid=t_grid, values=vals, limit=float(limit),
-                        errors=errs, fitted_rate=log_slope(np.log(t_grid), errs),
-                        bounds=bounds, bounds_ok=ok)
-
-
-def check_odd_moment_decay(qproc: QProcessChain, mu, f, k: int, t_grid) -> MomentReport:
-    """Report m_{2k+1}(t)/t^{k+1/2} on the grid with its fitted decay rate
-    and the empirical prefactor max_t |value| sqrt(t)/mu(psi) (the theorem
-    fixes only the 1/sqrt(t) speed, not the constant)."""
-    t_grid = _positive_times(t_grid)
-    mu = np.asarray(mu, dtype=float)
-    mvs = exact_conditional_moments(qproc, mu, f, 2 * k + 1, t_grid)
-    vals = np.array([mv.m[2 * k + 1] / t ** (k + 0.5) for mv, t in zip(mvs, t_grid)])
-    errs = np.abs(vals)
-    mu_psi = float(mu @ qproc.psi)
-    pref = float(np.max(errs * np.sqrt(t_grid)) / mu_psi) if mu_psi > 0 else float("nan")
-    return MomentReport(k=k, t_grid=t_grid, values=vals, limit=0.0, errors=errs,
-                        fitted_rate=log_slope(np.log(t_grid), errs), prefactor_hat=pref)
-
-
 def _tilted_law(L, mu, f, z, t) -> np.ndarray:
     """expm(t (L^T + i z diag f)) mu: the law at t of the chain started from
     mu, weighted by e^{i z int_0^t f(X_s) ds} (complex z allowed).  A t past
@@ -436,62 +304,3 @@ def _conditional_charfuns(gen, mu, f, omegas_over_sqrt_t, t: float) -> list:
     if not (p > 0 and np.all(np.isfinite([p, *laws]))):
         raise OverflowGuard(f"characteristic function is not finite at t={t}")
     return [complex(z / p) for z in laws]
-
-
-# ---------------------------------------------------------------------------
-# uniform characteristic-function bound
-
-def sup_over_weight_ball(d: np.ndarray, psi: np.ndarray) -> float:
-    """sup over real |g| <= psi of |sum_x g(x) d(x)| for complex d, exactly.
-
-    As |z| = max_theta Re(e^{-i theta} z), the sup is the max over theta of
-    Re(e^{-i theta} S) with S = sum_x s psi d, s = sign(Re(e^{-i theta} d));
-    s changes only at the breakpoints (arg d + pi/2) mod pi.  Flipping one sign
-    per breakpoint in increasing order from s at theta = 0+ (sign of Re d, ties
-    by Im d) visits every arc's S, so max |S| >= sup, and each S is the value
-    of a feasible g, so max |S| <= sup."""
-    s = np.sign(np.where(d.real != 0, d.real, d.imag))
-    v = psi * s * d  # Re v > 0, or v on the positive imaginary axis
-    v = v[np.argsort(np.angle(v))]  # angle = breakpoint - pi/2
-    return float(np.abs(v.sum() - 2.0 * np.cumsum(v)).max())  # ends at -S(0+), theta = pi
-
-
-@dataclass(frozen=True)
-class CharfunBoundReport:
-    rows: list            # (t, sup_gap, bound, conv_gap)
-    all_bounded: bool
-
-
-def check_uniform_charfun_bound(qproc: QProcessChain, cert: ErgodicityCertificate,
-                                mu, f, omega: float, t_grid,
-                                sigma2: float) -> CharfunBoundReport:
-    """For each t: the exact sup over ||g||_{L^inf(psi)} <= 1 of
-
-        | E_mu^Q[e^{i omega S_t/sqrt(t)} g(X_t)] - beta(g) E_mu^Q[e^{i omega S_t/sqrt(t)}] |
-
-    (f centered internally, S_t its running integral), checked against
-    C mu(psi) e^{-gamma t} + (C |omega|/sqrt(t)) (beta(psi) + C mu(psi)) / gamma
-    with the certified constants, plus the distance of the weighted law to
-    its Gaussian-limit target beta(g) e^{-sigma^2 omega^2 / 2} for the
-    given sigma^2 (the run's Poisson value)."""
-    t_grid = _positive_times(t_grid)
-    ft = make_observable(qproc, f).f_centered
-    mu = np.asarray(mu, dtype=float)
-    C, gamma = cert.C, cert.gamma
-    psi = qproc.psi
-    mu_psi = float(mu @ psi)
-    beta_psi = float(qproc.beta @ psi)
-    rows = []
-    ok = True
-    for t in t_grid:
-        wp = omega / np.sqrt(t)
-        m = _tilted_law(qproc.q_generator, mu, ft, wp, t)
-        z = m.sum()
-        sup_gap = sup_over_weight_ball(m - qproc.beta * z, psi)
-        bound = C * mu_psi * np.exp(-gamma * t) \
-            + (C * abs(omega) / np.sqrt(t)) * (beta_psi + C * mu_psi) / gamma
-        conv_gap = sup_over_weight_ball(
-            m - qproc.beta * np.exp(-sigma2 * omega ** 2 / 2.0), psi)
-        ok = ok and sup_gap <= bound
-        rows.append((float(t), float(sup_gap), float(bound), float(conv_gap)))
-    return CharfunBoundReport(rows=rows, all_bounded=bool(ok))

@@ -18,6 +18,8 @@ from scipy.linalg import expm
 
 import qslab
 
+import paper_checks
+
 F1 = np.array([1.0, -1.0])
 
 
@@ -116,16 +118,15 @@ def test_criterion_05_even_moments(m2sym_qproc, bd5_bundle, bd5_triple,
     # BD5: slopes and explicit bounds for k = 1, 2, 3
     obs = qslab.make_observable(bd5_qproc, bd5_bundle.f)
     sigma2 = qslab.sigma2_poisson(bd5_qproc, obs, with_quadrature=False).sigma2
-    tab = qslab.constants_table(certs["bd5"], bd5_qproc)
     beta = bd5_qproc.beta
+    ts = [20.0, 40.0, 80.0, 160.0]
     slopes = []
     for k in (1, 2, 3):
-        rep = qslab.check_even_moment_limit(
-            bd5_qproc, beta, obs.f_centered, k, [20.0, 40.0, 80.0, 160.0],
-            sigma2, constants=tab)
-        assert -1.3 <= rep.fitted_rate <= -0.8, f"k={k}: slope {rep.fitted_rate}"
-        assert rep.bounds_ok
-        slopes.append(rep.fitted_rate)
+        errs, rate = paper_checks.even_moment_errors(
+            bd5_qproc, beta, obs.f_centered, k, ts, sigma2)
+        assert -1.3 <= rate <= -0.8, f"k={k}: slope {rate}"
+        assert np.all(errs <= paper_checks.even_moment_bounds(certs["bd5"], bd5_qproc, beta, k, ts))
+        slopes.append(rate)
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
     print(f"[PASS] criterion 5: M2SYM closed form within {worst:.3g} (tol 1e-9); "
@@ -137,27 +138,27 @@ def test_criterion_06_odd_moments(m2asym_qproc):
     mu = np.array([1.0, 0.0])
     rates = []
     for k in (0, 1):
-        rep = qslab.check_odd_moment_decay(
+        _, rate = paper_checks.odd_moment_decay(
             m2asym_qproc, mu, F1, k, [20.0, 40.0, 80.0, 160.0])
-        assert -0.7 <= rep.fitted_rate <= -0.3, f"k={k}: rate {rep.fitted_rate}"
-        rates.append(rep.fitted_rate)
+        assert -0.7 <= rate <= -0.3, f"k={k}: rate {rate}"
+        rates.append(rate)
     print(f"[PASS] criterion 6: odd-moment decay rates "
           f"{[f'{r:.3f}' for r in rates]} in [-0.7,-0.3] (M2ASYM, delta_1)")
 
 
 def test_criterion_07_constants_exact(m2sym_qproc, bd5_qproc, certs):
-    # constants_table verifies closed form vs recursion vs factorial identity
-    # in exact rational arithmetic and raises on any mismatch
+    # the closed forms in exact rational arithmetic; test_variance_clt
+    # compares them with their recursions
     for name, qp in (("m2sym", m2sym_qproc), ("bd5", bd5_qproc)):
-        tab = qslab.constants_table(certs[name], qp, K=8)
-        g = Fraction(float(tab.gamma))
+        tab_C1, _, tab_Ck = paper_checks.constants(certs[name], qp, K=8)
+        g = Fraction(float(certs[name].gamma))
         C1 = 1 / g + 1 / g ** 2
-        assert tab.C1 == float(C1)
+        assert tab_C1 == float(C1)
         for k in range(1, 9):
             # exact rational identity, rounded once to a double at the end
-            assert tab.Ck[k - 1] == float(C1 * k / factorial(k - 1))
-    print("[PASS] criterion 7: D_k and C_k closed forms, recursions and the "
-          "C_k = C_1 k/(k-1)! identity agree exactly (Fractions, k <= 8)")
+            assert tab_Ck[k - 1] == float(C1 * k / factorial(k - 1))
+    print("[PASS] criterion 7: C_1 and the C_k = C_1 k/(k-1)! identity hold "
+          "exactly (Fractions, k <= 8)")
 
 
 def test_criterion_08_uniform_charfun_bound(m2sym_qproc, bd5_qproc, certs):
@@ -167,10 +168,9 @@ def test_criterion_08_uniform_charfun_bound(m2sym_qproc, bd5_qproc, certs):
         mu = np.eye(qp.n)[0]
         sigma2 = qslab.sigma2_poisson(qp, f, with_quadrature=False).sigma2
         for omega in (0.5, 1.0, 2.0):
-            rep = qslab.check_uniform_charfun_bound(
+            sup_gaps, bounds, convs = paper_checks.charfun_bound(
                 qp, certs[name], mu, f, omega, [10.0, 40.0, 160.0], sigma2)
-            assert rep.all_bounded, f"{name}, omega={omega}"
-            convs = [row[3] for row in rep.rows]
+            assert np.all(sup_gaps <= bounds), f"{name}, omega={omega}"
             for a, b in zip(convs, convs[1:]):
                 assert b <= 1.1 * a, f"{name}, omega={omega}: {convs}"
             checked += 1
@@ -224,7 +224,7 @@ def test_criterion_10_monte_carlo_clt(m2sym_bundle, m2sym_qproc):
 
 def test_criterion_11_conditional_gap_rate(m2sym_bundle, m2sym_qproc, m2sym_cert,
                                            m2asym_triple, m2asym_qproc, m2asym_cert):
-    slope, _ = qslab.fit_gap_rate(
+    slope, _ = paper_checks.fit_gap_rate(
         m2asym_qproc, np.array([1.0, 0.0]), 1.0,
         [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], m2asym_cert)
     gamma = m2asym_triple.gamma

@@ -14,6 +14,7 @@ from qslab.chain_model import BUILTIN_MODELS
 from qslab.errors import BudgetExceeded, ValidationError
 
 import oracles
+import paper_checks
 from conftest import make_random_chain
 from test_cli_fuzz import BREAKS, model_documents
 
@@ -158,7 +159,7 @@ def test_bd5_fixture_is_unit_rate_ladder(bd5_bundle):
 
 def test_yaml_roundtrip(tmp_path, bd5_bundle):
     path = tmp_path / "model.yaml"
-    qslab.emit_model_config(bd5_bundle, path)
+    paper_checks.emit_model_config(bd5_bundle, path)
     loaded = qslab.load_model_config(path)
     np.testing.assert_allclose(
         loaded.chain.sub_generator, bd5_bundle.chain.sub_generator, rtol=0, atol=0
@@ -171,7 +172,7 @@ def test_yaml_roundtrip(tmp_path, bd5_bundle):
 
 def test_model_objects_compare_and_hash_by_identity(bd5_bundle, bd5_triple, bd5_qproc):
     """Bundles, chains, triples, Q-processes and the result records (paths,
-    samples, observables, sigma^2, constants, moments, moment reports) hold
+    samples, observables, sigma^2, moments) hold
     numpy arrays, so equality is identity: == gives a bool and hash works,
     where a field-wise == would raise."""
     again = qslab.resolve_model("bd5")
@@ -180,19 +181,15 @@ def test_model_objects_compare_and_hash_by_identity(bd5_bundle, bd5_triple, bd5_
              (bd5_triple, again_triple),
              (bd5_qproc, qslab.h_transform(again.chain, again_triple))]
     chain, qp, mu, f = bd5_bundle.chain, bd5_qproc, bd5_bundle.mu, bd5_bundle.f
-    cert = qslab.certify_ergodicity(chain, bd5_triple, bd5_bundle.psi1,
-                                    qslab.default_time_grid(bd5_triple.gamma))
     makers = (lambda: oracles.simulate_absorbed(chain, mu, 5.0, (1, 0)),
               lambda: qslab.conditional_clt_sample(qp, mu, f, 5.0, 50, seed=1),
               lambda: qslab.make_observable(qp, f),
               lambda: qslab.sigma2_poisson(qp, f, with_quadrature=False),
-              lambda: qslab.constants_table(cert, qp, K=4),
-              lambda: qslab.exact_conditional_moments(chain, mu, f, 2, 5.0),
-              lambda: qslab.check_odd_moment_decay(qp, qp.beta, f, 1, [10.0, 20.0]))
+              lambda: qslab.exact_conditional_moments(chain, mu, f, 2, 5.0))
     pairs += [(make(), make()) for make in makers]
     assert [type(obj).__name__ for obj, _ in pairs[4:]] == [
         "Trajectory", "EmpiricalDistribution", "AdditiveObservable", "VarianceResult",
-        "ConstantsTable", "MomentValues", "MomentReport"]
+        "MomentValues"]
     for obj, twin in pairs:
         assert (obj == obj) is True and (obj == twin) is False
         assert hash(obj) == hash(obj) and len({obj, twin}) == 2
@@ -271,7 +268,7 @@ def test_c_and_python_yaml_loaders_give_equal_bundles(tmp_path, monkeypatch):
     mu = rng.uniform(0.5, 1.5, 40)
     dense = chain_model.ModelBundle(chain=chain, psi1=np.ones(40), mu=mu / mu.sum(),
                                     f=rng.uniform(-1.0, 1.0, 40), name="dense40")
-    qslab.emit_model_config(dense, tmp_path / "dense.yaml")
+    paper_checks.emit_model_config(dense, tmp_path / "dense.yaml")
     (tmp_path / "bd.yaml").write_text(
         "name: ladder\n"
         "birth_death:\n"
@@ -383,7 +380,7 @@ def test_model_files_are_read_without_yaml_load(tmp_path, monkeypatch, loader, b
     rows = "".join("  - [" + ", ".join(re.sub(r"^(-?[0-9]+)e", r"\1.0e", repr(v)) for v in row)
                    + "]\n" for row in L.tolist())
     (tmp_path / "dense.yaml").write_text(f"name: dense-30\ngenerator:\n{rows}")
-    qslab.emit_model_config(bd5_bundle, tmp_path / "bd5.yaml")
+    paper_checks.emit_model_config(bd5_bundle, tmp_path / "bd5.yaml")
     calls = _count_yaml_loads(monkeypatch)
     dense = qslab.load_model_config(tmp_path / "dense.yaml")
     again = qslab.load_model_config(tmp_path / "bd5.yaml")
@@ -530,5 +527,5 @@ def test_generated_chains_keep_the_q_process_and_yaml_invariants(bundle):
     assert np.abs(qp.beta @ qp.q_generator).max() <= 1e-12 * scale
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.yaml"
-        qslab.emit_model_config(bundle, path)
+        paper_checks.emit_model_config(bundle, path)
         _assert_same_bundle(qslab.load_model_config(path), bundle)

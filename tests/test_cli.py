@@ -334,6 +334,24 @@ def test_non_finite_oracles_are_overflow_errors(tmp_path, capsys, cycle_model, m
     assert not out.exists()
 
 
+def test_rates_past_sqrt_dbl_max_are_overflow_errors(tmp_path, capsys):
+    """The symmetric form multiplies opposite rates: at 4e154 the product
+    overflowed and eigh ended in a ValueError traceback, so spectral and all
+    exit 4.  Rates of 1e154 lie below sqrt(DBL_MAX) = 1.34e154 and are
+    served with no warning, although the diagonal's squares overflow."""
+    model = tmp_path / "huge.yaml"
+    model.write_text("generator: [[-8.0e154, 4.0e154], [4.0e154, -8.0e154]]\n")
+    for cmd in ("spectral", "all"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([cmd, "--model", str(model), "--out", str(tmp_path / cmd)]) == 4
+        assert capsys.readouterr().err.startswith("error: overflow-guard: ")
+    model.write_text("generator: [[-2.0e154, 1.0e154], [1.0e154, -2.0e154]]\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["spectral", "--model", str(model), "--out", str(tmp_path / "o")]) == 0
+
+
 def test_reversible_conditional_marginal_has_no_rounding_floor(tmp_path):
     """On bd5 the conditioned law at t given survival to T = 1e300 is the
     Q-process marginal: the eigenbasis sends every other mode to 0."""
@@ -385,7 +403,8 @@ def test_huge_birth_death_file_is_refused_before_it_is_built(tmp_path):
     ("clt", "--n", "10000000000"),
     ("qed", "--n", "10000000000"),
     ("certify", "--tpoints", "1000000000000"),
-], ids=["clt", "qed", "certify"])
+    ("certify", "--tmax", "10", "--tpoints", "100001"),
+], ids=["clt", "qed", "certify", "certify-tmax"])
 def test_huge_counts_are_refused_before_they_allocate(tmp_path, argv):
     """10^10 replicas would need 74.5 GiB of samples (224 GiB for qed's three
     horizons) and 10^12 grid times 7.28 TiB; each exits 4 with a coded
@@ -492,13 +511,16 @@ def test_qed_at_one_repeated_time_writes_no_rate(tmp_path):
 
 def test_qed_refuses_a_time_whose_square_underflows(tmp_path):
     """At t = 1e-200 both t^2 and the exact second moment underflow to 0,
-    and the exact column was 0/0 = nan; a time below 2^-511 exits 3 and
-    names the time, while 2^-511 itself is served."""
+    and the exact column was 0/0 = nan; at t = 1e-250 clt's statistic
+    sqrt(t) S_t / t underflowed, so it wrote 0 where the samples are about
+    1e-125.  A time below 2^-511 exits 3 and names the time, while 2^-511
+    itself is served."""
     out = tmp_path / "o"
-    r = run_cli("qed", "--model", "m2sym", "--times", "1e-200,1e-100", "--out", str(out))
-    assert r.returncode == 3
-    assert r.stderr.startswith("error: validation: time t=1e-200 ")
-    assert not out.exists()
+    for argv in (("qed", "--times", "1e-200,1e-100"), ("clt", "--t", "1e-250", "--n", "6")):
+        r = run_cli(argv[0], "--model", "m2sym", *argv[1:], "--out", str(out))
+        assert r.returncode == 3
+        assert r.stderr.startswith(f"error: validation: time t={argv[2].split(',')[0]} ")
+        assert not out.exists()
     r = run_cli("qed", "--model", "bd5", "--times", f"{2.0 ** -511!r},1", "--n", "100",
                 "--out", str(out))
     assert r.returncode == 0, r.stderr

@@ -6,6 +6,8 @@ import qslab
 from qslab.errors import NumericalError, ValidationError
 from qslab.spectral import certification_profile
 
+import paper_checks
+
 
 def test_m2sym_transform_is_exact(m2sym_qproc):
     # eta = 1, lambda0 = 1: the transform only removes the killing
@@ -124,17 +126,17 @@ def test_q_marginal_basics(m2sym_qproc):
 
 def test_q_ergodicity_m2sym_decay_is_pure_exponential(m2sym_qproc):
     grid = [0.0, 0.5, 1.0, 2.0, 4.0]
-    rep = qslab.check_q_ergodicity(m2sym_qproc, grid)
-    for t, dev, implied in rep.rows:
+    devs, rate = paper_checks.q_ergodicity(m2sym_qproc, grid)
+    for t, dev in zip(grid, devs):
         assert abs(dev - np.exp(-2.0 * t)) < 1e-12
-        assert abs(implied - 1.0) < 1e-10
-    assert abs(rep.fitted_rate + 2.0) < 1e-9
+        assert abs(dev * np.exp(2.0 * t) - 1.0) < 1e-10
+    assert abs(rate + 2.0) < 1e-9
 
 
 def test_q_ergodicity_bd5_rate_near_gamma(bd5_qproc):
     gamma = bd5_qproc.triple.gamma
-    rep = qslab.check_q_ergodicity(bd5_qproc, np.array([5.0, 10.0, 15.0]) / gamma)
-    assert abs(rep.fitted_rate + gamma) < 0.05 * gamma
+    _, rate = paper_checks.q_ergodicity(bd5_qproc, np.array([5.0, 10.0, 15.0]) / gamma)
+    assert abs(rate + gamma) < 0.05 * gamma
 
 
 def test_q_ergodicity_implied_c_is_the_certificate_profile(
@@ -146,11 +148,11 @@ def test_q_ergodicity_implied_c_is_the_certificate_profile(
         triple = qslab.solve_spectral(chain)
         psi1 = 1.0 + np.arange(chain.n) / chain.n
         grid = qslab.default_time_grid(triple.gamma)
-        rep = qslab.check_q_ergodicity(qslab.h_transform(chain, triple, psi1), grid)
+        devs, _ = paper_checks.q_ergodicity(qslab.h_transform(chain, triple, psi1), grid)
         profile = certification_profile(chain, triple, psi1, grid)
-        for (t, _, implied), (t_cert, ratio) in zip(rep.rows, profile):
+        for t, dev, (t_cert, ratio) in zip(grid, devs, profile):
             assert t == t_cert
-            assert abs(implied - ratio) <= 1e-10 * ratio
+            assert abs(dev * np.exp(triple.gamma * t) - ratio) <= 1e-10 * ratio
 
 
 def test_conditional_marginal_at_equal_horizons(bd5_bundle):
@@ -210,7 +212,7 @@ def test_gap_respects_bound_past_threshold(m2asym_qproc, m2asym_cert):
 
 
 def test_gap_rate_matches_gamma(m2asym_triple, m2asym_qproc, m2asym_cert):
-    slope, reports = qslab.fit_gap_rate(
+    slope, reports = paper_checks.fit_gap_rate(
         m2asym_qproc, np.array([1.0, 0.0]), 1.0,
         [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], m2asym_cert,
     )

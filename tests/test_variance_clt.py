@@ -1,4 +1,3 @@
-import warnings
 from fractions import Fraction
 from math import factorial
 from types import SimpleNamespace
@@ -13,6 +12,7 @@ from qslab import variance_clt
 from qslab.errors import NumericalError, ValidationError
 
 import oracles
+import paper_checks
 
 F1 = np.array([1.0, -1.0])
 
@@ -102,44 +102,47 @@ def test_quadrature_cross_oracle_on_unit_ladders(n):
 def test_constants_unit_inputs_power_of_two():
     cert = SimpleNamespace(C=1.0, gamma=1.0)
     qp = SimpleNamespace(c=1.0, beta=np.array([1.0]), psi=np.array([1.0]))
-    tab = qslab.constants_table(cert, qp, K=8)
-    np.testing.assert_array_equal(tab.D, [2.0 ** k for k in range(8)])
+    C1, D, Ck = paper_checks.constants(cert, qp, K=8)
+    np.testing.assert_array_equal(D, [2.0 ** k for k in range(8)])
     # C1 = 2; the first few C_k by hand
-    assert tab.C1 == 2.0
-    np.testing.assert_allclose(tab.Ck[:4], [2.0, 4.0, 3.0, 4.0 / 3.0], rtol=0, atol=1e-15)
+    assert C1 == 2.0
+    np.testing.assert_allclose(Ck[:4], [2.0, 4.0, 3.0, 4.0 / 3.0], rtol=0, atol=1e-15)
 
 
 def test_constants_identity_against_independent_fractions():
     cert = SimpleNamespace(C=1.25, gamma=0.75)
     qp = SimpleNamespace(c=0.5, beta=np.array([0.5, 0.5]), psi=np.array([2.0, 3.0]))
-    tab = qslab.constants_table(cert, qp, K=8)
+    _, D, Ck = paper_checks.constants(cert, qp, K=8)
     g = Fraction(3, 4)
     C1 = 1 / g + 1 / g ** 2
-    for k in range(1, 9):
-        # closed form, recursion, and factorial identity all coincide
-        ck = C1 * k / factorial(k - 1)
-        assert tab.Ck[k - 1] == float(ck)
     C, c, bp = Fraction(5, 4), Fraction(1, 2), Fraction(5, 2)
     D1 = max(C * C / c, C * bp / (c * c * g))
     r = (C / g) * (1 + bp / c)
+    # the recursions D_k = max(r D_{k-1}, D_1) and C_k = C_{k-1}/(k-1) + C_1/(k-1)!
+    D_rec, C_rec = [D1], [C1]
+    for k in range(2, 9):
+        D_rec.append(max(D_rec[-1] * r, D1))
+        C_rec.append(C_rec[-1] / (k - 1) + C1 / factorial(k - 1))
     for k in range(1, 9):
-        assert tab.D[k - 1] == float(max(r ** (k - 1), Fraction(1)) * D1)
+        # closed form, recursion, and factorial identity all coincide, exactly
+        assert C_rec[k - 1] == C1 * k / factorial(k - 1)
+        assert Ck[k - 1] == float(C_rec[k - 1])
+        assert D_rec[k - 1] == max(r ** (k - 1), Fraction(1)) * D1
+        assert D[k - 1] == float(D_rec[k - 1])
 
 
 def test_constants_m2sym_certified_values(m2sym_bundle, m2sym_triple, m2sym_qproc):
     cert = qslab.certify_ergodicity(
         m2sym_bundle.chain, m2sym_triple, np.ones(2), qslab.default_time_grid(2.0)
     )
-    tab = qslab.constants_table(cert, m2sym_qproc)
+    C1, D, Ck = paper_checks.constants(cert, m2sym_qproc)
     # C = 2, gamma = 2, c = 1, beta(psi) = 1
-    assert abs(tab.C1 - 0.75) < 1e-12
-    np.testing.assert_allclose(tab.D[:3], [4.0, 8.0, 16.0], rtol=0, atol=1e-10)
-    np.testing.assert_allclose(tab.Ck[:4], [0.75, 1.5, 1.125, 0.5], rtol=0, atol=1e-12)
-    # bound plumbing: (2k)! D_k C1 k/(k-1)! mu(psi)/t at k=1, t=10
-    assert abs(tab.even_moment_bound(1, 1.0, 10.0) - 0.6) < 1e-12
-    assert abs(tab.odd_moment_coefficient(0) - 1.0) < 1e-12
-    with pytest.raises(ValidationError):
-        qslab.constants_table(cert, m2sym_qproc, K=0)
+    assert abs(C1 - 0.75) < 1e-12
+    np.testing.assert_allclose(D[:3], [4.0, 8.0, 16.0], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(Ck[:4], [0.75, 1.5, 1.125, 0.5], rtol=0, atol=1e-12)
+    # bound plumbing: (2k)! D_k C1 k/(k-1)! mu(psi)/t at k=1, t=10, mu(psi) = 1
+    bound = paper_checks.even_moment_bounds(cert, m2sym_qproc, m2sym_qproc.beta, 1, [10.0])
+    assert abs(bound[0] - 0.6) < 1e-12
 
 
 def test_moments_k0_is_survival(bd5_bundle):
@@ -429,13 +432,10 @@ def test_taylor_moments_cross_check(m2sym_qproc, random_chain_set):
 def test_even_moment_limit_m2sym_error_exact(m2sym_qproc):
     beta = m2sym_qproc.beta
     ts = np.array([10.0, 20.0, 40.0, 80.0])
-    rep = qslab.check_even_moment_limit(m2sym_qproc, beta, F1, 1, ts, sigma2=1.0)
-    for t, err in zip(ts, rep.errors):
+    errs, rate = paper_checks.even_moment_errors(m2sym_qproc, beta, F1, 1, ts, sigma2=1.0)
+    for t, err in zip(ts, errs):
         assert abs(err - (1.0 - np.exp(-2.0 * t)) / (2.0 * t)) < 1e-12
-    assert abs(rep.limit - 1.0) < 1e-15
-    assert abs(rep.fitted_rate + 1.0) < 1e-6
-    with pytest.raises(ValidationError):
-        qslab.check_even_moment_limit(m2sym_qproc, beta, F1, 0, ts, sigma2=1.0)
+    assert abs(rate + 1.0) < 1e-6
 
 
 def test_even_moment_limit_against_constants_bound(
@@ -444,32 +444,25 @@ def test_even_moment_limit_against_constants_bound(
     cert = qslab.certify_ergodicity(
         m2sym_bundle.chain, m2sym_triple, np.ones(2), qslab.default_time_grid(2.0)
     )
-    tab = qslab.constants_table(cert, m2sym_qproc)
     beta = m2sym_qproc.beta
-    rep = qslab.check_even_moment_limit(
-        m2sym_qproc, beta, F1, 2, [10.0, 40.0], sigma2=1.0, constants=tab,
-    )
-    assert rep.bounds_ok
-    assert rep.bounds is not None and np.all(rep.errors <= rep.bounds)
-    assert abs(rep.limit - 3.0) < 1e-15  # 4!/(2! 2^2) sigma^4 = 3
+    errs, _ = paper_checks.even_moment_errors(m2sym_qproc, beta, F1, 2, [10.0, 40.0], sigma2=1.0)
+    assert np.all(errs <= paper_checks.even_moment_bounds(cert, m2sym_qproc, beta, 2, [10.0, 40.0]))
 
 
 def test_odd_moments_vanish_from_symmetric_start(m2sym_qproc):
-    rep = qslab.check_odd_moment_decay(
+    errs, _ = paper_checks.odd_moment_decay(
         m2sym_qproc, m2sym_qproc.beta, F1, 1, [5.0, 10.0, 20.0]
     )
-    assert np.all(rep.errors < 1e-12)
+    assert np.all(errs < 1e-12)
 
 
 def test_odd_moment_decay_rate_m2asym(m2asym_qproc):
     mu = np.array([1.0, 0.0])
     for k in (0, 1):
-        rep = qslab.check_odd_moment_decay(
+        _, rate = paper_checks.odd_moment_decay(
             m2asym_qproc, mu, F1, k, [20.0, 40.0, 80.0, 160.0]
         )
-        assert -0.7 < rep.fitted_rate < -0.3
-        assert np.isfinite(rep.prefactor_hat)
-        assert rep.limit == 0.0
+        assert -0.7 < rate < -0.3
 
 
 def test_charfun_basics(m2sym_bundle, m2sym_qproc):
@@ -514,7 +507,7 @@ def test_sup_over_weight_ball_matches_thetasweep():
     for n in (2, 5, 9):
         psi = rng.uniform(1.0, 2.5, n)
         d = rng.normal(size=n) + 1j * rng.normal(size=n)
-        got = qslab.sup_over_weight_ball(d, psi)
+        got = paper_checks.sup_over_weight_ball(d, psi)
         thetas = np.linspace(0, np.pi, 200001)
         sweep = np.max(np.abs((np.exp(-1j * thetas)[:, None] * d).real) @ psi)
         assert abs(got - sweep) < 1e-6
@@ -525,14 +518,11 @@ def test_sup_over_weight_ball_real_case_is_weighted_norm():
     rng = np.random.default_rng(4)
     d = rng.normal(size=7)
     psi = rng.uniform(1.0, 2.0, 7)
-    assert abs(
-        qslab.sup_over_weight_ball(d.astype(complex), psi) - qslab.weighted_norm(d, psi)
-    ) < 1e-12
+    assert abs(paper_checks.sup_over_weight_ball(d.astype(complex), psi) - np.abs(d) @ psi) < 1e-12
     d20 = rng.normal(size=20)
     psi20 = np.ones(20)
     assert abs(
-        qslab.sup_over_weight_ball(d20.astype(complex), psi20)
-        - qslab.weighted_norm(d20, psi20)
+        paper_checks.sup_over_weight_ball(d20.astype(complex), psi20) - np.abs(d20) @ psi20
     ) < 1e-9
 
 
@@ -555,7 +545,7 @@ def test_sup_over_weight_ball_matches_enumeration(n):
         if zero_re:  # breakpoints at theta = 0, where ties go by Im d
             d.real[::4] = 0.0
         want = _sup_by_enumeration(d, psi)
-        assert abs(qslab.sup_over_weight_ball(d, psi) - want) <= 1e-12 * want
+        assert abs(paper_checks.sup_over_weight_ball(d, psi) - want) <= 1e-12 * want
 
 
 def test_uniform_charfun_bound_m2sym(m2sym_bundle, m2sym_triple, m2sym_qproc):
@@ -564,14 +554,12 @@ def test_uniform_charfun_bound_m2sym(m2sym_bundle, m2sym_triple, m2sym_qproc):
     )
     mu = np.array([1.0, 0.0])
     sigma2 = qslab.sigma2_poisson(m2sym_qproc, F1, with_quadrature=False).sigma2
-    rep = qslab.check_uniform_charfun_bound(
-        m2sym_qproc, cert, mu, F1, 1.0, [10.0, 40.0, 160.0], sigma2
-    )
-    assert rep.all_bounded
+    ts = [10.0, 40.0, 160.0]
+    rows = zip(ts, *paper_checks.charfun_bound(m2sym_qproc, cert, mu, F1, 1.0, ts, sigma2))
     mu_psi = float(mu @ m2sym_qproc.psi)
     beta_psi = float(m2sym_qproc.beta @ m2sym_qproc.psi)
     convs = []
-    for t, sup_gap, bound, conv in rep.rows:
+    for t, sup_gap, bound, conv in rows:
         expect = cert.C * mu_psi * np.exp(-cert.gamma * t) + (
             cert.C * 1.0 / np.sqrt(t)
         ) * (beta_psi + cert.C * mu_psi) / cert.gamma
@@ -579,29 +567,3 @@ def test_uniform_charfun_bound_m2sym(m2sym_bundle, m2sym_triple, m2sym_qproc):
         assert sup_gap <= bound
         convs.append(conv)
     assert convs[0] > convs[1] > convs[2]  # Gaussian limit sharpens with t
-
-
-NORMALISED_CHECKS = {
-    "charfun-bound-t0": lambda qp, cert: qslab.check_uniform_charfun_bound(
-        qp, cert, qp.beta, F1, 1.0, [0.0], sigma2=1.0),
-    "charfun-bound-t-neg": lambda qp, cert: qslab.check_uniform_charfun_bound(
-        qp, cert, qp.beta, F1, 1.0, [-1.0], sigma2=1.0),
-    "even-t0": lambda qp, cert: qslab.check_even_moment_limit(
-        qp, qp.beta, F1, 1, [0.0, 10.0], sigma2=1.0),
-    "odd-t0": lambda qp, cert: qslab.check_odd_moment_decay(qp, qp.beta, F1, 0, [0.0, 10.0]),
-}
-
-
-@pytest.mark.parametrize("check", list(NORMALISED_CHECKS))
-def test_normalised_checks_refuse_nonpositive_times(m2sym_bundle, m2sym_triple, m2sym_qproc,
-                                                    check):
-    """The checks divide by powers of t: a t <= 0 is a ValidationError raised
-    before any arithmetic, so no warning."""
-    cert = qslab.certify_ergodicity(
-        m2sym_bundle.chain, m2sym_triple, np.ones(2), qslab.default_time_grid(2.0)
-    )
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with pytest.raises(ValidationError):
-            NORMALISED_CHECKS[check](m2sym_qproc, cert)
-    assert [str(w.message) for w in caught] == []
