@@ -9,9 +9,10 @@ certify_ergodicity measures, on a time grid, the smallest constant C with
 
 and stores twice the measured maximum as the certified C (grid certification
 cannot exclude slightly larger deviations between grid points; the factor-2
-slack is recorded in the certificate).  semigroup() is the one place that
-picks how e^{tL} is computed: from a reversible chain's symmetric eigenbasis,
-or from scipy's expm, whose squarings set the rounding floor that
+slack is recorded in the certificate).  exponential_basis() is the one
+place that picks how an exponential of a generator is computed: from a
+reversible chain's symmetric eigenbasis, or by Pade scaling and squaring
+(scipy's expm in semigroup()), whose squarings set the rounding floor that
 squarings() enforces.
 """
 
@@ -77,8 +78,10 @@ def solve_spectral(chain: AbsorbedChain) -> SpectralTriple:
     if lambda0 <= 1e-12 * scale:
         if not chain.killing.any():
             raise NoKilling(f"leading eigenvalue {-lambda0} is not strictly negative")
-        raise UnresolvedDecay(f"decay rate {lambda0} lies below the dense spectrum's "
-                              f"resolution 1e-12 ||L|| = {1e-12 * scale:g}")
+        # at this scale -lambda0 is the dense spectrum's rounding, not the chain's rate
+        raise UnresolvedDecay(f"the computed leading eigenvalue {-lambda0} is not below "
+                              f"-1e-12 ||L|| = {-1e-12 * scale:g}, the dense spectrum's "
+                              "resolution, so the decay rate is not resolved")
     if not np.isfinite(gamma) or gamma <= 1e-8 * lambda0:
         raise DegenerateGap(f"spectral gap {gamma} below tolerance")
     if alpha.sum() < 0:
@@ -146,6 +149,19 @@ def squarings(t: float, norm: float, n: int) -> int:
     return s
 
 
+def exponential_basis(gen):
+    """The symmetric basis (w, U, h) that exponentials of gen are read off,
+    or None when they come from the Pade route.  Read off the basis, entry
+    (x, y) of an exponential carries eigh's rounding times h_y / h_x, so a
+    reversible gen whose n eps max h / min h exceeds ROUNDING_FLOOR takes
+    the Pade route too, like every gen that is not reversible."""
+    basis = gen.symmetric_basis
+    if basis is None:
+        return None
+    h = basis[2]
+    return basis if gen.n * np.finfo(float).eps * h.max() <= ROUNDING_FLOOR * h.min() else None
+
+
 def semigroup(gen, t: float, lead=None) -> np.ndarray:
     """e^{tA} for (A, s) = gen.shifted, the generator of an absorbed chain
     or a Q-process shifted by its leading eigenvalue, so that the leading
@@ -156,25 +172,23 @@ def semigroup(gen, t: float, lead=None) -> np.ndarray:
     w_max)}) (U h)^T, and the deviation without its leading mode rather than
     by a subtraction, whose rounding e^{gamma t} would amplify.  Entry (x, y)
     carries eigh's rounding times h_y / h_x.  A deviation has that factor in
-    its own scale; an exponential does not, so one whose n eps max h / min h
-    exceeds ROUNDING_FLOOR comes, like every exponential of a gen that is not
-    reversible, from scipy's expm, after squarings() has checked its
-    rounding floor.  check_time comes first."""
+    its own scale, so it takes any reversible gen's basis; an exponential
+    takes the one exponential_basis() gives, and otherwise comes from
+    scipy's expm, after squarings() has checked its rounding floor.
+    check_time comes first."""
     check_time(t)
-    n, eps = gen.n, np.finfo(float).eps
-    basis = gen.symmetric_basis
+    basis = gen.symmetric_basis if lead is not None else exponential_basis(gen)
     if basis is not None:
         w, U, h = basis
-        if lead is not None or n * eps * h.max() <= ROUNDING_FLOOR * h.min():
-            weights = np.exp(t * (w - w[-1]))  # eigh sorts w ascending
-            if lead is not None:
-                weights[-1] = 0.0
-            # modes below eps times the largest add less than the sum's rounding
-            keep = weights >= eps * weights.max()
-            V = U[:, keep] * np.sqrt(weights[keep])
-            return (V / h[:, None]) @ (V * h[:, None]).T
+        weights = np.exp(t * (w - w[-1]))  # eigh sorts w ascending
+        if lead is not None:
+            weights[-1] = 0.0
+        # modes below eps times the largest add less than the sum's rounding
+        keep = weights >= np.finfo(float).eps * weights.max()
+        V = U[:, keep] * np.sqrt(weights[keep])
+        return (V / h[:, None]) @ (V * h[:, None]).T
     A, _ = gen.shifted
-    squarings(t, np.abs(A).sum(axis=0).max(), n)
+    squarings(t, np.abs(A).sum(axis=0).max(), gen.n)
     E = expm(t * A)
     return E if lead is None else E - lead
 

@@ -3,11 +3,12 @@ spectral triple, Q-process, centred observable and certificate once (the
 sampler, `qed` and the gap check take the run's Q-process); sigma^2 is
 solved once per run (`variance` and `all` write that Poisson value beside the quadrature,
 with no second solve); a reversible chain's triple and semigroups come from
-its symmetric eigenbasis, not from eig and expm; and the moment oracle
+its symmetric eigenbasis, not from eig and expm; the moment oracle
 takes one Pade approximant per dyadic family of times (the default grids of
-`moments` and `qed` are one family each); and the sampler makes one kernel
-pass per method over a run's times, so `all` simulates each replica once
-for `clt` and `qed` together when they share a method.
+`moments` and `qed` are one family each), in that basis too, so that no
+product of the original basis's ring runs; and the sampler makes one
+kernel pass per method over a run's times, so `all` simulates each replica
+once for `clt` and `qed` together when they share a method.
 
 The counting test wraps the expensive primitives wherever a qslab module
 holds them by name and runs `cli.main` in process.  The equality test shows
@@ -76,6 +77,7 @@ def counted_main(monkeypatch, tmp_path, cycle_model, drifted_model, constant_mod
         "eigh": (chain_model, "eigh"),
         "linalg.eig": (np.linalg, "eig"),
         "pade": (variance_clt, "_pade13"),
+        "dense_ring": (variance_clt, "_poly_mul"),
         "passes": (montecarlo, "_batch_statistics"),
     }
 
@@ -118,8 +120,11 @@ def counted_main(monkeypatch, tmp_path, cycle_model, drifted_model, constant_mod
      {"profile": 0, "h_transform": 1, "sigma2_poisson": 1, "variance_clt.expm": 1,
       "linalg.eig": 0}),
     (("moments", "--model", "m2sym"),
-     {"profile": 0, "h_transform": 1, "variance_clt.expm": 0, "eigh": 1, "pade": 1,
-      "shifted": 0}),
+     {"profile": 0, "h_transform": 1, "variance_clt.expm": 0, "eig": 0, "eigh": 1, "pade": 1,
+      "dense_ring": 0, "shifted": 0}),
+    (("moments", "--model", "drifted"),
+     {"h_transform": 1, "variance_clt.expm": 0, "eig": 0, "eigh": 1, "pade": 1,
+      "dense_ring": 0}),
     (("charfun", "--model", "bd5"),
      {"profile": 0, "h_transform": 1, "spectral.expm": 0, "variance_clt.expm": 3,
       "eigvals": 0, "sigma2_poisson": 1, "shifted": 1}),
@@ -136,18 +141,20 @@ def counted_main(monkeypatch, tmp_path, cycle_model, drifted_model, constant_mod
     (("qed", "--model", "bd5", "--n", "300"), {"h_transform": 1, "pade": 1, "passes": 2}),
     (("all", "--model", "m2sym", "--n", "300"),
      {"profile": 1, "h_transform": 1, "spectral.expm": 0, "variance_clt.expm": 4, "eigvals": 0,
-      "linalg.eig": 0, "sigma2_poisson": 1, "eig": 0, "eigh": 1, "pade": 2, "shifted": 1,
-      "passes": 1}),
+      "linalg.eig": 0, "sigma2_poisson": 1, "eig": 0, "eigh": 1, "pade": 2, "dense_ring": 0,
+      "shifted": 1, "passes": 1}),
     (("all", "--model", "bd5", "--n", "300"),
      {"h_transform": 1, "spectral.expm": 0, "variance_clt.expm": 4, "eig": 0, "eigh": 1,
-      "pade": 2, "passes": 2}),
+      "pade": 2, "dense_ring": 0, "passes": 2}),
     (("all", "--model", "drifted", "--n", "300"),
      {"h_transform": 1, "spectral.expm": 0, "variance_clt.expm": 4, "eig": 0, "eigh": 1,
-      "pade": 2, "passes": 1}),
+      "pade": 2, "dense_ring": 0, "passes": 1}),
     (("all", "--model", "cycle", "--n", "300"),
      {"profile": 1, "h_transform": 1, "spectral.expm": 17, "variance_clt.expm": 4,
-      "linalg.eig": 0, "eig": 1, "eigh": 0, "pade": 2, "shifted": 1, "passes": 2}),
-], ids=["spectral", "certify", "qprocess", "variance", "moments", "charfun", "clt-qprocess",
+      "linalg.eig": 0, "eig": 1, "eigh": 0, "pade": 2, "dense_ring": 18, "shifted": 1,
+      "passes": 2}),
+], ids=["spectral", "certify", "qprocess", "variance", "moments", "moments-drifted", "charfun",
+        "clt-qprocess",
         "clt-rejection", "clt-constant", "qed", "qed-bd5", "all", "all-bd5", "all-drifted",
         "all-cycle"])
 def test_each_run_solves_and_certifies_once(counted_main, argv, expected):

@@ -105,17 +105,30 @@ def test_validation_errors_exit_3(tmp_path):
     assert "error: no-killing" in r.stderr
 
 
+_UNRESOLVED_DECAY = (
+    "birth_death: {n: 60, birth: [" + "3.0, " * 59 + "0.0], death: ["
+    + ", ".join(["1.0"] * 60) + "]}\n",
+    "generator: [[-3.0e150, 2.0e150, 0], [0, -3.0e150, 2.0e150], [2.0e150, 0, -3.0e150]]\n",
+    "generator: [[-1.0e155, 1.0], [1.0, -2.0]]\n",
+)
+
+
 def test_decay_below_double_resolution_is_a_numerical_error(tmp_path, capsys):
     """Birth 3, death 1 on 60 states has killing at state 1, but its decay
     rate, 3.1e-29 by 120-digit mpmath, lies far below eps ||L||: a numerical
-    limit (exit 4), not a chain without killing (exit 3)."""
-    model = tmp_path / "slow.yaml"
-    model.write_text("birth_death: {n: 60, birth: [" + "3.0, " * 59 + "0.0], death: ["
-                     + ", ".join(["1.0"] * 60) + "]}\n")
-    out = tmp_path / "o"
-    assert cli.main(["spectral", "--model", str(model), "--out", str(out)]) == 4
-    assert capsys.readouterr().err.startswith("error: unresolved-decay: ")
-    assert not out.exists()
+    limit (exit 4), not a chain without killing (exit 3).  So do the 3-cycle
+    at rate 1e150 (lambda0 = 1e150, eig's leading eigenvalue -4.96e137)
+    and a killing rate of 1e155 beside rates of 1 (lambda0 = 2, eigh's
+    -5.95e138): the message names the computed eigenvalue, not a rate."""
+    for i, text in enumerate(_UNRESOLVED_DECAY):
+        model = tmp_path / f"slow{i}.yaml"
+        model.write_text(text)
+        out = tmp_path / f"o{i}"
+        assert cli.main(["spectral", "--model", str(model), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: unresolved-decay: the computed leading eigenvalue "), text
+        assert err.rstrip().endswith("so the decay rate is not resolved")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,11 +8,12 @@ import pytest
 from scipy.linalg import expm
 
 import qslab
-from qslab import variance_clt
+from qslab import spectral, variance_clt
 from qslab.errors import NumericalError, ValidationError
 
 import oracles
 import paper_checks
+from conftest import CYCLE_GENERATOR
 
 F1 = np.array([1.0, -1.0])
 
@@ -254,9 +255,9 @@ def _count_pade(monkeypatch):
     """Record the step h of each Pade approximant the moment oracle takes."""
     steps, pade = [], variance_clt._pade13
 
-    def counted(L, f, K, h):
+    def counted(X, h, mul, solve):
         steps.append(h)
-        return pade(L, f, K, h)
+        return pade(X, h, mul, solve)
 
     monkeypatch.setattr(variance_clt, "_pade13", counted)
     return steps
@@ -302,6 +303,83 @@ def test_grid_moments_fall_back_when_doubling_misses_a_squaring(monkeypatch, bd5
     qslab.exact_conditional_moments(chain, mu, f, 4, times)
     assert len(steps) == 5
     _assert_grid_matches_single_calls(chain, mu, f, 4, times)
+
+
+def _pade_route(gen, mu, f, K, t):
+    """m_k(t) = k! mu E_k 1 from the ring in the generator's own basis,
+    the route of every generator without a usable symmetric basis."""
+    L, shift = gen.shifted
+    (_, E), = variance_clt._polynomial_expm(L, f, K, [t])
+    return np.array([factorial(k) for k in range(K + 1)]) * (E.sum(axis=2) @ mu) * np.exp(shift * t)
+
+
+def _drifted_ladder(n):
+    """Birth 1, death 3: reversible, with pi spanning 0.48 n decades."""
+    return qslab.build_birth_death(n, [1.0] * (n - 1) + [0.0], [3.0] * n)
+
+
+def _random_law_and_observable(n):
+    rng = np.random.default_rng([n, 22])
+    mu = rng.uniform(0.5, 1.5, n)
+    return mu / mu.sum(), rng.uniform(-1.0, 1.0, n)
+
+
+@pytest.mark.parametrize("c", [5.0, 10.0])
+@pytest.mark.parametrize("name", ["ladder150", "m2sym", "bd5", "m2asym"])
+def test_basis_route_matches_the_original_basis(m2sym_bundle, bd5_bundle, m2asym_bundle,
+                                                name, c):
+    """A reversible generator whose basis passes the rounding test takes
+    the oracle's symmetric-basis route; at 5 and 10 / gamma its moments of
+    every order agree with the ring in the original basis to 1e-10 relative
+    (from a random law and observable, so that no moment vanishes)."""
+    if name == "ladder150":
+        gen = _unit_ladder_qproc(150)
+        gamma = gen.triple.gamma
+    else:
+        gen = {"m2sym": m2sym_bundle, "bd5": bd5_bundle, "m2asym": m2asym_bundle}[name].chain
+        gamma = qslab.solve_spectral(gen).gamma
+    assert spectral.exponential_basis(gen) is not None
+    mu, f = _random_law_and_observable(gen.n)
+    mv = qslab.exact_conditional_moments(gen, mu, f, 4, c / gamma)
+    np.testing.assert_allclose(mv.m, _pade_route(gen, mu, f, 4, c / gamma), rtol=1e-10, atol=0)
+
+
+def test_basis_route_keeps_the_q_process_survival_at_one():
+    """The leading mode of L_Q is 0 exactly in the basis, so the ladder's
+    Q-process keeps survival 1 to 1e-14 (the original basis loses 1.4e-12
+    at 10 / gamma)."""
+    qp = _unit_ladder_qproc(150)
+    f = np.linspace(-1.0, 1.0, 150)
+    gamma = qp.triple.gamma
+    for mv in qslab.exact_conditional_moments(qp, qp.beta, f - qp.beta @ f, 4,
+                                              [5.0 / gamma, 10.0 / gamma]):
+        assert abs(mv.survival - 1.0) <= 1e-14
+        assert mv.m[0] == mv.survival
+
+
+def test_basis_route_squarings_meet_no_subnormal_entries():
+    """The ladder's fastest modes decay through the subnormal doubles in
+    the squarings between 0.15 and 2.5 / gamma; flushed, they leave no
+    subnormal entry, which would slow each BLAS product about thirtyfold."""
+    qp = _unit_ladder_qproc(150)
+    f = np.linspace(-1.0, 1.0, 150)
+    times = [10.0 / qp.triple.gamma / 2 ** j for j in range(10)]  # one dyadic family
+    basis = spectral.exponential_basis(qp)
+    for _, E in variance_clt._polynomial_expm(qp.q_generator, f, 4, times, basis):
+        assert np.all((E == 0) | (np.abs(E) >= np.finfo(float).tiny))
+
+
+@pytest.mark.parametrize("name", ["drifted60", "cycle"])
+def test_generators_without_a_usable_basis_keep_the_original_ring(name):
+    """The 60-state drifted ladder is reversible, but its sqrt(pi) spans 14
+    decades, past the rounding test; the 3-cycle is not reversible.  Both
+    keep the ring in the original basis, bit for bit."""
+    chain = _drifted_ladder(60) if name == "drifted60" else qslab.validate_chain(CYCLE_GENERATOR)
+    assert spectral.exponential_basis(chain) is None
+    mu, f = _random_law_and_observable(chain.n)
+    t = 5.0 / qslab.solve_spectral(chain).gamma
+    mv = qslab.exact_conditional_moments(chain, mu, f, 4, t)
+    assert mv.m.tobytes() == _pade_route(chain, mu, f, 4, t).tobytes()
 
 
 def _augmented_generator(L, f, K):
