@@ -1,15 +1,12 @@
 """Exact event-driven simulation and empirical checks of the conditioned CLT.
 
-Reproducibility contract: replica i of a run with master seed s draws from
-the counter-based Philox4x64 stream keyed by (s, i) — draw 0 for the initial
-state, draws 1 + 2j and 2 + 2j for the holding time and jump of step j.
-Batch size and draw-window size never change the values a replica sees, so
-sample lists are bit-identical; batches run in turn, in the calling thread.
-A draw window is step-major, one row per draw index and one column per
-replica, and is filled a tile of replicas at a time (_draw_window), so a
-lock-step reads contiguous rows; the layout moves no value a replica sees.
-Once drawn, a window's holding rows hold log1p(-u), numpy's log1p of the
-same doubles, so each holding time keeps its bits.
+Reproducibility contract: with master seed s, draw d of replica r is output r
+of the counter-based Philox4x64 stream keyed by (s mod 2^64, d): draw 0 for
+the initial state, draws 1 + 2j and 2 + 2j for the holding time and jump of
+step j.  Sample lists are therefore bit-identical for any batch size and
+stable in the replica count; batches run in turn, in the calling thread.  A
+draw window is step-major, one row per draw index and one column per replica,
+and each row is one re-key and one fill over a span of ids (_draw_window).
 """
 
 from __future__ import annotations
@@ -27,16 +24,17 @@ from . import variance_clt
 
 DEFAULT_BATCH = 4096
 REJECTION_BUDGET = 1e9
-MAX_REPLICAS = 10 ** 7  # per sample: qed on m2sym took 63 s and 646 MB at 10^7 (README)
+MAX_REPLICAS = 10 ** 7  # per sample: qed on m2sym took 31 s and 645 MB at 10^7 (README)
 MIN_QED_TIME = 2.0 ** -511  # the smallest t whose t^2 is a normal double (so sqrt(t) t is one)
 _WINDOW_CAP = 512   # steps per draw window
 _STEP_CEILING = 64  # times the Poisson step bound
-_TILE = 256         # replicas per transposed block of a draw window
+_SPAN_GAP = 256     # replica ids further apart start a new span of a window row
 
 
-def philox_stream(seed: int, replica: int) -> np.random.Generator:
-    """The per-replica RNG stream; key = (master seed mod 2^64, replica index)."""
-    key = np.array([int(seed) % 2 ** 64, int(replica)], dtype=np.uint64)
+def philox_stream(seed: int, draw: int) -> np.random.Generator:
+    """The RNG stream of one draw index; key = (master seed mod 2^64, draw
+    index), and its output r is that draw of replica r."""
+    key = np.array([int(seed) % 2 ** 64, int(draw)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -64,41 +62,47 @@ def _jump_tables(generator: np.ndarray, killing: Optional[np.ndarray]):
 # ---------------------------------------------------------------------------
 # vectorized batch kernel (the draw discipline of the module docstring)
 
-def _draw_window(gen, replicas, offset, width):
-    """Draws [offset, offset + width) of stream (seed, r), step-major: one
-    row per draw index and one column per r, with gen = philox_stream(seed, ·)
-    serving the whole batch.
-
-    Philox is counter-based: re-keyed to (seed, r) with block counter c and
-    an empty 4-draw buffer, gen resumes that stream at draw 4c.  Streams
-    start at c = offset // 4 and drop the offset % 4 draws before.  Each
-    tile of _TILE replicas is filled one stream per row into a buffer small
-    enough to stay in cache, then copied transposed into its columns."""
-    bg, skip, rand = gen.bit_generator, offset % 4, gen.random
+def _draw_window(gen, ids, offset, width):
+    """Draws [offset, offset + width) of the sorted replica ids, step-major:
+    row i holds output r of stream (seed, offset + i) in the column of id r,
+    each holding row (odd draws) as log1p(-u), numpy's log1p of the same
+    doubles.  gen = philox_stream(seed, ·), re-keyed to (seed, d) with block
+    counter c, resumes stream d at output 4c.  A span of ids (cut where two
+    lie over _SPAN_GAP apart: memory follows the replica count) fills each
+    row by one re-key and one fill from its first id's block: in place if it
+    has no holes and the outputs before its first id land on columns to its
+    left, which spans filled later (right to left) overwrite; else gathered."""
+    bg, rand = gen.bit_generator, gen.random
     key0 = int(bg.state["state"]["key"][0])  # the key word Philox makes of seed (mod 2^64)
-    template = {"bit_generator": "Philox", "state": {"counter": (offset // 4, 0, 0, 0)},
+    template = {"bit_generator": "Philox", "state": {},
                 "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    state, reps = template["state"], replicas.tolist()
-    U, tile = np.empty((width, len(reps))), np.empty((min(_TILE, len(reps)), skip + width))
-    rows = list(tile)
-    for lo in range(0, len(reps), _TILE):
-        chunk = reps[lo:lo + _TILE]
-        for r, out in zip(chunk, rows):
-            state["key"] = (key0, r)
+    state = template["state"]
+    U = np.empty((width, len(ids)))
+    cuts = [0, *(np.diff(ids) > _SPAN_GAP).nonzero()[0] + 1, len(ids)]
+    for lo, hi in reversed(list(zip(cuts, cuts[1:]))):
+        first, last = int(ids[lo]), int(ids[hi - 1])
+        skip, state["counter"] = first % 4, (first // 4, 0, 0, 0)
+        direct = last - first + 1 == hi - lo and skip <= lo
+        rows = U[:, lo - skip:hi] if direct else [np.empty(skip + last - first + 1)] * width
+        for d, out in enumerate(rows, offset):
+            state["key"] = (key0, d)
             bg.state = template
             rand(out=out)
-        U[:, lo:lo + len(chunk)] = tile[:len(chunk), skip:].T
+            if not direct:
+                U[d - offset, lo:hi] = out[ids[lo:hi] - (first - skip)]
+    hold = U[1 - offset % 2::2]
+    np.negative(hold, out=hold)
+    np.log1p(hold, out=hold)
     return U
 
 
 class _Kernel:
     """Lock-step simulator of replica batches for one chain, initial law,
-    observable and sorted horizons.  Step j of every live replica reads draws
-    1 + 2j and 2 + 2j of its stream, from windows of `window` steps; replicas
-    still running at a window's end draw their next window.  Once a window
-    is drawn, its holding rows hold log1p(-u), so a step's holding time is
-    one division.  A replica runs to the largest horizon and records S_h as
-    it crosses each earlier h."""
+    observable and sorted horizons.  Step j of a live replica reads draws
+    1 + 2j and 2 + 2j from the window it is in; replicas still running at a
+    window's end draw the next, of _steps(j) steps.  A holding row already
+    holds log1p(-u), so a holding time is one division.  A replica runs to
+    the largest horizon and records S_h as it crosses each earlier h."""
 
     def __init__(self, generator, killing, initial, f, horizons):
         rates, cumJ = _jump_tables(generator, killing)
@@ -115,16 +119,19 @@ class _Kernel:
         grid = np.arange(self.K) / self.K
         guide = np.array([np.searchsorted(row, grid) for row in cumJ])
         self.guide = np.pad(guide, ((0, 0), (0, self.stride - self.K))).ravel()
-        # a window covers the mean step count from the initial law plus two
-        # Poisson sd, so few replicas need a second; steps are dominated by
-        # Poisson(max rate * t), which the ceiling exceeds only on broken input
-        lam = max(float(np.diff(self.cum0, prepend=0.0) @ rates) * self.t_max, 1.0)
+        # windows cover the mean step count from the initial law plus two
+        # Poisson sd (_steps); steps are dominated by Poisson(max rate * t),
+        # which the ceiling exceeds only on broken input
+        self.lam = max(float(np.diff(self.cum0, prepend=0.0) @ rates) * self.t_max, 1.0)
         lam_max = max(float(rates.max()) * self.t_max, 1.0)
         if not lam_max <= REJECTION_BUDGET:
             raise BudgetExceeded(f"a replica's expected steps, max rate * t = {lam_max:.3g}, "
                                  f"exceed budget {REJECTION_BUDGET:.3g}")
-        self.window = min(int(np.ceil(lam + 2.0 * np.sqrt(lam))), _WINDOW_CAP)
         self.max_steps = _STEP_CEILING * (lam_max + 16.0)
+
+    def _steps(self, j):
+        """Steps of a window drawn at step j: what the mean leaves, plus two Poisson sd."""
+        return min(int(np.ceil(max(self.lam - j, 0.0) + 2.0 * np.sqrt(self.lam))), _WINDOW_CAP)
 
     def _next_states(self, st, u):
         """(u > cumJ[st]).sum(axis=1) via a guide table (Chen & Asau).  Rows
@@ -140,20 +147,11 @@ class _Kernel:
             idx = idx[u[idx] > self.cum[base[idx] + g[idx]]]
         return g
 
-    def _draw(self, gen, replicas, offset, width):
-        """_draw_window, with each holding row turned into log1p(-u) in place:
-        the same doubles, so a replica's holding times keep their bits."""
-        U = _draw_window(gen, replicas, offset, width)
-        hold = U[1 - offset % 2::2]  # draws 1 + 2j: odd rows of a first window
-        np.negative(hold, out=hold)
-        np.log1p(hold, out=hold)
-        return U
-
     def run(self, replicas, seed, count_jumps=None):
         B, n, t_max, gen = len(replicas), self.n, self.t_max, philox_stream(seed, 0)
         # k_lo: the first earlier horizon that some replica has yet to reach
         hz, last, k_lo = self.horizons, len(self.horizons) - 1, 0
-        U = self._draw(gen, replicas, 0, 1 + 2 * self.window)
+        U = _draw_window(gen, replicas, 0, 1 + 2 * self._steps(0))
         state = np.minimum(np.searchsorted(self.cum0, U[0], side="right"), n - 1)
         S, absorbed = np.empty((last + 1, B)), np.zeros((last + 1, B), dtype=bool)
         # live replicas, compacted: batch position, window column (None while
@@ -164,7 +162,7 @@ class _Kernel:
             if col == U.shape[0]:
                 if j >= self.max_steps:
                     raise BudgetExceeded(f"a replica exceeded {self.max_steps:.0f} steps")
-                U = self._draw(gen, replicas[pos], 1 + 2 * j, 2 * self.window)
+                U = _draw_window(gen, replicas[pos], 1 + 2 * j, 2 * self._steps(j))
                 row, col = None, 0
             hold, u_jump = (U[col], U[col + 1]) if row is None else (U[col][row], U[col + 1][row])
             # -log1p(-u)/rate bit for bit, as the one-path reference in tests/oracles.py
@@ -203,8 +201,7 @@ def _batch_statistics(generator, killing, initial, f, t_max, n_replicas, seed,
     pooled jump counts; identical output for any batch size.  A sorted grid
     of distinct horizons t_max gives S and absorbed one row per horizon."""
     kernel = _Kernel(generator, killing, initial, f, np.atleast_1d(np.asarray(t_max, float)))
-    S = np.empty((len(kernel.horizons), n_replicas))
-    term = np.empty(n_replicas, dtype=int)
+    S, term = np.empty((len(kernel.horizons), n_replicas)), np.empty(n_replicas, dtype=int)
     absorbed = np.empty(S.shape, dtype=bool)
     counts = np.zeros((kernel.n, kernel.ncol + 1), dtype=np.int64) if count_jumps else None
     for lo in range(0, n_replicas, batch):
@@ -247,9 +244,12 @@ def conditional_clt_sample(qproc: QProcessChain, mu, f, t, n_replicas: int,
     A scalar t gives its EmpiricalDistribution, a grid (repeated, unsorted
     times allowed) a list in its order.  Times that share a method take one
     kernel pass, to their largest; the rejection budget is checked first.
-    More than MAX_REPLICAS replicas raise BudgetExceeded before any allocation,
-    and a time that check_qed_times refuses raises before any draw.
+    More than MAX_REPLICAS replicas raise BudgetExceeded, a batch that is not
+    a positive integer ValidationError, before any allocation; a time that
+    check_qed_times refuses raises before any draw.
     """
+    if not isinstance(batch, (int, np.integer)) or batch < 1:
+        raise ValidationError(f"batch must be a positive integer, not {batch!r}")
     times = np.atleast_1d(np.asarray(t, dtype=float))
     check_qed_times(times)
     mu = np.asarray(mu, dtype=float)

@@ -210,14 +210,14 @@ _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
            960960.0, 16380.0, 182.0, 1.0)
 
 
-def _poly_mul(A, B):
+def _poly_mul(A, B, da=K_MAX, db=K_MAX):
     """Truncated Cauchy product of two matrix polynomials stored as
-    (K+1, n, n) coefficient arrays: C_k = sum_{j <= k} A_j B_{k-j}."""
+    (K+1, n, n) coefficient arrays: C_k = sum_{j <= k} A_j B_{k-j}, over
+    the pairs whose blocks lie within A's top degree da and B's db (the
+    blocks above are zero)."""
     C = np.empty_like(A)
     for k in range(len(A)):
-        C[k] = A[0] @ B[k]
-        for j in range(1, k + 1):
-            C[k] += A[j] @ B[k - j]
+        C[k] = sum(A[j] @ B[k - j] for j in range(max(0, k - db), min(k, da) + 1))
     return C
 
 
@@ -237,31 +237,32 @@ def _poly_solve(Q, P):
 _FLUSH = np.finfo(float).eps ** 2  # _sym_mul's flush, relative to a block's largest entry
 
 
-def _sym_mul(A, B):
-    """_poly_mul for polynomials in one element with symmetric blocks and a
-    diagonal degree-0 block, as every element of the basis route is: the
-    products with a degree-0 block are row and column scalings, and A A
-    needs A_i A_j only for i <= j, since A_j A_i is its transpose, so that
-    each block of a square is a sum T + T^T, symmetric to the bit.  The
-    modes that decay fastest carry entries that underflow as the squarings
-    go on; each below eps^2 times its block's largest is flushed to 0, far
-    below the rounding of the sums it would enter, so that no product meets
-    subnormal operands, which slow a BLAS product about thirtyfold."""
+def _sym_mul(A, B, da=K_MAX, db=K_MAX):
+    """_poly_mul, top degrees included, for polynomials in one element with
+    symmetric blocks and a diagonal degree-0 block, as every element of the
+    basis route is: the products with a degree-0 block are row and column
+    scalings, and A A needs A_i A_j only for i <= j, since A_j A_i is its
+    transpose, so that each block of a square is a sum T + T^T, symmetric
+    to the bit.  The modes that decay fastest carry entries that underflow
+    as the squarings go on; each below eps^2 times its block's largest is
+    flushed to 0, far below the rounding of the sums it would enter, so that
+    no product meets subnormal operands, which slow a BLAS product about
+    thirtyfold."""
     a0, b0 = np.diagonal(A[0]), np.diagonal(B[0])
     C = np.empty_like(A)
     C[0] = np.diag(a0 * b0)
     for k in range(1, len(A)):
         if A is B:  # T = A_0 A_k + sum_{i < k/2} A_i A_{k-i} + A_{k/2}^2 / 2
             T = a0[:, None] * A[k]
-            for i in range(1, (k + 1) // 2):
+            for i in range(max(1, k - da), (k + 1) // 2):
                 T += A[i] @ A[k - i]
-            if k % 2 == 0:
+            if k % 2 == 0 and k // 2 <= da:
                 T += 0.5 * (A[k // 2] @ A[k // 2])
             np.add(T, T.T, out=C[k])
         else:
             np.multiply(a0[:, None], B[k], out=C[k])
             C[k] += A[k] * b0
-            for i in range(1, k):
+            for i in range(max(1, k - db), min(k - 1, da) + 1):
                 C[k] += A[i] @ B[k - i]
     for block in C:
         size = np.abs(block)
@@ -341,17 +342,18 @@ def _polynomial_expm(L, f, K: int, times, basis=None):
 def _pade13(X, h: float, mul, solve) -> np.ndarray:
     """Pade-13 approximant of e^{hX} for a ring element X and a step h
     inside its accuracy radius, with the ring's product and its solve for
-    the denominator."""
+    the denominator.  X has no block above degree 1, so X^k none above k:
+    each product skips the pairs of blocks past its operands' top degrees."""
     X = h * X
     ident = np.zeros_like(X)
     ident[0] = np.eye(X.shape[1])
     b = _PADE13
-    X2 = mul(X, X)
-    X4 = mul(X2, X2)
-    X6 = mul(X4, X2)
-    U = mul(X, mul(X6, b[13] * X6 + b[11] * X4 + b[9] * X2)
-            + b[7] * X6 + b[5] * X4 + b[3] * X2 + b[1] * ident)
-    V = (mul(X6, b[12] * X6 + b[10] * X4 + b[8] * X2)
+    X2 = mul(X, X, 1, 1)
+    X4 = mul(X2, X2, 2, 2)
+    X6 = mul(X4, X2, 4, 2)
+    U = mul(X, mul(X6, b[13] * X6 + b[11] * X4 + b[9] * X2, 6, 6)
+            + b[7] * X6 + b[5] * X4 + b[3] * X2 + b[1] * ident, 1)
+    V = (mul(X6, b[12] * X6 + b[10] * X4 + b[8] * X2, 6, 6)
          + b[6] * X6 + b[4] * X4 + b[2] * X2 + b[0] * ident)
     return solve(V - U, V + U)
 

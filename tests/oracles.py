@@ -1,11 +1,14 @@
-"""Independent references that only the tests call: the one-path simulator
-the batch kernel must match bit for bit, pooled jump counts of the kernel,
+"""Independent references that only the tests call: one draw of the
+reproducibility contract, the one-path simulator the batch kernel must
+match bit for bit through it, pooled jump counts of the kernel,
 and two characteristic-function oracles, the one-omega charfun and the
 Taylor moments recovered from it."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import count
 from math import factorial
 
 import numpy as np
@@ -47,16 +50,27 @@ class Trajectory:
         return float(total)
 
 
+@lru_cache(maxsize=1 << 18)  # tests replay a path at several horizons and dynamics
+def draw(seed: int, replica: int, d: int) -> float:
+    """Draw d of a replica under the contract of qslab.montecarlo: output
+    `replica` of the stream philox_stream(seed, d), reached by advancing its
+    block counter past the replica // 4 blocks of 4 outputs before it."""
+    gen = philox_stream(seed, d)
+    gen.bit_generator.advance(replica // 4)
+    return float(gen.random(replica % 4 + 1)[-1])
+
+
 def _simulate_one(generator, killing, initial, t_max, rng_stream) -> Trajectory:
     """The one-path reference simulator, which the batch kernel matches bit for
-    bit; rng_stream is the (seed, replica) pair of its Philox stream."""
-    gen = philox_stream(*rng_stream)
+    bit; rng_stream is the (seed, replica) pair whose draws 0, 1, 2, ... it
+    reads through draw."""
+    draws = (draw(*rng_stream, d) for d in count())
     rates, cumJ = _jump_tables(generator, killing)
     cum0, n = np.cumsum(np.asarray(initial, dtype=float)), generator.shape[0]
-    state = min(int(np.searchsorted(cum0, gen.random(), side="right")), n - 1)
+    state = min(int(np.searchsorted(cum0, next(draws), side="right")), n - 1)
     t, times, states, absorption = 0.0, [], [state], np.inf
     while True:
-        u_h, u_j = gen.random(), gen.random()
+        u_h, u_j = next(draws), next(draws)
         t_next = t + (-np.log1p(-u_h) / rates[state])
         if t_next >= t_max:
             break
@@ -72,7 +86,7 @@ def _simulate_one(generator, killing, initial, t_max, rng_stream) -> Trajectory:
 
 
 def simulate_absorbed(chain: AbsorbedChain, mu, t_max: float, rng_stream) -> Trajectory:
-    """One exact path of the killed chain from stream (seed, replica)."""
+    """One exact path of the killed chain from the draws of (seed, replica)."""
     return _simulate_one(chain.sub_generator, chain.killing, mu, t_max, rng_stream)
 
 

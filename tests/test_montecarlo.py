@@ -37,37 +37,30 @@ def test_philox_key_is_the_seed_as_a_u64():
 
 
 def test_window_draws_are_stream_slices():
-    """A window read by re-keying one generator holds, in the column of each
-    replica, the same slice of its stream, for offsets on and off the 4-draw
-    block boundary and for replica sets that end in a ragged tile."""
-    replicas = np.array([0, 1, 5, 2 ** 40 + 3])
-    offsets = (0, 1, 2, 3, 4, 5, 7, 8, 4 * 37 + 1, 4 * 37 + 2, 4 * 37 + 3, 1001)
-    for seed, offset in itertools.product((99, -1, 2 ** 63 + 5), offsets):
-        for width in (1, 6, 33):
+    """Row i of a window holds, in the column of replica r, draw offset + i
+    of r, which is output r of stream (seed, offset + i); a holding row (odd
+    draw index) holds numpy's log1p(-u) of it.  The replica sets start on
+    and off the 4-output block boundary, leave holes in a span, split into
+    spans more than a span gap apart (with a later span whose first outputs
+    land on 0 to 3 columns of the span before it), and reach 2^40, where one
+    span over every id would not fit in memory."""
+    for seed, d in itertools.product((99, -1, 2 ** 63 + 5), (0, 1, 1001)):
+        for r in range(10):
+            assert oracles.draw(seed, r, d) == qslab.philox_stream(seed, d).random(r + 1)[r]
+    gap = montecarlo._SPAN_GAP
+    sets = [np.arange(lo, lo + 9) for lo in (0, 1, 2, 3, 5, 4 * 37 + 3)]
+    sets += [np.r_[np.arange(k), np.arange(first, first + 7)]
+             for k, first in itertools.product((1, 2, 3, 4), (gap + 8, gap + 9, gap + 11))]
+    sets += [np.array([0, 1, 5, 2 ** 40 + 3]), 3 * np.arange(20) + 2 ** 40 + 1,
+             np.r_[2, 7, 9, np.arange(1 + 2 ** 40, 6 + 2 ** 40), 2 ** 41 + 11]]
+    for seed, offset, replicas in itertools.product((99, -1, 2 ** 63 + 5), (0, 1, 7, 1001), sets):
+        for width in (1, 6):
             U = montecarlo._draw_window(qslab.philox_stream(seed, 0), replicas, offset, width)
-            assert U.shape == (width, len(replicas))
-            for column, r in zip(U.T, replicas):
-                ref = qslab.philox_stream(seed, r).random(offset + width)[offset:]
-                np.testing.assert_array_equal(column, ref)
-    tile = montecarlo._TILE
-    for replicas, offset in itertools.product(
-            (np.arange(tile + 1), 3 * np.arange(2 * tile + 2) + 2 ** 40), (0, 8, 4 * 37 + 3, 1001)):
-        U = montecarlo._draw_window(qslab.philox_stream(7, 0), replicas, offset, 9)
-        ref = [qslab.philox_stream(7, r).random(offset + 9)[offset:] for r in replicas]
-        np.testing.assert_array_equal(U, np.array(ref).T)
-
-
-def test_window_does_not_depend_on_tile_size(monkeypatch):
-    """Tiles of 1 and of 3 replicas, ragged or not, fill the window that the
-    default tile fills."""
-    replicas = 3 * np.arange(10) + 2 ** 40
-    for offset, width in ((0, 9), (4 * 37 + 3, 5)):
-        want = montecarlo._draw_window(qslab.philox_stream(7, 0), replicas, offset, width)
-        for tile in (1, 3):
-            monkeypatch.setattr(montecarlo, "_TILE", tile)
-            got = montecarlo._draw_window(qslab.philox_stream(7, 0), replicas, offset, width)
-            monkeypatch.undo()
-            np.testing.assert_array_equal(got, want)
+            ref = np.array([[oracles.draw(seed, int(r), d) for r in replicas]
+                            for d in range(offset, offset + width)])
+            hold = ref[1 - offset % 2::2]
+            hold[:] = np.log1p(-hold)
+            np.testing.assert_array_equal(U, ref)
 
 
 def test_trajectory_integral_by_hand():
@@ -208,29 +201,63 @@ def test_jump_counts_do_not_depend_on_batch_size(stiff_chain):
 
 @pytest.mark.parametrize("model, method, t, n, seed, kept, digest", [
     ("m2sym", "qprocess", 50.0, 5000, 123, 5000,
-     "c82c547b39667b397f2bda7c9cfe4299b7fbe5205f601d1dfe97f3ae0863905f"),
+     "693b7d699f0cf0f499603f6ed8ff487faebedfaf747a19098f5c4cb48f8b01eb"),
     ("m2sym", "qprocess", 200.0, 20000, 1, 20000,
-     "44f174f437ed85bd16a0782fbcc05f3d28e865170ca96ee7b51ba27d0fc9dc14"),
-    ("bd5", "rejection", 20.0, 20000, 1, 3538,
-     "048728d6df6cd19ab4f0c503510d7047e95b6562d5765738279709519a5f1f77"),
+     "b9d9889fa4325c6a551e02b7a88c43c43740114a25f0b87759bafda95eb4ed5f"),
+    ("bd5", "rejection", 20.0, 20000, 1, 3483,
+     "d264526c628deed2e32a4b96dfb85aa2984d901ddfc03284bc2164ba485db16a"),
 ], ids=["m2sym-qprocess-t50", "m2sym-qprocess-t200", "bd5-rejection-t20"])
 def test_clt_samples_are_pinned(model, method, t, n, seed, kept, digest):
-    """sha256 of the sorted sample bytes, recorded before the draw windows
-    replaced one block per replica; they held when the windows turned
-    step-major, filled by a transposed copy a tile of replicas at a time,
-    and when the holding rows turned into log1p(-u) once per window.
-    The digests depend on numpy's Philox stream and on numpy's own float64
-    log1p, whose SIMD code numpy's build and the CPU's dispatch choose (it
-    differs from math.log1p in about 7% of draws), so a new numpy or
-    another CPU may legitimately move them; a kernel change must not.
-    They also depend on beta(f), which centres f, so on the bits of the
-    spectral triple: bd5's moved when its triple came off the symmetric
-    eigenbasis instead of eig."""
+    """sha256 of the sorted sample bytes, recorded when draw d of replica r
+    became output r of the stream keyed (seed, d), so that a window row is
+    one fill over the batch; the stream keyed (seed, r) per replica, which
+    they replace, gave other digests.  The digests depend on numpy's Philox
+    stream and on numpy's own float64 log1p, whose SIMD code numpy's build
+    and the CPU's dispatch choose (it differs from math.log1p in about 7%
+    of draws), so a new numpy or another CPU may legitimately move them; a
+    kernel change that keeps the contract must not.  They also depend on
+    beta(f), which centres f, so on the bits of the spectral triple."""
     bundle = qslab.resolve_model(model)
     qp = qslab.h_transform(bundle.chain, qslab.solve_spectral(bundle.chain))
     emp = qslab.conditional_clt_sample(qp, bundle.mu, bundle.f, t, n, method=method, seed=seed)
     assert emp.n_effective == kept
     assert hashlib.sha256(emp.samples.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("model, method, t, seed, n, deepest", [
+    ("m2sym", "qprocess", 200.0, 3, 2800, 3),  # replica 2792 draws a third window
+    ("bd5", "rejection", 20.0, 1, 3000, 2),
+], ids=["m2sym-qprocess-t200", "bd5-rejection-t20"])
+def test_batch_size_does_not_change_samples(monkeypatch, model, method, t, seed, n, deepest):
+    """Batches of 4096 and 13 give the same samples.  Batches of 1 and 3 give
+    each replica the same S, absorbed flag and terminal state, checked on
+    the first batches and on each batch holding a replica that drew a
+    later window: the kernel reruns those batches alone, as
+    _batch_statistics would."""
+    bundle = qslab.resolve_model(model)
+    qp = qslab.h_transform(bundle.chain, qslab.solve_spectral(bundle.chain))
+    mu, f = bundle.mu, bundle.f
+    base = qslab.conditional_clt_sample(qp, mu, f, t, n, method=method, seed=seed)
+    small = qslab.conditional_clt_sample(qp, mu, f, t, n, method=method, seed=seed, batch=13)
+    np.testing.assert_array_equal(small.samples, base.samples)
+    if method == "qprocess":
+        dynamics = (qp.q_generator, None, mu * qp.triple.eta / (mu @ qp.triple.eta))
+    else:
+        dynamics = (bundle.chain.sub_generator, bundle.chain.killing, mu)
+    later = _count_windows(monkeypatch)
+    S, term, absorbed, _ = _batch_statistics(*dynamics, f, t, n, seed)
+    monkeypatch.undo()
+    windows = np.bincount(np.concatenate(later), minlength=n) + 1
+    assert windows.max() >= deepest
+    kernel = montecarlo._Kernel(*dynamics, f, np.array([t]))
+    for batch in (1, 3):
+        for r in np.unique(np.r_[:4, np.flatnonzero(windows > 1)[:6], np.argmax(windows)]):
+            lo = r - r % batch
+            ids = np.arange(lo, min(lo + batch, n))
+            got = kernel.run(ids, seed)
+            np.testing.assert_array_equal(got[0][0], S[ids])
+            np.testing.assert_array_equal(got[1], term[ids])
+            np.testing.assert_array_equal(got[2][0], absorbed[ids])
 
 
 def test_batch_and_thread_count_do_not_change_results(m2sym_bundle):
@@ -467,6 +494,24 @@ def test_clt_sample_guardrails(m2sym_bundle, m2sym_qproc):
         with pytest.raises(NumericalError) as exc:
             qslab.conditional_clt_sample(qp, mu, f, t, 100000, method="rejection", seed=0)
         assert exc.value.code == "budget-exceeded"
+
+
+def test_batch_must_be_a_positive_integer(monkeypatch, m2sym_bundle, m2sym_qproc):
+    """A batch of -1 once returned n_effective = 2 of 10 Q-process replicas,
+    read from memory no batch had written; 0 and 2.5 ended in bare
+    ValueError and TypeError.  Each is refused before any kernel pass."""
+    qp, mu, f = m2sym_qproc, m2sym_bundle.mu, m2sym_bundle.f
+    passes = _count_passes(monkeypatch)
+    for batch in (-1, 0, 2.5, np.float64(3.0), "4", None):
+        with pytest.raises(ValidationError, match="batch"):
+            qslab.conditional_clt_sample(qp, mu, f, 5.0, 10, method="qprocess", seed=1,
+                                         batch=batch)
+    assert passes == []
+    monkeypatch.undo()
+    emp = qslab.conditional_clt_sample(qp, mu, f, 5.0, 10, seed=1, batch=np.int64(3))
+    assert emp.n_effective == 10
+    np.testing.assert_array_equal(emp.samples,
+                                  qslab.conditional_clt_sample(qp, mu, f, 5.0, 10, seed=1).samples)
 
 
 def test_kolmogorov_distance_hand_values():

@@ -382,6 +382,27 @@ def test_generators_without_a_usable_basis_keep_the_original_ring(name):
     assert mv.m.tobytes() == _pade_route(chain, mu, f, 4, t).tobytes()
 
 
+@pytest.mark.parametrize("K", [1, 4, 8])
+@pytest.mark.parametrize("name", ["cycle", "ladder150"])
+def test_pade_skips_only_products_with_a_zero_block(name, K):
+    """The Pade products skip each pair of blocks past their operands' top
+    degrees (X: 1, X^2: 2, X^4: 4, X^6: 6); the approximant keeps every bit
+    of the one that forms all pairs, in the original ring (the 3-cycle) and
+    in the symmetric basis (the ladder's Q-process)."""
+    if name == "cycle":
+        L, f = qslab.validate_chain(CYCLE_GENERATOR).sub_generator, np.linspace(-1.0, 1.0, 3)
+        X0, X1 = L, np.diag(f)
+        mul, solve = variance_clt._poly_mul, variance_clt._poly_solve
+    else:
+        (w, U, _), f = spectral.exponential_basis(_unit_ladder_qproc(150)), np.linspace(-1, 1, 150)
+        X0, X1 = np.diag(w - w[-1]), (U.T * f) @ U
+        mul, solve = variance_clt._sym_mul, variance_clt._sym_solve
+    X = np.zeros((K + 1, len(f), len(f)))
+    X[0], X[1] = X0, X1
+    full = variance_clt._pade13(X, 0.3, lambda A, B, *_: mul(A, B), solve)
+    assert variance_clt._pade13(X, 0.3, mul, solve).tobytes() == full.tobytes()
+
+
 def _augmented_generator(L, f, K):
     """The dense moment formula's generator, as exact Fractions: diagonal
     blocks L and superdiagonal blocks k diag(f), k = K, ..., 1.  Block K - k
