@@ -4,9 +4,9 @@ Reproducibility contract: with master seed s, draw d of replica r is output r
 of the counter-based Philox4x64 stream keyed by (s mod 2^64, d): draw 0 for
 the initial state, draws 1 + 2j and 2 + 2j for the holding time and jump of
 step j.  Sample lists are therefore bit-identical for any batch size and
-stable in the replica count; batches run in turn, in the calling thread.  A
-draw window is step-major, one row per draw index and one column per replica,
-and each row is one re-key and one fill over a span of ids (_draw_window).
+stable in the replica count; batches run in turn, in the calling thread.
+Step j draws its two rows over the replicas still live, and each row is one
+re-key and one fill over the span of their ids (_draw_row).
 """
 
 from __future__ import annotations
@@ -26,9 +26,7 @@ DEFAULT_BATCH = 4096
 REJECTION_BUDGET = 1e9
 MAX_REPLICAS = 10 ** 7  # per sample: qed on m2sym took 31 s and 645 MB at 10^7 (README)
 MIN_QED_TIME = 2.0 ** -511  # the smallest t whose t^2 is a normal double (so sqrt(t) t is one)
-_WINDOW_CAP = 512   # steps per draw window
 _STEP_CEILING = 64  # times the Poisson step bound
-_SPAN_GAP = 256     # replica ids further apart start a new span of a window row
 
 
 def philox_stream(seed: int, draw: int) -> np.random.Generator:
@@ -62,45 +60,34 @@ def _jump_tables(generator: np.ndarray, killing: Optional[np.ndarray]):
 # ---------------------------------------------------------------------------
 # vectorized batch kernel (the draw discipline of the module docstring)
 
-def _draw_window(gen, ids, offset, width):
-    """Draws [offset, offset + width) of the sorted replica ids, step-major:
-    row i holds output r of stream (seed, offset + i) in the column of id r,
-    each holding row (odd draws) as log1p(-u), numpy's log1p of the same
-    doubles.  gen = philox_stream(seed, ·), re-keyed to (seed, d) with block
-    counter c, resumes stream d at output 4c.  A span of ids (cut where two
-    lie over _SPAN_GAP apart: memory follows the replica count) fills each
-    row by one re-key and one fill from its first id's block: in place if it
-    has no holes and the outputs before its first id land on columns to its
-    left, which spans filled later (right to left) overwrite; else gathered."""
-    bg, rand = gen.bit_generator, gen.random
+def _draw_row(gen, ids, d):
+    """Draw d of the sorted replica ids, which lie within one batch: output r
+    of stream (seed, d) for id r, a holding row (odd d) as log1p(-u), numpy's
+    log1p of the same doubles.  gen = philox_stream(seed, ·), re-keyed to
+    (seed, d) with block counter c, resumes stream d at output 4c, so one
+    re-key and one fill from the first id's block cover the span of the ids:
+    used as it is when they have no holes, else gathered.  The log1p runs on
+    a 1-D contiguous array (numpy 2.4.6 wrote garbage for an in-place
+    np.negative on a strided (n, 1) view)."""
+    bg = gen.bit_generator
+    first, last = int(ids[0]), int(ids[-1])
     key0 = int(bg.state["state"]["key"][0])  # the key word Philox makes of seed (mod 2^64)
-    template = {"bit_generator": "Philox", "state": {},
+    bg.state = {"bit_generator": "Philox",
+                "state": {"key": (key0, d), "counter": (first // 4, 0, 0, 0)},
                 "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    state = template["state"]
-    U = np.empty((width, len(ids)))
-    cuts = [0, *(np.diff(ids) > _SPAN_GAP).nonzero()[0] + 1, len(ids)]
-    for lo, hi in reversed(list(zip(cuts, cuts[1:]))):
-        first, last = int(ids[lo]), int(ids[hi - 1])
-        skip, state["counter"] = first % 4, (first // 4, 0, 0, 0)
-        direct = last - first + 1 == hi - lo and skip <= lo
-        rows = U[:, lo - skip:hi] if direct else [np.empty(skip + last - first + 1)] * width
-        for d, out in enumerate(rows, offset):
-            state["key"] = (key0, d)
-            bg.state = template
-            rand(out=out)
-            if not direct:
-                U[d - offset, lo:hi] = out[ids[lo:hi] - (first - skip)]
-    hold = U[1 - offset % 2::2]
-    np.negative(hold, out=hold)
-    np.log1p(hold, out=hold)
-    return U
+    u = gen.random(first % 4 + last - first + 1)[first % 4:]
+    if len(u) > len(ids):
+        u = u[ids - first]
+    if d % 2:
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+    return u
 
 
 class _Kernel:
     """Lock-step simulator of replica batches for one chain, initial law,
-    observable and sorted horizons.  Step j of a live replica reads draws
-    1 + 2j and 2 + 2j from the window it is in; replicas still running at a
-    window's end draw the next, of _steps(j) steps.  A holding row already
+    observable and sorted horizons.  Step j draws rows 1 + 2j and 2 + 2j
+    for the replicas still live when it is taken; a holding row already
     holds log1p(-u), so a holding time is one division.  A replica runs to
     the largest horizon and records S_h as it crosses each earlier h."""
 
@@ -119,19 +106,13 @@ class _Kernel:
         grid = np.arange(self.K) / self.K
         guide = np.array([np.searchsorted(row, grid) for row in cumJ])
         self.guide = np.pad(guide, ((0, 0), (0, self.stride - self.K))).ravel()
-        # windows cover the mean step count from the initial law plus two
-        # Poisson sd (_steps); steps are dominated by Poisson(max rate * t),
-        # which the ceiling exceeds only on broken input
-        self.lam = max(float(np.diff(self.cum0, prepend=0.0) @ rates) * self.t_max, 1.0)
+        # steps are dominated by Poisson(max rate * t), which the ceiling
+        # exceeds only on broken input
         lam_max = max(float(rates.max()) * self.t_max, 1.0)
         if not lam_max <= REJECTION_BUDGET:
             raise BudgetExceeded(f"a replica's expected steps, max rate * t = {lam_max:.3g}, "
                                  f"exceed budget {REJECTION_BUDGET:.3g}")
         self.max_steps = _STEP_CEILING * (lam_max + 16.0)
-
-    def _steps(self, j):
-        """Steps of a window drawn at step j: what the mean leaves, plus two Poisson sd."""
-        return min(int(np.ceil(max(self.lam - j, 0.0) + 2.0 * np.sqrt(self.lam))), _WINDOW_CAP)
 
     def _next_states(self, st, u):
         """(u > cumJ[st]).sum(axis=1) via a guide table (Chen & Asau).  Rows
@@ -151,20 +132,16 @@ class _Kernel:
         B, n, t_max, gen = len(replicas), self.n, self.t_max, philox_stream(seed, 0)
         # k_lo: the first earlier horizon that some replica has yet to reach
         hz, last, k_lo = self.horizons, len(self.horizons) - 1, 0
-        U = _draw_window(gen, replicas, 0, 1 + 2 * self._steps(0))
-        state = np.minimum(np.searchsorted(self.cum0, U[0], side="right"), n - 1)
+        state = np.minimum(np.searchsorted(self.cum0, _draw_row(gen, replicas, 0), side="right"),
+                           n - 1)
         S, absorbed = np.empty((last + 1, B)), np.zeros((last + 1, B), dtype=bool)
-        # live replicas, compacted: batch position, window column (None while
-        # every replica of the window lives), state, clock, integral
-        pos, row = np.arange(B), None
-        st, tc, acc, j, col = state.copy(), np.zeros(B), np.zeros(B), 0, 1
+        # live replicas, compacted: id, batch position, state, clock, integral
+        ids, pos, st, tc, acc = replicas, np.arange(B), state.copy(), np.zeros(B), np.zeros(B)
+        j = 0
         while pos.size:
-            if col == U.shape[0]:
-                if j >= self.max_steps:
-                    raise BudgetExceeded(f"a replica exceeded {self.max_steps:.0f} steps")
-                U = _draw_window(gen, replicas[pos], 1 + 2 * j, 2 * self._steps(j))
-                row, col = None, 0
-            hold, u_jump = (U[col], U[col + 1]) if row is None else (U[col][row], U[col + 1][row])
+            if j >= self.max_steps:
+                raise BudgetExceeded(f"a replica exceeded {self.max_steps:.0f} steps")
+            hold, u_jump = _draw_row(gen, ids, 1 + 2 * j), _draw_row(gen, ids, 2 + 2 * j)
             # -log1p(-u)/rate bit for bit, as the one-path reference in tests/oracles.py
             t_next = tc + hold / self.neg_rates[st]
             if k_lo < last and t_next.max() >= hz[k_lo]:  # S_h, as a run to t_max = h ends
@@ -187,11 +164,10 @@ class _Kernel:
                     late = hz[:last, None] > t_next[killed]
                     absorbed[:last, pos[killed]] = late
                     S[:last, pos[killed]] = np.where(late, acc[killed], S[:last, pos[killed]])
-                pos, acc = pos[live], acc[live]
-                row = live.nonzero()[0] if row is None else row[live]
+                ids, pos, acc = ids[live], pos[live], acc[live]
                 nxt, t_next = nxt[live], t_next[live]
             st, tc = nxt, t_next
-            j, col = j + 1, col + 2
+            j += 1
         return S, state, absorbed
 
 
@@ -244,12 +220,13 @@ def conditional_clt_sample(qproc: QProcessChain, mu, f, t, n_replicas: int,
     A scalar t gives its EmpiricalDistribution, a grid (repeated, unsorted
     times allowed) a list in its order.  Times that share a method take one
     kernel pass, to their largest; the rejection budget is checked first.
-    More than MAX_REPLICAS replicas raise BudgetExceeded, a batch that is not
-    a positive integer ValidationError, before any allocation; a time that
-    check_qed_times refuses raises before any draw.
+    More than MAX_REPLICAS replicas raise BudgetExceeded, a replica count or
+    batch that is not a positive integer ValidationError, before any
+    allocation; a time that check_qed_times refuses raises before any draw.
     """
-    if not isinstance(batch, (int, np.integer)) or batch < 1:
-        raise ValidationError(f"batch must be a positive integer, not {batch!r}")
+    for name, value in (("n_replicas", n_replicas), ("batch", batch)):
+        if not isinstance(value, (int, np.integer)) or value < 1:
+            raise ValidationError(f"{name} must be a positive integer, not {value!r}")
     times = np.atleast_1d(np.asarray(t, dtype=float))
     check_qed_times(times)
     mu = np.asarray(mu, dtype=float)
@@ -267,7 +244,7 @@ def conditional_clt_sample(qproc: QProcessChain, mu, f, t, n_replicas: int,
     for m in sorted(set(methods), reverse=True):  # rejection's budget before any pass
         hz = np.unique(times[np.array(methods) == m])
         if m == "rejection":
-            log10_cost = np.log10(max(n_replicas, 1)) + triple.lambda0 * hz[-1] / np.log(10.0)
+            log10_cost = np.log10(n_replicas) + triple.lambda0 * hz[-1] / np.log(10.0)
             if log10_cost > np.log10(REJECTION_BUDGET):  # in logs: e^(lambda0 t) overflows
                 raise BudgetExceeded(f"rejection cost n e^(lambda0 t) = 10^{log10_cost:.3g} "
                                      f"exceeds budget {REJECTION_BUDGET:.3g}")

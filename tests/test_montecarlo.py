@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.stats import chi2, ks_2samp, kstest
 
 import qslab
 from qslab import montecarlo
-from qslab.errors import NumericalError, ValidationError
+from qslab.errors import BudgetExceeded, NumericalError, ValidationError
 from qslab.montecarlo import EmpiricalDistribution, _batch_statistics, default_method
 
 import oracles
@@ -36,31 +37,23 @@ def test_philox_key_is_the_seed_as_a_u64():
                                   qslab.philox_stream(2 ** 64 - 1, 2).random(4))
 
 
-def test_window_draws_are_stream_slices():
-    """Row i of a window holds, in the column of replica r, draw offset + i
-    of r, which is output r of stream (seed, offset + i); a holding row (odd
-    draw index) holds numpy's log1p(-u) of it.  The replica sets start on
-    and off the 4-output block boundary, leave holes in a span, split into
-    spans more than a span gap apart (with a later span whose first outputs
-    land on 0 to 3 columns of the span before it), and reach 2^40, where one
-    span over every id would not fit in memory."""
+def test_draw_rows_are_stream_slices():
+    """A row of draw d holds, in the place of replica r, output r of stream
+    (seed, d); a holding row (odd d) holds numpy's log1p(-u) of it.  The
+    sorted id sets start on and off the 4-output block boundary, leave
+    holes, hold a single id, and sit near 2^40 and 2^41, where a fill from
+    id 0 would not fit in memory."""
     for seed, d in itertools.product((99, -1, 2 ** 63 + 5), (0, 1, 1001)):
         for r in range(10):
             assert oracles.draw(seed, r, d) == qslab.philox_stream(seed, d).random(r + 1)[r]
-    gap = montecarlo._SPAN_GAP
     sets = [np.arange(lo, lo + 9) for lo in (0, 1, 2, 3, 5, 4 * 37 + 3)]
-    sets += [np.r_[np.arange(k), np.arange(first, first + 7)]
-             for k, first in itertools.product((1, 2, 3, 4), (gap + 8, gap + 9, gap + 11))]
-    sets += [np.array([0, 1, 5, 2 ** 40 + 3]), 3 * np.arange(20) + 2 ** 40 + 1,
-             np.r_[2, 7, 9, np.arange(1 + 2 ** 40, 6 + 2 ** 40), 2 ** 41 + 11]]
-    for seed, offset, replicas in itertools.product((99, -1, 2 ** 63 + 5), (0, 1, 7, 1001), sets):
-        for width in (1, 6):
-            U = montecarlo._draw_window(qslab.philox_stream(seed, 0), replicas, offset, width)
-            ref = np.array([[oracles.draw(seed, int(r), d) for r in replicas]
-                            for d in range(offset, offset + width)])
-            hold = ref[1 - offset % 2::2]
-            hold[:] = np.log1p(-hold)
-            np.testing.assert_array_equal(U, ref)
+    sets += [np.array([0, 1, 5, 6, 11]), np.array([3, 4, 9]), 3 * np.arange(20) + 2,
+             np.array([0]), np.array([7]), np.array([2 ** 40 + 2]),
+             np.arange(2 ** 40 - 2, 2 ** 40 + 5), np.arange(2 ** 41 + 1, 2 ** 41 + 8)]
+    for seed, d, ids in itertools.product((99, -1, 2 ** 63 + 5), (0, 1, 1001), sets):
+        row = montecarlo._draw_row(qslab.philox_stream(seed, 0), ids, d)
+        ref = np.array([oracles.draw(seed, int(r), d) for r in ids])
+        np.testing.assert_array_equal(row, np.log1p(-ref) if d % 2 else ref)
 
 
 def test_trajectory_integral_by_hand():
@@ -135,25 +128,10 @@ def stiff_chain():
     ])
 
 
-def _count_windows(monkeypatch):
-    """Record the replicas handed to each window after the first."""
-    later = []
-    draw = montecarlo._draw_window
-
-    def spy(gen, replicas, offset, width):
-        if offset:
-            later.append(replicas.copy())
-        return draw(gen, replicas, offset, width)
-
-    monkeypatch.setattr(montecarlo, "_draw_window", spy)
-    return later
-
-
-def test_multi_window_replicas_match_single_paths(stiff_chain, monkeypatch):
-    """Rates spanning 100x: the window planned from the initial law's mean
-    rate is far too short for replicas that reach the fast pair, so they
-    draw window after window; every sample still equals the one-path
-    simulator's bit for bit."""
+def test_stiff_chain_replicas_match_single_paths(stiff_chain):
+    """Rates spanning 100x: replicas that reach the fast pair take ten times
+    the steps that the initial law's mean rate predicts, and every sample
+    still equals the one-path simulator's bit for bit."""
     chain = stiff_chain
     mu = np.array([1.0, 0.0, 0.0, 0.0])
     f = np.array([1.0, -0.5, 0.25, -1.0])
@@ -162,21 +140,38 @@ def test_multi_window_replicas_match_single_paths(stiff_chain, monkeypatch):
     for gen_matrix, killing, simulate, model in (
             (chain.sub_generator, chain.killing, oracles.simulate_absorbed, chain),
             (qproc.q_generator, None, oracles.simulate_qprocess, qproc)):
-        later = _count_windows(monkeypatch)
         S, term, absorbed, _ = _batch_statistics(
             gen_matrix, killing, mu, f, t_max, n, seed, batch=40)
-        monkeypatch.undo()
-        windows = np.bincount(np.concatenate(later), minlength=n) + 1
-        assert (windows > 1).sum() >= n // 2
-        assert windows.max() >= 4
+        jumps = []
         for i in range(n):
             tr = simulate(model, mu, t_max, (seed, i))
+            jumps.append(len(tr.jump_times))
             assert S[i] == tr.additive_integral(f)
             assert absorbed[i] == (not tr.survived)
             if tr.survived:
                 assert term[i] == tr.visited_states[-1]
+        assert max(jumps) >= 10 * (mu @ -np.diag(gen_matrix)) * t_max
         if killing is not None:
             assert 0 < absorbed.sum() < n
+
+
+def test_step_ceiling_is_checked_at_every_step(stiff_chain, monkeypatch):
+    """The step ceiling is checked at every step: with room for the longest
+    path's steps the batch runs, and with room for one step less it raises
+    BudgetExceeded."""
+    mu, f, t_max, seed, n = np.full(4, 0.25), np.zeros(4), 3.0, 5, 40
+    args = (stiff_chain.sub_generator, stiff_chain.killing, mu, f)
+    steps = max(len(oracles.simulate_absorbed(stiff_chain, mu, t_max, (seed, i)).jump_times) + 1
+                for i in range(n))
+    lam_max = 100.0 * t_max  # the largest total rate is 100
+    for ceiling, refused in ((steps - 0.5, False), (steps - 1.5, True)):
+        monkeypatch.setattr(montecarlo, "_STEP_CEILING", ceiling / (lam_max + 16.0))
+        if refused:
+            with pytest.raises(BudgetExceeded) as exc:
+                _batch_statistics(*args, t_max, n, seed)
+            assert exc.value.code == "budget-exceeded"
+        else:
+            _batch_statistics(*args, t_max, n, seed)
 
 
 def test_jump_counts_do_not_depend_on_batch_size(stiff_chain):
@@ -209,7 +204,7 @@ def test_jump_counts_do_not_depend_on_batch_size(stiff_chain):
 ], ids=["m2sym-qprocess-t50", "m2sym-qprocess-t200", "bd5-rejection-t20"])
 def test_clt_samples_are_pinned(model, method, t, n, seed, kept, digest):
     """sha256 of the sorted sample bytes, recorded when draw d of replica r
-    became output r of the stream keyed (seed, d), so that a window row is
+    became output r of the stream keyed (seed, d), so that a row of draws is
     one fill over the batch; the stream keyed (seed, r) per replica, which
     they replace, gave other digests.  The digests depend on numpy's Philox
     stream and on numpy's own float64 log1p, whose SIMD code numpy's build
@@ -224,16 +219,16 @@ def test_clt_samples_are_pinned(model, method, t, n, seed, kept, digest):
     assert hashlib.sha256(emp.samples.tobytes()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("model, method, t, seed, n, deepest", [
-    ("m2sym", "qprocess", 200.0, 3, 2800, 3),  # replica 2792 draws a third window
-    ("bd5", "rejection", 20.0, 1, 3000, 2),
+@pytest.mark.parametrize("model, method, t, seed, n, extra", [
+    ("m2sym", "qprocess", 200.0, 3, 2800, [2792]),  # one of the batch's longest paths
+    ("bd5", "rejection", 20.0, 1, 3000, []),
 ], ids=["m2sym-qprocess-t200", "bd5-rejection-t20"])
-def test_batch_size_does_not_change_samples(monkeypatch, model, method, t, seed, n, deepest):
+def test_batch_size_does_not_change_samples(model, method, t, seed, n, extra):
     """Batches of 4096 and 13 give the same samples.  Batches of 1 and 3 give
     each replica the same S, absorbed flag and terminal state, checked on
-    the first batches and on each batch holding a replica that drew a
-    later window: the kernel reruns those batches alone, as
-    _batch_statistics would."""
+    the batches holding the first four replicas, the last four and any
+    extra ones: the kernel reruns those batches alone, as _batch_statistics
+    would.  A batch of 1 draws rows of one replica."""
     bundle = qslab.resolve_model(model)
     qp = qslab.h_transform(bundle.chain, qslab.solve_spectral(bundle.chain))
     mu, f = bundle.mu, bundle.f
@@ -244,14 +239,10 @@ def test_batch_size_does_not_change_samples(monkeypatch, model, method, t, seed,
         dynamics = (qp.q_generator, None, mu * qp.triple.eta / (mu @ qp.triple.eta))
     else:
         dynamics = (bundle.chain.sub_generator, bundle.chain.killing, mu)
-    later = _count_windows(monkeypatch)
     S, term, absorbed, _ = _batch_statistics(*dynamics, f, t, n, seed)
-    monkeypatch.undo()
-    windows = np.bincount(np.concatenate(later), minlength=n) + 1
-    assert windows.max() >= deepest
     kernel = montecarlo._Kernel(*dynamics, f, np.array([t]))
     for batch in (1, 3):
-        for r in np.unique(np.r_[:4, np.flatnonzero(windows > 1)[:6], np.argmax(windows)]):
+        for r in [*range(4), *range(n - 4, n), *extra]:
             lo = r - r % batch
             ids = np.arange(lo, min(lo + batch, n))
             got = kernel.run(ids, seed)
@@ -496,22 +487,44 @@ def test_clt_sample_guardrails(m2sym_bundle, m2sym_qproc):
         assert exc.value.code == "budget-exceeded"
 
 
-def test_batch_must_be_a_positive_integer(monkeypatch, m2sym_bundle, m2sym_qproc):
+def test_replica_count_and_batch_must_be_positive_integers(monkeypatch, m2sym_bundle,
+                                                           m2sym_qproc):
     """A batch of -1 once returned n_effective = 2 of 10 Q-process replicas,
     read from memory no batch had written; 0 and 2.5 ended in bare
-    ValueError and TypeError.  Each is refused before any kernel pass."""
+    ValueError and TypeError.  A replica count of -5 ended in ValueError,
+    2.5 in TypeError, and 0 returned an empty sample.  Each is refused
+    before any kernel pass."""
     qp, mu, f = m2sym_qproc, m2sym_bundle.mu, m2sym_bundle.f
     passes = _count_passes(monkeypatch)
-    for batch in (-1, 0, 2.5, np.float64(3.0), "4", None):
+    for bad in (-1, 0, 2.5, np.float64(3.0), "4", None):
         with pytest.raises(ValidationError, match="batch"):
             qslab.conditional_clt_sample(qp, mu, f, 5.0, 10, method="qprocess", seed=1,
-                                         batch=batch)
+                                         batch=bad)
+    for bad in (-5, 0, 2.5, np.float64(3.0), "4", None):
+        with pytest.raises(ValidationError, match="n_replicas"):
+            qslab.conditional_clt_sample(qp, mu, f, 5.0, bad, method="qprocess", seed=1)
     assert passes == []
     monkeypatch.undo()
-    emp = qslab.conditional_clt_sample(qp, mu, f, 5.0, 10, seed=1, batch=np.int64(3))
+    emp = qslab.conditional_clt_sample(qp, mu, f, 5.0, np.int64(10), seed=1, batch=np.int64(3))
     assert emp.n_effective == 10
     np.testing.assert_array_equal(emp.samples,
                                   qslab.conditional_clt_sample(qp, mu, f, 5.0, 10, seed=1).samples)
+
+
+def test_sampler_memory_does_not_grow_with_the_horizon(m2sym_bundle, m2sym_qproc):
+    """4096 Q-process replicas hold a few arrays of the batch's width: the
+    peak traced allocation stays below 2 MB, and a horizon 8 times longer
+    does not raise it."""
+    qp, mu, f = m2sym_qproc, m2sym_bundle.mu, m2sym_bundle.f
+    peaks = []
+    for t in (25.0, 200.0):
+        tracemalloc.start()
+        try:
+            qslab.conditional_clt_sample(qp, mu, f, t, 4096, method="qprocess", seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] < 2 * 2 ** 20
 
 
 def test_kolmogorov_distance_hand_values():
