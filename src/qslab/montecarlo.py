@@ -5,8 +5,10 @@ of the counter-based Philox4x64 stream keyed by (s mod 2^64, d): draw 0 for
 the initial state, draws 1 + 2j and 2 + 2j for the holding time and jump of
 step j.  Sample lists are therefore bit-identical for any batch size and
 stable in the replica count; batches run in turn, in the calling thread.
-Step j draws its two rows over the replicas still live, and each row is one
-re-key and one fill over the span of their ids (_draw_row).
+Step j draws its rows over the replicas still live, and each row is one
+re-key and one fill over the span of their ids (_draw_row).  When every jump
+of the chain has one target, draw 2 + 2j is not generated: the jump is that
+target whatever the uniform, and the contract of every drawn value holds.
 """
 
 from __future__ import annotations
@@ -60,21 +62,21 @@ def _jump_tables(generator: np.ndarray, killing: Optional[np.ndarray]):
 # ---------------------------------------------------------------------------
 # vectorized batch kernel (the draw discipline of the module docstring)
 
-def _draw_row(gen, ids, d):
+def _draw_row(gen, key, ids, d):
     """Draw d of the sorted replica ids, which lie within one batch: output r
     of stream (seed, d) for id r, a holding row (odd d) as log1p(-u), numpy's
-    log1p of the same doubles.  gen = philox_stream(seed, ·), re-keyed to
-    (seed, d) with block counter c, resumes stream d at output 4c, so one
-    re-key and one fill from the first id's block cover the span of the ids:
-    used as it is when they have no holes, else gathered.  The log1p runs on
-    a 1-D contiguous array (numpy 2.4.6 wrote garbage for an in-place
-    np.negative on a strided (n, 1) view)."""
-    bg = gen.bit_generator
+    log1p of the same doubles.  gen = philox_stream(seed, ·) and key its key
+    word, seed mod 2^64; re-keyed to (seed, d) with block counter c, gen
+    resumes stream d at output 4c, so one re-key and one fill from the first
+    id's block cover the span of the ids: used as it is when they have no
+    holes, else gathered.  The log1p runs on a 1-D contiguous array (numpy
+    2.4.6 wrote garbage for an in-place np.negative on a strided (n, 1)
+    view)."""
     first, last = int(ids[0]), int(ids[-1])
-    key0 = int(bg.state["state"]["key"][0])  # the key word Philox makes of seed (mod 2^64)
-    bg.state = {"bit_generator": "Philox",
-                "state": {"key": (key0, d), "counter": (first // 4, 0, 0, 0)},
-                "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"key": (key, d), "counter": (first // 4, 0, 0, 0)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     u = gen.random(first % 4 + last - first + 1)[first % 4:]
     if len(u) > len(ids):
         u = u[ids - first]
@@ -88,7 +90,10 @@ class _Kernel:
     """Lock-step simulator of replica batches for one chain, initial law,
     observable and sorted horizons.  Step j draws rows 1 + 2j and 2 + 2j
     for the replicas still live when it is taken; a holding row already
-    holds log1p(-u), so a holding time is one division.  A replica runs to
+    holds log1p(-u), so a holding time is one division.  When every row of
+    the jump table has one positive-probability column (the cemetery
+    counts), fixed holds it per state and row 2 + 2j is not drawn: the
+    inversion of any u in [0, 1) returns that column.  A replica runs to
     the largest horizon and records S_h as it crosses each earlier h."""
 
     def __init__(self, generator, killing, initial, f, horizons):
@@ -104,8 +109,10 @@ class _Kernel:
         self.stride = max(ncol + 1, self.K)
         self.cum = np.pad(cumJ, ((0, 0), (0, self.stride - ncol)), constant_values=np.inf).ravel()
         grid = np.arange(self.K) / self.K
-        guide = np.array([np.searchsorted(row, grid) for row in cumJ])
+        guide = np.array([np.searchsorted(row, grid, side="right") for row in cumJ])
         self.guide = np.pad(guide, ((0, 0), (0, self.stride - self.K))).ravel()
+        targets = np.diff(cumJ, axis=1, prepend=0.0) > 0
+        self.fixed = targets.argmax(axis=1) if (targets.sum(axis=1) == 1).all() else None
         # steps are dominated by Poisson(max rate * t), which the ceiling
         # exceeds only on broken input
         lam_max = max(float(rates.max()) * self.t_max, 1.0)
@@ -115,25 +122,27 @@ class _Kernel:
         self.max_steps = _STEP_CEILING * (lam_max + 16.0)
 
     def _next_states(self, st, u):
-        """(u > cumJ[st]).sum(axis=1) via a guide table (Chen & Asau).  Rows
+        """(u >= cumJ[st]).sum(axis=1) via a guide table (Chen & Asau).  Rows
         of cumJ sum nonnegative terms and are pinned to 1 from their last
-        positive term on, and u < 1: the columns with cumJ < u form a prefix,
-        so the count is the first column with cumJ >= u.  K u is exact for K
-        a power of two, and guide[st, floor(K u)] bounds it from below."""
+        positive term on, and u < 1: the columns with cumJ <= u form a
+        prefix, so the count is the first column with cumJ > u, which has
+        positive probability even when u is a breakpoint.  K u is exact for
+        K a power of two, and guide[st, floor(K u)] bounds it from below."""
         base = st * self.stride
         g = self.guide[base + (u * self.K).astype(np.intp)]
-        idx = (u > self.cum[base + g]).nonzero()[0]
+        idx = (u >= self.cum[base + g]).nonzero()[0]
         while idx.size:
             g[idx] += 1
-            idx = idx[u[idx] > self.cum[base[idx] + g[idx]]]
+            idx = idx[u[idx] >= self.cum[base[idx] + g[idx]]]
         return g
 
     def run(self, replicas, seed, count_jumps=None):
         B, n, t_max, gen = len(replicas), self.n, self.t_max, philox_stream(seed, 0)
+        key = int(gen.bit_generator.state["state"]["key"][0])  # seed mod 2^64, as Philox keeps it
         # k_lo: the first earlier horizon that some replica has yet to reach
         hz, last, k_lo = self.horizons, len(self.horizons) - 1, 0
-        state = np.minimum(np.searchsorted(self.cum0, _draw_row(gen, replicas, 0), side="right"),
-                           n - 1)
+        state = np.minimum(np.searchsorted(self.cum0, _draw_row(gen, key, replicas, 0),
+                                           side="right"), n - 1)
         S, absorbed = np.empty((last + 1, B)), np.zeros((last + 1, B), dtype=bool)
         # live replicas, compacted: id, batch position, state, clock, integral
         ids, pos, st, tc, acc = replicas, np.arange(B), state.copy(), np.zeros(B), np.zeros(B)
@@ -141,7 +150,7 @@ class _Kernel:
         while pos.size:
             if j >= self.max_steps:
                 raise BudgetExceeded(f"a replica exceeded {self.max_steps:.0f} steps")
-            hold, u_jump = _draw_row(gen, ids, 1 + 2 * j), _draw_row(gen, ids, 2 + 2 * j)
+            hold = _draw_row(gen, key, ids, 1 + 2 * j)
             # -log1p(-u)/rate bit for bit, as the one-path reference in tests/oracles.py
             t_next = tc + hold / self.neg_rates[st]
             if k_lo < last and t_next.max() >= hz[k_lo]:  # S_h, as a run to t_max = h ends
@@ -150,7 +159,10 @@ class _Kernel:
                     S[k, pos[x]] = acc[x] + self.f[st[x]] * (np.minimum(t_next[x], hz[k]) - tc[x])
                 k_lo = np.searchsorted(hz[:last], t_next.min(), side="right")
             acc += self.f[st] * (np.minimum(t_next, t_max) - tc)
-            nxt = self._next_states(st, u_jump)
+            if self.fixed is None:
+                nxt = self._next_states(st, _draw_row(gen, key, ids, 2 + 2 * j))
+            else:
+                nxt = self.fixed[st]
             jumping = t_next < t_max
             if count_jumps is not None:
                 np.add.at(count_jumps, (st[jumping], nxt[jumping]), 1)

@@ -60,6 +60,12 @@ def draw(seed: int, replica: int, d: int) -> float:
     return float(gen.random(replica % 4 + 1)[-1])
 
 
+def jump_target(cum_row, u: float) -> int:
+    """The column a jump uniform u in [0, 1) selects from a cumulative jump
+    row: the first with cum_row > u."""
+    return int((u >= cum_row).sum())
+
+
 def _simulate_one(generator, killing, initial, t_max, rng_stream) -> Trajectory:
     """The one-path reference simulator, which the batch kernel matches bit for
     bit; rng_stream is the (seed, replica) pair whose draws 0, 1, 2, ... it
@@ -74,7 +80,7 @@ def _simulate_one(generator, killing, initial, t_max, rng_stream) -> Trajectory:
         t_next = t + (-np.log1p(-u_h) / rates[state])
         if t_next >= t_max:
             break
-        nxt = int((u_j > cumJ[state]).sum())
+        nxt = jump_target(cumJ[state], u_j)
         if nxt >= n:
             absorption = t_next
             break

@@ -13,6 +13,7 @@ from qslab.errors import BudgetExceeded, NumericalError, ValidationError
 from qslab.montecarlo import EmpiricalDistribution, _batch_statistics, default_method
 
 import oracles
+from conftest import make_random_chain
 
 
 def test_philox_streams_are_prefix_stable_and_distinct():
@@ -51,7 +52,7 @@ def test_draw_rows_are_stream_slices():
              np.array([0]), np.array([7]), np.array([2 ** 40 + 2]),
              np.arange(2 ** 40 - 2, 2 ** 40 + 5), np.arange(2 ** 41 + 1, 2 ** 41 + 8)]
     for seed, d, ids in itertools.product((99, -1, 2 ** 63 + 5), (0, 1, 1001), sets):
-        row = montecarlo._draw_row(qslab.philox_stream(seed, 0), ids, d)
+        row = montecarlo._draw_row(qslab.philox_stream(seed, 0), seed % 2 ** 64, ids, d)
         ref = np.array([oracles.draw(seed, int(r), d) for r in ids])
         np.testing.assert_array_equal(row, np.log1p(-ref) if d % 2 else ref)
 
@@ -201,12 +202,17 @@ def test_jump_counts_do_not_depend_on_batch_size(stiff_chain):
      "b9d9889fa4325c6a551e02b7a88c43c43740114a25f0b87759bafda95eb4ed5f"),
     ("bd5", "rejection", 20.0, 20000, 1, 3483,
      "d264526c628deed2e32a4b96dfb85aa2984d901ddfc03284bc2164ba485db16a"),
-], ids=["m2sym-qprocess-t50", "m2sym-qprocess-t200", "bd5-rejection-t20"])
+    ("m2asym", "qprocess", 50.0, 5000, 7, 5000,
+     "d4072c7f87136014c78cb5af4e2cae7f34dc94651a9e7a36eaa772d56646373d"),
+], ids=["m2sym-qprocess-t50", "m2sym-qprocess-t200", "bd5-rejection-t20",
+        "m2asym-qprocess-t50"])
 def test_clt_samples_are_pinned(model, method, t, n, seed, kept, digest):
     """sha256 of the sorted sample bytes, recorded when draw d of replica r
     became output r of the stream keyed (seed, d), so that a row of draws is
     one fill over the batch; the stream keyed (seed, r) per replica, which
-    they replace, gave other digests.  The digests depend on numpy's Philox
+    they replace, gave other digests.  The m2asym digest, a Q-process whose
+    every jump has one target, was recorded while its jump rows were still
+    drawn, and holds now that they are not.  The digests depend on numpy's Philox
     stream and on numpy's own float64 log1p, whose SIMD code numpy's build
     and the CPU's dispatch choose (it differs from math.log1p in about 7%
     of draws), so a new numpy or another CPU may legitimately move them; a
@@ -217,6 +223,74 @@ def test_clt_samples_are_pinned(model, method, t, n, seed, kept, digest):
     emp = qslab.conditional_clt_sample(qp, bundle.mu, bundle.f, t, n, method=method, seed=seed)
     assert emp.n_effective == kept
     assert hashlib.sha256(emp.samples.tobytes()).hexdigest() == digest
+
+
+def test_fixed_target_chains_draw_no_jump_rows(monkeypatch, m2sym_bundle, m2asym_bundle,
+                                                bd5_bundle):
+    """A chain whose every jump has one target, the cemetery included,
+    draws no jump row 2 + 2j: the Q-processes of m2sym, m2asym and a one-way
+    3-cycle.  A rejection pass whose killed state also has a neighbour
+    (bd5, m2sym) still draws them.  The fixed-target paths still equal the
+    one-path simulator, which reads each jump uniform, bit for bit."""
+    cycle = qslab.validate_chain([[-1.5, 1.0, 0.0], [0.0, -1.0, 1.0], [1.0, 0.0, -1.0]])
+    drawn = []
+    draw_row = montecarlo._draw_row
+
+    def spy(gen, key, ids, d):
+        drawn.append(d)
+        return draw_row(gen, key, ids, d)
+
+    monkeypatch.setattr(montecarlo, "_draw_row", spy)
+    t_max, seed, n = 10.0, 2, 40
+    for chain, jump_rows in ((m2sym_bundle.chain, False), (m2asym_bundle.chain, False),
+                             (cycle, False), (bd5_bundle.chain, True),
+                             (m2sym_bundle.chain, True)):
+        qproc = qslab.h_transform(chain, qslab.solve_spectral(chain))
+        mu, f = np.full(chain.n, 1.0 / chain.n), np.linspace(-1.0, 1.0, chain.n)
+        if jump_rows:
+            dynamics, simulate, model = ((chain.sub_generator, chain.killing),
+                                         oracles.simulate_absorbed, chain)
+        else:
+            dynamics, simulate, model = (qproc.q_generator, None), oracles.simulate_qprocess, qproc
+        drawn.clear()
+        S, term, absorbed, _ = _batch_statistics(*dynamics, mu, f, t_max, n, seed, batch=16)
+        jumps = [d for d in drawn if d >= 2 and d % 2 == 0]
+        assert bool(jumps) == jump_rows and max(drawn) > 8
+        for i in (0, n - 1):
+            tr = simulate(model, mu, t_max, (seed, i))
+            assert S[i] == tr.additive_integral(f)
+            assert absorbed[i] == (not tr.survived)
+            assert term[i] == tr.visited_states[-1]
+
+
+def test_jump_inversion_at_a_breakpoint(bd5_bundle, m2sym_qproc, stiff_chain):
+    """A jump uniform equal to a breakpoint of its state's cumulative row,
+    0.0 included, selects the first column with cumJ > u, a target of
+    positive probability, as the one-path simulator does.  With cumJ >= u,
+    u = 0.0 sent every state to column 0: bd5's state 4, whose only
+    neighbour is 3, to state 0, and m2sym's Q-process state 0 to itself.  On a chain
+    whose every jump has one target, the inversion returns that target."""
+    dense = make_random_chain(np.random.default_rng(5), n=9)
+    for gen_matrix, killing in ((bd5_bundle.chain.sub_generator, bd5_bundle.chain.killing),
+                                (stiff_chain.sub_generator, stiff_chain.killing),
+                                (dense.sub_generator, dense.killing),
+                                (m2sym_qproc.q_generator, None)):
+        n = len(gen_matrix)
+        kernel = montecarlo._Kernel(gen_matrix, killing, np.full(n, 1.0 / n), np.zeros(n),
+                                    np.array([1.0]))
+        _, cumJ = montecarlo._jump_tables(gen_matrix, killing)
+        out_rates = np.array(gen_matrix, dtype=float)
+        np.fill_diagonal(out_rates, 0.0)
+        if killing is not None:
+            out_rates = np.hstack([out_rates, np.asarray(killing)[:, None]])
+        for s in range(n):
+            u = np.unique(np.concatenate([[0.0], cumJ[s][cumJ[s] < 1.0]]))
+            got = kernel._next_states(np.full(len(u), s), u)
+            assert np.all(out_rates[s, got] > 0)
+            assert got.tolist() == [oracles.jump_target(cumJ[s], x) for x in u]
+            if kernel.fixed is not None:
+                assert np.all(got == kernel.fixed[s])
+        assert (kernel.fixed is not None) == (killing is None)
 
 
 @pytest.mark.parametrize("model, method, t, seed, n, extra", [
