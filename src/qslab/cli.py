@@ -127,7 +127,7 @@ class _Analysis:
 
     @cached_property
     def sigma2(self):
-        return variance_clt.sigma2_poisson(self.qp, self.obs, with_quadrature=False).sigma2
+        return variance_clt.sigma2_poisson(self.qp, self.obs).sigma2
 
     @cached_property
     def cert(self):

@@ -29,15 +29,12 @@ class QProcessChain:
 
     chain is the absorbed chain it conditions, whose eigen-decompositions
     also diagonalise L_Q, and triple the chain's spectral triple it was
-    built from.  psi = psi1 / eta is the natural weight for Q-side
-    ergodicity bounds and c = min psi its positive lower bound.
+    built from.
     """
 
     q_generator: np.ndarray
     beta: np.ndarray
     psi1: np.ndarray
-    psi: np.ndarray
-    c: float
     triple: SpectralTriple
     chain: AbsorbedChain
 
@@ -71,7 +68,7 @@ class QProcessChain:
         return w + self.triple.lambda0, vl * eta, vr / eta
 
     def __post_init__(self):
-        for arr in (self.q_generator, self.beta, self.psi1, self.psi):
+        for arr in (self.q_generator, self.beta, self.psi1):
             arr.setflags(write=False)
 
 
@@ -92,22 +89,21 @@ def h_transform(chain: AbsorbedChain, triple: SpectralTriple,
     np.fill_diagonal(LQ, 0.0)
     np.fill_diagonal(LQ, -LQ.sum(axis=1))
     psi1 = np.ones(n) if psi1 is None else np.array(psi1, dtype=float)
-    psi = psi1 / eta
-    return QProcessChain(q_generator=LQ, beta=eta * triple.alpha, psi1=psi1, psi=psi,
-                         c=float(psi.min()), triple=triple, chain=chain)
+    return QProcessChain(q_generator=LQ, beta=eta * triple.alpha, psi1=psi1, triple=triple,
+                         chain=chain)
 
 
 def q_marginal(qproc: QProcessChain, initial, t: float) -> np.ndarray:
     """initial e^{t L_Q}; spectral.semigroup refuses a t that is negative
-    or not finite, and through expm one past the rounding floor of its
-    squarings."""
+    or not finite, and, off the symmetric basis, one past the rounding
+    floor of its squarings."""
     return np.asarray(initial, dtype=float) @ semigroup(qproc, t)
 
 
 def conditional_marginal(chain: AbsorbedChain, mu, t: float, T: float) -> np.ndarray:
     """Law of X_t given survival past T >= t, by two shifted exponentials;
-    a law that is not finite raises, and so does, through expm, a time past
-    the rounding floor of its squarings (see spectral.semigroup)."""
+    a law that is not finite raises, and so does, off the symmetric basis,
+    a time past the rounding floor of its squarings (see spectral.semigroup)."""
     if not 0 <= t <= T:
         raise ValidationError("need 0 <= t <= T")
     mu = np.asarray(mu, dtype=float)

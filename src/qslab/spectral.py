@@ -11,9 +11,9 @@ and stores twice the measured maximum as the certified C (grid certification
 cannot exclude slightly larger deviations between grid points; the factor-2
 slack is recorded in the certificate).  exponential_basis() is the one
 place that picks how an exponential of a generator is computed: from a
-reversible chain's symmetric eigenbasis, or by Pade scaling and squaring
-(scipy's expm in semigroup()), whose squarings set the rounding floor that
-squarings() enforces.
+reversible chain's symmetric eigenbasis, or by exponentials(), the one
+Pade-13 scaling and squaring, in the moment oracle's polynomial ring or at
+its degree 0 for a plain e^{tA}, whose squarings() set the rounding floor.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import lu_factor, lu_solve
 
 from .chain_model import AbsorbedChain
 from .errors import (BudgetExceeded, DegenerateGap, NoKilling, OverflowGuard, UnresolvedDecay,
@@ -162,6 +162,96 @@ def exponential_basis(gen):
     return basis if gen.n * np.finfo(float).eps * h.max() <= ROUNDING_FLOOR * h.min() else None
 
 
+# Pade-13 coefficients (Higham 2005)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+
+
+def _poly_mul(A, B, da=np.inf, db=np.inf, *, out):
+    """Truncated Cauchy product of two matrix polynomials stored as
+    (K+1, n, n) coefficient arrays, into out: C_k = sum_{j <= k} A_j
+    B_{k-j}, over the pairs whose blocks lie within A's top degree da and
+    B's db (the blocks above are zero).  At K = 0, the matrix product."""
+    for k in range(len(A)):
+        out[k] = sum(A[j] @ B[k - j] for j in range(max(0, k - db), min(k, da) + 1))
+    return out
+
+
+def _poly_solve(Q, P):
+    """Q^{-1} P in the ring: the degree-0 block of Q is factored once, and
+    block forward substitution inverts the rest."""
+    lu = lu_factor(Q[0])
+    E = np.empty_like(P)
+    for k in range(len(P)):
+        rhs = P[k].copy()
+        for j in range(1, k + 1):
+            rhs -= Q[j] @ E[k - j]
+        E[k] = lu_solve(lu, rhs)
+    return E
+
+
+def _pade13(X, h: float, mul, solve) -> np.ndarray:
+    """Pade-13 approximant of e^{hX} for a ring element X and a step h
+    inside its accuracy radius, with the ring's product (which takes out=)
+    and its solve for the denominator, in one workspace of six elements.
+    X has no block above degree 1, so X^k none above k: each product skips
+    the pairs of blocks past its operands' top degrees."""
+    X1, X2, X4, X6, P, T = np.empty((6,) + X.shape, X.dtype)
+    np.multiply(X, h, out=X1)
+    mul(X1, X1, 1, 1, out=X2)
+    mul(X2, X2, 2, 2, out=X4)
+    mul(X4, X2, 4, 2, out=X6)
+
+    def half(c, out, spare):  # X6 (c0 X6 + c1 X4 + c2 X2) + c3 X6 + c4 X4 + c5 X2 + c6 I
+        np.multiply(X6, c[0], out=spare)
+        for ck, Xk in zip(c[1:3], (X4, X2)):
+            spare += np.multiply(Xk, ck, out=out)
+        mul(X6, spare, 6, 6, out=out)
+        for ck, Xk in zip(c[3:6], (X6, X4, X2)):
+            out += np.multiply(Xk, ck, out=spare)
+        out[0].flat[::X.shape[1] + 1] += c[6]
+        return out
+
+    U = mul(X1, half(_PADE13[13::-2], T, P), 1, out=P)
+    V = half(_PADE13[12::-2], T, X1)
+    return solve(np.subtract(V, U, out=X2), np.add(V, U, out=X4))
+
+
+def exponentials(X, norm: float, times, mul=_poly_mul, solve=_poly_solve):
+    """(t, e^{tX}) for each distinct t of times, for an element X of a ring
+    of (K+1, n, n) matrix polynomials truncated after degree K (by default
+    the Cauchy products), with no block above degree 1 and 1-norm norm, by
+    Pade-13 scaling and squaring (Higham 2005).  squarings() gives each t
+    its s, in the order of times, and refuses a t past the rounding floor;
+    E(t) is the approximant at h = t / 2^s squared s times.  Times that
+    share h (a dyadic family t, 2t, 4t, ... as computed) share one
+    approximant: each later one is read off the squaring loop of the
+    smallest with the same products in the same order, so bit for bit.  The
+    squarings alternate between two buffers: E is valid until the next."""
+    families = {}
+    for t in dict.fromkeys(times):
+        s = squarings(t, norm, X.shape[1])
+        families.setdefault(float(np.ldexp(t, -s)), []).append((s, t))
+    for h, members in families.items():
+        E = _pade13(X, h, mul, solve)
+        spare = np.empty_like(E)
+        done = 0
+        for s, t in sorted(members):
+            for _ in range(s - done):
+                E, spare = mul(E, E, out=spare), E
+            done = s
+            yield t, E
+
+
+def exponential(A, t: float) -> np.ndarray:
+    """e^{tA} for a real or complex n x n A: exponentials() of A[None] at
+    degree 0, which refuses a t past the rounding floor (after check_time)."""
+    (_, E), = exponentials(A[None], float(np.abs(A).sum(axis=0).max()), [t])
+    return E[0]
+
+
 def semigroup(gen, t: float, lead=None) -> np.ndarray:
     """e^{tA} for (A, s) = gen.shifted, the generator of an absorbed chain
     or a Q-process shifted by its leading eigenvalue, so that the leading
@@ -174,7 +264,7 @@ def semigroup(gen, t: float, lead=None) -> np.ndarray:
     carries eigh's rounding times h_y / h_x.  A deviation has that factor in
     its own scale, so it takes any reversible gen's basis; an exponential
     takes the one exponential_basis() gives, and otherwise comes from
-    scipy's expm, after squarings() has checked its rounding floor.
+    exponential(), whose squarings() refuses a t past the rounding floor.
     check_time comes first."""
     check_time(t)
     basis = gen.symmetric_basis if lead is not None else exponential_basis(gen)
@@ -187,9 +277,7 @@ def semigroup(gen, t: float, lead=None) -> np.ndarray:
         keep = weights >= np.finfo(float).eps * weights.max()
         V = U[:, keep] * np.sqrt(weights[keep])
         return (V / h[:, None]) @ (V * h[:, None]).T
-    A, _ = gen.shifted
-    squarings(t, np.abs(A).sum(axis=0).max(), gen.n)
-    E = expm(t * A)
+    E = exponential(gen.shifted[0], t)
     return E if lead is None else E - lead
 
 
@@ -214,8 +302,8 @@ def certify_ergodicity(chain: AbsorbedChain, triple: SpectralTriple, psi1,
     including t = 0 is recommended since the ratio there already forces
     C >= max_x ||delta_x - eta(x) alpha||_psi1 / psi1(x).  A grid is refused
     when it ends where the rounding floor n eps e^{gamma t} of the ratio
-    exceeds 1e-6 (about 22/gamma on a few states): through expm the ratio
-    would measure rounding, not the deviation.  A reversible chain's basis
+    exceeds 1e-6 (about 22/gamma on a few states): by Pade the ratio would
+    measure rounding, not the deviation.  A reversible chain's basis
     does not amplify rounding so, but the same grids are refused for every
     chain, so that the accepted grids do not depend on how e^{tL} is computed.
     """
@@ -226,7 +314,7 @@ def certify_ergodicity(chain: AbsorbedChain, triple: SpectralTriple, psi1,
     if t_grid[-1] < 0.95 * 5.0 / gamma:
         raise ValidationError(
             f"certification grid must reach 5/gamma = {5.0 / gamma:.3g}, got {t_grid[-1]:.3g}")
-    # expm's ratio multiplies its rounding, about n eps, by e^{gamma t}
+    # the ratio multiplies an exponential's rounding, about n eps, by e^{gamma t}
     if np.log(chain.n * np.finfo(float).eps) + gamma * t_grid[-1] > np.log(ROUNDING_FLOOR):
         raise OverflowGuard(
             f"at t = {t_grid[-1]:.3g} the deviation ratio's rounding floor "

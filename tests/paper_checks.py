@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from types import SimpleNamespace
 
 import numpy as np
 import yaml
@@ -18,16 +19,23 @@ from qslab.spectral import log_slope, semigroup
 from qslab.variance_clt import K_MAX, _tilted_law, exact_conditional_moments, make_observable
 
 
-def constants(cert, qproc, K: int = K_MAX):
+def q_weights(qproc):
+    """The Q-process's beta, its weight psi = psi1 / eta, natural for the
+    Q-side ergodicity bounds, and c = min psi, psi's positive lower bound."""
+    psi = qproc.psi1 / qproc.triple.eta
+    return SimpleNamespace(beta=qproc.beta, psi=psi, c=float(psi.min()))
+
+
+def constants(cert, weights, K: int = K_MAX):
     """(C_1, D, Ck) with D[k-1] = D_k and Ck[k-1] = C_k for k = 1..K, from
-    the closed forms in exact rational arithmetic on the binary inputs,
-    rounded once to doubles:
+    the closed forms in exact rational arithmetic on the binary inputs
+    (weights as q_weights gives them), rounded once to doubles:
 
     D_1 = max(C^2/c, C beta(psi)/(c^2 gamma)),
     D_k = (r^{k-1} or 1, whichever is larger) * D_1 with r = (C/gamma)(1 + beta(psi)/c),
     C_1 = 1/gamma + 1/gamma^2,  C_k = C_1/(k-1)! + C_1/(k-2)!  (k >= 2)."""
-    C, g, c = Fraction(float(cert.C)), Fraction(float(cert.gamma)), Fraction(float(qproc.c))
-    bp = Fraction(float(qproc.beta @ qproc.psi))
+    C, g, c = Fraction(float(cert.C)), Fraction(float(cert.gamma)), Fraction(float(weights.c))
+    bp = Fraction(float(weights.beta @ weights.psi))
     D1 = max(C * C / c, C * bp / (c * c * g))
     r = (C / g) * (1 + bp / c)
     C1 = 1 / g + 1 / (g * g)
@@ -39,8 +47,9 @@ def constants(cert, qproc, K: int = K_MAX):
 def even_moment_bounds(cert, qproc, mu, k: int, t_grid) -> np.ndarray:
     """(2k)! D_k C_1 k/(k-1)! mu(psi)/t at each t, with mu(psi) for the
     Q-process's psi: the explicit bound on the even-moment error."""
-    C1, D, _ = constants(cert, qproc, k)
-    mu_psi = float(np.asarray(mu, dtype=float) @ qproc.psi)
+    weights = q_weights(qproc)
+    C1, D, _ = constants(cert, weights, k)
+    mu_psi = float(np.asarray(mu, dtype=float) @ weights.psi)
     return (factorial(2 * k) * D[k - 1] * C1 * k / factorial(k - 1) * mu_psi
             / np.asarray(t_grid, dtype=float))
 
@@ -93,7 +102,7 @@ def charfun_bound(qproc, cert, mu, f, omega: float, t_grid, sigma2: float):
     law to its Gaussian-limit target beta(g) e^{-sigma^2 omega^2 / 2}."""
     ft = make_observable(qproc, f).f_centered
     mu = np.asarray(mu, dtype=float)
-    C, gamma, psi = cert.C, cert.gamma, qproc.psi
+    C, gamma, psi = cert.C, cert.gamma, q_weights(qproc).psi
     mu_psi, beta_psi = float(mu @ psi), float(qproc.beta @ psi)
     rows = []
     for t in t_grid:
@@ -109,7 +118,8 @@ def charfun_bound(qproc, cert, mu, f, omega: float, t_grid, sigma2: float):
 def q_ergodicity(qproc, t_grid):
     """(max_x ||delta_x exp(t L_Q) - beta||_psi / psi(x) at each t, the
     slope of its log against t)."""
-    devs = np.array([(np.abs(semigroup(qproc, t, lead=qproc.beta)) @ qproc.psi / qproc.psi).max()
+    psi = q_weights(qproc).psi
+    devs = np.array([(np.abs(semigroup(qproc, t, lead=qproc.beta)) @ psi / psi).max()
                      for t in t_grid])
     return devs, log_slope(t_grid, devs)
 

@@ -184,7 +184,7 @@ def test_model_objects_compare_and_hash_by_identity(bd5_bundle, bd5_triple, bd5_
     makers = (lambda: oracles.simulate_absorbed(chain, mu, 5.0, (1, 0)),
               lambda: qslab.conditional_clt_sample(qp, mu, f, 5.0, 50, seed=1),
               lambda: qslab.make_observable(qp, f),
-              lambda: qslab.sigma2_poisson(qp, f, with_quadrature=False),
+              lambda: qslab.sigma2_poisson(qp, f),
               lambda: qslab.exact_conditional_moments(chain, mu, f, 2, 5.0))
     pairs += [(make(), make()) for make in makers]
     assert [type(obj).__name__ for obj, _ in pairs[4:]] == [

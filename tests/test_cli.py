@@ -280,6 +280,20 @@ def test_variance_subcommand_cross_oracle(tmp_path):
     assert row["step"] == row["horizon"]  # one exponential spans the horizon
 
 
+def test_quadrature_past_its_rounding_floor_is_an_overflow_error(tmp_path, capsys):
+    """A slow two-state chain (gamma = 5e-10) puts the quadrature's horizon
+    40/gamma at 8e10: its exponential needs 34 squarings, whose rounding
+    floor 2^s n eps passes 1e-6.  Unrefused, it wrote abs_diff 4.6e-5
+    beside an error_bound of 4.2e-9; now variance exits 4 and writes no CSV."""
+    model = tmp_path / "slow.yaml"
+    model.write_text("generator: [[-1.000000025e-4, 2.5e-10], [2.5e-10, -1.000000025e-4]]\n"
+                     "observable: [1.0, 0.0]\n")
+    out = tmp_path / "o"
+    assert cli.main(["variance", "--model", str(model), "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("error: overflow-guard: ")
+    assert not out.exists()
+
+
 def test_certify_subcommand(tmp_path):
     out = tmp_path / "o"
     r = run_cli("certify", "--model", "bd5", "--out", str(out))

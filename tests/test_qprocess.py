@@ -15,8 +15,9 @@ def test_m2sym_transform_is_exact(m2sym_qproc):
         m2sym_qproc.q_generator, [[-1.0, 1.0], [1.0, -1.0]], rtol=0, atol=1e-14
     )
     np.testing.assert_allclose(m2sym_qproc.beta, [0.5, 0.5], rtol=0, atol=1e-14)
-    np.testing.assert_allclose(m2sym_qproc.psi, [1.0, 1.0], rtol=0, atol=0)
-    assert m2sym_qproc.c == 1.0
+    weights = paper_checks.q_weights(m2sym_qproc)
+    np.testing.assert_allclose(weights.psi, [1.0, 1.0], rtol=0, atol=0)
+    assert weights.c == 1.0
 
 
 def test_uniform_killing_shifts_diagonal_only():
@@ -106,8 +107,9 @@ def test_one_state_chain_has_no_q_process():
 def test_psi_carries_the_weight(m2asym_triple, m2asym_bundle):
     psi1 = np.array([1.0, 3.0])
     qp = qslab.h_transform(m2asym_bundle.chain, m2asym_triple, psi1)
-    np.testing.assert_allclose(qp.psi, psi1 / m2asym_triple.eta, rtol=0, atol=0)
-    assert qp.c == qp.psi.min()
+    weights = paper_checks.q_weights(qp)
+    np.testing.assert_allclose(weights.psi, psi1 / m2asym_triple.eta, rtol=0, atol=0)
+    assert weights.c == weights.psi.min()
 
 
 def test_q_marginal_basics(m2sym_qproc):

@@ -1,5 +1,7 @@
+import ast
 import warnings
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from scipy.linalg import expm
 
 import qslab
+from qslab import spectral
 from qslab.chain_model import AbsorbedChain
 from qslab.errors import NumericalError, QslabError, ValidationError
 from qslab.spectral import certification_profile
@@ -356,3 +359,31 @@ def test_drifted_ladder_certificate_matches_mpmath():
     prof = certification_profile(chain, tr, np.ones(60), qslab.default_time_grid(tr.gamma))
     for (_, ratio), ref in zip(prof, DRIFTED_PROFILE, strict=True):
         assert abs(ratio - ref) <= 1e-10 * ref
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5, 40.0, 1e3])
+def test_squarings_counts_the_squarings_that_run(bd5_bundle, t):
+    """A plain exponential takes one Pade approximant (six products) and
+    then exactly the squarings() count that its rounding floor is checked on."""
+    A = bd5_bundle.chain.shifted[0]
+    norm = np.abs(A).sum(axis=0).max()
+    products = []
+
+    def mul(*args, **kwargs):
+        products.append(args[0].shape)
+        return spectral._poly_mul(*args, **kwargs)
+
+    (_, E), = spectral.exponentials(A[None], norm, [t], mul, spectral._poly_solve)
+    assert len(products) == 6 + spectral.squarings(t, norm, 5)
+    np.testing.assert_allclose(E[0], expm(t * A), rtol=0, atol=1e-12)
+
+
+def test_no_module_binds_scipys_expm():
+    """Every exponential comes from spectral.exponentials: no module of
+    qslab imports an expm, or a star that would bind one, or reads an
+    attribute named expm."""
+    for path in sorted(Path(qslab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                assert not {a.name for a in node.names} & {"expm", "*"}, path.name
+            assert not (isinstance(node, ast.Attribute) and node.attr == "expm"), path.name

@@ -50,15 +50,16 @@ def test_sigma2_m2sym_closed_form(m2sym_qproc):
 
 
 def test_sigma2_constant_observable_vanishes(bd5_qproc):
-    res = qslab.sigma2_poisson(bd5_qproc, np.full(5, 0.7), with_quadrature=False)
+    res = qslab.sigma2_poisson(bd5_qproc, np.full(5, 0.7))
     assert res.sigma2 == 0.0
 
 
 def test_quadrature_agrees_within_recorded_bound(m2sym_qproc, bd5_qproc):
     for qp, f in ((m2sym_qproc, F1), (bd5_qproc, np.eye(5)[0])):
-        res = qslab.sigma2_poisson(qp, f)
-        assert abs(res.sigma2 - res.quadrature_value) <= res.error_bound
-        assert res.error_bound < 1e-6
+        sigma2 = qslab.sigma2_poisson(qp, f).sigma2
+        quadrature, _, error_bound = qslab.sigma2_quadrature(qp, f)
+        assert abs(sigma2 - quadrature) <= error_bound
+        assert error_bound < 1e-6
 
 
 def test_quadrature_cross_oracle_on_random_chains(random_chain_set):
@@ -67,9 +68,10 @@ def test_quadrature_cross_oracle_on_random_chains(random_chain_set):
         qp = qslab.h_transform(chain, tr)
         f = np.zeros(chain.n)
         f[0], f[-1] = 1.0, -1.0
-        res = qslab.sigma2_poisson(qp, f)
-        assert abs(res.sigma2 - res.quadrature_value) <= res.error_bound
-        assert res.error_bound <= 1e-8  # unit-gap chains keep the tail tiny
+        sigma2 = qslab.sigma2_poisson(qp, f).sigma2
+        quadrature, _, error_bound = qslab.sigma2_quadrature(qp, f)
+        assert abs(sigma2 - quadrature) <= error_bound
+        assert error_bound <= 1e-8  # unit-gap chains keep the tail tiny
 
 
 def _unit_ladder(n):
@@ -88,16 +90,18 @@ def test_quadrature_bound_meets_tolerance_on_seeded_ladder():
     # draws made before f: a 200-state ladder's mu and f, this ladder's mu
     rng.uniform(0.5, 1.5, 200), rng.uniform(-1, 1, 200), rng.uniform(0.5, 1.5, 50)
     f = rng.uniform(-1, 1, 50)
-    res = qslab.sigma2_poisson(_unit_ladder_qproc(50), f)
-    assert abs(res.sigma2 - res.quadrature_value) <= res.error_bound <= 1e-8
+    qp = _unit_ladder_qproc(50)
+    quadrature, _, error_bound = qslab.sigma2_quadrature(qp, f)
+    assert abs(qslab.sigma2_poisson(qp, f).sigma2 - quadrature) <= error_bound <= 1e-8
 
 
 @pytest.mark.parametrize("n", [35, 50, 100, 200])
 def test_quadrature_cross_oracle_on_unit_ladders(n):
     """Small-gap ladders (gamma ~ 20/n^2): one exponential spans 40/gamma."""
     f = np.random.default_rng([n, 7]).uniform(-1, 1, n)
-    res = qslab.sigma2_poisson(_unit_ladder_qproc(n), f)
-    assert abs(res.sigma2 - res.quadrature_value) <= res.error_bound
+    qp = _unit_ladder_qproc(n)
+    quadrature, _, error_bound = qslab.sigma2_quadrature(qp, f)
+    assert abs(qslab.sigma2_poisson(qp, f).sigma2 - quadrature) <= error_bound
 
 
 def test_constants_unit_inputs_power_of_two():
@@ -136,7 +140,7 @@ def test_constants_m2sym_certified_values(m2sym_bundle, m2sym_triple, m2sym_qpro
     cert = qslab.certify_ergodicity(
         m2sym_bundle.chain, m2sym_triple, np.ones(2), qslab.default_time_grid(2.0)
     )
-    C1, D, Ck = paper_checks.constants(cert, m2sym_qproc)
+    C1, D, Ck = paper_checks.constants(cert, paper_checks.q_weights(m2sym_qproc))
     # C = 2, gamma = 2, c = 1, beta(psi) = 1
     assert abs(C1 - 0.75) < 1e-12
     np.testing.assert_allclose(D[:3], [4.0, 8.0, 16.0], rtol=0, atol=1e-10)
@@ -253,13 +257,13 @@ def _grid_case(name, bundles):
 
 def _count_pade(monkeypatch):
     """Record the step h of each Pade approximant the moment oracle takes."""
-    steps, pade = [], variance_clt._pade13
+    steps, pade = [], spectral._pade13
 
     def counted(X, h, mul, solve):
         steps.append(h)
         return pade(X, h, mul, solve)
 
-    monkeypatch.setattr(variance_clt, "_pade13", counted)
+    monkeypatch.setattr(spectral, "_pade13", counted)
     return steps
 
 
@@ -296,8 +300,8 @@ def test_grid_moments_fall_back_when_doubling_misses_a_squaring(monkeypatch, bd5
     chain, mu, f = bd5_bundle.chain, bd5_bundle.mu, bd5_bundle.f
     gamma = qslab.solve_spectral(chain).gamma
     times = [c / gamma for c in _GRID]
-    squarings = variance_clt.squarings
-    monkeypatch.setattr(variance_clt, "squarings",
+    squarings = spectral.squarings
+    monkeypatch.setattr(spectral, "squarings",
                         lambda t, norm, n: squarings(t, norm, n) + (t > 12.0 / gamma))
     steps = _count_pade(monkeypatch)
     qslab.exact_conditional_moments(chain, mu, f, 4, times)
@@ -399,8 +403,8 @@ def test_pade_skips_only_products_with_a_zero_block(name, K):
         mul, solve = variance_clt._sym_mul, variance_clt._sym_solve
     X = np.zeros((K + 1, len(f), len(f)))
     X[0], X[1] = X0, X1
-    full = variance_clt._pade13(X, 0.3, lambda A, B, *_: mul(A, B), solve)
-    assert variance_clt._pade13(X, 0.3, mul, solve).tobytes() == full.tobytes()
+    full = spectral._pade13(X, 0.3, lambda A, B, *_, out: mul(A, B, out=out), solve)
+    assert spectral._pade13(X, 0.3, mul, solve).tobytes() == full.tobytes()
 
 
 def _augmented_generator(L, f, K):
@@ -652,11 +656,12 @@ def test_uniform_charfun_bound_m2sym(m2sym_bundle, m2sym_triple, m2sym_qproc):
         m2sym_bundle.chain, m2sym_triple, np.ones(2), qslab.default_time_grid(2.0)
     )
     mu = np.array([1.0, 0.0])
-    sigma2 = qslab.sigma2_poisson(m2sym_qproc, F1, with_quadrature=False).sigma2
+    sigma2 = qslab.sigma2_poisson(m2sym_qproc, F1).sigma2
     ts = [10.0, 40.0, 160.0]
     rows = zip(ts, *paper_checks.charfun_bound(m2sym_qproc, cert, mu, F1, 1.0, ts, sigma2))
-    mu_psi = float(mu @ m2sym_qproc.psi)
-    beta_psi = float(m2sym_qproc.beta @ m2sym_qproc.psi)
+    psi = paper_checks.q_weights(m2sym_qproc).psi
+    mu_psi = float(mu @ psi)
+    beta_psi = float(m2sym_qproc.beta @ psi)
     convs = []
     for t, sup_gap, bound, conv in rows:
         expect = cert.C * mu_psi * np.exp(-cert.gamma * t) + (
