@@ -39,7 +39,6 @@ from .qprocess import (
 )
 from .variance_clt import (
     AdditiveObservable,
-    VarianceResult,
     exact_conditional_charfuns,
     exact_conditional_moments,
     make_observable,

@@ -90,9 +90,10 @@ def _check_args(args):
     lists in place, so that the runners see finite values only."""
     if not 0 <= args.seed < 2 ** 64:
         raise ValidationError(f"--seed must be a u64, got {args.seed}")
-    for name in ("n", "tpoints"):
-        if getattr(args, name, 1) < 1:
-            raise ValidationError(f"--{name} must be at least 1, got {getattr(args, name)}")
+    # one --tpoints point gives the grid {0, 0.1/gamma}, short of 5/gamma
+    for name, least in (("n", 1), ("tpoints", 2)):
+        if getattr(args, name, least) < least:
+            raise ValidationError(f"--{name} must be at least {least}, got {getattr(args, name)}")
     lows = {"t": 0.0 if args.cmd == "clt" else -np.inf, "T": -np.inf, "tmax": 0.0}
     for name, low in lows.items():
         value = getattr(args, name, None)
@@ -127,7 +128,7 @@ class _Analysis:
 
     @cached_property
     def sigma2(self):
-        return variance_clt.sigma2_poisson(self.qp, self.obs).sigma2
+        return variance_clt.sigma2_poisson(self.qp, self.obs)
 
     @cached_property
     def cert(self):
@@ -213,14 +214,17 @@ def _sample(an, t, n, method, seed, clt=True):
 
 
 def _run_clt(an, emp, dump):
-    b, triple = an.bundle, an.triple
+    b = an.bundle
+    if emp.n_effective == 0:
+        raise ValidationError(f"clt kept 0 of {emp.n_requested} replicas at t={emp.t}: "
+                              "raise --n, or use --method qprocess, whose replicas all survive")
     s2, d, gap_bound = 0.0, float("nan"), float("nan")
     if an.obs.f_centered.any():
         s2 = an.sigma2
         d = montecarlo.kolmogorov_distance(emp, s2)
         if emp.method == "qprocess":
             # prefactor C mu(psi1)/mu(eta) of the coupling gap e^{-gamma (T - t)}
-            gap_bound = float(an.cert.C * (b.mu @ b.psi1) / float(b.mu @ triple.eta))
+            gap_bound = float(an.cert.C * (b.mu @ b.psi1) / an.qp.start(b.mu)[1])
     rows = [(emp.t, emp.n_effective, d, s2, emp.method, gap_bound)]
     out = {"clt.csv": ({"n_requested": emp.n_requested},
                        ("t", "n_eff", "d_kolm", "sigma2", "method", "gap_bound"), rows)}

@@ -249,9 +249,7 @@ def conditional_clt_sample(qproc: QProcessChain, mu, f, t, n_replicas: int,
         raise ValidationError(f"unknown conditioning method {method!r}")
     if n_replicas > MAX_REPLICAS:
         raise BudgetExceeded(f"{n_replicas} replicas exceed the ceiling of {MAX_REPLICAS}")
-    mu_eta = float(mu @ triple.eta)
-    if mu_eta <= 0:
-        raise ValidationError("mu(eta) must be positive")
+    q_start, _ = qproc.start(mu)
     drawn = {}  # (method, t) -> sorted statistic
     for m in sorted(set(methods), reverse=True):  # rejection's budget before any pass
         hz = np.unique(times[np.array(methods) == m])
@@ -263,7 +261,7 @@ def conditional_clt_sample(qproc: QProcessChain, mu, f, t, n_replicas: int,
             dynamics = (chain.sub_generator, chain.killing, mu)
         else:
             # the Q-process from the eta-reweighted law; no replica is absorbed
-            dynamics = (qproc.q_generator, None, mu * triple.eta / mu_eta)
+            dynamics = (qproc.q_generator, None, q_start)
         S, _, absorbed, _ = _batch_statistics(*dynamics, obs.f_centered, hz, n_replicas,
                                               seed, batch)
         for h, s_h, dead in zip(hz, S, absorbed):

@@ -6,6 +6,7 @@ semigroup intertwining
 
     exp(t L_Q) = e^{lambda0 t} diag(eta)^{-1} exp(t L) diag(eta).
 
+QProcessChain.start(mu) is the one owner of its start law mu eta / mu(eta).
 conditional_marginal computes the law of X_t given survival up to a later
 horizon T, and conditional_vs_q_gap measures how fast it approaches the
 Q-process marginal as T - t grows (exponentially, at rate gamma).
@@ -66,6 +67,15 @@ class QProcessChain:
         w, vl, vr = self.chain.eigen
         eta = self.triple.eta[:, None]
         return w + self.triple.lambda0, vl * eta, vr / eta
+
+    def start(self, mu):
+        """(mu eta / mu(eta), mu(eta)): the Q-process's start law for the
+        chain's initial law mu; mu(eta) <= 0 raises ValidationError."""
+        mu = np.asarray(mu, dtype=float)
+        mu_eta = float(mu @ self.triple.eta)
+        if mu_eta <= 0:
+            raise ValidationError("mu(eta) must be positive")
+        return mu * self.triple.eta / mu_eta, mu_eta
 
     def __post_init__(self):
         for arr in (self.q_generator, self.beta, self.psi1):
@@ -132,18 +142,15 @@ class ConditionalGapReport:
 def conditional_vs_q_gap(qproc: QProcessChain, mu, t: float, T: float,
                          cert: ErgodicityCertificate) -> ConditionalGapReport:
     """Gap between the T-conditioned marginal at t and the Q-process marginal
-    started from the eta-reweighted initial law mu*eta/mu(eta), with the
+    started from QProcessChain.start(mu), the law mu*eta/mu(eta), with the
     ratio mu(psi1)/mu(eta) from the Q-process's weight psi1.  The run's
     certificate for psi1 gives the C of both the displayed bound prefactor
     and the validity threshold.
     """
     mu = np.asarray(mu, dtype=float)
-    chain, triple = qproc.chain, qproc.triple
-    mu_eta = mu @ triple.eta
-    if mu_eta <= 0:
-        raise ValidationError("mu(eta) must be positive")
-    h_mu = mu * triple.eta / mu_eta
-    cond = conditional_marginal(chain, mu, t, T)
+    triple = qproc.triple
+    h_mu, mu_eta = qproc.start(mu)
+    cond = conditional_marginal(qproc.chain, mu, t, T)
     qm = q_marginal(qproc, h_mu, t)
     gap_sum = float(np.abs(cond - qm).sum())
     ratio = float(mu @ qproc.psi1) / mu_eta

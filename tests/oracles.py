@@ -14,10 +14,9 @@ from math import factorial
 import numpy as np
 
 from qslab.chain_model import AbsorbedChain
-from qslab.errors import ValidationError
 from qslab.montecarlo import _batch_statistics, _jump_tables, philox_stream
 from qslab.qprocess import QProcessChain
-from qslab.variance_clt import _conditional_charfuns, _tilted_law
+from qslab.variance_clt import _tilted_law, exact_conditional_charfuns
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,11 +111,9 @@ def jump_frequency_counts(chain: AbsorbedChain, mu, t_max: float, n_replicas: in
 
 def exact_conditional_charfun(gen, mu, f, omega_over_sqrt_t: float, t: float) -> complex:
     """E_mu[e^{i w' int_0^t f(X_s) ds} | survival] with w' = omega/sqrt(t)
-    held fixed, via one complex matrix exponential of the shifted generator.
-    For a conservative generator the conditioning divisor is 1."""
-    if t <= 0:
-        raise ValidationError("charfun needs t > 0")
-    return _conditional_charfuns(gen, mu, f, [omega_over_sqrt_t], t)[0]
+    held fixed: exact_conditional_charfuns at the one omega = w' sqrt(t),
+    which refuses t <= 0."""
+    return exact_conditional_charfuns(gen, mu, f, [omega_over_sqrt_t * np.sqrt(t)], t)[0]
 
 
 def charfun_taylor_moments(gen, mu, f, t: float, k_max: int = 4) -> np.ndarray:

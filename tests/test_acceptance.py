@@ -93,16 +93,16 @@ def test_criterion_04_sigma2_cross_oracle(random_chain_set, m2sym_qproc):
         qp = qslab.h_transform(chain, tr)
         f = np.zeros(chain.n)
         f[0], f[-1] = 1.0, -1.0
-        sigma2 = qslab.sigma2_poisson(qp, f).sigma2
+        sigma2 = qslab.sigma2_poisson(qp, f)
         quadrature, _, error_bound = qslab.sigma2_quadrature(qp, f)  # horizon 40/gamma
         assert abs(sigma2 - quadrature) <= error_bound
         assert error_bound <= 1e-8
         worst_bound = max(worst_bound, error_bound)
     m2 = qslab.sigma2_poisson(m2sym_qproc, F1)
-    assert abs(m2.sigma2 - 1.0) < 1e-10
+    assert abs(m2 - 1.0) < 1e-10
     print(f"[PASS] criterion 4: sigma2 oracles within recorded bounds "
           f"(worst bound {worst_bound:.3g} <= 1e-8); M2SYM sigma2 = "
-          f"{m2.sigma2:.12f} (= 1 within 1e-10)")
+          f"{m2:.12f} (= 1 within 1e-10)")
 
 
 def test_criterion_05_even_moments(m2sym_qproc, bd5_bundle, bd5_triple,
@@ -118,7 +118,7 @@ def test_criterion_05_even_moments(m2sym_qproc, bd5_bundle, bd5_triple,
 
     # BD5: slopes and explicit bounds for k = 1, 2, 3
     obs = qslab.make_observable(bd5_qproc, bd5_bundle.f)
-    sigma2 = qslab.sigma2_poisson(bd5_qproc, obs).sigma2
+    sigma2 = qslab.sigma2_poisson(bd5_qproc, obs)
     beta = bd5_qproc.beta
     ts = [20.0, 40.0, 80.0, 160.0]
     slopes = []
@@ -167,7 +167,7 @@ def test_criterion_08_uniform_charfun_bound(m2sym_qproc, bd5_qproc, certs):
     for name, qp, f in (("m2sym", m2sym_qproc, F1),
                         ("bd5", bd5_qproc, np.eye(5)[0])):
         mu = np.eye(qp.n)[0]
-        sigma2 = qslab.sigma2_poisson(qp, f).sigma2
+        sigma2 = qslab.sigma2_poisson(qp, f)
         for omega in (0.5, 1.0, 2.0):
             sup_gaps, bounds, convs = paper_checks.charfun_bound(
                 qp, certs[name], mu, f, omega, [10.0, 40.0, 160.0], sigma2)
@@ -188,7 +188,7 @@ def test_criterion_09_charfun_gaussian_limit(m2sym_bundle, m2asym_bundle,
         tr = qslab.solve_spectral(bundle.chain)
         qp = qslab.h_transform(bundle.chain, tr)
         obs = qslab.make_observable(qp, bundle.f)
-        sigma2 = qslab.sigma2_poisson(qp, obs).sigma2
+        sigma2 = qslab.sigma2_poisson(qp, obs)
         t = 100.0 / tr.gamma
         for omega in (-2.0, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0):
             cf = qslab.exact_conditional_charfuns(

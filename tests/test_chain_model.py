@@ -172,7 +172,7 @@ def test_yaml_roundtrip(tmp_path, bd5_bundle):
 
 def test_model_objects_compare_and_hash_by_identity(bd5_bundle, bd5_triple, bd5_qproc):
     """Bundles, chains, triples, Q-processes and the result records (paths,
-    samples, observables, sigma^2, moments) hold
+    samples, observables, moments) hold
     numpy arrays, so equality is identity: == gives a bool and hash works,
     where a field-wise == would raise."""
     again = qslab.resolve_model("bd5")
@@ -184,12 +184,10 @@ def test_model_objects_compare_and_hash_by_identity(bd5_bundle, bd5_triple, bd5_
     makers = (lambda: oracles.simulate_absorbed(chain, mu, 5.0, (1, 0)),
               lambda: qslab.conditional_clt_sample(qp, mu, f, 5.0, 50, seed=1),
               lambda: qslab.make_observable(qp, f),
-              lambda: qslab.sigma2_poisson(qp, f),
               lambda: qslab.exact_conditional_moments(chain, mu, f, 2, 5.0))
     pairs += [(make(), make()) for make in makers]
     assert [type(obj).__name__ for obj, _ in pairs[4:]] == [
-        "Trajectory", "EmpiricalDistribution", "AdditiveObservable", "VarianceResult",
-        "MomentValues"]
+        "Trajectory", "EmpiricalDistribution", "AdditiveObservable", "MomentValues"]
     for obj, twin in pairs:
         assert (obj == obj) is True and (obj == twin) is False
         assert hash(obj) == hash(obj) and len({obj, twin}) == 2

@@ -147,16 +147,16 @@ def test_nonpositive_time_is_a_validation_error(tmp_path, capsys, argv):
     ("clt", "--n", "100", "--seed=-1"), ("clt", "--n", "100", "--seed", str(2 ** 64)),
     ("moments", "--times=-1"),
     ("moments", "--times", "abc"), ("charfun", "--omegas", "x"),
-    ("certify", "--tpoints=-3"), ("certify", "--tmax", "nan"),
+    ("certify", "--tpoints=-3"), ("certify", "--tpoints", "1"), ("certify", "--tmax", "nan"),
     ("charfun", "--times", "nan"), ("charfun", "--omegas", "inf"), ("qprocess", "--T", "inf"),
     ("qed", "--times", ",", "--n", "100"), ("qed", "--n", "1"),
     ("qed", "--model", "bd5", "--method", "rejection", "--n", "3", "--times", "30,40"),
     ("charfun", "--times", "0"), ("charfun", "--times", "1,-4"), ("qprocess", "--t=-500"),
 ], ids=["clt-n-neg", "clt-n0", "qed-n-neg", "all-n-neg", "seed-neg", "seed-2^64",
         "moments-t-neg", "moments-t-abc", "charfun-omega-x", "certify-tpoints-neg",
-        "certify-tmax-nan", "charfun-t-nan", "charfun-omega-inf", "qprocess-T-inf",
-        "qed-t-empty", "qed-n1", "qed-none-kept", "charfun-t0", "charfun-t-neg",
-        "qprocess-t-neg"])
+        "certify-tpoints-1", "certify-tmax-nan", "charfun-t-nan", "charfun-omega-inf",
+        "qprocess-T-inf", "qed-t-empty", "qed-n1", "qed-none-kept", "charfun-t0",
+        "charfun-t-neg", "qprocess-t-neg"])
 def test_out_of_range_arguments_are_validation_errors(tmp_path, capsys, argv):
     out = tmp_path / "o"
     model = () if "--model" in argv else ("--model", "m2sym")
@@ -188,6 +188,22 @@ def test_constant_observable_asserts_no_clt(tmp_path):
                      "--out", str(out)]) == 0
     row = csv_rows(out / "clt.csv")[0]
     assert (row["sigma2"], row["d_kolm"], row["gap_bound"]) == ("0", "nan", "nan")
+
+
+@pytest.mark.parametrize("observable", ["[1.0, -1.0]", "[0.5, 0.5]"],
+                         ids=["nonconstant", "constant"])
+def test_clt_refuses_an_empty_sample_for_any_observable(tmp_path, capsys, observable):
+    """Rejection keeps about e^{-5 lambda0} 500 = 0.18 replicas of m2asym at
+    t = 5, none at seed 0: every observable is refused alike, naming the
+    replicas kept, the time and both remedies, and writes nothing."""
+    model = _model(tmp_path, "[[-3.0, 1.0], [2.0, -3.0]]", observable)
+    out = tmp_path / "o"
+    assert cli.main(["clt", "--model", model, "--method", "rejection", "--t", "5",
+                     "--n", "500", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: validation: clt kept 0 of 500 replicas at t=5.0")
+    assert "--n" in err and "--method qprocess" in err
+    assert not out.exists()
 
 
 def test_constant_observable_is_sampled_like_any_other(tmp_path, capsys):

@@ -585,6 +585,21 @@ def test_replica_count_and_batch_must_be_positive_integers(monkeypatch, m2sym_bu
                                   qslab.conditional_clt_sample(qp, mu, f, 5.0, 10, seed=1).samples)
 
 
+@pytest.mark.parametrize("method", ["rejection", "qprocess", None])
+def test_initial_law_without_eta_mass_is_refused_before_any_pass(monkeypatch, m2asym_qproc,
+                                                                 m2asym_cert, method):
+    """mu = 0 has mu(eta) = 0, so QProcessChain.start has no law to start
+    the Q-process from: the sampler refuses it before any kernel pass,
+    whatever the method, and so does the gap check."""
+    qp, mu, f = m2asym_qproc, np.zeros(2), np.array([1.0, -1.0])
+    passes = _count_passes(monkeypatch)
+    with pytest.raises(ValidationError, match=r"mu\(eta\) must be positive"):
+        qslab.conditional_clt_sample(qp, mu, f, 1.0, 10, method=method, seed=0)
+    assert passes == []
+    with pytest.raises(ValidationError, match=r"mu\(eta\) must be positive"):
+        qslab.conditional_vs_q_gap(qp, mu, 1.0, 3.0, m2asym_cert)
+
+
 def test_sampler_memory_does_not_grow_with_the_horizon(m2sym_bundle, m2sym_qproc):
     """4096 Q-process replicas hold a few arrays of the batch's width: the
     peak traced allocation stays below 2 MB, and a horizon 8 times longer
