@@ -5,14 +5,18 @@ at rate ``kappa(x) = -sum_y L(x, y)``.  The matrix ``L`` is the generator of
 the killed semigroup ``P_t = exp(t L)``: nonnegative off-diagonal rates,
 nonpositive diagonal, row sums <= 0 with at least one strict inequality,
 and a strongly connected transition graph on E.
+
+load_model_config reads a model file once and keeps the sha256 of the bytes
+it parsed as ModelBundle.source, so a pipe is hashed as it was parsed.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
 
 import numpy as np
 import yaml
@@ -37,6 +41,8 @@ _SQRT_MAX = np.sqrt(np.finfo(float).max)  # the largest rate whose square is fin
 # and 2.7 s at n = 2000 (cost ~ n^3, peak RSS 383 MB), so about 22 s and
 # 1.5 GB at this n
 BIRTH_DEATH_MAX_STATES = 4000
+# the largest model file read: a generator of that many states at 32 bytes an entry
+MODEL_FILE_MAX_BYTES = 32 * BIRTH_DEATH_MAX_STATES ** 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,21 +51,18 @@ class AbsorbedChain:
 
     Attributes
     ----------
-    states : tuple of str
-        Ordered state labels.
     sub_generator : ndarray, shape (n, n)
         The matrix L (units 1/time), read-only.
     killing : ndarray, shape (n,)
         kappa(x) = -sum_y L(x, y) >= 0.
     """
 
-    states: tuple
     sub_generator: np.ndarray
     killing: np.ndarray
 
     @property
     def n(self) -> int:
-        return len(self.states)
+        return self.sub_generator.shape[0]
 
     def __post_init__(self):
         self.sub_generator.setflags(write=False)
@@ -181,7 +184,7 @@ def validate_initial_law(mu, n: int) -> np.ndarray:
     return np.clip(mu, 0.0, None)
 
 
-def validate_chain(raw_matrix, states: Optional[Sequence[str]] = None) -> AbsorbedChain:
+def validate_chain(raw_matrix) -> AbsorbedChain:
     """Check the generator invariants and return an AbsorbedChain.
 
     Raises NegativeOffDiagonal, PositiveRowSum, NoKilling or Reducible with
@@ -216,13 +219,7 @@ def validate_chain(raw_matrix, states: Optional[Sequence[str]] = None) -> Absorb
         ncomp, _ = connected_components(off > 0, directed=True, connection="strong")
         if ncomp != 1:
             raise Reducible(f"transition graph splits into {ncomp} strong components")
-    if states is None:
-        states = tuple(str(i + 1) for i in range(n))
-    else:
-        states = tuple(str(s) for s in states)
-        if len(states) != n:
-            raise ValidationError("number of state labels does not match the matrix")
-    return AbsorbedChain(states=states, sub_generator=L, killing=kappa)
+    return AbsorbedChain(sub_generator=L, killing=kappa)
 
 
 def build_birth_death(n: int, birth, death) -> AbsorbedChain:
@@ -277,13 +274,14 @@ def bd5() -> AbsorbedChain:
 @dataclass(frozen=True, eq=False)
 class ModelBundle:
     """A chain plus the optional pieces a run needs: weight psi1, initial
-    law mu, and the bounded observable f."""
+    law mu, and the bounded observable f; source names the model for the
+    manifest, builtin:<name> or sha256:<hex digest of the file's bytes>."""
 
     chain: AbsorbedChain
     psi1: np.ndarray
     mu: np.ndarray
     f: np.ndarray
-    name: str = "model"
+    source: str
 
 
 # builtin name -> (chain builder, observable); psi1 = 1 and mu uniform
@@ -350,18 +348,25 @@ def load_model_config(path) -> ModelBundle:
 
     Schema (all numbers decimal): exactly one of ``generator`` (row-major
     matrix) or ``birth_death: {n, birth, death}`` with an integer n >= 1;
-    optional ``states`` (a list), ``psi1``, ``mu``, ``observable``.  Missing
-    psi1 defaults to the constant 1, missing mu to uniform, missing
-    observable to the indicator of the first state.
+    optional ``name``, ``states`` (one label per state, counted, neither
+    kept), ``psi1``, ``mu``, ``observable``.  Missing psi1 defaults to the
+    constant 1, missing mu to uniform, missing observable to the indicator
+    of the first state.  A file past MODEL_FILE_MAX_BYTES raises BudgetExceeded.
     """
     try:
-        with open(path) as fh:
-            raw = _event_document(fh)
-            if raw is None:
-                fh.seek(0)
-                raw = yaml.load(fh, Loader=_YAML_LOADER)
+        with open(path, "rb") as fh:
+            data = fh.read(MODEL_FILE_MAX_BYTES + 1)
     except OSError as exc:
         raise ParseError(f"cannot read model file: {exc}") from exc
+    if len(data) > MODEL_FILE_MAX_BYTES:
+        raise BudgetExceeded(f"model file {path} exceeds {MODEL_FILE_MAX_BYTES} bytes")
+    fh = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    fh.buffer.name = str(path)  # the file name YAML's messages give
+    try:
+        raw = _event_document(fh)
+        if raw is None:
+            fh.seek(0)
+            raw = yaml.load(fh, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ParseError(f"malformed YAML in {path}: {exc}") from exc
     except ValueError as exc:  # text that is not UTF-8, an int past Python's digit limit
@@ -379,7 +384,7 @@ def load_model_config(path) -> ModelBundle:
     if has_gen == has_bd:
         raise ParseError("model file needs exactly one of 'generator' or 'birth_death'")
     if has_gen:
-        chain = validate_chain(raw["generator"], states=raw.get("states"))
+        chain = validate_chain(raw["generator"])
     else:
         bd = raw["birth_death"]
         if not isinstance(bd, dict) or set(bd) - {"n", "birth", "death"}:
@@ -392,6 +397,8 @@ def load_model_config(path) -> ModelBundle:
             raise ParseError(f"birth_death n must be a positive integer, got {n!r}")
         chain = build_birth_death(n, birth, death)
     n = chain.n
+    if "states" in raw and len(raw["states"]) != n:
+        raise ValidationError("number of state labels does not match the matrix")
 
     def _vec(key, default):
         if key not in raw:
@@ -409,8 +416,8 @@ def load_model_config(path) -> ModelBundle:
     f = _vec("observable", np.eye(n)[0])
     if not np.max(np.abs(f)) <= 1.0 + 1e-12:  # nan compares false
         raise ValidationError("observable must be finite with max|f| <= 1")
-    name = str(raw.get("name", "model"))
-    return ModelBundle(chain=chain, psi1=psi1, mu=mu, f=f, name=name)
+    source = "sha256:" + hashlib.sha256(data).hexdigest()
+    return ModelBundle(chain=chain, psi1=psi1, mu=mu, f=f, source=source)
 
 
 def resolve_model(spec: str) -> ModelBundle:
@@ -422,4 +429,4 @@ def resolve_model(spec: str) -> ModelBundle:
     chain = build()
     n = chain.n
     return ModelBundle(chain=chain, psi1=np.ones(n), mu=np.full(n, 1.0 / n), f=np.array(f),
-                       name=name)
+                       source=f"builtin:{name}")

@@ -2,8 +2,8 @@
 
 Every subcommand writes CSV reports (with a '#'-prefixed metadata header,
 floats at 17 significant digits) plus a manifest JSON naming the inputs that
-determine every emitted number.  Exit codes: 2 usage, 3 validation,
-4 numerical failure.
+determine every emitted number.  Exit codes: 2 usage, 3 validation
+(an --out that cannot be written included), 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -54,17 +54,10 @@ def _write_values(fh, values):
         fh.write(("%.17g\n" * len(chunk)) % chunk)
 
 
-def _model_id(spec: str) -> str:
-    if spec.lower() in BUILTIN_MODELS:
-        return f"builtin:{spec.lower()}"
-    with open(spec, "rb") as fh:
-        return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
-
-
-def _manifest(args, params: dict):
+def _manifest(args, bundle: ModelBundle, params: dict):
     determ = {
         "subcommand": args.cmd,
-        "model": _model_id(args.model),
+        "model": bundle.source,
         "params": params,
         "seed": args.seed,
         "version": __version__,
@@ -214,7 +207,6 @@ def _sample(an, t, n, method, seed, clt=True):
 
 
 def _run_clt(an, emp, dump):
-    b = an.bundle
     if emp.n_effective == 0:
         raise ValidationError(f"clt kept 0 of {emp.n_requested} replicas at t={emp.t}: "
                               "raise --n, or use --method qprocess, whose replicas all survive")
@@ -224,7 +216,7 @@ def _run_clt(an, emp, dump):
         d = montecarlo.kolmogorov_distance(emp, s2)
         if emp.method == "qprocess":
             # prefactor C mu(psi1)/mu(eta) of the coupling gap e^{-gamma (T - t)}
-            gap_bound = float(an.cert.C * (b.mu @ b.psi1) / an.qp.start(b.mu)[1])
+            gap_bound = float(an.cert.C * an.qp.start(an.bundle.mu)[1])
     rows = [(emp.t, emp.n_effective, d, s2, emp.method, gap_bound)]
     out = {"clt.csv": ({"n_requested": emp.n_requested},
                        ("t", "n_eff", "d_kolm", "sigma2", "method", "gap_bound"), rows)}
@@ -339,30 +331,35 @@ def main(argv=None) -> int:
     try:
         _check_args(args)
         bundle = resolve_model(args.model)
-        determ, digest = _manifest(args, params)
+        determ, digest = _manifest(args, bundle, params)
         analysis = _Analysis(bundle, getattr(args, "tpoints", 12), getattr(args, "tmax", None))
         outputs = _RUNNERS[args.cmd](analysis, args)
-        os.makedirs(args.out, exist_ok=True)
-        written = []
-        for fname, (meta, columns, rows) in outputs.items():
-            path = os.path.join(args.out, fname)
-            if columns is None:  # bare one-value-per-line dump of a float array
-                with open(path, "w") as fh:
-                    fh.write(f"# manifest_hash = {digest}\n")
-                    _write_values(fh, rows)
-            else:
-                full_meta = {"manifest_hash": digest, "model": determ["model"],
-                             "seed": args.seed, "version": __version__}
-                full_meta.update(meta or {})
-                _write_csv(path, full_meta, columns, rows)
-            written.append(fname)
-        manifest = dict(determ)
-        manifest["manifest_hash"] = digest
-        manifest["outputs"] = written
-        manifest["wall_clock_s"] = round(time.time() - started, 3)
-        with open(os.path.join(args.out, "manifest.json"), "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        path = args.out  # the path being written, named if writing it fails
+        try:
+            os.makedirs(path, exist_ok=True)
+            written = []
+            for fname, (meta, columns, rows) in outputs.items():
+                path = os.path.join(args.out, fname)
+                if columns is None:  # bare one-value-per-line dump of a float array
+                    with open(path, "w") as fh:
+                        fh.write(f"# manifest_hash = {digest}\n")
+                        _write_values(fh, rows)
+                else:
+                    full_meta = {"manifest_hash": digest, "model": determ["model"],
+                                 "seed": args.seed, "version": __version__}
+                    full_meta.update(meta or {})
+                    _write_csv(path, full_meta, columns, rows)
+                written.append(fname)
+            manifest = dict(determ)
+            manifest["manifest_hash"] = digest
+            manifest["outputs"] = written
+            manifest["wall_clock_s"] = round(time.time() - started, 3)
+            path = os.path.join(args.out, "manifest.json")
+            with open(path, "w") as fh:
+                json.dump(manifest, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
     except QslabError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
         return exc.exit_code

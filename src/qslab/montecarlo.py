@@ -219,8 +219,7 @@ def default_method(lambda0: float, t: float) -> str:
 
 
 def conditional_clt_sample(qproc: QProcessChain, mu, f, t, n_replicas: int,
-                           method: Optional[str] = None, seed: int = 0,
-                           batch: int = DEFAULT_BATCH):
+                           method: Optional[str] = None, seed: int = 0):
     """Sample the statistic sqrt(t)(S_t/t - beta(f)) under conditioning.
 
     'rejection' keeps paths of the absorbed chain qproc.chain that survive
@@ -232,13 +231,13 @@ def conditional_clt_sample(qproc: QProcessChain, mu, f, t, n_replicas: int,
     A scalar t gives its EmpiricalDistribution, a grid (repeated, unsorted
     times allowed) a list in its order.  Times that share a method take one
     kernel pass, to their largest; the rejection budget is checked first.
-    More than MAX_REPLICAS replicas raise BudgetExceeded, a replica count or
-    batch that is not a positive integer ValidationError, before any
-    allocation; a time that check_qed_times refuses raises before any draw.
+    Replicas run in batches of DEFAULT_BATCH, which no sample depends on.
+    More than MAX_REPLICAS replicas raise BudgetExceeded, a replica count
+    that is not a positive integer ValidationError, before any allocation;
+    a time that check_qed_times refuses raises before any draw.
     """
-    for name, value in (("n_replicas", n_replicas), ("batch", batch)):
-        if not isinstance(value, (int, np.integer)) or value < 1:
-            raise ValidationError(f"{name} must be a positive integer, not {value!r}")
+    if not isinstance(n_replicas, (int, np.integer)) or n_replicas < 1:
+        raise ValidationError(f"n_replicas must be a positive integer, not {n_replicas!r}")
     times = np.atleast_1d(np.asarray(t, dtype=float))
     check_qed_times(times)
     mu = np.asarray(mu, dtype=float)
@@ -263,7 +262,7 @@ def conditional_clt_sample(qproc: QProcessChain, mu, f, t, n_replicas: int,
             # the Q-process from the eta-reweighted law; no replica is absorbed
             dynamics = (qproc.q_generator, None, q_start)
         S, _, absorbed, _ = _batch_statistics(*dynamics, obs.f_centered, hz, n_replicas,
-                                              seed, batch)
+                                              seed, DEFAULT_BATCH)
         for h, s_h, dead in zip(hz, S, absorbed):
             drawn[m, h] = np.sort(np.sqrt(h) * s_h[~dead] / h)
     out = [EmpiricalDistribution(samples=(kept := drawn[m, ti]), n_effective=len(kept),

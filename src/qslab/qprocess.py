@@ -6,7 +6,8 @@ semigroup intertwining
 
     exp(t L_Q) = e^{lambda0 t} diag(eta)^{-1} exp(t L) diag(eta).
 
-QProcessChain.start(mu) is the one owner of its start law mu eta / mu(eta).
+QProcessChain.start(mu) is the one owner of its start law mu eta / mu(eta)
+and of the coupling ratio mu(psi1)/mu(eta) that the coupling gap's bound scales.
 conditional_marginal computes the law of X_t given survival up to a later
 horizon T, and conditional_vs_q_gap measures how fast it approaches the
 Q-process marginal as T - t grows (exponentially, at rate gamma).
@@ -60,22 +61,14 @@ class QProcessChain:
         w, U, h = basis
         return w - w[-1], U, h * self.triple.eta
 
-    @property
-    def eigen(self):
-        """(w, vl, vr) of L_Q from the chain's eigen: eigenvalues w + lambda0,
-        right vectors vr / eta and left vectors eta vl."""
-        w, vl, vr = self.chain.eigen
-        eta = self.triple.eta[:, None]
-        return w + self.triple.lambda0, vl * eta, vr / eta
-
     def start(self, mu):
-        """(mu eta / mu(eta), mu(eta)): the Q-process's start law for the
-        chain's initial law mu; mu(eta) <= 0 raises ValidationError."""
+        """(mu eta / mu(eta), mu(psi1) / mu(eta)): the start law for the chain's
+        initial law mu, and the coupling ratio; mu(eta) <= 0 raises ValidationError."""
         mu = np.asarray(mu, dtype=float)
         mu_eta = float(mu @ self.triple.eta)
         if mu_eta <= 0:
             raise ValidationError("mu(eta) must be positive")
-        return mu * self.triple.eta / mu_eta, mu_eta
+        return mu * self.triple.eta / mu_eta, float(mu @ self.psi1) / mu_eta
 
     def __post_init__(self):
         for arr in (self.q_generator, self.beta, self.psi1):
@@ -142,20 +135,18 @@ class ConditionalGapReport:
 def conditional_vs_q_gap(qproc: QProcessChain, mu, t: float, T: float,
                          cert: ErgodicityCertificate) -> ConditionalGapReport:
     """Gap between the T-conditioned marginal at t and the Q-process marginal
-    started from QProcessChain.start(mu), the law mu*eta/mu(eta), with the
-    ratio mu(psi1)/mu(eta) from the Q-process's weight psi1.  The run's
-    certificate for psi1 gives the C of both the displayed bound prefactor
-    and the validity threshold.
+    started from the law mu*eta/mu(eta), with the ratio mu(psi1)/mu(eta),
+    both from QProcessChain.start(mu).  The run's certificate for psi1
+    gives the C of both the displayed bound prefactor and the validity
+    threshold.
     """
-    mu = np.asarray(mu, dtype=float)
     triple = qproc.triple
-    h_mu, mu_eta = qproc.start(mu)
+    h_mu, ratio = qproc.start(mu)
     cond = conditional_marginal(qproc.chain, mu, t, T)
     qm = q_marginal(qproc, h_mu, t)
     gap_sum = float(np.abs(cond - qm).sum())
-    ratio = float(mu @ qproc.psi1) / mu_eta
     bound = cert.C * ratio * np.exp(-triple.gamma * (T - t))
-    threshold = np.log(max(2.0 * cert.C * ratio, 1.0 + 1e-300)) / triple.gamma
+    threshold = np.log(max(2.0 * cert.C * ratio, 1.0)) / triple.gamma
     return ConditionalGapReport(
         t=float(t), T=float(T),
         tv_gap=0.5 * gap_sum,

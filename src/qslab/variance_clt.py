@@ -116,8 +116,10 @@ def sigma2_quadrature(qproc: QProcessChain, f):
     B[:n, n] = ft
     value = 2.0 * float(bft @ exponential(B, H)[:n, n])
     # spectral amplitudes of the autocovariance, Cov(s) = sum_j c_j e^{w_j s},
-    # from L_Q's modes: the projector on mode j is vr_j vl_j^H / (vl_j^H vr_j)
-    w, vl, vr = qproc.eigen
+    # from L_Q's modes, the chain's eigen (w, vl, vr) as (w + lambda0, eta vl, vr / eta):
+    # the projector on mode j is vr_j vl_j^H / (vl_j^H vr_j)
+    (w, vl, vr), eta = qproc.chain.eigen, qproc.triple.eta[:, None]
+    w, vl, vr = w + qproc.triple.lambda0, vl * eta, vr / eta
     amps = np.abs((bft @ vr) * (ft @ vl.conj()) / np.einsum("ij,ij->j", vl.conj(), vr))
     rest = np.arange(n) != np.argmax(w.real)  # the zero mode carries beta(ft)^2 = 0
     rates = w.real[rest]

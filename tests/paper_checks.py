@@ -133,10 +133,8 @@ def fit_gap_rate(qproc, mu, t: float, dT_list, cert):
 
 def emit_model_config(bundle, path) -> None:
     """Write a bundle back to YAML; load_model_config of the file gives
-    back its states, generator, psi1, mu, observable and name."""
+    back its generator, psi1, mu and observable."""
     doc = {
-        "name": bundle.name,
-        "states": list(bundle.chain.states),
         "generator": [[float(v) for v in row] for row in bundle.chain.sub_generator],
         "psi1": [float(v) for v in bundle.psi1],
         "mu": [float(v) for v in bundle.mu],

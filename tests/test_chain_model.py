@@ -1,3 +1,4 @@
+import hashlib
 import re
 import tempfile
 from pathlib import Path
@@ -23,7 +24,6 @@ def test_validate_accepts_and_extracts_killing():
     chain = qslab.validate_chain([[-2.0, 1.0], [1.0, -2.0]])
     assert chain.n == 2
     np.testing.assert_allclose(chain.killing, [1.0, 1.0], rtol=0, atol=1e-14)
-    assert chain.states == ("1", "2")
 
 
 def test_validate_rejects_conservative():
@@ -167,7 +167,7 @@ def test_yaml_roundtrip(tmp_path, bd5_bundle):
     np.testing.assert_allclose(loaded.psi1, bd5_bundle.psi1, rtol=0, atol=0)
     np.testing.assert_allclose(loaded.mu, bd5_bundle.mu, rtol=0, atol=0)
     np.testing.assert_allclose(loaded.f, bd5_bundle.f, rtol=0, atol=0)
-    assert loaded.name == bd5_bundle.name
+    assert loaded.source == "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_model_objects_compare_and_hash_by_identity(bd5_bundle, bd5_triple, bd5_qproc):
@@ -210,7 +210,7 @@ def test_yaml_generator_block(tmp_path):
     np.testing.assert_allclose(bundle.mu, [1.0, 0.0], rtol=0, atol=0)
     # defaults: unit weight
     np.testing.assert_allclose(bundle.psi1, [1.0, 1.0], rtol=0, atol=0)
-    assert bundle.name == "tiny"
+    assert bundle.source == "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_yaml_birth_death_block_matches_builder(tmp_path):
@@ -256,7 +256,6 @@ def _assert_same_bundle(a, b):
                  (a.chain.killing, b.chain.killing), (a.psi1, b.psi1),
                  (a.mu, b.mu), (a.f, b.f)):
         assert x.dtype == y.dtype and np.array_equal(x, y)
-    assert (a.chain.states, a.name) == (b.chain.states, b.name)
 
 
 @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
@@ -265,7 +264,7 @@ def test_c_and_python_yaml_loaders_give_equal_bundles(tmp_path, monkeypatch):
     rng = np.random.default_rng(8)
     mu = rng.uniform(0.5, 1.5, 40)
     dense = chain_model.ModelBundle(chain=chain, psi1=np.ones(40), mu=mu / mu.sum(),
-                                    f=rng.uniform(-1.0, 1.0, 40), name="dense40")
+                                    f=rng.uniform(-1.0, 1.0, 40), source="dense40")
     paper_checks.emit_model_config(dense, tmp_path / "dense.yaml")
     (tmp_path / "bd.yaml").write_text(
         "name: ladder\n"
@@ -427,7 +426,7 @@ def test_yaml_rejects_bad_sections(tmp_path):
 def test_resolve_model_builtin_and_unknown():
     for name in BUILTIN_MODELS:
         bundle = qslab.resolve_model(name)
-        assert bundle.name == name
+        assert bundle.source == f"builtin:{name}"
         assert abs(bundle.f).max() <= 1.0 + 1e-12
         np.testing.assert_allclose(bundle.mu.sum(), 1.0, rtol=0, atol=1e-12)
     with pytest.raises(ValidationError):
@@ -496,7 +495,7 @@ _RATES = st.one_of(st.just(0.0), st.floats(0.01, 10.0))
 def model_bundles(draw):
     """A valid bundle on 2..6 states: random rates (some zero) plus a cycle
     through every state, so the chain is strongly connected, killing at one
-    state at least, and random psi1 >= 1, mu, f with max|f| <= 1 and name."""
+    state at least, and random psi1 >= 1, mu, f with max|f| <= 1 and source."""
     n = draw(st.integers(2, 6))
     vec = lambda values: np.array(draw(st.lists(values, min_size=n, max_size=n)))
     A = np.array(draw(st.lists(_RATES, min_size=n * n, max_size=n * n))).reshape(n, n)
@@ -508,7 +507,7 @@ def model_bundles(draw):
     return chain_model.ModelBundle(
         chain=qslab.validate_chain(A - np.diag(A.sum(axis=1) + kappa)),
         psi1=vec(st.floats(1.0, 10.0)), mu=mu / mu.sum(), f=vec(st.floats(-1.0, 1.0)),
-        name=draw(st.text("abz-_ 019", max_size=6)))
+        source=draw(st.text("abz-_ 019", max_size=6)))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

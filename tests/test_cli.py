@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -9,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qslab import cli, montecarlo
+from qslab import chain_model, cli, montecarlo
 
 
 def run_cli(*args, cwd=None):
@@ -259,6 +260,8 @@ def test_degenerate_variance_is_found_before_sampling(tmp_path, capsys, monkeypa
     ("birth_death: {n: 2, birth: [1.0, 0.0], death: [1.0, 1.0], extra: 1}\n", "parse-error", 3),
     ("birth_death: {n: 2, birth: [1.0, 0.0]}\n", "parse-error", 3),
     ("states: [a, b, c]\ngenerator: [[-2.0, 1.0], [1.0, -2.0]]\n", "validation", 3),
+    ("states: [a]\nbirth_death: {n: 3, birth: [1.0, 1.0, 0.0], death: [1.0, 1.0, 1.0]}\n",
+     "validation", 3),
     (b"name: \xff\xfe\ngenerator: [[-2.0, 1.0], [1.0, -2.0]]\n", "parse-error", 3),
     ("birth_death: {n: " + "1" * 4301 + ", birth: [1.0, 0.0], death: [1.0, 1.0]}\n",
      "parse-error", 3),
@@ -266,7 +269,7 @@ def test_degenerate_variance_is_found_before_sampling(tmp_path, capsys, monkeypa
     ("generator: !!seq " + "[" * 10 ** 5 + "]" * 10 ** 5 + "\n", "parse-error", 3),
 ], ids=["one-state", "n-not-numeric", "n-not-integer", "states-not-list", "observable-nan",
         "observable-inf", "birth-death-extra-key", "birth-death-missing-field",
-        "states-wrong-length", "not-utf8", "n-past-the-digit-limit", "nested-1e5-deep",
+        "states-wrong-length", "birth-death-states-wrong-length", "not-utf8", "n-past-the-digit-limit", "nested-1e5-deep",
         "nested-1e5-deep-tagged"])
 def test_bad_model_files_end_in_coded_errors(tmp_path, capsys, text, code, exit_code):
     model = tmp_path / "model.yaml"
@@ -472,6 +475,84 @@ def test_model_file_is_hashed_into_manifest(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["model"].startswith("sha256:")
     assert len(manifest["model"]) == len("sha256:") + 64
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_piped_model_is_hashed_as_parsed(tmp_path):
+    """A model read from a pipe is hashed from the bytes the loader parsed:
+    a second open of the pipe would read nothing, the hash of empty bytes."""
+    text = b"birth_death:\n  n: 3\n  birth: [1.0, 1.0, 0.0]\n  death: [1.0, 1.0, 1.0]\n"
+    r, w = os.pipe()
+    try:
+        os.write(w, text)
+        os.close(w)
+        out = tmp_path / "o"
+        assert cli.main(["spectral", "--model", f"/dev/fd/{r}", "--out", str(out)]) == 0
+    finally:
+        os.close(r)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["model"] == "sha256:" + hashlib.sha256(text).hexdigest()
+
+
+def test_model_file_ceiling(tmp_path, capsys, monkeypatch):
+    """A file of MODEL_FILE_MAX_BYTES loads; one byte more, or an endless
+    device, exits 4 naming the limit after reading limit + 1 bytes."""
+    model = tmp_path / "m.yaml"
+    text = b"generator: [[-2.0, 1.0], [1.0, -2.0]]\n"
+    monkeypatch.setattr(chain_model, "MODEL_FILE_MAX_BYTES", len(text))
+    reads = []
+
+    class Spy(io.BufferedReader):  # open(path, "rb"), recording the length of each read
+        def __init__(self, path, mode):
+            super().__init__(io.FileIO(path, mode))
+
+        def read(self, size=-1):
+            reads.append(len(data := super().read(size)))
+            return data
+
+    monkeypatch.setattr(chain_model, "open", Spy, raising=False)
+    argv = ["spectral", "--out", str(tmp_path / "o"), "--model"]
+    model.write_bytes(text)
+    assert cli.main([*argv, str(model)]) == 0
+    model.write_bytes(text + b"\n")
+    paths = [str(model)] + (["/dev/zero"] if os.path.exists("/dev/zero") else [])
+    for path in paths:
+        reads.clear()
+        assert cli.main([*argv, path]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: budget-exceeded: ") and f"{len(text)} bytes" in err
+        assert reads == [len(text) + 1]
+
+
+def test_unwritable_out_is_a_validation_error(tmp_path, capsys):
+    """An --out that is a file, or a directory where an output file goes,
+    exits 3 naming the path instead of ending in a traceback."""
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    blocked = tmp_path / "blocked"
+    (blocked / "spectral.csv").mkdir(parents=True)
+    for out, path in ((taken, taken), (blocked, blocked / "spectral.csv")):
+        assert cli.main(["spectral", "--model", "m2sym", "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(f"error: validation: cannot write {path}: ")
+
+
+def test_gap_bound_scales_the_q_process_bound(tmp_path):
+    """clt.csv's gap_bound times e^{-gamma (T - t)} is qprocess.csv's bound
+    bit for bit: both read the coupling ratio mu(psi1)/mu(eta) from
+    QProcessChain.start.  The two formulas this replaced differed in the
+    last bit on this 3-cycle."""
+    model = tmp_path / "cycle.yaml"
+    model.write_text("generator: [[-2.0, 1.0, 0.0], [0.0, -2.0, 1.0], [1.0, 0.0, -2.0]]\n"
+                     "observable: [1.0, -0.5, 0.0]\npsi1: [1.0, 2.0, 3.0]\n"
+                     "mu: [0.5, 0.3, 0.2]\n")
+    out = tmp_path / "o"
+    assert cli.main(["all", "--model", str(model), "--n", "300", "--out", str(out)]) == 0
+    (clt,) = csv_rows(out / "clt.csv")
+    (q,) = csv_rows(out / "qprocess.csv")
+    gamma = float(meta_of(out / "qprocess.csv")["gamma"])
+    assert clt["method"] == "qprocess"
+    decay = np.exp(-gamma * (float(q["T"]) - float(q["t"])))
+    assert float(clt["gap_bound"]) * decay == float(q["bound"])
 
 
 def test_clt_reruns_are_byte_identical_across_threads(tmp_path):

@@ -297,7 +297,7 @@ def test_jump_inversion_at_a_breakpoint(bd5_bundle, m2sym_qproc, stiff_chain):
     ("m2sym", "qprocess", 200.0, 3, 2800, [2792]),  # one of the batch's longest paths
     ("bd5", "rejection", 20.0, 1, 3000, []),
 ], ids=["m2sym-qprocess-t200", "bd5-rejection-t20"])
-def test_batch_size_does_not_change_samples(model, method, t, seed, n, extra):
+def test_batch_size_does_not_change_samples(monkeypatch, model, method, t, seed, n, extra):
     """Batches of 4096 and 13 give the same samples.  Batches of 1 and 3 give
     each replica the same S, absorbed flag and terminal state, checked on
     the batches holding the first four replicas, the last four and any
@@ -307,7 +307,9 @@ def test_batch_size_does_not_change_samples(model, method, t, seed, n, extra):
     qp = qslab.h_transform(bundle.chain, qslab.solve_spectral(bundle.chain))
     mu, f = bundle.mu, bundle.f
     base = qslab.conditional_clt_sample(qp, mu, f, t, n, method=method, seed=seed)
-    small = qslab.conditional_clt_sample(qp, mu, f, t, n, method=method, seed=seed, batch=13)
+    monkeypatch.setattr(montecarlo, "DEFAULT_BATCH", 13)
+    small = qslab.conditional_clt_sample(qp, mu, f, t, n, method=method, seed=seed)
+    monkeypatch.undo()
     np.testing.assert_array_equal(small.samples, base.samples)
     if method == "qprocess":
         dynamics = (qp.q_generator, None, mu * qp.triple.eta / (mu @ qp.triple.eta))
@@ -420,8 +422,8 @@ def test_grid_samples_equal_per_time_samples(monkeypatch, model, grid, method):
     qp = qslab.h_transform(bundle.chain, qslab.solve_spectral(bundle.chain))
     mu, f, n = bundle.mu, bundle.f, 1500
     passes = _count_passes(monkeypatch)
-    emps = qslab.conditional_clt_sample(qp, mu, f, list(grid), n, method=method, seed=4,
-                                        batch=333)
+    monkeypatch.setattr(montecarlo, "DEFAULT_BATCH", 333)
+    emps = qslab.conditional_clt_sample(qp, mu, f, list(grid), n, method=method, seed=4)
     monkeypatch.undo()
     methods = {e.method for e in emps}
     assert len(passes) == len(methods) == (1 if method else 2)
@@ -498,11 +500,12 @@ def test_default_method_switch():
     assert default_method(1.0, 4.0) == "qprocess"
 
 
-def test_clt_sample_reproducible_across_schedules(m2sym_bundle, m2sym_qproc):
+def test_clt_sample_reproducible_across_schedules(monkeypatch, m2sym_bundle, m2sym_qproc):
     qp, mu, f = m2sym_qproc, m2sym_bundle.mu, m2sym_bundle.f
     a = qslab.conditional_clt_sample(qp, mu, f, 25.0, 3000, method="qprocess", seed=12)
-    b = qslab.conditional_clt_sample(qp, mu, f, 25.0, 3000,
-                                     method="qprocess", seed=12, batch=111)
+    monkeypatch.setattr(montecarlo, "DEFAULT_BATCH", 111)
+    b = qslab.conditional_clt_sample(qp, mu, f, 25.0, 3000, method="qprocess", seed=12)
+    monkeypatch.undo()
     np.testing.assert_array_equal(a.samples, b.samples)
     c = qslab.conditional_clt_sample(qp, mu, f, 25.0, 3000, method="qprocess", seed=13)
     assert not np.array_equal(a.samples, c.samples)
@@ -563,23 +566,19 @@ def test_clt_sample_guardrails(m2sym_bundle, m2sym_qproc):
 
 def test_replica_count_and_batch_must_be_positive_integers(monkeypatch, m2sym_bundle,
                                                            m2sym_qproc):
-    """A batch of -1 once returned n_effective = 2 of 10 Q-process replicas,
-    read from memory no batch had written; 0 and 2.5 ended in bare
-    ValueError and TypeError.  A replica count of -5 ended in ValueError,
-    2.5 in TypeError, and 0 returned an empty sample.  Each is refused
-    before any kernel pass."""
+    """A replica count of -5 ended in ValueError, 2.5 in TypeError, and 0
+    returned an empty sample.  Each is refused before any kernel pass.
+    numpy integers are accepted as the replica count and as DEFAULT_BATCH."""
     qp, mu, f = m2sym_qproc, m2sym_bundle.mu, m2sym_bundle.f
     passes = _count_passes(monkeypatch)
-    for bad in (-1, 0, 2.5, np.float64(3.0), "4", None):
-        with pytest.raises(ValidationError, match="batch"):
-            qslab.conditional_clt_sample(qp, mu, f, 5.0, 10, method="qprocess", seed=1,
-                                         batch=bad)
     for bad in (-5, 0, 2.5, np.float64(3.0), "4", None):
         with pytest.raises(ValidationError, match="n_replicas"):
             qslab.conditional_clt_sample(qp, mu, f, 5.0, bad, method="qprocess", seed=1)
     assert passes == []
     monkeypatch.undo()
-    emp = qslab.conditional_clt_sample(qp, mu, f, 5.0, np.int64(10), seed=1, batch=np.int64(3))
+    monkeypatch.setattr(montecarlo, "DEFAULT_BATCH", np.int64(3))
+    emp = qslab.conditional_clt_sample(qp, mu, f, 5.0, np.int64(10), seed=1)
+    monkeypatch.undo()
     assert emp.n_effective == 10
     np.testing.assert_array_equal(emp.samples,
                                   qslab.conditional_clt_sample(qp, mu, f, 5.0, 10, seed=1).samples)

@@ -180,7 +180,7 @@ def test_time_rescaling_scales_rates_only(random_chain_set):
 
 def test_no_killing_raises_from_solver():
     L = np.array([[-1.0, 1.0], [1.0, -1.0]])
-    chain = AbsorbedChain(states=("1", "2"), sub_generator=L, killing=np.zeros(2))
+    chain = AbsorbedChain(sub_generator=L, killing=np.zeros(2))
     with pytest.raises(ValidationError):
         qslab.solve_spectral(chain)
 
