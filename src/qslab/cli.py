@@ -9,6 +9,7 @@ determine every emitted number.  Exit codes: 2 usage, 3 validation
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -36,14 +37,13 @@ def _fmt(v):
     return str(v)
 
 
-def _write_csv(path, meta, columns, rows):
-    with open(path, "w", newline="") as fh:
-        for k, v in meta.items():
-            fh.write(f"# {k} = {_fmt(v)}\n")
-        w = csv.writer(fh)
-        w.writerow(columns)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+def _write_csv(fh, meta, columns, rows):
+    for k, v in meta.items():
+        fh.write(f"# {k} = {_fmt(v)}\n")
+    w = csv.writer(fh)
+    w.writerow(columns)
+    for row in rows:
+        w.writerow([_fmt(v) for v in row])
 
 
 def _write_values(fh, values):
@@ -274,46 +274,41 @@ def build_parser():
     p = argparse.ArgumentParser(prog="qslab",
                                 description="quasi-stationary laboratory for absorbed finite Markov chains")
     sub = p.add_subparsers(dest="cmd", required=True)
-
-    def common(sp):
-        sp.add_argument("--model", required=True,
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--model", required=True,
                         help=f"model YAML file or one of {', '.join(BUILTIN_MODELS)}")
-        sp.add_argument("--out", default="qslab_out", help="output directory")
-        sp.add_argument("--seed", type=int, default=0, help="master seed (u64)")
-        sp.add_argument("--threads", type=int, default=1,
+    common.add_argument("--out", default="qslab_out", help="output directory")
+    common.add_argument("--seed", type=int, default=0, help="master seed (u64)")
+    common.add_argument("--threads", type=int, default=1,
                         help="accepted and ignored: Monte Carlo runs in one thread")
 
-    common(sub.add_parser("spectral", help="eigen-triple and gap"))
-    sp = sub.add_parser("certify", help="exponential-ergodicity certificate")
-    common(sp)
+    def add(name, summary):
+        return sub.add_parser(name, help=summary, parents=[common])
+
+    add("spectral", "eigen-triple and gap")
+    sp = add("certify", "exponential-ergodicity certificate")
     sp.add_argument("--tmax", type=float, default=None)
     sp.add_argument("--tpoints", type=int, default=12)
-    sp = sub.add_parser("qprocess", help="conditioned vs Q-process gap")
-    common(sp)
+    sp = add("qprocess", "conditioned vs Q-process gap")
     sp.add_argument("--t", type=float, default=1.0)
     sp.add_argument("--T", type=float, default=5.0)
-    common(sub.add_parser("variance", help="asymptotic variance, two oracles"))
-    sp = sub.add_parser("moments", help="exact Q-process moments")
-    common(sp)
+    add("variance", "asymptotic variance, two oracles")
+    sp = add("moments", "exact Q-process moments")
     sp.add_argument("--kmax", type=int, default=4)
     sp.add_argument("--times", default=None, help="comma-separated t grid")
-    sp = sub.add_parser("charfun", help="exact conditional characteristic function")
-    common(sp)
+    sp = add("charfun", "exact conditional characteristic function")
     sp.add_argument("--omegas", default=None, help="comma-separated omega values")
     sp.add_argument("--times", default=None, help="comma-separated t grid")
-    sp = sub.add_parser("clt", help="Monte Carlo conditional CLT sample")
-    common(sp)
+    sp = add("clt", "Monte Carlo conditional CLT sample")
     sp.add_argument("--t", type=float, default=100.0)
     sp.add_argument("--n", type=int, default=10000)
     sp.add_argument("--method", choices=["rejection", "qprocess"], default=None)
     sp.add_argument("--dump", action="store_true", help="write samples one per line")
-    sp = sub.add_parser("qed", help="conditional mean-square ergodic decay")
-    common(sp)
+    sp = add("qed", "conditional mean-square ergodic decay")
     sp.add_argument("--times", default=None, help="comma-separated t grid")
     sp.add_argument("--n", type=int, default=10000)
     sp.add_argument("--method", choices=["rejection", "qprocess"], default=None)
-    sp = sub.add_parser("all", help="full pipeline on one model")
-    common(sp)
+    sp = add("all", "full pipeline on one model")
     sp.add_argument("--n", type=int, default=20000, help="Monte Carlo replicas")
     return p
 
@@ -335,21 +330,21 @@ def main(argv=None) -> int:
         analysis = _Analysis(bundle, getattr(args, "tpoints", 12), getattr(args, "tmax", None))
         outputs = _RUNNERS[args.cmd](analysis, args)
         path = args.out  # the path being written, named if writing it fails
+        written = []  # the files this run created or replaced
         try:
             os.makedirs(path, exist_ok=True)
-            written = []
             for fname, (meta, columns, rows) in outputs.items():
                 path = os.path.join(args.out, fname)
-                if columns is None:  # bare one-value-per-line dump of a float array
-                    with open(path, "w") as fh:
+                with open(path, "w", newline="") as fh:
+                    written.append(fname)
+                    if columns is None:  # bare one-value-per-line dump of a float array
                         fh.write(f"# manifest_hash = {digest}\n")
                         _write_values(fh, rows)
-                else:
-                    full_meta = {"manifest_hash": digest, "model": determ["model"],
-                                 "seed": args.seed, "version": __version__}
-                    full_meta.update(meta or {})
-                    _write_csv(path, full_meta, columns, rows)
-                written.append(fname)
+                    else:
+                        full_meta = {"manifest_hash": digest, "model": determ["model"],
+                                     "seed": args.seed, "version": __version__}
+                        full_meta.update(meta or {})
+                        _write_csv(fh, full_meta, columns, rows)
             manifest = dict(determ)
             manifest["manifest_hash"] = digest
             manifest["outputs"] = written
@@ -359,6 +354,11 @@ def main(argv=None) -> int:
                 json.dump(manifest, fh, indent=2, sort_keys=True)
                 fh.write("\n")
         except OSError as exc:
+            # a failed run leaves no report of itself, nor a manifest naming
+            # files it replaced; os.remove refuses a directory
+            for fname in [*written, "manifest.json"] if written else []:
+                with contextlib.suppress(OSError):
+                    os.remove(os.path.join(args.out, fname))
             raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
     except QslabError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)

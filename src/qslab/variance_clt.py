@@ -5,21 +5,11 @@ sigma2_poisson solves L_Q g = -f_centered with beta(g) = 0 (one bordered
 linear solve) and returns the float sigma^2 = 2 beta(f_centered * g); the
 independent cross-check integrates the stationary autocovariance over
 [0, 40/gamma] with one block exponential (Van Loan) and bounds its error by
-the spectral tail plus a rounding term.  exact_conditional_moments reads the moments
-m_k(t) = E_mu[(int_0^t f)^k 1_{survival}] off the exponential of the shifted
-generator perturbed by z diag(f), taken in the ring of n x n matrix
-polynomials in z truncated after z^K: e^{t(L + z diag f)} = sum_k E_k z^k
-mod z^{K+1}, and m_k = k! mu E_k 1 (Feynman-Kac).  This is the block
-upper-bidiagonal augmented generator with its k-th block divided by k!,
-exponentiated by spectral.exponentials so that every product is a truncated
-Cauchy product of n x n blocks.  A generator whose exponentials
-spectral.exponential_basis reads off its symmetric eigenbasis runs the same
-ring in that basis, where every block is symmetric and the degree-0 block
-diagonal: a squaring at K = 4 takes 4 n x n products instead of 15.  Any
-other generator keeps the original basis.  spectral.squarings refuses,
-before any product, a t past its rounding floor, t ||X||_1 > theta13 2^s
-~ 1e10 at its largest s, so the moments stay below ~1e80 at K = 8.  The Van Loan block and the charfun's complex generators take the
-same engine at degree 0 (spectral.exponential).
+the spectral tail plus a rounding term.  exact_conditional_moments reads the
+moments m_k(t) = E_mu[(int_0^t f)^k 1_{survival}] = k! mu E_k 1 (Feynman-Kac)
+off spectral.moment_series, from the shifted generator, and scales them back
+by e^{st}.  The Van Loan block and the charfun's complex generators take
+spectral.exponential.
 """
 
 from __future__ import annotations
@@ -33,8 +23,7 @@ import numpy as np
 from .chain_model import AbsorbedChain
 from .errors import OverflowGuard, SingularSolve, ValidationError
 from .qprocess import QProcessChain
-from .spectral import (_poly_mul, _poly_solve, exponential, exponential_basis, exponentials,
-                       semigroup)
+from .spectral import exponential, moment_series, semigroup
 
 K_MAX = 8
 
@@ -145,11 +134,9 @@ class MomentValues:
 
 
 def exact_conditional_moments(gen: GeneratorLike, mu, f, k_max: int, t):
-    """All moments up to k_max at each time of a grid t, from the
-    exponential of L + z diag(f) in the ring of matrix polynomials truncated
-    after z^k_max, in gen's symmetric basis when spectral.exponential_basis
-    gives one; a scalar t is a grid of one and returns its MomentValues,
-    a sequence returns a list in the order of t.
+    """All moments up to k_max at each time of a grid t, m_k = k! mu E_k 1
+    from spectral.moment_series; a scalar t is a grid of one and returns
+    its MomentValues, a sequence returns a list in the order of t.
 
     Passing the absorbed chain gives conditioned-chain moments (divide by
     the survival mass m_0); passing the Q-process gives its plain moments.
@@ -160,22 +147,14 @@ def exact_conditional_moments(gen: GeneratorLike, mu, f, k_max: int, t):
     phase has a rounding floor above ROUNDING_FLOOR raises, and so does a
     result that is not finite.
     """
-    L, s = gen.shifted
+    s = gen.shifted[1]
     mu = np.asarray(mu, dtype=float)
     f = np.asarray(f, dtype=float)
     times = [float(v) for v in np.ravel(t)]
     if not 0 <= k_max <= K_MAX:
         raise ValidationError(f"k_max must lie in [0, {K_MAX}]")
     factorials = np.array([factorial(k) for k in range(k_max + 1)])
-    basis = exponential_basis(gen)
-    if basis is None:  # m_k = k! mu E_k 1
-        shifted = {v: factorials * (E.sum(axis=2) @ mu)
-                   for v, E in _polynomial_expm(L, f, k_max, times)}
-    else:  # E_k in the basis: m_k = k! (mu / h)^T U E_k U^T h
-        _, U, h = basis
-        a, b = (mu / h) @ U, U.T @ h
-        shifted = {v: factorials * ((E @ b) @ a)
-                   for v, E in _polynomial_expm(L, f, k_max, times, basis)}
+    shifted = {v: factorials * series for v, series in moment_series(gen, mu, f, k_max, times)}
     out = []
     for v in times:
         sv = shifted[v]
@@ -188,80 +167,6 @@ def exact_conditional_moments(gen: GeneratorLike, mu, f, k_max: int, t):
             raise OverflowGuard(f"survival mass underflowed at t={v}")
         out.append(MomentValues(t=v, m=m, survival=p, conditional=sv / sv[0]))
     return out if np.ndim(t) else out[0]
-
-
-_FLUSH = np.finfo(float).eps ** 2  # _sym_mul's flush, relative to a block's largest entry
-
-
-def _sym_mul(A, B, da=K_MAX, db=K_MAX, *, out):
-    """_poly_mul, top degrees and out included, for polynomials in one
-    element with symmetric blocks and a diagonal degree-0 block, as every
-    element of the basis route is: the products with a degree-0 block are
-    row and column scalings, and A A needs A_i A_j only for i <= j, since
-    A_j A_i is its transpose, so that each block of a square is a sum
-    T + T^T, symmetric to the bit.  The modes that decay fastest carry entries that underflow
-    as the squarings go on; each below eps^2 times its block's largest is
-    flushed to 0, far below the rounding of the sums it would enter, so that
-    no product meets subnormal operands, which slow a BLAS product about
-    thirtyfold."""
-    a0, b0 = np.diagonal(A[0]), np.diagonal(B[0])
-    out[0] = np.diag(a0 * b0)
-    for k in range(1, len(A)):
-        if A is B:  # T = A_0 A_k + sum_{i < k/2} A_i A_{k-i} + A_{k/2}^2 / 2
-            T = a0[:, None] * A[k]
-            for i in range(max(1, k - da), (k + 1) // 2):
-                T += A[i] @ A[k - i]
-            if k % 2 == 0 and k // 2 <= da:
-                T += 0.5 * (A[k // 2] @ A[k // 2])
-            np.add(T, T.T, out=out[k])
-        else:
-            np.multiply(a0[:, None], B[k], out=out[k])
-            out[k] += A[k] * b0
-            for i in range(max(1, k - db), min(k - 1, da) + 1):
-                out[k] += A[i] @ B[k - i]
-    for block in out:
-        size = np.abs(block)
-        block[size < _FLUSH * size.max()] = 0.0
-    return out
-
-
-def _sym_solve(Q, P):
-    """_poly_solve for a diagonal degree-0 block of Q, which row scaling
-    inverts."""
-    q0 = np.diagonal(Q[0])
-    E = np.empty_like(P)
-    E[0] = np.diag(np.diagonal(P[0]) / q0)
-    e0 = np.diagonal(E[0])
-    for k in range(1, len(P)):
-        rhs = P[k] - Q[k] * e0
-        for j in range(1, k):
-            rhs -= Q[j] @ E[k - j]
-        E[k] = rhs / q0[:, None]
-    return E
-
-
-def _polynomial_expm(L, f, K: int, times, basis=None):
-    """spectral.exponentials of X = L + z diag f in the ring truncated after
-    z^K: (t, E) for each distinct t of times, with e^{tX} = sum_k E_k z^k.
-    Given L's symmetric basis (w, U, h), L = diag(h)^{-1} U diag(w - w_max)
-    U^T diag(h), it runs with _sym_mul on X = diag(w - w_max) + z U^T diag(f)
-    U, whose E_k give e^{t(L + z diag f)} = diag(h)^{-1} U (sum_k E_k z^k)
-    U^T diag(h).  Both routes scale by the original basis's 1-norm of
-    I (x) L + N (x) diag f, max_x (sum_y |L_yx| + |f_x|) (exact for K >= 1),
-    so take the same squarings."""
-    n = L.shape[0]
-    norm = float((np.abs(L).sum(axis=0) + np.abs(f)).max())
-    X = np.zeros((K + 1, n, n))
-    if basis is None:
-        X[0] = L
-        if K:
-            X[1] = np.diag(f)
-        return exponentials(X, norm, times, _poly_mul, _poly_solve)
-    w, U, _ = basis
-    X[0] = np.diag(w - w[-1])
-    if K:
-        X[1] = (U.T * f) @ U
-    return exponentials(X, norm, times, _sym_mul, _sym_solve)
 
 
 def _tilted_law(L, mu, f, z, t) -> np.ndarray:

@@ -13,11 +13,15 @@ once for `clt` and `qed` together when they share a method.
 The counting test wraps the expensive primitives wherever a qslab module
 holds them by name and runs `cli.main` in process.  The equality test shows
 that the stages of `all`, sharing one analysis, write the same rows as the
-standalone subcommands, each of which builds its own.
+standalone subcommands, each of which builds its own.  The import test
+keeps each module's private names its own: a computation another module
+needs is reached through a public function.
 """
 
+import ast
 import functools
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,7 +88,7 @@ def counted_main(monkeypatch, tmp_path, cycle_model, drifted_model, constant_mod
         "eigh": (chain_model, "eigh"),
         "linalg.eig": (np.linalg, "eig"),
         "pade": (spectral, "_pade13"),
-        "dense_ring": (variance_clt, "_poly_mul"),
+        "dense_ring": (spectral, "_poly_mul"),
         "passes": (montecarlo, "_batch_statistics"),
     }
 
@@ -199,3 +203,16 @@ def test_all_writes_the_rows_of_the_standalone_subcommands(tmp_path):
         out = tmp_path / sub
         assert cli.main([sub, *common, *extra, "--out", str(out)]) == 0
         assert _rows(out / fname) == _rows(tmp_path / "all" / fname), fname
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """No module of the package imports a name with one leading underscore
+    from a qslab module; dunder names such as __version__ stay allowed."""
+    found = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "qslab"):
+                found += [f"{path.name}:{node.lineno} {a.name}" for a in node.names
+                          if a.name.startswith("_") and not a.name.startswith("__")]
+    assert found == []

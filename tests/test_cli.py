@@ -536,6 +536,33 @@ def test_unwritable_out_is_a_validation_error(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"error: validation: cannot write {path}: ")
 
 
+def test_a_failed_write_leaves_no_report_of_its_run(tmp_path, capsys):
+    """A run that cannot write one of its files removes the files it wrote
+    and any manifest.json, and exits 3 naming the path; a directory in the
+    way stays.  Into a fresh --out, nothing of the run is left.  Into one
+    holding `all` on m2sym and then `spectral` on bd5, no file of the failed
+    run and no manifest naming a replaced file are left: the rest is m2sym's."""
+    fresh = tmp_path / "fresh"
+    (fresh / "qprocess.csv").mkdir(parents=True)
+    assert cli.main(["all", "--model", "m2sym", "--n", "100", "--out", str(fresh)]) == 3
+    assert capsys.readouterr().err.startswith(
+        f"error: validation: cannot write {fresh / 'qprocess.csv'}: ")
+    assert [p.name for p in fresh.iterdir()] == ["qprocess.csv"]
+    assert (fresh / "qprocess.csv").is_dir()
+
+    used = tmp_path / "used"
+    assert cli.main(["all", "--model", "m2sym", "--n", "100", "--out", str(used)]) == 0
+    m2sym = json.loads((used / "manifest.json").read_text())
+    assert cli.main(["spectral", "--model", "bd5", "--out", str(used)]) == 0
+    (used / "qprocess.csv").unlink()
+    (used / "qprocess.csv").mkdir()
+    assert cli.main(["all", "--model", "bd5", "--n", "100", "--out", str(used)]) == 3
+    kept = {"variance.csv", "moments.csv", "charfun.csv", "clt.csv", "qed.csv"}
+    assert {p.name for p in used.iterdir()} == kept | {"qprocess.csv"}
+    for name in kept:
+        assert meta_of(used / name)["manifest_hash"] == m2sym["manifest_hash"]
+
+
 def test_gap_bound_scales_the_q_process_bound(tmp_path):
     """clt.csv's gap_bound times e^{-gamma (T - t)} is qprocess.csv's bound
     bit for bit: both read the coupling ratio mu(psi1)/mu(eta) from
@@ -553,6 +580,52 @@ def test_gap_bound_scales_the_q_process_bound(tmp_path):
     assert clt["method"] == "qprocess"
     decay = np.exp(-gamma * (float(q["T"]) - float(q["t"])))
     assert float(clt["gap_bound"]) * decay == float(q["bound"])
+
+
+_HALVING_MODELS = {
+    "m2asym": {"generator": [[-3.0, 1.0], [2.0, -3.0]], "observable": [1.0, -1.0]},
+    "cycle": {"generator": [[-2.0, 1.0, 0.0], [0.0, -2.0, 1.0], [1.0, 0.0, -2.0]],
+              "observable": [1.0, -0.5, 0.0], "psi1": [1.0, 2.0, 3.0], "mu": [0.5, 0.3, 0.2]},
+    "bd5": {"observable": [1.0, 0.0, 0.0, 0.0, 0.0]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HALVING_MODELS))
+def test_observable_scaled_by_a_power_of_two_scales_the_runs_exactly(tmp_path, name):
+    """Replacing f by f 2^-5 scales every `clt --dump` sample by exactly
+    2^-5, sigma^2 (in clt.csv and variance.csv) and both qed columns by
+    exactly 4^-5, and leaves d_kolm's text unchanged: every operation on
+    f's path is linear, and a power of two scales it without rounding.
+    moments.csv and qed's exact column are left out: the moment oracle's
+    squaring count depends on |f|."""
+    doc = dict(_HALVING_MODELS[name])
+    if name == "bd5":
+        doc["generator"] = chain_model.resolve_model("bd5").chain.sub_generator.tolist()
+    runs = {"qprocess": ("clt", "--t", "30", "--method", "qprocess", "--dump", "--n", "300"),
+            "rejection": ("clt", "--t", "2", "--method", "rejection", "--dump", "--n", "300"),
+            "variance": ("variance",), "qed": ("qed", "--n", "300")}
+
+    def run_all(k):
+        model = tmp_path / f"f{k}.yaml"
+        model.write_text(json.dumps({**doc, "observable": np.ldexp(doc["observable"], -k).tolist()}))
+        outs = {run: tmp_path / f"{run}{k}" for run in runs}
+        for run, argv in runs.items():
+            assert cli.main([*argv, "--model", str(model), "--seed", "3",
+                             "--out", str(outs[run])]) == 0
+        return outs
+
+    base, half = run_all(0), run_all(5)
+    for run in ("qprocess", "rejection"):
+        assert np.array_equal(np.ldexp(np.loadtxt(base[run] / "clt_samples.txt"), -5),
+                              np.loadtxt(half[run] / "clt_samples.txt"))
+        (b,), (h,) = csv_rows(base[run] / "clt.csv"), csv_rows(half[run] / "clt.csv")
+        assert float(h["sigma2"]) == np.ldexp(float(b["sigma2"]), -10)
+        assert h["d_kolm"] == b["d_kolm"]
+    (b,), (h,) = (csv_rows(o["variance"] / "variance.csv") for o in (base, half))
+    assert float(h["sigma2"]) == np.ldexp(float(b["sigma2"]), -10)
+    for b, h in zip(*(csv_rows(o["qed"] / "qed.csv") for o in (base, half)), strict=True):
+        for column in ("mean_square", "stderr"):
+            assert float(h[column]) == np.ldexp(float(b[column]), -10)
 
 
 def test_clt_reruns_are_byte_identical_across_threads(tmp_path):

@@ -309,7 +309,10 @@ def _pade_route(gen, mu, f, K, t):
     """m_k(t) = k! mu E_k 1 from the ring in the generator's own basis,
     the route of every generator without a usable symmetric basis."""
     L, shift = gen.shifted
-    (_, E), = variance_clt._polynomial_expm(L, f, K, [t])
+    X = np.zeros((K + 1, len(f), len(f)))
+    X[0], X[1] = L, np.diag(f)
+    norm = float((np.abs(L).sum(axis=0) + np.abs(f)).max())
+    (_, E), = spectral.exponentials(X, norm, [t], spectral._poly_mul, spectral._poly_solve)
     return np.array([factorial(k) for k in range(K + 1)]) * (E.sum(axis=2) @ mu) * np.exp(shift * t)
 
 
@@ -364,8 +367,11 @@ def test_basis_route_squarings_meet_no_subnormal_entries():
     qp = _unit_ladder_qproc(150)
     f = np.linspace(-1.0, 1.0, 150)
     times = [10.0 / qp.triple.gamma / 2 ** j for j in range(10)]  # one dyadic family
-    basis = spectral.exponential_basis(qp)
-    for _, E in variance_clt._polynomial_expm(qp.q_generator, f, 4, times, basis):
+    w, U, _ = spectral.exponential_basis(qp)
+    X = np.zeros((5, 150, 150))
+    X[0], X[1] = np.diag(w - w[-1]), (U.T * f) @ U
+    norm = float((np.abs(qp.q_generator).sum(axis=0) + np.abs(f)).max())
+    for _, E in spectral.exponentials(X, norm, times, spectral._sym_mul, spectral._sym_solve):
         assert np.all((E == 0) | (np.abs(E) >= np.finfo(float).tiny))
 
 
@@ -392,11 +398,11 @@ def test_pade_skips_only_products_with_a_zero_block(name, K):
     if name == "cycle":
         L, f = qslab.validate_chain(CYCLE_GENERATOR).sub_generator, np.linspace(-1.0, 1.0, 3)
         X0, X1 = L, np.diag(f)
-        mul, solve = variance_clt._poly_mul, variance_clt._poly_solve
+        mul, solve = spectral._poly_mul, spectral._poly_solve
     else:
         (w, U, _), f = spectral.exponential_basis(_unit_ladder_qproc(150)), np.linspace(-1, 1, 150)
         X0, X1 = np.diag(w - w[-1]), (U.T * f) @ U
-        mul, solve = variance_clt._sym_mul, variance_clt._sym_solve
+        mul, solve = spectral._sym_mul, spectral._sym_solve
     X = np.zeros((K + 1, len(f), len(f)))
     X[0], X[1] = X0, X1
     full = spectral._pade13(X, 0.3, lambda A, B, *_, out: mul(A, B, out=out), solve)
