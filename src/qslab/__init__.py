@@ -32,10 +32,8 @@ from .spectral import (
 from .qprocess import (
     ConditionalGapReport,
     QProcessChain,
-    conditional_marginal,
     conditional_vs_q_gap,
     h_transform,
-    q_marginal,
 )
 from .variance_clt import (
     AdditiveObservable,

@@ -184,6 +184,16 @@ def validate_initial_law(mu, n: int) -> np.ndarray:
     return np.clip(mu, 0.0, None)
 
 
+def validate_observable(f, n: int) -> np.ndarray:
+    """The observable f as a finite float vector of length n, max|f| <= 1."""
+    f = np.asarray(f, dtype=float)
+    if f.shape != (n,):
+        raise ValidationError(f"observable must have length {n}")
+    if not np.max(np.abs(f)) <= 1.0 + 1e-12:  # nan compares false
+        raise ValidationError("observable must be finite with max|f| <= 1")
+    return f
+
+
 def validate_chain(raw_matrix) -> AbsorbedChain:
     """Check the generator invariants and return an AbsorbedChain.
 
@@ -413,9 +423,7 @@ def load_model_config(path) -> ModelBundle:
 
     psi1 = validate_weight(_vec("psi1", np.ones(n)))
     mu = validate_initial_law(_vec("mu", np.full(n, 1.0 / n)), n)
-    f = _vec("observable", np.eye(n)[0])
-    if not np.max(np.abs(f)) <= 1.0 + 1e-12:  # nan compares false
-        raise ValidationError("observable must be finite with max|f| <= 1")
+    f = validate_observable(_vec("observable", np.eye(n)[0]), n)
     source = "sha256:" + hashlib.sha256(data).hexdigest()
     return ModelBundle(chain=chain, psi1=psi1, mu=mu, f=f, source=source)
 

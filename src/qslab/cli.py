@@ -24,7 +24,7 @@ from . import __version__, montecarlo, qprocess, variance_clt
 from .blas import pin_blas_threads
 from .chain_model import BUILTIN_MODELS, ModelBundle, resolve_model
 from .errors import DegenerateVariance, QslabError, ValidationError
-from .spectral import certify_ergodicity, default_time_grid, solve_spectral
+from .spectral import DEFAULT_GRID_POINTS, certify_ergodicity, default_time_grid, solve_spectral
 
 _DUMP_CHUNK = 65536  # values per write of a one-value-per-line dump
 
@@ -133,14 +133,12 @@ class _Analysis:
 # subcommand implementations; each returns {filename: (meta, columns, rows)}
 
 def _run_spectral(an):
-    triple, chain = an.triple, an.bundle.chain
-    L = chain.sub_generator
-    res_a = np.abs(triple.alpha @ L + triple.lambda0 * triple.alpha)
-    res_e = np.abs(L @ triple.eta + triple.lambda0 * triple.eta)
+    triple, n = an.triple, an.bundle.chain.n
+    res_a, res_e = triple.residuals
     rows = [("lambda0", "", triple.lambda0, float(res_a.max())),
             ("gamma", "", triple.gamma, "")]
-    rows += [("alpha", i, triple.alpha[i], float(res_a[i])) for i in range(chain.n)]
-    rows += [("eta", i, triple.eta[i], float(res_e[i])) for i in range(chain.n)]
+    rows += [("alpha", i, triple.alpha[i], float(res_a[i])) for i in range(n)]
+    rows += [("eta", i, triple.eta[i], float(res_e[i])) for i in range(n)]
     return {"spectral.csv": ({}, ("object", "index", "value", "residual"), rows)}
 
 
@@ -288,7 +286,7 @@ def build_parser():
     add("spectral", "eigen-triple and gap")
     sp = add("certify", "exponential-ergodicity certificate")
     sp.add_argument("--tmax", type=float, default=None)
-    sp.add_argument("--tpoints", type=int, default=12)
+    sp.add_argument("--tpoints", type=int, default=DEFAULT_GRID_POINTS)
     sp = add("qprocess", "conditioned vs Q-process gap")
     sp.add_argument("--t", type=float, default=1.0)
     sp.add_argument("--T", type=float, default=5.0)
@@ -327,7 +325,8 @@ def main(argv=None) -> int:
         _check_args(args)
         bundle = resolve_model(args.model)
         determ, digest = _manifest(args, bundle, params)
-        analysis = _Analysis(bundle, getattr(args, "tpoints", 12), getattr(args, "tmax", None))
+        analysis = _Analysis(bundle, getattr(args, "tpoints", DEFAULT_GRID_POINTS),
+                             getattr(args, "tmax", None))
         outputs = _RUNNERS[args.cmd](analysis, args)
         path = args.out  # the path being written, named if writing it fails
         written = []  # the files this run created or replaced

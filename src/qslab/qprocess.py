@@ -8,9 +8,10 @@ semigroup intertwining
 
 QProcessChain.start(mu) is the one owner of its start law mu eta / mu(eta)
 and of the coupling ratio mu(psi1)/mu(eta) that the coupling gap's bound scales.
-conditional_marginal computes the law of X_t given survival up to a later
-horizon T, and conditional_vs_q_gap measures how fast it approaches the
-Q-process marginal as T - t grows (exponentially, at rate gamma).
+conditional_vs_q_gap measures how fast the law of X_t given survival up to
+a later horizon T approaches the Q-process marginal as T - t grows
+(exponentially, at rate gamma); by the intertwining, the second is the
+T -> infinity limit of the first, and both weight mu e^{t(L + lambda0)}.
 """
 
 from __future__ import annotations
@@ -96,31 +97,6 @@ def h_transform(chain: AbsorbedChain, triple: SpectralTriple,
                          chain=chain)
 
 
-def q_marginal(qproc: QProcessChain, initial, t: float) -> np.ndarray:
-    """initial e^{t L_Q}; spectral.semigroup refuses a t that is negative
-    or not finite, and, off the symmetric basis, one past the rounding
-    floor of its squarings."""
-    return np.asarray(initial, dtype=float) @ semigroup(qproc, t)
-
-
-def conditional_marginal(chain: AbsorbedChain, mu, t: float, T: float) -> np.ndarray:
-    """Law of X_t given survival past T >= t, by two shifted exponentials;
-    a law that is not finite raises, and so does, off the symmetric basis,
-    a time past the rounding floor of its squarings (see spectral.semigroup)."""
-    if not 0 <= t <= T:
-        raise ValidationError("need 0 <= t <= T")
-    mu = np.asarray(mu, dtype=float)
-    at_t = mu @ semigroup(chain, t)
-    surv = semigroup(chain, T - t) @ np.ones(chain.n)
-    num = at_t * surv
-    if not np.all(np.isfinite(num)):
-        raise OverflowGuard(f"conditional marginal is not finite at t={t}, T={T}")
-    total = num.sum()
-    if total <= 0:
-        raise ValidationError("survival probability vanished; conditioning undefined")
-    return num / total
-
-
 @dataclass(frozen=True)
 class ConditionalGapReport:
     t: float
@@ -135,16 +111,29 @@ class ConditionalGapReport:
 def conditional_vs_q_gap(qproc: QProcessChain, mu, t: float, T: float,
                          cert: ErgodicityCertificate) -> ConditionalGapReport:
     """Gap between the T-conditioned marginal at t and the Q-process marginal
-    started from the law mu*eta/mu(eta), with the ratio mu(psi1)/mu(eta),
-    both from QProcessChain.start(mu).  The run's certificate for psi1
-    gives the C of both the displayed bound prefactor and the validity
-    threshold.
+    started from mu*eta/mu(eta), with the ratio mu(psi1)/mu(eta) from
+    QProcessChain.start(mu): mu e^{t(L + lambda0)} weighted by e^{(T-t)(L +
+    lambda0)} 1 and by its limit eta, normalised; a law that is not finite
+    raises, as does a time spectral.semigroup refuses.  The run's
+    certificate for psi1 gives the C of both the displayed bound prefactor
+    and the validity threshold.
     """
     triple = qproc.triple
-    h_mu, ratio = qproc.start(mu)
-    cond = conditional_marginal(qproc.chain, mu, t, T)
-    qm = q_marginal(qproc, h_mu, t)
-    gap_sum = float(np.abs(cond - qm).sum())
+    _, ratio = qproc.start(mu)
+    if not 0 <= t <= T:
+        raise ValidationError("need 0 <= t <= T")
+    chain = qproc.chain
+    at_t = np.asarray(mu, dtype=float) @ semigroup(chain, t)
+    laws = []
+    for weight in (semigroup(chain, T - t) @ np.ones(chain.n), triple.eta):
+        num = at_t * weight
+        if not np.all(np.isfinite(num)):
+            raise OverflowGuard(f"conditional marginal is not finite at t={t}, T={T}")
+        total = num.sum()
+        if total <= 0:
+            raise ValidationError("survival probability vanished; conditioning undefined")
+        laws.append(num / total)
+    gap_sum = float(np.abs(laws[0] - laws[1]).sum())
     bound = cert.C * ratio * np.exp(-triple.gamma * (T - t))
     threshold = np.log(max(2.0 * cert.C * ratio, 1.0)) / triple.gamma
     return ConditionalGapReport(

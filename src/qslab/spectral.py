@@ -39,6 +39,7 @@ from .errors import (BudgetExceeded, DegenerateGap, NoKilling, OverflowGuard, Un
                      ValidationError)
 
 _SLACK_FACTOR = 2.0
+DEFAULT_GRID_POINTS = 12  # geometric times after 0 on a certificate's default grid
 MAX_GRID_POINTS = 10 ** 5  # per default grid: certify on m2sym took 3.7 s at 10^5 (README)
 ROUNDING_FLOOR = 1e-6  # largest rounding floor of an oracle's result that a run accepts
 # the 1-norm up to which the Pade-13 approximant is accurate to double
@@ -52,10 +53,11 @@ class SpectralTriple:
     alpha: np.ndarray
     eta: np.ndarray
     gamma: float
+    residuals: tuple  # entrywise (|alpha L + lambda0 alpha|, |L eta + lambda0 eta|)
 
     def __post_init__(self):
-        self.alpha.setflags(write=False)
-        self.eta.setflags(write=False)
+        for arr in (self.alpha, self.eta, *self.residuals):
+            arr.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -104,8 +106,8 @@ def solve_spectral(chain: AbsorbedChain) -> SpectralTriple:
     if eta.sum() < 0:
         eta = -eta
     eta = eta / (alpha @ eta)
-    res_l = np.abs(alpha @ L + lambda0 * alpha).max()
-    res_r = np.abs(L @ eta + lambda0 * eta).max()
+    residuals = (np.abs(alpha @ L + lambda0 * alpha), np.abs(L @ eta + lambda0 * eta))
+    res_l, res_r = (r.max() for r in residuals)
     if chain.reversible:
         # alpha(eta) = 1 makes eta huge where a drifted chain's alpha is
         # concentrated: each residual relative to its vector's largest entry.
@@ -114,7 +116,8 @@ def solve_spectral(chain: AbsorbedChain) -> SpectralTriple:
         res_l, res_r = res_l / alpha.max(), res_r / np.abs(eta).max()
     if max(res_l, res_r) > 1e-10 * scale:
         raise DegenerateGap(f"eigen-residual {max(res_l, res_r)} exceeds tolerance")
-    return SpectralTriple(lambda0=float(lambda0), alpha=alpha, eta=eta, gamma=float(gamma))
+    return SpectralTriple(lambda0=float(lambda0), alpha=alpha, eta=eta, gamma=float(gamma),
+                          residuals=residuals)
 
 
 def log_slope(x, y) -> float:
@@ -129,7 +132,8 @@ def log_slope(x, y) -> float:
     return float("nan")
 
 
-def default_time_grid(gamma: float, n_points: int = 12, end=None) -> np.ndarray:
+def default_time_grid(gamma: float, n_points: int = DEFAULT_GRID_POINTS,
+                      end=None) -> np.ndarray:
     """{0} followed by a geometric sweep from 0.1/gamma out to end, by
     default 6/gamma; more than MAX_GRID_POINTS points raise BudgetExceeded
     before the grid is built."""

@@ -20,7 +20,7 @@ from typing import Union
 
 import numpy as np
 
-from .chain_model import AbsorbedChain
+from .chain_model import AbsorbedChain, validate_observable
 from .errors import OverflowGuard, SingularSolve, ValidationError
 from .qprocess import QProcessChain
 from .spectral import exponential, moment_series, semigroup
@@ -47,11 +47,7 @@ def make_observable(qproc: QProcessChain, f) -> AdditiveObservable:
     again.  Entries must be finite with max|f| <= 1.  A centred f within
     1e-14 of 0 everywhere counts as constant and is stored as exact zeros."""
     given = f if isinstance(f, AdditiveObservable) else None
-    f = np.asarray(f if given is None else given.f, dtype=float)
-    if f.shape != (qproc.n,):
-        raise ValidationError(f"observable must have length {qproc.n}")
-    if not np.max(np.abs(f)) <= 1.0 + 1e-12:  # nan compares false
-        raise ValidationError("observable must be finite with max|f| <= 1")
+    f = validate_observable(f if given is None else given.f, qproc.n)
     bf = float(qproc.beta @ f)
     if given is not None and given.beta_f == bf:
         return given

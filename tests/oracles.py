@@ -1,8 +1,10 @@
 """Independent references that only the tests call: one draw of the
 reproducibility contract, the one-path simulator the batch kernel must
 match bit for bit through it, pooled jump counts of the kernel,
-and two characteristic-function oracles, the one-omega charfun and the
-Taylor moments recovered from it."""
+two characteristic-function oracles, the one-omega charfun and the
+Taylor moments recovered from it, and the two marginals that
+conditional_vs_q_gap forms from one left factor: the Q-process law by an
+exponential of L_Q, and the conditioned law by two of the chain."""
 
 from __future__ import annotations
 
@@ -14,8 +16,10 @@ from math import factorial
 import numpy as np
 
 from qslab.chain_model import AbsorbedChain
+from qslab.errors import OverflowGuard, ValidationError
 from qslab.montecarlo import _batch_statistics, _jump_tables, philox_stream
 from qslab.qprocess import QProcessChain
+from qslab.spectral import semigroup
 from qslab.variance_clt import _tilted_law, exact_conditional_charfuns
 
 
@@ -132,3 +136,28 @@ def charfun_taylor_moments(gen, mu, f, t: float, k_max: int = 4) -> np.ndarray:
     coef = np.fft.fft(vals) * np.exp(s * t) / n_points / radius ** np.arange(n_points)
     ks = np.arange(k_max + 1)
     return np.real(coef[: k_max + 1] * np.array([factorial(k) for k in ks]) / 1j ** ks)
+
+
+def q_marginal(qproc: QProcessChain, initial, t: float) -> np.ndarray:
+    """initial e^{t L_Q}; spectral.semigroup refuses a t that is negative
+    or not finite, and, off the symmetric basis, one past the rounding
+    floor of its squarings."""
+    return np.asarray(initial, dtype=float) @ semigroup(qproc, t)
+
+
+def conditional_marginal(chain: AbsorbedChain, mu, t: float, T: float) -> np.ndarray:
+    """Law of X_t given survival past T >= t, by two shifted exponentials;
+    a law that is not finite raises, and so does, off the symmetric basis,
+    a time past the rounding floor of its squarings (see spectral.semigroup)."""
+    if not 0 <= t <= T:
+        raise ValidationError("need 0 <= t <= T")
+    mu = np.asarray(mu, dtype=float)
+    at_t = mu @ semigroup(chain, t)
+    surv = semigroup(chain, T - t) @ np.ones(chain.n)
+    num = at_t * surv
+    if not np.all(np.isfinite(num)):
+        raise OverflowGuard(f"conditional marginal is not finite at t={t}, T={T}")
+    total = num.sum()
+    if total <= 0:
+        raise ValidationError("survival probability vanished; conditioning undefined")
+    return num / total

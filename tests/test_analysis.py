@@ -127,6 +127,8 @@ def counted_main(monkeypatch, tmp_path, cycle_model, drifted_model, constant_mod
      {"profile": 1, "h_transform": 0, "expm": 0, "eig": 0, "eigh": 1}),
     (("qprocess", "--model", "m2sym"),
      {"profile": 1, "h_transform": 1, "expm": 0, "eigh": 1}),
+    # 13 certificate times, then the gap's two exponentials of the chain and none of L_Q
+    (("qprocess", "--model", "cycle"), {"profile": 1, "h_transform": 1, "expm": 15, "eig": 1}),
     (("variance", "--model", "m2sym"),
      {"profile": 0, "h_transform": 1, "sigma2_poisson": 1, "expm": 1,
       "linalg.eig": 0}),
@@ -161,11 +163,11 @@ def counted_main(monkeypatch, tmp_path, cycle_model, drifted_model, constant_mod
      {"h_transform": 1, "expm": 4, "eig": 0, "eigh": 1,
       "pade": 2, "dense_ring": 0, "passes": 1}),
     (("all", "--model", "cycle", "--n", "300"),
-     {"profile": 1, "h_transform": 1, "expm": 21,
+     {"profile": 1, "h_transform": 1, "expm": 20,
       "linalg.eig": 0, "eig": 1, "eigh": 0, "pade": 2, "dense_ring": 18, "shifted": 1,
       "passes": 2}),
-], ids=["spectral", "certify", "qprocess", "variance", "moments", "moments-drifted", "charfun",
-        "clt-qprocess",
+], ids=["spectral", "certify", "qprocess", "qprocess-cycle", "variance", "moments",
+        "moments-drifted", "charfun", "clt-qprocess",
         "clt-rejection", "clt-constant", "qed", "qed-bd5", "all", "all-bd5", "all-drifted",
         "all-cycle"])
 def test_each_run_solves_and_certifies_once(counted_main, argv, expected):

@@ -457,7 +457,7 @@ def test_qprocess_marginal_chi_square(bd5_qproc):
     _, term, _, _ = _batch_statistics(
         bd5_qproc.q_generator, None, init, np.zeros(5), t, n, seed=9
     )
-    expect = qslab.q_marginal(bd5_qproc, init, t) * n
+    expect = oracles.q_marginal(bd5_qproc, init, t) * n
     obs = np.bincount(term, minlength=5).astype(float)
     stat = float(((obs - expect) ** 2 / expect).sum())
     assert chi2.sf(stat, df=4) > 1e-3

@@ -6,6 +6,7 @@ import qslab
 from qslab.errors import NumericalError, ValidationError
 from qslab.spectral import certification_profile
 
+import oracles
 import paper_checks
 
 
@@ -86,6 +87,7 @@ def test_zero_eta_guard(m2sym_bundle):
         alpha=np.array([0.5, 0.5]),
         eta=np.array([1.0, 1e-14]),
         gamma=2.0,
+        residuals=(np.zeros(2), np.zeros(2)),
     )
     with pytest.raises(NumericalError) as exc:
         qslab.h_transform(m2sym_bundle.chain, bad)
@@ -98,7 +100,8 @@ def test_one_state_chain_has_no_q_process():
     with no rate for the jump tables."""
     from qslab.spectral import SpectralTriple
 
-    one = SpectralTriple(lambda0=1.0, alpha=np.ones(1), eta=np.ones(1), gamma=1.0)
+    one = SpectralTriple(lambda0=1.0, alpha=np.ones(1), eta=np.ones(1), gamma=1.0,
+                         residuals=(np.zeros(1), np.zeros(1)))
     with pytest.raises(NumericalError) as exc:
         qslab.h_transform(qslab.validate_chain([[-1.0]]), one)
     assert exc.value.code == "degenerate-gap"
@@ -115,15 +118,15 @@ def test_psi_carries_the_weight(m2asym_triple, m2asym_bundle):
 def test_q_marginal_basics(m2sym_qproc):
     init = np.array([1.0, 0.0])
     np.testing.assert_allclose(
-        qslab.q_marginal(m2sym_qproc, init, 0.0), init, rtol=0, atol=1e-15
+        oracles.q_marginal(m2sym_qproc, init, 0.0), init, rtol=0, atol=1e-15
     )
-    got = qslab.q_marginal(m2sym_qproc, init, 1.0)
+    got = oracles.q_marginal(m2sym_qproc, init, 1.0)
     e2 = np.exp(-2.0)
     np.testing.assert_allclose(
         got, [(1 + e2) / 2.0, (1 - e2) / 2.0], rtol=0, atol=1e-14
     )
     with pytest.raises(ValidationError):
-        qslab.q_marginal(m2sym_qproc, init, -1.0)
+        oracles.q_marginal(m2sym_qproc, init, -1.0)
 
 
 def test_q_ergodicity_m2sym_decay_is_pure_exponential(m2sym_qproc):
@@ -160,11 +163,11 @@ def test_q_ergodicity_implied_c_is_the_certificate_profile(
 def test_conditional_marginal_at_equal_horizons(bd5_bundle):
     mu = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
     t = 2.0
-    got = qslab.conditional_marginal(bd5_bundle.chain, mu, t, t)
+    got = oracles.conditional_marginal(bd5_bundle.chain, mu, t, t)
     direct = mu @ expm(t * bd5_bundle.chain.sub_generator)
     np.testing.assert_allclose(got, direct / direct.sum(), rtol=0, atol=1e-14)
     with pytest.raises(ValidationError):
-        qslab.conditional_marginal(bd5_bundle.chain, mu, 2.0, 1.0)
+        oracles.conditional_marginal(bd5_bundle.chain, mu, 2.0, 1.0)
 
 
 def test_conditional_marginal_survives_fast_uniform_killing():
@@ -173,7 +176,7 @@ def test_conditional_marginal_survives_fast_uniform_killing():
     killed = qslab.validate_chain([[-21.0, 1.0], [1.0, -21.0]])
     swap = np.array([[-1.0, 1.0], [1.0, -1.0]])
     mu = np.array([0.7, 0.3])
-    got = qslab.conditional_marginal(killed, mu, 1.0, 60.0)
+    got = oracles.conditional_marginal(killed, mu, 1.0, 60.0)
     np.testing.assert_allclose(got, mu @ expm(swap), rtol=0, atol=1e-12)
 
 
@@ -222,6 +225,81 @@ def test_gap_rate_matches_gamma(m2asym_triple, m2asym_qproc, m2asym_cert):
     assert all(r.tv_gap_sum <= 2.0 for r in reports)
 
 
+def _gap_allowance(n):
+    """A-priori allowance, not fitted to observed errors, for a total-variation
+    gap between two laws on n states: a few roundings of eps per entry."""
+    return 4.0 * n * np.finfo(float).eps
+
+
+def _six_state_ladder(rng, one_way):
+    """Up-rates U(0.5, 1.5), down-rates 10^U(-3, -0.5) U(0.5, 1.5), killing
+    5 at state 0; one_way adds an edge of 0.3 from state 5 to state 2, which
+    makes the chain non-reversible."""
+    up = rng.uniform(0.5, 1.5, 5)
+    down = 10 ** rng.uniform(-3.0, -0.5, 5) * rng.uniform(0.5, 1.5, 5)
+    L = np.diag(up, 1) + np.diag(down, -1)
+    L[5, 2] = 0.3 if one_way else 0.0
+    np.fill_diagonal(L, -L.sum(axis=1) - np.eye(6)[0] * 5.0)
+    return L
+
+
+def _mpmath_gap(L, mu, t, T):
+    """(1/2) sum |cond - q| at 40 digits: mu e^{tL} weighted by e^{(T-t)L} 1
+    and by the leading right eigenvector, each normalised."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        A, n = mp.matrix(L.tolist()), L.shape[0]
+        w, R = mp.eig(A, left=False, right=True)
+        lead = max(range(n), key=lambda j: mp.re(w[j]))
+        eta = [mp.re(R[y, lead]) for y in range(n)]
+        at_t = (mp.matrix([list(mu)]) * mp.expm(A * t)).tolist()[0]
+        surv = mp.expm(A * (mp.mpf(T) - t)) * mp.matrix([1.0] * n)
+        laws = []
+        for weight in (surv, eta):
+            num = [at_t[y] * weight[y] for y in range(n)]
+            laws.append([v / mp.fsum(num) for v in num])
+        return float(mp.fsum(abs(c - q) for c, q in zip(*laws)) / 2)
+
+
+def test_gap_matches_mpmath_on_drifted_ladders():
+    """Reversible and non-reversible ladders, drifted away from the killing
+    state, at t = 1 and T = 1 + 4/gamma."""
+    rng = np.random.default_rng(7)
+    mu = np.full(6, 1.0 / 6.0)
+    for one_way in (False, True, False, True):
+        L = _six_state_ladder(rng, one_way)
+        chain = qslab.validate_chain(L)
+        assert chain.reversible != one_way
+        triple = qslab.solve_spectral(chain)
+        cert = qslab.certify_ergodicity(chain, triple, np.ones(6),
+                                        qslab.default_time_grid(triple.gamma))
+        T = 1.0 + 4.0 / triple.gamma
+        rep = qslab.conditional_vs_q_gap(qslab.h_transform(chain, triple), mu, 1.0, T, cert)
+        assert abs(rep.tv_gap - _mpmath_gap(L, mu, 1.0, T)) <= _gap_allowance(6)
+
+
+def test_gap_matches_the_l_q_route(bd5_bundle):
+    """The gap against the two test references, the Q-process law by e^{tL_Q}.
+    Far past the horizon both gaps vanish, so the gap's Q-process law and
+    q_marginal each lie within twice the allowance of the same conditioned law."""
+    from conftest import CYCLE_GENERATOR
+    for chain in (bd5_bundle.chain, qslab.validate_chain(CYCLE_GENERATOR)):
+        triple = qslab.solve_spectral(chain)
+        qp = qslab.h_transform(chain, triple)
+        cert = qslab.certify_ergodicity(chain, triple, np.ones(chain.n),
+                                        qslab.default_time_grid(triple.gamma))
+        mu = np.eye(chain.n)[0]
+        for t in (0.0, 1.0, 3.0):
+            for decays in (0.0, 1.0, 4.0, 40.0):
+                T = t + decays / triple.gamma
+                rep = qslab.conditional_vs_q_gap(qp, mu, t, T, cert)
+                ref = 0.5 * np.abs(oracles.conditional_marginal(chain, mu, t, T)
+                                   - oracles.q_marginal(qp, qp.start(mu)[0], t)).sum()
+                assert abs(rep.tv_gap - ref) <= _gap_allowance(chain.n)
+                if decays == 40.0:
+                    assert max(rep.tv_gap, ref) <= _gap_allowance(chain.n)
+
+
 def test_marginals_through_expm_refuse_times_past_the_rounding_floor():
     """A chain that is not reversible keeps expm, whose squarings at
     t = 1e12 would lose more than 1e-6; the eigenbasis of a reversible
@@ -233,20 +311,20 @@ def test_marginals_through_expm_refuse_times_past_the_rounding_floor():
     mu = np.full(3, 1.0 / 3.0)
     for t in (1e12, 1e300):
         with pytest.raises(NumericalError) as exc:
-            qslab.q_marginal(qp, mu, t)
+            oracles.q_marginal(qp, mu, t)
         assert exc.value.code == "overflow-guard"
         with pytest.raises(NumericalError):
-            qslab.conditional_marginal(chain, mu, 1.0, t)
-    np.testing.assert_allclose(qslab.q_marginal(qp, mu, 10.0), qp.beta, rtol=0, atol=1e-12)
+            oracles.conditional_marginal(chain, mu, 1.0, t)
+    np.testing.assert_allclose(oracles.q_marginal(qp, mu, 10.0), qp.beta, rtol=0, atol=1e-12)
     bd5 = qslab.resolve_model("bd5").chain
     bd5_qp = qslab.h_transform(bd5, qslab.solve_spectral(bd5))
-    np.testing.assert_allclose(qslab.q_marginal(bd5_qp, np.eye(5)[0], 1e300), bd5_qp.beta,
+    np.testing.assert_allclose(oracles.q_marginal(bd5_qp, np.eye(5)[0], 1e300), bd5_qp.beta,
                                rtol=1e-13, atol=0)
 
 
 def test_conditional_marginal_refuses_negative_times(bd5_bundle):
     with pytest.raises(ValidationError):
-        qslab.conditional_marginal(bd5_bundle.chain, np.eye(5)[0], -1.0, 1.0)
+        oracles.conditional_marginal(bd5_bundle.chain, np.eye(5)[0], -1.0, 1.0)
 
 
 # Reference laws from mpmath 1.3.0 at 90 digits: eigsy of the symmetric form S
@@ -285,13 +363,13 @@ def test_drifted_ladder_marginals_match_mpmath(law):
     400, so its law keeps the eigenbasis."""
     n = 60
     if law == "conditional":
-        got = qslab.conditional_marginal(_drifted_ladder(n, 3.0), np.eye(n)[-1], 1.0, 5.0)
+        got = oracles.conditional_marginal(_drifted_ladder(n, 3.0), np.eye(n)[-1], 1.0, 5.0)
         want = np.zeros(n)
         want[n - len(DRIFTED_CONDITIONAL):] = DRIFTED_CONDITIONAL
     else:
         chain = _drifted_ladder(n, 2.0)
         qp = qslab.h_transform(chain, qslab.solve_spectral(chain))
-        got = qslab.q_marginal(qp, np.eye(n)[0], 0.5)
+        got = oracles.q_marginal(qp, np.eye(n)[0], 0.5)
         want = np.zeros(n)
         want[:len(DRIFTED_Q_MARGINAL)] = DRIFTED_Q_MARGINAL
     assert got.min() >= -1e-13  # nonnegative up to rounding

@@ -138,9 +138,9 @@ TIME_PROBES = {
     "taylor-neg": lambda o: oracles.charfun_taylor_moments(o.chain, o.mu, o.f, -1.0),
     "charfun-bound-inf": lambda o: paper_checks.charfun_bound(
         o.qp, o.cert, o.mu, o.f, 1.0, [np.inf], sigma2=1.0),
-    "marginal-T-inf": lambda o: qslab.conditional_marginal(o.chain, o.mu, 1.0, np.inf),
-    "q-marginal-inf": lambda o: qslab.q_marginal(o.qp, o.qp.beta, np.inf),
-    "q-marginal-nan": lambda o: qslab.q_marginal(o.qp, o.qp.beta, np.nan),
+    "marginal-T-inf": lambda o: oracles.conditional_marginal(o.chain, o.mu, 1.0, np.inf),
+    "q-marginal-inf": lambda o: oracles.q_marginal(o.qp, o.qp.beta, np.inf),
+    "q-marginal-nan": lambda o: oracles.q_marginal(o.qp, o.qp.beta, np.nan),
     "q-gap-T-inf": lambda o: qslab.conditional_vs_q_gap(o.qp, o.mu, 1.0, np.inf, o.cert),
     "q-ergodicity-neg": lambda o: paper_checks.q_ergodicity(o.qp, [-1.0]),
 }
