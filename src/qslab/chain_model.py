@@ -7,7 +7,12 @@ nonpositive diagonal, row sums <= 0 with at least one strict inequality,
 and a strongly connected transition graph on E.
 
 load_model_config reads a model file once and keeps the sha256 of the bytes
-it parsed as ModelBundle.source, so a pipe is hashed as it was parsed.
+it parsed as ModelBundle.source, so a pipe is hashed as it was parsed.  The
+first of three readers that takes the bytes builds the document, each as
+yaml.load builds it: _plain_document scans the lines of an ASCII file in the
+schema's block layout (the layout the benchmark writes), _event_document
+builds any other file from libyaml's parse events, and yaml.load reads what
+neither takes.
 """
 
 from __future__ import annotations
@@ -302,10 +307,71 @@ BUILTIN_MODELS = {"m2sym": (m2sym, [1.0, -1.0]), "m2asym": (m2asym, [1.0, -1.0])
 # so the same Python objects, at several times the speed on large matrices
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 # plain scalars that SafeLoader reads as the int() or float() of the text
-_INT = re.compile(r"[-+]?(?:0|[1-9][0-9]*)").fullmatch
-_FLOAT = re.compile(r"[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?").fullmatch
+_INT_TEXT = r"[-+]?(?:0|[1-9][0-9]*)"
+_FLOAT_TEXT = r"[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?"
+_INT = re.compile(_INT_TEXT).fullmatch
+_FLOAT = re.compile(_FLOAT_TEXT).fullmatch
+# one line of a model file in the schema's block layout: a key at column 0 or
+# two spaces in, with a flow list of _FLOATs, a _FLOAT, an _INT, a name or no
+# value (which opens a block); or a "- [list]" item two spaces in
+_LIST_TEXT = rf"\[{_FLOAT_TEXT}(?:, {_FLOAT_TEXT})*\]"
+_BLOCK_LINE = re.compile(
+    r"(  )?(?:(states|generator|birth_death|psi1|mu|observable|name|n|birth|death):"
+    rf"(?: (?:({_LIST_TEXT})|({_FLOAT_TEXT})|({_INT_TEXT})|([A-Za-z][A-Za-z0-9_.-]*)))?"
+    rf"|- ({_LIST_TEXT}))").fullmatch
 # the schema's deepest collection is a generator row or a birth-death rate list
 MAX_NESTING = 3
+
+
+def _plain_document(data: bytes):
+    """The document yaml.load builds from data, read in one pass over its
+    lines, or None where data is not an ASCII file, ending in a newline, whose
+    every line is a _BLOCK_LINE: a list or mapping block under a column-0
+    key, with no duplicate key, no key left empty, and a name only where
+    YAML resolves it to a str.  Never raises: an _INT past Python's digit
+    limit is None too."""
+    if not (data.isascii() and data.endswith(b"\n")):
+        return None
+    doc, block_key = {}, None  # block_key: the column-0 key whose block is open
+    for line in data.decode("ascii").split("\n")[:-1]:
+        m = _BLOCK_LINE(line)
+        if m is None:
+            return None
+        indent, key, flow, flt, num, word, item = m.groups()
+        if flow or item:
+            value = list(map(float, (flow or item)[1:-1].split(", ")))
+        elif flt:
+            value = float(flt)
+        elif num:
+            try:
+                value = int(num)
+            except ValueError:  # past Python's int digit limit
+                return None
+        elif word:
+            tag = yaml.resolver.Resolver().resolve(yaml.ScalarNode, word, (True, False))
+            if tag != "tag:yaml.org,2002:str":
+                return None
+            value = word
+        else:
+            value = None  # a key that opens a block
+        if indent is None:
+            if item or key in doc:
+                return None
+            doc[key] = value
+            block_key = key if value is None else None
+        elif block_key is None or value is None:  # outside a block, or a block two deep
+            return None
+        else:
+            block = doc[block_key]
+            if block is None:
+                block = doc[block_key] = [] if item else {}
+            if item and isinstance(block, list):
+                block.append(value)
+            elif not item and isinstance(block, dict) and key not in block:
+                block[key] = value
+            else:  # a block of both kinds of line, or a duplicate key
+                return None
+    return doc if None not in doc.values() else None
 
 
 def _event_document(fh):
@@ -372,8 +438,10 @@ def load_model_config(path) -> ModelBundle:
         raise BudgetExceeded(f"model file {path} exceeds {MODEL_FILE_MAX_BYTES} bytes")
     fh = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
     fh.buffer.name = str(path)  # the file name YAML's messages give
+    raw = _plain_document(data)
     try:
-        raw = _event_document(fh)
+        if raw is None:
+            raw = _event_document(fh)
         if raw is None:
             fh.seek(0)
             raw = yaml.load(fh, Loader=_YAML_LOADER)

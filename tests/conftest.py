@@ -1,4 +1,7 @@
+import functools
+import importlib.util
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -113,3 +116,14 @@ def random_chain_set():
     and variance cross-oracle checks."""
     rng = np.random.default_rng(12345)
     return [make_random_chain(rng) for _ in range(20)]
+
+
+@functools.cache
+def perfbench_models():
+    """perfbench/models.py, the writers of the benchmark's model files,
+    loaded from its path: the benchmark directory is not a package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "models.py"
+    spec = importlib.util.spec_from_file_location("perfbench_models", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for its dataclass
+    spec.loader.exec_module(module)
+    return module

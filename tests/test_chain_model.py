@@ -16,7 +16,7 @@ from qslab.errors import BudgetExceeded, ValidationError
 
 import oracles
 import paper_checks
-from conftest import make_random_chain
+from conftest import make_random_chain, perfbench_models
 from test_cli_fuzz import BREAKS, model_documents
 
 
@@ -339,10 +339,11 @@ def _event_document(path):
         return chain_model._event_document(fh)
 
 
-def _count_yaml_loads(monkeypatch):
+def _count_yaml_loads(monkeypatch, name="load"):
+    """A list that grows by one at each call of yaml.<name>."""
     calls = []
-    load = yaml.load
-    monkeypatch.setattr(yaml, "load", lambda *a, **k: calls.append(1) or load(*a, **k))
+    load = getattr(yaml, name)
+    monkeypatch.setattr(yaml, name, lambda *a, **k: calls.append(1) or load(*a, **k))
     return calls
 
 
@@ -370,7 +371,8 @@ def test_event_loader_builds_what_yaml_load_builds(tmp_path, monkeypatch, loader
 @pytest.mark.parametrize("loader", YAML_LOADERS)
 def test_model_files_are_read_without_yaml_load(tmp_path, monkeypatch, loader, bd5_bundle):
     """An emitted bundle and a dense file written as the benchmark writes
-    one (repr floats with a dot and a signed exponent) take no yaml.load."""
+    one (repr floats with a dot and a signed exponent) take no yaml.load,
+    and the dense file, read by the line scan, no yaml.parse either."""
     monkeypatch.setattr(chain_model, "_YAML_LOADER", getattr(yaml, loader))
     L = np.array(make_random_chain(np.random.default_rng(3), n=30).sub_generator)
     L[0, 0], L[0, 1] = L[0, 0] - 1e-7 - L[0, 1], 1e-7
@@ -379,9 +381,11 @@ def test_model_files_are_read_without_yaml_load(tmp_path, monkeypatch, loader, b
     (tmp_path / "dense.yaml").write_text(f"name: dense-30\ngenerator:\n{rows}")
     paper_checks.emit_model_config(bd5_bundle, tmp_path / "bd5.yaml")
     calls = _count_yaml_loads(monkeypatch)
+    parses = _count_yaml_loads(monkeypatch, "parse")
     dense = qslab.load_model_config(tmp_path / "dense.yaml")
+    assert parses == []
     again = qslab.load_model_config(tmp_path / "bd5.yaml")
-    assert calls == []
+    assert calls == [] and len(parses) == 1
     assert np.array_equal(dense.chain.sub_generator, L)
     _assert_same_bundle(again, bd5_bundle)
     for name in ("dense.yaml", "bd5.yaml"):
@@ -404,6 +408,121 @@ def test_generated_model_documents_read_as_yaml_load_reads_them(brk, loader, dat
         got, want = _event_document(path), _yaml_load(path)
     assert (got is None) == any(w in text for w in (".nan", ".inf")), text
     assert got is None or repr(got) == repr(want)
+
+
+# a model file in the line scan's layout, and near misses of it that each
+# break one rule of that layout
+PLAIN = ("name: bd-2\nbirth_death:\n  n: 2\n  birth: [1.0, 0.0]\n  death: [1.0, 1.0]\n"
+         "mu: [0.5, 0.5]\n")
+NEAR_MISSES = {
+    "non-ascii": PLAIN.replace("bd-2", "bd-\u00e9"),
+    "bom": "\ufeff" + PLAIN,
+    "no final newline": PLAIN[:-1],
+    "crlf": PLAIN.replace("\n", "\r\n"),
+    "unknown key": PLAIN + "extra: 1.0\n",
+    "one-space indent": PLAIN.replace("  n:", " n:"),
+    "three-space indent": PLAIN.replace("  n:", "   n:"),
+    "item at column 0": "generator:\n- [-2.0, 1.0]\n- [1.0, -2.0]\n",
+    "indented under a value": PLAIN + "  n: 2\n",
+    "indented first line": "  " + PLAIN,
+    "duplicate key": PLAIN + "mu: [1.0, 0.0]\n",
+    "duplicate key in a block": PLAIN.replace("  n: 2\n", "  n: 2\n  n: 2\n"),
+    "empty key": "psi1:\n" + PLAIN,
+    "empty key at the end": PLAIN + "psi1:\n",
+    "mixed block, field first": PLAIN.replace("  n: 2\n", "  n: 2\n  - [1.0, 1.0]\n"),
+    "mixed block, row first": "generator:\n  - [-2.0, 1.0]\n  n: 2\n  - [1.0, -2.0]\n",
+    "block two deep": PLAIN.replace("  birth: [1.0, 0.0]\n", "  birth:\n    - 1.0\n    - 0.0\n"),
+    "empty list": PLAIN.replace("[0.5, 0.5]", "[]"),
+    "flow matrix": "generator: [[-2.0, 1.0], [1.0, -2.0]]\n",
+    "comment": PLAIN.replace("[0.5, 0.5]", "[0.5, 0.5]  # uniform"),
+    "comment line": "# two states\n" + PLAIN,
+    "blank line": PLAIN.replace("mu:", "\nmu:"),
+    "tab": PLAIN.replace("mu: ", "mu:\t"),
+    "quotes": PLAIN.replace("bd-2", "'bd-2'"),
+    "document marker": "---\n" + PLAIN,
+    "name that is a bool": PLAIN.replace("bd-2", "yes"),
+    "octal n": PLAIN.replace("n: 2", "n: 010"),
+    "no space after a comma": PLAIN.replace("[1.0, 0.0]", "[1.0,0.0]"),
+    "float without a dot": PLAIN.replace("[1.0, 1.0]", "[1e-05, 1.0]"),
+    "4301-digit n": PLAIN.replace("n: 2", "n: " + "1" * 4301),
+}
+
+
+def _plain_document(path):
+    return chain_model._plain_document(Path(path).read_bytes())
+
+
+def _load_outcome(path):
+    """The loaded bundle's arrays and source as text, or the error's type and message."""
+    try:
+        b = qslab.load_model_config(path)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    return repr([a.tolist() for a in (b.chain.sub_generator, b.psi1, b.mu, b.f)] + [b.source])
+
+
+def test_benchmark_and_readme_layouts_take_the_line_scan(tmp_path):
+    """The files perfbench's writers make (dense rows, a birth_death block
+    with n, the two-state chain killed at rate 20), the README's birth-death
+    example and PLAIN are read by the line scan as yaml.load reads them."""
+    models = perfbench_models()
+    rng = np.random.default_rng(1)
+    models.write_dense(tmp_path / "dense.yaml", 12, rng)
+    models.write_ladder(tmp_path / "ladder.yaml", 6, rng)
+    models.write_kill20(tmp_path / "kill20.yaml")
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (tmp_path / "readme.yaml").write_text(
+        re.search(r"```yaml\n(birth_death:\n.*?)```", readme, re.S).group(1))
+    (tmp_path / "plain.yaml").write_text(PLAIN)
+    for name in ("dense.yaml", "ladder.yaml", "kill20.yaml", "readme.yaml", "plain.yaml"):
+        got = _plain_document(tmp_path / name)
+        assert got is not None and repr(got) == repr(_yaml_load(tmp_path / name)), name
+
+
+@pytest.mark.parametrize("rule", sorted(NEAR_MISSES))
+def test_near_misses_of_the_line_scan_load_as_without_it(tmp_path, monkeypatch, rule):
+    """The line scan refuses each near miss, and the loader then builds the
+    bundle, or raises the error, that it does with the scan taken out."""
+    path = tmp_path / "model.yaml"
+    path.write_bytes(NEAR_MISSES[rule].encode())
+    assert _plain_document(path) is None
+    got = _load_outcome(path)
+    monkeypatch.setattr(chain_model, "_plain_document", lambda data: None)
+    assert got == _load_outcome(path)
+
+
+# YAML's indicators, and plain scalars that YAML reads as neither a decimal nor a str
+INDICATORS = [*"#'\"[]{}:,-&*!|>?%@\t\r", "yes", "~", ".inf", "010", "1_0"]
+PLAIN_FILES = [PLAIN, "name: m2\ngenerator:\n  - [-2.0, 1.0]\n  - [1.0, -2.0]\n"
+               "observable: [1.0, -1.0]\n",
+               "generator:\n  - [-21.0, 1.0e+00]\n  - [1.0, -2.1e+1]\npsi1: [1.0, 2.5e-3]\n"]
+
+
+@st.composite
+def edited_plain_files(draw):
+    """One of PLAIN_FILES after up to three edits: an indicator inserted, a
+    run of characters deleted, or a run copied to another place."""
+    text = draw(st.sampled_from(PLAIN_FILES))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["insert", "delete", "copy"]))
+        if edit == "insert":
+            text = text[:i] + draw(st.sampled_from(INDICATORS)) + text[i:]
+        elif edit == "delete":
+            text = text[:i] + text[i + draw(st.integers(1, 4)):]
+        else:
+            j = draw(st.integers(0, len(text)))
+            text = text[:i] + text[j:j + draw(st.integers(1, 12))] + text[i:]
+    return text
+
+
+@pytest.mark.parametrize("loader", YAML_LOADERS)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=edited_plain_files())
+def test_edited_plain_files_scan_as_yaml_load_reads_them(loader, text):
+    """The line scan refuses an edited file or builds yaml.load's document."""
+    got = chain_model._plain_document(text.encode())
+    assert got is None or repr(got) == repr(yaml.load(text, Loader=getattr(yaml, loader)))
 
 
 def test_yaml_rejects_bad_sections(tmp_path):

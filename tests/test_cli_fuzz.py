@@ -6,7 +6,9 @@ exit code, never raises, prints a coded diagnostic on failure, and writes
 no undocumented `nan`."""
 
 import contextlib
+import hashlib
 import io
+import json
 import math
 import re
 import tempfile
@@ -21,6 +23,8 @@ from qslab import cli
 from qslab.montecarlo import MAX_REPLICAS
 from qslab.spectral import MAX_GRID_POINTS
 from qslab.variance_clt import K_MAX
+
+from conftest import perfbench_models
 
 _MAGNITUDES = st.floats(min_value=1e-3, max_value=1e3)
 NUMBERS = st.one_of(
@@ -242,3 +246,59 @@ def test_any_model_file_ends_in_a_documented_exit(brk, data):
                 assert not out.exists()
             else:
                 assert _undocumented_nans(out) == []
+
+
+def _block_layout(doc):
+    """doc as perfbench's writers lay out a model file: a column-0 key per
+    field, a generator's rows and a birth-death block's fields two spaces in,
+    flow lists, and every float as perfbench's yaml_float writes it."""
+    def value(v):
+        if isinstance(v, list):
+            return "[" + ", ".join(map(value, v)) + "]"
+        return perfbench_models().yaml_float(v) if isinstance(v, float) else str(v)
+
+    lines = []
+    for key, v in doc.items():
+        if isinstance(v, dict):
+            lines += [f"{key}:"] + [f"  {k}: {value(w)}" for k, w in v.items()]
+        elif key == "generator":
+            lines += [f"{key}:"] + [f"  - {value(row)}" for row in v]
+        else:
+            lines.append(f"{key}: {value(v)}")
+    return "".join(line + "\n" for line in lines)
+
+
+def _masked_outputs(out, model):
+    """The files a run wrote to out, with the model file's digest, the
+    manifest hash it enters and the wall-clock time masked."""
+    if not out.exists():
+        return {}
+    digest = hashlib.sha256(model.read_bytes()).hexdigest()
+    manifest_hash = json.loads((out / "manifest.json").read_text())["manifest_hash"]
+    return {path.name: re.sub(r'"wall_clock_s": .*', "", path.read_text())
+            .replace(digest, "MODEL").replace(manifest_hash, "MANIFEST")
+            for path in sorted(out.iterdir())}
+
+
+# not-utf8 is left out: its message names the offset of the bad byte, which the layout moves
+@pytest.mark.parametrize("brk", [None, *BREAKS, "huge-n", "deep"])
+@settings(max_examples=3, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_block_layout_files_run_as_their_safe_dump_twins(brk, data):
+    """A drawn document written in the block layout, which the loader's line
+    scan reads unless the break or a non-decimal value keeps it out, gives
+    the exit code, stderr and outputs of the same document written by
+    safe_dump, which the line scan never reads."""
+    doc = data.draw(model_documents(brk))
+    runs = {"dump": [], "block": []}
+    with tempfile.TemporaryDirectory() as tmp:
+        for layout, text in (("dump", yaml.safe_dump(doc)), ("block", _block_layout(doc))):
+            model = Path(tmp) / layout / "model.yaml"
+            model.parent.mkdir()
+            model.write_bytes(TEXT_BREAKS[brk](text) if brk in TEXT_BREAKS else text.encode())
+            for cmd in (["qprocess"], ["moments", "--kmax", "2"]):
+                out = model.parent / cmd[0]
+                rc, err = _run([*cmd, "--model", str(model)], out)
+                runs[layout].append((rc, err.replace(str(model.parent), "DIR"),
+                                     _masked_outputs(out, model)))
+    assert runs["dump"] == runs["block"], doc
